@@ -148,10 +148,6 @@ let timing_tests =
        staged "layout:bb" (fun () -> ignore (Layout.Bb.solve (Lazy.force layout_pr)));
        staged "layout:smt" (fun () ->
            ignore (Layout.Smt_search.solve (Lazy.force layout_pr)));
-       staged "layout:greedy" (fun () ->
-           ignore (Layout.Greedy.solve (Lazy.force layout_pr)));
-       staged "layout:portfolio" (fun () ->
-           ignore (Layout.Portfolio.solve (Lazy.force layout_pr)));
      ])
 
 (* ---------- simulation-backend stages ---------- *)
@@ -503,13 +499,6 @@ let timings_payload stages per_pass (seq_s, par_s, jobs)
                   ("misses", counter_json "layout.cache.misses");
                   ("evictions", counter_json "layout.cache.evictions");
                 ] );
-            ( "portfolio_wins",
-              Obj
-                [
-                  ("bb", counter_json "layout.portfolio.wins.bb");
-                  ("smt", counter_json "layout.portfolio.wins.smt");
-                  ("greedy", counter_json "layout.portfolio.wins.greedy");
-                ] );
           ] );
       ( "simulation",
         Obj
@@ -660,7 +649,6 @@ let run_smoke () =
       [ "layout_cache"; "cold_solve_ns_per_call" ];
       [ "layout_cache"; "hit_ns_per_call" ];
       [ "layout_cache"; "counters"; "hits" ];
-      [ "layout_cache"; "portfolio_wins"; "bb" ];
       [ "simulation"; "statevector_nofusion_ns" ];
       [ "simulation"; "fusion_speedup" ];
       [ "simulation"; "auto_speedup" ];

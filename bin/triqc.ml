@@ -250,9 +250,7 @@ let compile_cmd =
   let mapper_arg =
     let doc =
       "Layout strategy for the mapping pass: 'bb' (branch-and-bound, the \
-       default), 'smt' (incremental SAT threshold search), 'greedy' \
-       (degree-ordered seeder) or 'portfolio' (race bb and smt in parallel, \
-       seeded by greedy)."
+       default) or 'smt' (incremental SAT threshold search)."
     in
     Arg.(value & opt string "bb" & info [ "mapper" ] ~docv:"STRATEGY" ~doc)
   in

@@ -63,7 +63,7 @@ val has_errors : t list -> bool
 val error_count : t list -> int
 
 (** [Violation (pass, diags)] is raised by the pass-invariant harness
-    ([Triq.Pipeline.compile ~validate:true]) when [pass] breaks a
+    ([Triq.Pass.Config.validate] = [Shape] or [Deep]) when [pass] breaks a
     well-formedness invariant; [diags] are the violated rules. *)
 exception Violation of string * t list
 

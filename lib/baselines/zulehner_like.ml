@@ -6,7 +6,7 @@ let greedy_placement machine (flat : Ir.Circuit.t) =
   let n_hardware = Topology.n_qubits topology in
   let n_program = flat.Ir.Circuit.n_qubits in
   let dist = Common.hop_distances topology in
-  let pairs = Triq.Mapper.interactions flat in
+  let pairs = Triq.Placement.interactions flat in
   let weight = Array.make n_program 0 in
   let partners = Array.make n_program [] in
   List.iter

@@ -538,47 +538,35 @@ let run_all ?trajectories () =
 (* Mapper-objective ablation (Section 4.3's scalability argument): the
    max-min objective prunes far earlier than the whole-graph product
    objective, at equal or better mapped quality. Runs the layout engines
-   directly (the rows keep the legacy [Mapper.result] shape). *)
+   directly, bypassing the placement cache. *)
 let ablation_mapper_data ?(node_budget = 200_000) () =
   let machine = Machines.ibmq16 in
   let calibration = Machine.calibration machine ~day:0 in
   let reliability = Triq.Reliability.compute ~noise_aware:true machine calibration in
-  let legacy (r : Layout.Report.t) =
-    {
-      Triq.Mapper.placement = r.Layout.Report.placement;
-      objective = r.Layout.Report.objective;
-      nodes_explored = Layout.Report.legacy_nodes r;
-      optimal = r.Layout.Report.proven_optimal;
-    }
-  in
   pfilter_map
     (fun (p : Programs.t) ->
       if not (Machine.fits machine p.Programs.circuit) then None
       else begin
         let flat = Ir.Decompose.flatten p.Programs.circuit in
         let problem objective = Triq.Placement.problem ~objective reliability flat in
-        let run objective = legacy (Layout.Bb.solve ~node_budget (problem objective)) in
+        let run objective = Layout.Bb.solve ~node_budget (problem objective) in
         let max_min = run Layout.Problem.Max_min in
         let product = run Layout.Problem.Product in
-        let smt = legacy (Layout.Smt_search.solve (problem Layout.Problem.Max_min)) in
+        let smt = Layout.Smt_search.solve (problem Layout.Problem.Max_min) in
         Some (p.Programs.name, max_min, product, smt)
       end)
     (benches ())
 
 let print_ablation_mapper () =
+  let cells (r : Layout.Report.t) =
+    [
+      string_of_int (Layout.Report.work_total r.Layout.Report.work);
+      Table.f3 r.Layout.Report.objective;
+    ]
+  in
   let rows =
     List.map
-      (fun (bench, (mm : Triq.Mapper.result), (pr : Triq.Mapper.result),
-            (smt : Triq.Mapper.result)) ->
-        [
-          bench;
-          string_of_int mm.Triq.Mapper.nodes_explored;
-          Table.f3 mm.Triq.Mapper.objective;
-          string_of_int pr.Triq.Mapper.nodes_explored;
-          Table.f3 pr.Triq.Mapper.objective;
-          string_of_int smt.Triq.Mapper.nodes_explored;
-          Table.f3 smt.Triq.Mapper.objective;
-        ])
+      (fun (bench, mm, pr, smt) -> (bench :: cells mm) @ cells pr @ cells smt)
       (ablation_mapper_data ())
   in
   Table.print

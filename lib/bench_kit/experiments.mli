@@ -127,12 +127,12 @@ val run_all : ?trajectories:int -> unit -> unit
 (** Mapper-engine ablation on IBMQ16 (Section 4.3): branch-and-bound with
     TriQ's max-min objective, branch-and-bound with prior work's product
     objective, and the SAT-encoded threshold search
-    ({!Triq.Mapper_smt}) — work done and achieved minimum reliability for
-    each. *)
+    ({!Layout.Smt_search}) — work done and achieved minimum reliability
+    for each. Rows are [(benchmark, max_min, product, smt)]. *)
 val ablation_mapper_data :
   ?node_budget:int ->
   unit ->
-  (string * Triq.Mapper.result * Triq.Mapper.result * Triq.Mapper.result) list
+  (string * Layout.Report.t * Layout.Report.t * Layout.Report.t) list
 
 val print_ablation_mapper : unit -> unit
 

@@ -172,7 +172,7 @@ let mapping_trivial =
         {
           s with
           initial_placement =
-            Mapper.trivial ~n_program:s.circuit.Ir.Circuit.n_qubits
+            Placement.trivial ~n_program:s.circuit.Ir.Circuit.n_qubits
               ~n_hardware:(Machine.n_qubits s.machine);
           layout = None;
         });
@@ -486,7 +486,7 @@ let init ~config machine circuit =
       "%d-qubit program does not fit %s (%d qubits)" circuit.Ir.Circuit.n_qubits
       machine.Machine.name (Machine.n_qubits machine);
   let trivial =
-    Mapper.trivial ~n_program:circuit.Ir.Circuit.n_qubits
+    Placement.trivial ~n_program:circuit.Ir.Circuit.n_qubits
       ~n_hardware:(Machine.n_qubits machine)
   in
   {

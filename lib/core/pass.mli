@@ -8,8 +8,8 @@
     {!Schedule.of_level}; ablations (peephole cancellation, lookahead
     routing) are schedule/config edits rather than boolean plumbing.
 
-    {!Pipeline.compile} remains the stable high-level entry point; it is a
-    thin wrapper over [run] and produces bit-identical output. Use this
+    {!Pipeline.compile_level} remains the stable high-level entry point;
+    it is a thin wrapper over [run]. Use this
     module directly to run custom schedules ([triqc compile --passes],
     [--disable-pass]) or to register project-specific passes
     (see docs/EXTENDING.md, "Adding a pass"). *)
@@ -47,7 +47,7 @@ module Config : sig
     day : int;  (** calibration day to compile against *)
     layout : Layout.Config.t;
         (** layout-engine options for the mapping pass: strategy
-            (bb/smt/greedy/portfolio), work budget, cache toggle — the
+            (bb/smt), work budget, cache toggle — the
             one typed record shared with [Pipeline] (the former
             [node_budget]/[mapper_nodes]/[mapper_optimal] trio) *)
     router : router;
@@ -62,7 +62,7 @@ module Config : sig
 
   (** Day 0, default layout config (B&B, default budget, cache on),
       default router, no peephole, no validation — the options
-      [Pipeline.compile] defaults to. *)
+      [Pipeline.compile_level] defaults to. *)
   val default : t
 
   (** [?node_budget], [?mapper] and [?layout_cache] populate the [layout]

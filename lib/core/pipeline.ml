@@ -58,19 +58,6 @@ let compile_schedule ?(config = Pass.Config.default) machine circuit
 let compile_level ?(config = Pass.Config.default) machine circuit ~level =
   compile_schedule ~config machine circuit (Pass.Schedule.of_level ~config level)
 
-let compile ?(day = 0) ?node_budget ?(peephole = false) ?(router = `Default)
-    ?(validate = false) machine circuit ~level =
-  let router =
-    match router with
-    | `Default -> Pass.Config.Default
-    | `Lookahead -> Pass.Config.Lookahead
-  in
-  let validate = if validate then Pass.Config.Shape else Pass.Config.Off in
-  let config =
-    Pass.Config.make ~day ?node_budget ~router ~peephole ~validate ()
-  in
-  compile_level ~config machine circuit ~level
-
 let to_compiled t =
   {
     Compiled.machine = t.machine;

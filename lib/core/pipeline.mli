@@ -16,8 +16,7 @@
     The toolflow itself is implemented as first-class passes in {!Pass};
     this module is the stable entry point: {!compile_level} runs a
     level's named schedule under a {!Pass.Config.t},
-    {!compile_schedule} runs any {!Pass.Schedule.t}. The optional-arg
-    {!compile} wrapper is deprecated in favour of these two. *)
+    {!compile_schedule} runs any {!Pass.Schedule.t}. *)
 
 type level = Pass.level = N | OneQOpt | OneQOptC | OneQOptCN
 
@@ -67,24 +66,6 @@ type t = {
     machine. *)
 val compile_level :
   ?config:Pass.Config.t -> Device.Machine.t -> Ir.Circuit.t -> level:level -> t
-
-(** Deprecated optional-argument spelling of {!compile_level}: each
-    optional argument populates the corresponding {!Pass.Config.t}
-    field ([router] maps [`Default]/[`Lookahead] onto
-    {!Pass.Config.router}). Behaviour is identical; new code should
-    build a [Config.t] (one value to thread through helpers and record
-    in reports) instead of growing optional-argument lists. *)
-val compile :
-  ?day:int ->
-  ?node_budget:int ->
-  ?peephole:bool ->
-  ?router:[ `Default | `Lookahead ] ->
-  ?validate:bool ->
-  Device.Machine.t ->
-  Ir.Circuit.t ->
-  level:level ->
-  t
-[@@deprecated "use Pipeline.compile_level ~config (or Pass.Schedule + compile_schedule)"]
 
 (** [compile_schedule ?config machine circuit schedule] runs an arbitrary
     pass schedule (e.g. one edited with {!Pass.Schedule.disable} or built

@@ -34,14 +34,38 @@ let canon_of_problem (pr : Layout.Problem.t) =
     Hashtbl.add canon_memo key c;
     c
 
+let interactions (c : Ir.Circuit.t) =
+  let table = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun g ->
+      match (g : Ir.Gate.t) with
+      | Two (_, a, b) ->
+        let key = if Hashtbl.mem table (b, a) then (b, a) else (a, b) in
+        if not (Hashtbl.mem table key) then order := key :: !order;
+        Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
+      | Ccx _ | Cswap _ ->
+        Analysis.Diag.invalid ~rule:"circuit.flat" ~layer:"mapping"
+          "circuit not flattened: %s" (Ir.Gate.to_string g)
+      | One _ | Measure _ -> ())
+    c.Ir.Circuit.gates;
+  List.rev_map (fun key -> (key, Hashtbl.find table key)) !order
+
+let check_fits ~n_program ~n_hardware =
+  if n_program > n_hardware then
+    Analysis.Diag.invalid ~rule:"circuit.bounds" ~layer:"mapping"
+      "%d-qubit program does not fit a %d-qubit device" n_program n_hardware
+
+let trivial ~n_program ~n_hardware =
+  check_fits ~n_program ~n_hardware;
+  Array.init n_program (fun i -> i)
+
 let problem ?(objective = Layout.Problem.Max_min) reliability (c : Ir.Circuit.t) =
   let n_program = c.Ir.Circuit.n_qubits in
   let n_hardware = Reliability.n_qubits reliability in
-  if n_program > n_hardware then
-    Analysis.Diag.invalid ~rule:"circuit.bounds" ~layer:"mapping"
-      "%d-qubit program does not fit a %d-qubit device" n_program n_hardware;
+  check_fits ~n_program ~n_hardware;
   Layout.Problem.make ~objective ~n_program ~n_hardware
-    ~pairs:(Mapper.interactions c)
+    ~pairs:(interactions c)
     ~measured:(Ir.Circuit.measured_qubits c)
     ~score:(Reliability.score reliability)
     ~readout:(Reliability.readout_reliability reliability)
@@ -49,13 +73,17 @@ let problem ?(objective = Layout.Problem.Max_min) reliability (c : Ir.Circuit.t)
 
 let run_strategy ~(config : Layout.Config.t) pr =
   let budget = config.Layout.Config.node_budget in
-  match config.Layout.Config.strategy with
-  | Layout.Config.Bb -> Layout.Strategy.bb.Layout.Strategy.solve ~race:None ~seed:None ~budget pr
-  | Layout.Config.Smt ->
-    Layout.Strategy.smt.Layout.Strategy.solve ~race:None ~seed:None ~budget pr
-  | Layout.Config.Greedy ->
-    Layout.Strategy.greedy.Layout.Strategy.solve ~race:None ~seed:None ~budget pr
-  | Layout.Config.Portfolio -> Layout.Portfolio.solve ?budget pr
+  let name = Layout.Config.strategy_name config.Layout.Config.strategy in
+  let report, _dt =
+    Obs.Span.timed
+      ~attrs:[ ("strategy", Obs.Span.Str name) ]
+      ("layout.strategy." ^ name)
+      (fun () ->
+        match config.Layout.Config.strategy with
+        | Layout.Config.Bb -> Layout.Bb.solve ?node_budget:budget pr
+        | Layout.Config.Smt -> Layout.Smt_search.solve ?decision_budget:budget pr)
+  in
+  report
 
 let scope ~(config : Layout.Config.t) ~machine_name ~day objective =
   String.concat "|"

@@ -1,13 +1,23 @@
 (** The pipeline's entry to the layout engine: lowers a circuit plus
     reliability matrix to a {!Layout.Problem.t}, dispatches on the
-    configured strategy (B&B / SMT / greedy / portfolio), and fronts the
-    process-wide layout cache keyed on (canonical interaction-graph form,
-    machine, day, objective, strategy, budget).
+    configured strategy (B&B or SMT), and fronts the process-wide layout
+    cache keyed on (canonical interaction-graph form, machine, day,
+    objective, strategy, budget).
 
-    Every solve runs inside a [layout.solve] span; the cache maintains
-    [layout.cache.hits]/[.misses]/[.evictions] counters. With the default
-    config (B&B strategy, cache on) the returned placement is
-    bit-identical to the legacy [Mapper.solve] path. *)
+    Every solve runs inside a [layout.solve] span, each engine run inside
+    a [layout.strategy.<name>] span; the cache maintains
+    [layout.cache.hits]/[.misses]/[.evictions] counters. *)
+
+(** [interactions c] aggregates the program's 2Q operations as
+    [((a, b), count)] pairs over program qubits, with (a, b) in first-seen
+    orientation. The circuit must be flattened (no Ccx/Cswap). *)
+val interactions : Ir.Circuit.t -> ((int * int) * int) list
+
+(** [trivial ~n_program ~n_hardware] is the identity placement 0..n-1 used
+    by the default-mapping configurations (and by the vendor baselines).
+    Raises the standard [circuit.bounds] diagnostic when the program does
+    not fit. *)
+val trivial : n_program:int -> n_hardware:int -> int array
 
 (** [problem ?objective reliability circuit] lowers a flattened circuit.
     Raises the standard [circuit.bounds] diagnostic when the program does

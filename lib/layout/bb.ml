@@ -1,7 +1,7 @@
 (* Branch-and-bound placement search.
 
-   This is the original Triq.Mapper.solve search, generalized over
-   Problem.t and extended with two additional *sound* pruning devices:
+   The paper's max-min search over Problem.t, with two *sound* pruning
+   devices on top of the incumbent rule:
 
    - a memoized partial-assignment bound: per-qubit optimistic caps
      (precomputed once from row maxima of the score model) folded into
@@ -16,11 +16,11 @@
 
    Both prunings only discard subtrees that provably cannot change the
    recorded incumbent chain, so the returned placement (and objective) is
-   bit-identical to the original un-pruned search. The argument relies on
+   bit-identical to the un-pruned search. The argument relies on
    reliability values that are either bitwise equal or separated by much
    more than the 1e-12 tie tolerance — true of every calibration model in
-   the tree, and pinned by the golden pipeline fixtures in
-   test/test_layout.ml. *)
+   the tree, and pinned by the compiled-artifact digests in
+   test/layout_golden.ml. *)
 
 let log_floor = Problem.log_floor
 let default_node_budget = 200_000
@@ -124,10 +124,7 @@ let compute_bounds (pr : Problem.t) order partners measured_set =
   done;
   { suffix_min; suffix_log }
 
-let cancel_poll_mask = 0x3ff
-
-let solve ?race ?seed ?(node_budget = default_node_budget) (pr : Problem.t) :
-    Report.t =
+let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   let n_program = pr.n_program and n_hardware = pr.n_hardware in
   let objective = pr.objective in
   let partners = Problem.partners pr in
@@ -156,19 +153,11 @@ let solve ?race ?seed ?(node_budget = default_node_budget) (pr : Problem.t) :
     best_log := lp;
     best_placement := Some pl
   in
-  (* Seed the incumbent with the trivial placement (exactly like the
-     original search), then offer an optional externally supplied seed —
-     e.g. the greedy strategy's placement when priming portfolio runs —
-     through the same recording rule. *)
+  (* Seed the incumbent with the trivial placement. *)
   let () =
     let trivial_placement = Problem.trivial pr in
     let m, lp = Problem.evaluate pr trivial_placement in
-    record trivial_placement m lp;
-    match seed with
-    | Some s ->
-      let m, lp = Problem.evaluate pr s in
-      if better m lp then record (Array.copy s) m lp
-    | None -> ()
+    record trivial_placement m lp
   in
   let placement_cost p h =
     let min_rel = ref 1.0 and log_prod = ref 0.0 in
@@ -231,10 +220,6 @@ let solve ?race ?seed ?(node_budget = default_node_budget) (pr : Problem.t) :
           if not !truncated then begin
             incr nodes;
             if !nodes > node_budget then truncated := true
-            else if
-              !nodes land cancel_poll_mask = 0
-              && (match race with Some r -> Race.cancelled r | None -> false)
-            then truncated := true
             else begin
               let next_min = Float.min cur_min m in
               if viable (depth + 1) next_min (cur_log +. lp) then begin

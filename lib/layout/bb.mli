@@ -4,15 +4,12 @@
 
     Both added prunings are conservative: they only discard subtrees that
     provably cannot change the recorded incumbent, so results are
-    bit-identical to the original [Triq.Mapper.solve] search (pinned by
-    the golden pipeline fixtures). *)
+    bit-identical to the un-pruned search (pinned by the compiled-artifact
+    digests in [test/layout_golden.ml]). *)
 
 val default_node_budget : int
 
-(** [solve ?race ?seed ?node_budget problem] searches for the placement
-    optimizing [problem.objective]. [seed] offers an extra starting
-    incumbent (e.g. the greedy strategy's placement) through the normal
-    recording rule; [race] enables cooperative cancellation polling when
-    racing in a portfolio. Default budget: 200_000 nodes. *)
-val solve :
-  ?race:Race.t -> ?seed:int array -> ?node_budget:int -> Problem.t -> Report.t
+(** [solve ?node_budget problem] searches for the placement optimizing
+    [problem.objective]. Default budget: 200_000 nodes; exceeding it
+    returns the best placement so far with [proven_optimal = false]. *)
+val solve : ?node_budget:int -> Problem.t -> Report.t

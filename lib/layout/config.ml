@@ -1,20 +1,12 @@
-type strategy = Bb | Smt | Greedy | Portfolio
+type strategy = Bb | Smt
 
-let strategy_name = function
-  | Bb -> "bb"
-  | Smt -> "smt"
-  | Greedy -> "greedy"
-  | Portfolio -> "portfolio"
+let all = [ Bb; Smt ]
+let strategy_name = function Bb -> "bb" | Smt -> "smt"
+let strategy_names = List.map strategy_name all
 
 let strategy_of_string s =
-  match String.lowercase_ascii s with
-  | "bb" -> Some Bb
-  | "smt" -> Some Smt
-  | "greedy" -> Some Greedy
-  | "portfolio" -> Some Portfolio
-  | _ -> None
-
-let strategy_names = [ "bb"; "smt"; "greedy"; "portfolio" ]
+  let s = String.lowercase_ascii s in
+  List.find_opt (fun k -> strategy_name k = s) all
 
 type t = { strategy : strategy; node_budget : int option; cache : bool }
 

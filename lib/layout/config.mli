@@ -2,9 +2,13 @@
     [Pass.Config] and [Pipeline] (replacing the duplicated
     [mapper_nodes]/[mapper_optimal]/[node_budget] fields). *)
 
-type strategy = Bb | Smt | Greedy | Portfolio
+(** The paper's two placement solvers (Section 4.3): [Bb] is the max-min
+    branch-and-bound search, [Smt] its SMT threshold formulation. *)
+type strategy = Bb | Smt
 
 val strategy_name : strategy -> string
+
+(** Case-insensitive inverse of {!strategy_name}. *)
 val strategy_of_string : string -> strategy option
 val strategy_names : string list
 

@@ -46,8 +46,7 @@ let evaluate t placement =
   (!min_rel, !log_prod)
 
 (* Program qubits in decreasing connectivity order: placing the busiest
-   qubits first makes pruning bite early. Identical weights and ordering
-   to the original Mapper.placement_order. *)
+   qubits first makes pruning bite early. *)
 let order t =
   let weight = Array.make t.n_program 0 in
   List.iter

@@ -20,7 +20,7 @@ type t = {
   n_hardware : int;
   pairs : ((int * int) * int) list;
       (** aggregated 2Q interactions over program qubits, first-seen
-          orientation, as produced by [Triq.Mapper.interactions] *)
+          orientation, as produced by [Triq.Placement.interactions] *)
   measured : int list;  (** program qubits that are measured *)
   score : int -> int -> float;  (** directed hardware-pair reliability *)
   readout : int -> float;  (** hardware-qubit readout reliability *)
@@ -43,9 +43,8 @@ val make :
 val trivial : t -> int array
 
 (** [evaluate t placement] is the (min reliability, log-product) pair of a
-    complete placement — the same accumulation order (pairs, then
-    readouts) as the original [Triq.Mapper.evaluate], which strategies
-    rely on for bit-identical scoring. *)
+    complete placement, accumulated in a fixed order (pairs, then
+    readouts) that strategies rely on for bit-identical scoring. *)
 val evaluate : t -> int array -> float * float
 
 (** Program qubits in decreasing connectivity order (busiest first). *)

@@ -1,14 +1,7 @@
-type work = { search_nodes : int; sat_decisions : int; heuristic_steps : int }
+type work = { search_nodes : int; sat_decisions : int }
 
-let no_work = { search_nodes = 0; sat_decisions = 0; heuristic_steps = 0 }
-let work_total w = w.search_nodes + w.sat_decisions + w.heuristic_steps
-
-let add_work a b =
-  {
-    search_nodes = a.search_nodes + b.search_nodes;
-    sat_decisions = a.sat_decisions + b.sat_decisions;
-    heuristic_steps = a.heuristic_steps + b.heuristic_steps;
-  }
+let no_work = { search_nodes = 0; sat_decisions = 0 }
+let work_total w = w.search_nodes + w.sat_decisions
 
 type cache_status = Hit | Miss | Bypass
 
@@ -23,8 +16,3 @@ type t = {
   work : work;
   cache : cache_status;
 }
-
-(* The legacy Mapper.result conflated SAT decisions and search nodes in one
-   [nodes_explored] field; the compat wrappers keep that shape by collapsing
-   the structured work record back down. *)
-let legacy_nodes t = work_total t.work

@@ -1,19 +1,17 @@
 (** The structured result every layout strategy returns.
 
-    The legacy [Triq.Mapper.result] conflated B&B search nodes and SAT
-    decisions into a single [nodes_explored] integer; [work] keeps the
-    engines' effort metrics in separate, honestly-named fields, and the
-    compat wrappers collapse them back via {!legacy_nodes}. *)
+    [work] keeps the engines' effort metrics in separate, honestly-named
+    fields: B&B search nodes and SAT decisions are not the same unit. *)
 
 type work = {
   search_nodes : int;  (** B&B assignments considered *)
   sat_decisions : int;  (** SAT branching decisions across all thresholds *)
-  heuristic_steps : int;  (** greedy candidate scans *)
 }
 
 val no_work : work
+
+(** Sum of both effort counters (only one is non-zero for any engine). *)
 val work_total : work -> int
-val add_work : work -> work -> work
 
 (** How the layout cache participated in producing this report:
     [Hit] (placement served from cache), [Miss] (solved, then stored), or
@@ -23,7 +21,7 @@ type cache_status = Hit | Miss | Bypass
 val cache_status_name : cache_status -> string
 
 type t = {
-  strategy : string;  (** e.g. ["bb"], ["smt"], ["portfolio:bb"] *)
+  strategy : string;  (** ["bb"] or ["smt"] *)
   placement : int array;  (** program qubit -> hardware qubit *)
   objective : float;  (** min reliability over mapped 2Q ops and readouts *)
   log_product : float;  (** log of the reliability product *)
@@ -31,6 +29,3 @@ type t = {
   work : work;
   cache : cache_status;
 }
-
-(** Total work in the legacy single-integer shape. *)
-val legacy_nodes : t -> int

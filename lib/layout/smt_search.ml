@@ -2,9 +2,8 @@
 
    The max-min objective is realized as a binary search for the highest
    satisfiable reliability threshold over the sorted distinct score
-   values, exactly like the original Triq.Mapper_smt — but instead of
-   re-encoding the whole formula per threshold, the structural
-   (assignment-shaped) clauses are asserted once and the
+   values. Instead of re-encoding the whole formula per threshold, the
+   structural (assignment-shaped) clauses are asserted once and the
    forbidden-placement clauses are bucketed into per-threshold *bands*
    managed with Solver.push/pop assertion scopes. Moving the threshold is
    then a stack adjustment, not an O(pairs * H^2) re-encoding.
@@ -13,11 +12,11 @@
    propagation to closure) depends only on the clause *set*, and the band
    stack for threshold index i always holds bands 0..i in ascending
    order, so every threshold's model — and decision count — is identical
-   to the from-scratch encoding the original used. *)
+   to a from-scratch encoding of that threshold. *)
 
 module Solver = Smt.Solver
 
-let solve ?race ?seed ?decision_budget (pr : Problem.t) : Report.t =
+let solve ?decision_budget (pr : Problem.t) : Report.t =
   let n_program = pr.n_program and n_hardware = pr.n_hardware in
   let var p h = (p * n_hardware) + h + 1 in
   let total_decisions = ref 0 in
@@ -114,29 +113,14 @@ let solve ?race ?seed ?decision_budget (pr : Problem.t) : Report.t =
     | Solver.Unsat -> None
   in
   let exhausted () =
-    (match decision_budget with
-    | Some b -> !total_decisions > b
-    | None -> false)
-    || match race with Some r -> Race.cancelled r | None -> false
+    match decision_budget with Some b -> !total_decisions > b | None -> false
   in
-  (* Seed: an externally supplied placement (e.g. greedy's) raises the
-     binary search's SAT floor to its achieved objective without solving
-     anything below it. Without a seed, start from the structural-only
-     solve exactly like the original. *)
-  let best_placement, lo0 =
-    match seed with
-    | Some s ->
-      let m, _ = Problem.evaluate pr s in
-      let i = ref (-1) in
-      Array.iteri (fun k c -> if c <= m then i := k) candidates;
-      (Array.copy s, !i)
-    | None -> (
-      match satisfiable (-1) with
-      | Some placement -> (placement, -1)
-      | None -> invalid_arg "Layout.Smt_search: unsatisfiable structure constraints")
+  let best_placement =
+    match satisfiable (-1) with
+    | Some placement -> ref placement
+    | None -> invalid_arg "Layout.Smt_search: unsatisfiable structure constraints"
   in
-  let best_placement = ref best_placement in
-  let lo = ref lo0 and hi = ref n_cand in
+  let lo = ref (-1) and hi = ref n_cand in
   let truncated = ref false in
   while (not !truncated) && !hi - !lo > 1 do
     if exhausted () then truncated := true
@@ -149,12 +133,6 @@ let solve ?race ?seed ?decision_budget (pr : Problem.t) : Report.t =
       | None -> hi := mid
     end
   done;
-  (match race with
-  | Some r ->
-    if not !truncated then
-      let m, _ = Problem.evaluate pr !best_placement in
-      Race.publish r m
-  | None -> ());
   let objective, log_product = Problem.evaluate pr !best_placement in
   {
     Report.strategy = "smt";

@@ -59,7 +59,7 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 (** {1 The process-wide default pool}
 
-    Library entry points ({!Sim.Runner.run}, the experiment harness) fall
+    Library entry points ({!Sim.Runner.simulate}, the experiment harness) fall
     back to a shared lazily-created pool, sized by [-j] flags or
     [Domain.recommended_domain_count ()]. *)
 

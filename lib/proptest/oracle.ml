@@ -470,7 +470,6 @@ let check_layout ~machine ~day c =
     let pr = Triq.Placement.problem reliability flat in
     let bb = Layout.Bb.solve pr in
     let smt = Layout.Smt_search.solve pr in
-    let portfolio = Layout.Portfolio.solve pr in
     let n_hardware = Device.Machine.n_qubits machine in
     let valid name (r : Layout.Report.t) =
       let sorted = List.sort_uniq compare (Array.to_list r.Layout.Report.placement) in
@@ -483,7 +482,6 @@ let check_layout ~machine ~day c =
     let ( let* ) = Result.bind in
     let* () = valid "bb" bb in
     let* () = valid "smt" smt in
-    let* () = valid "portfolio" portfolio in
     (* The engines realize the same max-min objective; their scores must
        agree whenever the B&B search completed (generated programs are
        tiny, so it always does — the guard keeps the property honest). *)
@@ -496,18 +494,6 @@ let check_layout ~machine ~day c =
         Error
           (Printf.sprintf "bb %.9f and smt %.9f disagree on the objective"
              bb.Layout.Report.objective smt.Layout.Report.objective)
-      else Ok ()
-    in
-    let* () =
-      if
-        bb.Layout.Report.proven_optimal
-        && Float.abs
-             (bb.Layout.Report.objective -. portfolio.Layout.Report.objective)
-           > 1e-9
-      then
-        Error
-          (Printf.sprintf "bb %.9f and portfolio %.9f disagree on the objective"
-             bb.Layout.Report.objective portfolio.Layout.Report.objective)
       else Ok ()
     in
     (* Cache round-trip: a repeat solve through the process-wide cache
@@ -770,7 +756,7 @@ let catalog =
     ( "clifford",
       "stabilizer tableau agrees with the dense backend on Clifford circuits" );
     ( "layout",
-      "B&B, SMT and the portfolio agree on the max-min objective; cache hits \
+      "B&B and SMT agree on the max-min objective; cache hits \
        score identically to cold solves" );
   ]
 

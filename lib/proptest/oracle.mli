@@ -92,8 +92,8 @@ val check_clifford :
   (unit, string) result
 
 (** [check_layout ~machine ~day c] lowers [c]'s interaction graph against
-    the day's noise-aware reliability model and requires (a) the B&B, SMT
-    and portfolio layout strategies to return valid injective placements
+    the day's noise-aware reliability model and requires (a) the B&B and
+    SMT layout strategies to return valid injective placements
     agreeing on the max-min objective (within 1e-9, whenever B&B proved
     optimality), and (b) a repeat solve through the process-wide layout
     cache to hit and score exactly like the cold solve. Vacuous if [c]

@@ -565,13 +565,6 @@ let simulate ?(config = Config.default) compiled spec =
     trajectories;
   }
 
-let run ?seed ?trials ?trajectories ?day ?sample_counts ?explicit_t1 ?pool
-    compiled spec =
-  simulate
-    ~config:(Config.make ?seed ?trials ?trajectories ?day ?sample_counts
-               ?explicit_t1 ?pool ())
-    compiled spec
-
 let ideal_distribution (circuit : Ir.Circuit.t) ~measured =
   let state = Statevector.run circuit in
   let k = circuit.Ir.Circuit.n_qubits in

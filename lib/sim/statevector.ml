@@ -334,8 +334,6 @@ let sampler t =
     let target = Mathkit.Rng.float rng *. total in
     cdf_index cumulative target
 
-let sample t rng = sampler t rng
-
 let scale t c =
   for i = 0 to (1 lsl t.n) - 1 do
     t.re.(i) <- c *. t.re.(i);

@@ -4,7 +4,7 @@
     The paper formulates qubit mapping as a constrained-optimization
     problem for the Z3 SMT solver; with no Z3 bindings available in this
     environment, this module provides the satisfiability engine for an
-    equivalent in-tree encoding (see {!Triq.Mapper_smt}): the max-min
+    equivalent in-tree encoding (see {!Layout.Smt_search}): the max-min
     objective becomes a descending threshold search over SAT instances,
     which is exactly how optimizing SMT solvers realize lexicographic
     max-min objectives.

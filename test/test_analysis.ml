@@ -292,7 +292,7 @@ let test_normalized_raises () =
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  let m1 = message_of (fun () -> Triq.Mapper.trivial ~n_program:9 ~n_hardware:5) in
+  let m1 = message_of (fun () -> Triq.Placement.trivial ~n_program:9 ~n_hardware:5) in
   Alcotest.(check bool) "mapper names rule" true (contains m1 "circuit.bounds");
   Alcotest.(check bool) "mapper names layer" true (contains m1 "mapping");
   let m2 =

@@ -2,10 +2,6 @@
    cancellation, the product mapping objective, the distance-dependent
    large ion trap, and the extension experiments. *)
 
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' golden equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
-
 module G = Ir.Gate
 module Circuit = Ir.Circuit
 module Mat = Ir.Matrices
@@ -14,7 +10,7 @@ module Rng = Mathkit.Rng
 module Machines = Device.Machines
 module Machine = Device.Machine
 module Calibration = Device.Calibration
-module Mapper = Triq.Mapper
+module Report = Layout.Report
 module Peephole = Triq.Peephole
 module Pipeline = Triq.Pipeline
 module Experiments = Bench_kit.Experiments
@@ -143,15 +139,17 @@ let fig6_reliability () =
   Triq.Reliability.of_calibration ~noise_aware:true
     Machines.example_8q.Machine.topology Machines.example_8q_calibration
 
+let solve ~objective r c = Layout.Bb.solve (Triq.Placement.problem ~objective r c)
+
 let test_product_objective_valid () =
   let r = fig6_reliability () in
   let c =
     circuit 3 [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Measure 0 ]
   in
-  let result = Mapper.solve ~objective:Mapper.Product r c in
-  let placed = List.sort_uniq compare (Array.to_list result.Mapper.placement) in
+  let result = solve ~objective:Layout.Problem.Product r c in
+  let placed = List.sort_uniq compare (Array.to_list result.Report.placement) in
   Alcotest.(check int) "injective" 3 (List.length placed);
-  Alcotest.(check bool) "optimal" true result.Mapper.optimal
+  Alcotest.(check bool) "optimal" true result.Report.proven_optimal
 
 let test_product_maximizes_product () =
   (* The product solution must have log-product >= the max-min solution's
@@ -162,14 +160,15 @@ let test_product_maximizes_product () =
       [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Two (G.Cnot, 2, 3);
         G.Two (G.Cnot, 3, 0) ]
   in
-  let mm = Mapper.solve ~objective:Mapper.Max_min r c in
-  let pr = Mapper.solve ~objective:Mapper.Product r c in
-  let _, log_mm = Mapper.evaluate r c mm.Mapper.placement in
-  let _, log_pr = Mapper.evaluate r c pr.Mapper.placement in
+  let mm = solve ~objective:Layout.Problem.Max_min r c in
+  let pr = solve ~objective:Layout.Problem.Product r c in
+  let evaluate (res : Report.t) =
+    Layout.Problem.evaluate (Triq.Placement.problem r c) res.Report.placement
+  in
+  let min_mm, log_mm = evaluate mm in
+  let min_pr, log_pr = evaluate pr in
   Alcotest.(check bool) "product wins its own game" true (log_pr >= log_mm -. 1e-9);
   (* ... and max-min wins its own game. *)
-  let min_mm, _ = Mapper.evaluate r c mm.Mapper.placement in
-  let min_pr, _ = Mapper.evaluate r c pr.Mapper.placement in
   Alcotest.(check bool) "max-min wins its own game" true (min_mm >= min_pr -. 1e-9)
 
 let test_max_min_prunes_better () =
@@ -181,13 +180,13 @@ let test_max_min_prunes_better () =
       (Machine.calibration machine ~day:0)
   in
   let flat = Ir.Decompose.flatten (Bench_kit.Programs.bv 6).Bench_kit.Programs.circuit in
-  let mm = Mapper.solve ~objective:Mapper.Max_min reliability flat in
-  let pr = Mapper.solve ~objective:Mapper.Product reliability flat in
+  let nodes objective =
+    (solve ~objective reliability flat).Report.work.Report.search_nodes
+  in
+  let mm = nodes Layout.Problem.Max_min and pr = nodes Layout.Problem.Product in
   Alcotest.(check bool)
-    (Printf.sprintf "maxmin %d <= product %d nodes" mm.Mapper.nodes_explored
-       pr.Mapper.nodes_explored)
-    true
-    (mm.Mapper.nodes_explored <= pr.Mapper.nodes_explored)
+    (Printf.sprintf "maxmin %d <= product %d nodes" mm pr)
+    true (mm <= pr)
 
 (* ---------- Large ion trap ---------- *)
 
@@ -349,15 +348,17 @@ let test_ablation_mapper_shape () =
   let data = Experiments.ablation_mapper_data ~node_budget:50_000 () in
   Alcotest.(check int) "12 benchmarks" 12 (List.length data);
   List.iter
-    (fun (bench, (mm : Mapper.result), (pr : Mapper.result), (smt : Mapper.result)) ->
-      if mm.Mapper.objective +. 1e-9 < pr.Mapper.objective then
+    (fun (bench, (mm : Report.t), (pr : Report.t), (smt : Report.t)) ->
+      if mm.Report.objective +. 1e-9 < pr.Report.objective then
         Alcotest.failf "%s: max-min lost its own objective" bench;
       (* The SAT engine is exact: when B&B finished within budget the two
          must agree on the objective. *)
-      if mm.Mapper.optimal && Float.abs (mm.Mapper.objective -. smt.Mapper.objective) > 1e-9
+      if
+        mm.Report.proven_optimal
+        && Float.abs (mm.Report.objective -. smt.Report.objective) > 1e-9
       then
         Alcotest.failf "%s: smt %.4f disagrees with exact b&b %.4f" bench
-          smt.Mapper.objective mm.Mapper.objective)
+          smt.Report.objective mm.Report.objective)
     data
 
 let test_ablation_peephole_shape () =

@@ -1,11 +1,7 @@
 (* Layout-engine tests: golden bit-identity of the compiled artifact
-   against the pre-refactor fixture, canonical-form behaviour, cache
-   semantics, portfolio determinism across pool sizes, and the
-   structured-report / compat-wrapper contract. *)
-
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
+   against the Pipeline.compile_level digests in layout_golden.ml,
+   canonical-form behaviour, cache semantics, B&B/SMT objective
+   agreement, and the structured-report contract. *)
 
 module Machine = Device.Machine
 module Machines = Device.Machines
@@ -226,99 +222,26 @@ let test_placement_cache_disabled () =
   in
   Alcotest.(check string) "bypass" "bypass" (Report.cache_status_name r.Report.cache)
 
-(* ---------- Strategies and the portfolio ---------- *)
-
-let problems_for tests =
-  List.map
-    (fun (machine, (p : Programs.t)) ->
-      let reliability = reliability_for machine in
-      let flat = Ir.Decompose.flatten p.Programs.circuit in
-      (machine, p, Triq.Placement.problem reliability flat))
-    tests
-
-let strategy_matrix =
-  [
-    (Machines.ibmq5, Programs.bv 4);
-    (Machines.agave, Programs.toffoli);
-    (Machines.ibmq14, Programs.hidden_shift 4);
-  ]
+(* ---------- Strategies ---------- *)
 
 let test_strategies_agree_on_objective () =
   List.iter
-    (fun (machine, (p : Programs.t), pr) ->
+    (fun (machine, (p : Programs.t)) ->
+      let reliability = reliability_for machine in
+      let flat = Ir.Decompose.flatten p.Programs.circuit in
+      let pr = Triq.Placement.problem reliability flat in
       let bb = Layout.Bb.solve pr in
       let smt = Layout.Smt_search.solve pr in
-      let portfolio = Layout.Portfolio.solve pr in
-      let greedy = Layout.Greedy.solve pr in
-      let close a b = Float.abs (a -. b) <= 1e-9 in
-      if not (close bb.Report.objective smt.Report.objective) then
+      if Float.abs (bb.Report.objective -. smt.Report.objective) > 1e-9 then
         Alcotest.failf "%s/%s: bb %.6f vs smt %.6f" machine.Machine.name
-          p.Programs.name bb.Report.objective smt.Report.objective;
-      if not (close bb.Report.objective portfolio.Report.objective) then
-        Alcotest.failf "%s/%s: bb %.6f vs portfolio %.6f" machine.Machine.name
-          p.Programs.name bb.Report.objective portfolio.Report.objective;
-      Alcotest.(check bool) "greedy is a lower bound" true
-        (greedy.Report.objective <= bb.Report.objective +. 1e-12);
-      Alcotest.(check bool) "greedy never claims optimality" false
-        greedy.Report.proven_optimal)
-    (problems_for strategy_matrix)
+          p.Programs.name bb.Report.objective smt.Report.objective)
+    [
+      (Machines.ibmq5, Programs.bv 4);
+      (Machines.agave, Programs.toffoli);
+      (Machines.ibmq14, Programs.hidden_shift 4);
+    ]
 
-let test_portfolio_cross_jobs_determinism () =
-  (* The portfolio's selected placement, objective and winner label must
-     be identical for every pool size. *)
-  List.iter
-    (fun (_machine, _p, pr) ->
-      let runs =
-        List.map
-          (fun jobs ->
-            Parallel.Pool.with_pool ~jobs (fun pool ->
-                Layout.Portfolio.solve ~pool pr))
-          [ 1; 2; 8 ]
-      in
-      match runs with
-      | first :: rest ->
-        List.iter
-          (fun (r : Report.t) ->
-            Alcotest.(check (float 0.)) "objective" first.Report.objective r.Report.objective;
-            Alcotest.(check bool) "placement" true (r.Report.placement = first.Report.placement);
-            Alcotest.(check string) "winner" first.Report.strategy r.Report.strategy)
-          rest
-      | [] -> assert false)
-    (problems_for strategy_matrix)
-
-let test_strategy_registry () =
-  Alcotest.(check bool) "builtins registered" true
-    (List.for_all
-       (fun n -> Layout.Strategy.find n <> None)
-       [ "bb"; "smt"; "greedy" ]);
-  Alcotest.check_raises "duplicate rejected"
-    (Invalid_argument "Layout.Strategy.register: duplicate strategy bb")
-    (fun () -> Layout.Strategy.register Layout.Strategy.bb)
-
-(* ---------- Reports and the compat wrappers ---------- *)
-
-let test_wrappers_match_engine () =
-  let machine = Machines.ibmq5 in
-  let reliability = reliability_for machine in
-  let flat = Ir.Decompose.flatten (Programs.bv 4).Programs.circuit in
-  let pr = Triq.Placement.problem reliability flat in
-  let engine = Layout.Bb.solve pr in
-  let legacy = Triq.Mapper.solve reliability flat in
-  Alcotest.(check bool) "same placement" true
-    (legacy.Triq.Mapper.placement = engine.Report.placement);
-  Alcotest.(check int) "nodes_explored = search_nodes"
-    engine.Report.work.Report.search_nodes legacy.Triq.Mapper.nodes_explored;
-  Alcotest.(check bool) "optimal = proven_optimal" engine.Report.proven_optimal
-    legacy.Triq.Mapper.optimal;
-  let smt_engine = Layout.Smt_search.solve pr in
-  let smt_legacy = Triq.Mapper_smt.solve reliability flat in
-  Alcotest.(check bool) "same smt placement" true
-    (smt_legacy.Triq.Mapper.placement = smt_engine.Report.placement);
-  Alcotest.(check int) "smt nodes_explored = sat_decisions"
-    smt_engine.Report.work.Report.sat_decisions smt_legacy.Triq.Mapper.nodes_explored;
-  Alcotest.(check int) "legacy_nodes totals the work"
-    (Report.work_total engine.Report.work)
-    (Report.legacy_nodes engine)
+(* ---------- Reports ---------- *)
 
 let test_pipeline_layout_report () =
   Triq.Placement.cache_clear ();
@@ -350,12 +273,7 @@ let test_pipeline_strategy_dispatch () =
     | Some l -> l.Report.strategy
   in
   Alcotest.(check string) "bb" "bb" (strategy_of Layout.Config.Bb);
-  Alcotest.(check string) "smt" "smt" (strategy_of Layout.Config.Smt);
-  Alcotest.(check string) "greedy" "greedy" (strategy_of Layout.Config.Greedy);
-  let portfolio = strategy_of Layout.Config.Portfolio in
-  Alcotest.(check bool) "portfolio labels its winner" true
-    (String.length portfolio > String.length "portfolio:"
-    && String.sub portfolio 0 10 = "portfolio:")
+  Alcotest.(check string) "smt" "smt" (strategy_of Layout.Config.Smt)
 
 let () =
   Alcotest.run "layout"
@@ -380,13 +298,9 @@ let () =
       ( "strategies",
         [
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;
-          Alcotest.test_case "portfolio determinism across -j" `Quick
-            test_portfolio_cross_jobs_determinism;
-          Alcotest.test_case "registry" `Quick test_strategy_registry;
         ] );
       ( "reports",
         [
-          Alcotest.test_case "compat wrappers" `Quick test_wrappers_match_engine;
           Alcotest.test_case "pipeline report" `Quick test_pipeline_layout_report;
           Alcotest.test_case "strategy dispatch" `Quick test_pipeline_strategy_dispatch;
         ] );

@@ -3,8 +3,8 @@
    round-trips (the Chrome trace re-parses with the independent
    Device.Json reader), the null-sink no-op contract (instrumentation
    must not perturb compile or simulation results), pass_times_s as a
-   derived view of the pass spans, metrics counter deltas, the shared
-   CLI envelope, and the deprecated Runner.run compat wrapper. *)
+   derived view of the pass spans, metrics counter deltas, and the shared
+   CLI envelope. *)
 
 module Span = Obs.Span
 module Metrics = Obs.Metrics
@@ -313,34 +313,6 @@ let test_output_envelope () =
     (Obs.Output.to_string ~ok:false ~command:"lint"
        (Json.List [ Json.Raw {|{"pre":1}|} ]))
 
-(* ---------- Deprecated Runner.run compat wrapper ---------- *)
-
-module Compat = struct
-  [@@@alert "-deprecated"]
-
-  (* The one sanctioned caller of the deprecated wrapper: proves it is
-     exactly [simulate ~config] until it is removed. *)
-  let legacy_run = Runner.run
-end
-
-let test_runner_compat_wrapper () =
-  let p = Programs.bv 4 in
-  let compiled =
-    Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_level Device.Machines.ibmq14 p.Programs.circuit
-         ~level:Triq.Pipeline.OneQOptCN)
-  in
-  let legacy =
-    Compat.legacy_run ~seed:7 ~trials:4096 ~trajectories:60 compiled
-      p.Programs.spec
-  in
-  let current =
-    Runner.simulate
-      ~config:(Runner.Config.make ~seed:7 ~trials:4096 ~trajectories:60 ())
-      compiled p.Programs.spec
-  in
-  Alcotest.(check bool) "identical outcome" true (legacy = current)
-
 let () =
   Alcotest.run "obs"
     [
@@ -378,7 +350,5 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "envelope" `Quick test_output_envelope;
-          Alcotest.test_case "runner compat wrapper" `Quick
-            test_runner_compat_wrapper;
         ] );
     ]

@@ -90,15 +90,7 @@ let test_sv_sample_distribution () =
     if draw rng = 1 then incr ones
   done;
   let frac = float_of_int !ones /. float_of_int n in
-  if Float.abs (frac -. 0.5) > 0.02 then Alcotest.failf "biased sampling: %f" frac;
-  (* The deprecated one-shot convenience must keep agreeing with a fresh
-     sampler stream (compat guarantee for external callers). *)
-  let r1 = Rng.create 11 and r2 = Rng.create 11 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "sample = sampler"
-      ((Sv.sample [@alert "-deprecated"]) s r1)
-      (Sv.sampler s r2)
-  done
+  if Float.abs (frac -. 0.5) > 0.02 then Alcotest.failf "biased sampling: %f" frac
 
 let test_sv_rejects_measure () =
   let s = Sv.init 1 in

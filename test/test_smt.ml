@@ -2,19 +2,13 @@
    and the SMT-style mapper's agreement with the branch-and-bound
    mapper. *)
 
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' golden equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
-
 module Solver = Smt.Solver
 module Rng = Mathkit.Rng
 
 module Circuit = Ir.Circuit
-module Mapper = Triq.Mapper
-module Mapper_smt = Triq.Mapper_smt
+module Report = Layout.Report
 module Machines = Device.Machines
 module Machine = Device.Machine
-
 
 (* ---------- Solver basics ---------- *)
 
@@ -177,36 +171,53 @@ let test_solver_nested_scopes () =
 let reliability_for machine =
   Triq.Reliability.compute ~noise_aware:true machine (Machine.calibration machine ~day:0)
 
+let smt_solve reliability flat =
+  Layout.Smt_search.solve (Triq.Placement.problem reliability flat)
+
+(* The strategy comparison over every fitting benchmark x machine problem:
+   B&B must prove optimality at its default budget (a benchmark that ever
+   truncates it fails here by name), and the SMT formulation must reach
+   the same max-min objective. *)
 let test_mapper_smt_matches_bnb () =
+  let problems =
+    List.concat_map
+      (fun machine ->
+        let reliability = reliability_for machine in
+        List.filter_map
+          (fun (p : Bench_kit.Programs.t) ->
+            if Machine.fits machine p.Bench_kit.Programs.circuit then
+              let flat = Ir.Decompose.flatten p.Bench_kit.Programs.circuit in
+              Some (machine, p, Triq.Placement.problem reliability flat)
+            else None)
+          Bench_kit.Programs.all)
+      Machines.all
+  in
+  Alcotest.(check int) "fitting problems" 75 (List.length problems);
   List.iter
-    (fun (machine, (p : Bench_kit.Programs.t)) ->
-      let reliability = reliability_for machine in
-      let flat = Ir.Decompose.flatten p.Bench_kit.Programs.circuit in
-      let bnb = Mapper.solve reliability flat in
-      let smt = Mapper_smt.solve reliability flat in
-      if Float.abs (bnb.Mapper.objective -. smt.Mapper.objective) > 1e-9 then
+    (fun (machine, (p : Bench_kit.Programs.t), pr) ->
+      let bnb = Layout.Bb.solve pr in
+      let smt = Layout.Smt_search.solve pr in
+      if not bnb.Report.proven_optimal then
+        Alcotest.failf "%s/%s: b&b truncated at its default budget"
+          machine.Machine.name p.Bench_kit.Programs.name;
+      if Float.abs (bnb.Report.objective -. smt.Report.objective) > 1e-9 then
         Alcotest.failf "%s/%s: bnb %.6f vs smt %.6f" machine.Machine.name
-          p.Bench_kit.Programs.name bnb.Mapper.objective smt.Mapper.objective)
-    [
-      (Machines.ibmq5, Bench_kit.Programs.bv 4);
-      (Machines.ibmq5, Bench_kit.Programs.toffoli);
-      (Machines.agave, Bench_kit.Programs.hidden_shift 2);
-      (Machines.umdti, Bench_kit.Programs.fredkin);
-      (Machines.ibmq14, Bench_kit.Programs.hidden_shift 4);
-    ]
+          p.Bench_kit.Programs.name bnb.Report.objective smt.Report.objective)
+    problems
 
 let test_mapper_smt_placement_valid () =
   let machine = Machines.ibmq14 in
   let reliability = reliability_for machine in
   let flat = Ir.Decompose.flatten (Bench_kit.Programs.bv 6).Bench_kit.Programs.circuit in
-  let result = Mapper_smt.solve reliability flat in
-  let sorted = List.sort_uniq compare (Array.to_list result.Mapper.placement) in
+  let result = smt_solve reliability flat in
+  let sorted = List.sort_uniq compare (Array.to_list result.Report.placement) in
   Alcotest.(check int) "injective" 6 (List.length sorted);
   Array.iter
     (fun h -> if h < 0 || h >= 14 then Alcotest.fail "placement out of range")
-    result.Mapper.placement;
-  Alcotest.(check bool) "exact" true result.Mapper.optimal;
-  Alcotest.(check bool) "did some work" true (result.Mapper.nodes_explored > 0)
+    result.Report.placement;
+  Alcotest.(check bool) "exact" true result.Report.proven_optimal;
+  Alcotest.(check bool) "did some work" true
+    (result.Report.work.Report.sat_decisions > 0)
 
 let test_mapper_smt_usable_in_router () =
   (* The SMT placement must route and preserve semantics end to end. *)
@@ -214,10 +225,10 @@ let test_mapper_smt_usable_in_router () =
   let p = Bench_kit.Programs.bv 4 in
   let reliability = reliability_for machine in
   let flat = Ir.Decompose.flatten p.Bench_kit.Programs.circuit in
-  let result = Mapper_smt.solve reliability flat in
+  let result = smt_solve reliability flat in
   let routed =
     Triq.Router.route reliability machine.Machine.topology
-      ~placement:result.Mapper.placement flat
+      ~placement:result.Report.placement flat
   in
   Alcotest.(check bool) "routed" true
     (Circuit.gate_count routed.Triq.Router.circuit > 0)

@@ -2,10 +2,6 @@
    Figure 6 worked example), mapper, router, direction fixing, vendor gate
    translation and 1Q optimization. *)
 
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' golden equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
-
 module G = Ir.Gate
 module Circuit = Ir.Circuit
 module Dec = Ir.Decompose
@@ -18,7 +14,7 @@ module Calibration = Device.Calibration
 module Machines = Device.Machines
 module Gateset = Device.Gateset
 module Reliability = Triq.Reliability
-module Mapper = Triq.Mapper
+module Placement = Triq.Placement
 module Router = Triq.Router
 module Direction = Triq.Direction
 module Translate = Triq.Translate
@@ -106,19 +102,21 @@ let test_reliability_fully_connected () =
 
 (* ---------- Mapper ---------- *)
 
+let solve_bb ?node_budget r c = Layout.Bb.solve ?node_budget (Placement.problem r c)
+
 let test_mapper_interactions () =
   let c =
     circuit 3
       [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Measure 0 ]
   in
   Alcotest.(check (list (pair (pair int int) int)))
-    "aggregated" [ ((0, 1), 2); ((1, 2), 1) ] (Mapper.interactions c)
+    "aggregated" [ ((0, 1), 2); ((1, 2), 1) ] (Placement.interactions c)
 
 let test_mapper_trivial () =
   Alcotest.(check (array int)) "identity" [| 0; 1; 2 |]
-    (Mapper.trivial ~n_program:3 ~n_hardware:5);
+    (Placement.trivial ~n_program:3 ~n_hardware:5);
   Alcotest.(check bool) "too big" true
-    (try ignore (Mapper.trivial ~n_program:6 ~n_hardware:5); false
+    (try ignore (Placement.trivial ~n_program:6 ~n_hardware:5); false
      with Invalid_argument _ -> true)
 
 let test_mapper_prefers_good_edge () =
@@ -132,9 +130,9 @@ let test_mapper_prefers_good_edge () =
   in
   let r = Reliability.of_calibration ~noise_aware:true topo cal in
   let c = circuit 2 [ G.Two (G.Cnot, 0, 1); G.Measure 0; G.Measure 1 ] in
-  let result = Mapper.solve r c in
-  Alcotest.(check bool) "optimal search" true result.Mapper.optimal;
-  let placed = List.sort compare (Array.to_list result.Mapper.placement) in
+  let result = solve_bb r c in
+  Alcotest.(check bool) "optimal search" true result.Layout.Report.proven_optimal;
+  let placed = List.sort compare (Array.to_list result.Layout.Report.placement) in
   Alcotest.(check (list int)) "uses best edge" [ 2; 3 ] placed
 
 let test_mapper_avoids_bad_readout () =
@@ -147,19 +145,21 @@ let test_mapper_avoids_bad_readout () =
   in
   let r = Reliability.of_calibration ~noise_aware:true topo cal in
   let c = circuit 2 [ G.Two (G.Cnot, 0, 1); G.Measure 0; G.Measure 1 ] in
-  let result = Mapper.solve r c in
+  let result = solve_bb r c in
   Array.iter
     (fun h -> if h = 0 then Alcotest.fail "placed a measured qubit on bad readout")
-    result.Mapper.placement
+    result.Layout.Report.placement
 
 let test_mapper_objective_matches_evaluate () =
   let r = fig6_reliability () in
   let c =
     circuit 3 [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Measure 2 ]
   in
-  let result = Mapper.solve r c in
-  let min_rel, _ = Mapper.evaluate r c result.Mapper.placement in
-  Alcotest.(check (float 1e-9)) "objective consistent" result.Mapper.objective min_rel
+  let pr = Placement.problem r c in
+  let result = Layout.Bb.solve pr in
+  let min_rel, _ = Layout.Problem.evaluate pr result.Layout.Report.placement in
+  Alcotest.(check (float 1e-9)) "objective consistent" result.Layout.Report.objective
+    min_rel
 
 let test_mapper_budget_truncation () =
   let r = fig6_reliability () in
@@ -170,10 +170,10 @@ let test_mapper_budget_truncation () =
         G.Two (G.Cnot, 3, 4); G.Two (G.Cnot, 4, 0);
       ]
   in
-  let result = Mapper.solve ~node_budget:3 r c in
-  Alcotest.(check bool) "reported truncated" false result.Mapper.optimal;
+  let result = solve_bb ~node_budget:3 r c in
+  Alcotest.(check bool) "reported truncated" false result.Layout.Report.proven_optimal;
   (* Placement must still be a valid injective assignment. *)
-  let sorted = List.sort_uniq compare (Array.to_list result.Mapper.placement) in
+  let sorted = List.sort_uniq compare (Array.to_list result.Layout.Report.placement) in
   Alcotest.(check int) "injective" 5 (List.length sorted)
 
 (* ---------- Router ---------- *)
