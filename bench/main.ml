@@ -331,14 +331,15 @@ let cache_effect ?(reps = 50) () =
   in
   Triq.Reliability.cache_clear ();
   ignore (E.fig10_counts ());
-  let hits, misses = Triq.Reliability.cache_stats () in
+  let { Parallel.Memo.hits; misses; _ } = Triq.Reliability.cache_stats () in
   ( uncached_s /. float_of_int reps,
     cached_s /. float_of_int reps,
     hits,
     misses )
 
-(* Layout cache: cold (cache-bypassed) solve vs O(1) cache hit on the
-   bv6@IBMQ14 mapping problem, plus the cache's stats after the run. *)
+(* Layout cache: cold solve (caches cleared before each call) vs O(1)
+   cache hit on the bv6@IBMQ14 mapping problem, plus the cache's stats
+   after the run. *)
 let layout_cache_effect ?(reps = 50) () =
   let machine = Device.Machines.ibmq14 in
   let reliability =
@@ -347,24 +348,24 @@ let layout_cache_effect ?(reps = 50) () =
   let flat =
     Ir.Decompose.flatten (Bench_kit.Programs.bv 6).Bench_kit.Programs.circuit
   in
-  let solve config =
-    Triq.Placement.solve ~config ~reliability
-      ~machine_name:machine.Device.Machine.name ~day:0 flat
+  let solve () =
+    Triq.Placement.solve ~reliability ~machine_name:machine.Device.Machine.name
+      ~day:0 flat
   in
-  let nocache = Layout.Config.make ~cache:false () in
   let (), cold_s =
     wall (fun () ->
         for _ = 1 to reps do
-          ignore (solve nocache)
+          Triq.Placement.cache_clear ();
+          ignore (solve ())
         done)
   in
   Triq.Placement.cache_clear ();
-  ignore (solve Layout.Config.default);
+  ignore (solve ());
   (* populate: one miss *)
   let (), hit_s =
     wall (fun () ->
         for _ = 1 to reps do
-          ignore (solve Layout.Config.default)
+          ignore (solve ())
         done)
   in
   let stats = Triq.Placement.cache_stats () in
@@ -416,10 +417,14 @@ let metric_json name =
     | Obs.Json.Obj [ (_, j) ] -> j
     | j -> j)
 
-let counter_json name =
-  match List.assoc_opt name (Obs.Metrics.dump ()) with
-  | Some (Obs.Metrics.Counter n) -> Obs.Json.Int n
-  | _ -> Obs.Json.Int 0
+(* The cumulative counters every Parallel.Memo instance registers. *)
+let memo_counters_json name =
+  let count c =
+    match List.assoc_opt (name ^ "." ^ c) (Obs.Metrics.dump ()) with
+    | Some (Obs.Metrics.Counter n) -> Obs.Json.Int n
+    | _ -> Obs.Json.Int 0
+  in
+  Obs.Json.Obj (List.map (fun c -> (c, count c)) [ "hits"; "misses"; "evictions" ])
 
 let timings_payload stages per_pass (seq_s, par_s, jobs)
     (unc, cac, hits, misses) (l_cold, l_hit, l_stats)
@@ -472,13 +477,7 @@ let timings_payload stages per_pass (seq_s, par_s, jobs)
             ("sweep", Str "fig10 compile grid");
             ("sweep_hits", Int hits);
             ("sweep_misses", Int misses);
-            ( "counters",
-              Obj
-                [
-                  ("hits", counter_json "triq.reliability.cache.hits");
-                  ("misses", counter_json "triq.reliability.cache.misses");
-                  ("evictions", counter_json "triq.reliability.cache.evictions");
-                ] );
+            ("counters", memo_counters_json "triq.reliability.cache");
           ] );
       ( "layout_cache",
         Obj
@@ -488,17 +487,11 @@ let timings_payload stages per_pass (seq_s, par_s, jobs)
             ("hit_ns_per_call", ns l_hit);
             ( "speedup",
               if l_hit > 0.0 then Float (l_cold /. l_hit) else Null );
-            ("hits", Int l_stats.Layout.Cache.hits);
-            ("misses", Int l_stats.Layout.Cache.misses);
-            ("evictions", Int l_stats.Layout.Cache.evictions);
-            ("entries", Int l_stats.Layout.Cache.size);
-            ( "counters",
-              Obj
-                [
-                  ("hits", counter_json "layout.cache.hits");
-                  ("misses", counter_json "layout.cache.misses");
-                  ("evictions", counter_json "layout.cache.evictions");
-                ] );
+            ("hits", Int l_stats.Parallel.Memo.hits);
+            ("misses", Int l_stats.Parallel.Memo.misses);
+            ("evictions", Int l_stats.Parallel.Memo.evictions);
+            ("entries", Int l_stats.Parallel.Memo.size);
+            ("counters", memo_counters_json "layout.cache");
           ] );
       ( "simulation",
         Obj
@@ -569,7 +562,7 @@ let run_timings () =
     "layout cache: cold solve %.0f ns/call, hit %.0f ns/call (%.0fx); %d hits, %d misses\n"
     (l_cold *. 1e9) (l_hit *. 1e9)
     (if l_hit > 0.0 then l_cold /. l_hit else Float.nan)
-    l_stats.Layout.Cache.hits l_stats.Layout.Cache.misses;
+    l_stats.Parallel.Memo.hits l_stats.Parallel.Memo.misses;
   let be = backend_effect () in
   let cells_n, traj, base_s, fuse_s, auto_s = be in
   Printf.printf

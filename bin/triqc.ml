@@ -254,14 +254,6 @@ let compile_cmd =
     in
     Arg.(value & opt string "bb" & info [ "mapper" ] ~docv:"STRATEGY" ~doc)
   in
-  let no_layout_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-layout-cache" ]
-          ~doc:
-            "Bypass the process-wide layout cache (canonical interaction-graph \
-             keyed placement reuse) for this compile.")
-  in
   let passes_arg =
     let doc =
       "Run exactly this comma-separated pass list instead of the level's named \
@@ -274,7 +266,7 @@ let compile_cmd =
     Arg.(value & opt_all string [] & info [ "disable-pass" ] ~docv:"NAME" ~doc)
   in
   let run file machine_name level_name day router_name mapper_name
-      no_layout_cache peephole validate passes disabled trace =
+      peephole validate passes disabled trace =
     with_trace trace @@ fun () ->
     let ( let* ) = Result.bind in
     let result =
@@ -290,8 +282,7 @@ let compile_cmd =
       in
       let* validate = find_validation validate in
       let config =
-        Triq.Pass.Config.make ~day ~router ~mapper
-          ~layout_cache:(not no_layout_cache) ~peephole ~validate ()
+        Triq.Pass.Config.make ~day ~router ~mapper ~peephole ~validate ()
       in
       let* schedule = build_schedule ~config ~level passes disabled in
       Ok
@@ -312,7 +303,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc)
     Term.(
       const run $ file_arg $ machine_arg $ level_arg $ day_arg $ router_arg
-      $ mapper_arg $ no_layout_cache_arg $ peephole_arg $ validate_arg
+      $ mapper_arg $ peephole_arg $ validate_arg
       $ passes_arg $ disable_arg $ trace_args)
 
 let passes_cmd =

@@ -45,15 +45,12 @@ module Config = struct
       validate = Off;
     }
 
-  let make ?(day = 0) ?node_budget ?mapper ?layout_cache ?layout
-      ?(router = Default) ?(peephole = false) ?(validate = Off) () =
+  let make ?(day = 0) ?node_budget ?mapper ?layout ?(router = Default)
+      ?(peephole = false) ?(validate = Off) () =
     let layout =
       match layout with
       | Some l -> l
-      | None ->
-        Layout.Config.make
-          ?strategy:mapper ?node_budget
-          ?cache:layout_cache ()
+      | None -> Layout.Config.make ?strategy:mapper ?node_budget ()
     in
     { day; layout; router; peephole; validate }
 

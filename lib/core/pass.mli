@@ -60,18 +60,17 @@ module Config : sig
             the pass that introduced a violation *)
   }
 
-  (** Day 0, default layout config (B&B, default budget, cache on),
+  (** Day 0, default layout config (B&B, default budget),
       default router, no peephole, no validation — the options
       [Pipeline.compile_level] defaults to. *)
   val default : t
 
-  (** [?node_budget], [?mapper] and [?layout_cache] populate the [layout]
+  (** [?node_budget] and [?mapper] populate the [layout]
       record piecewise; [?layout] supplies it whole (and wins). *)
   val make :
     ?day:int ->
     ?node_budget:int ->
     ?mapper:Layout.Config.strategy ->
-    ?layout_cache:bool ->
     ?layout:Layout.Config.t ->
     ?router:router ->
     ?peephole:bool ->

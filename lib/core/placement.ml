@@ -7,9 +7,27 @@
    Reliability.compute_cached returns the identical matrix object for the
    same (machine, day, noise-awareness, calibration), so repeated compile
    traffic hits, while any structurally different model — including a
-   same-named machine loaded from a different JSON file — misses. *)
+   same-named machine loaded from a different JSON file — misses. The
+   scope names everything else that changes the answer (strategy,
+   objective, budget, machine, day). Equality checks the full canonical
+   form, so canonicalization incompleteness can only cost a hit. Stored
+   placements are in canonical labels, so a hit from a relabeled circuit
+   is translated through its own permutation. *)
 
-let cache : Reliability.t Layout.Cache.t = Layout.Cache.create ~capacity:512 ()
+type layout_key = { token : Reliability.t; scope : string; canon : Layout.Canon.t }
+
+module Layout_memo = Parallel.Memo.Make (struct
+  type t = layout_key
+
+  let equal a b =
+    a.token == b.token && a.scope = b.scope
+    && Layout.Canon.equal_form a.canon.Layout.Canon.form b.canon.Layout.Canon.form
+
+  let hash k = Hashtbl.hash (k.scope, k.canon.Layout.Canon.hash)
+end)
+
+let cache : Layout.Report.t Layout_memo.t =
+  Layout_memo.create ~name:"layout.cache" ~capacity:512
 
 (* Canonicalization dominates the cost of a cache hit: WL refinement with
    individualization spends its full budget on symmetric interaction
@@ -18,21 +36,20 @@ let cache : Reliability.t Layout.Cache.t = Layout.Cache.create ~capacity:512 ()
    case — skip straight to the cached form, while relabeled circuits miss
    here and fall through to the full canonization. Keyed structurally, so
    this can never alias two different placement problems. *)
-let canon_memo : (int * ((int * int) * int) list * int list, Layout.Canon.t) Hashtbl.t
-    =
-  Hashtbl.create 64
+module Canon_memo = Parallel.Memo.Make (struct
+  type t = int * ((int * int) * int) list * int list
+
+  let equal a b = compare a b = 0
+  let hash = Hashtbl.hash
+end)
+
+let canon_memo : Layout.Canon.t Canon_memo.t =
+  Canon_memo.create ~name:"layout.canon" ~capacity:512
 
 let canon_of_problem (pr : Layout.Problem.t) =
-  let key =
+  Canon_memo.find_or_add canon_memo
     (pr.Layout.Problem.n_program, pr.Layout.Problem.pairs, pr.Layout.Problem.measured)
-  in
-  match Hashtbl.find_opt canon_memo key with
-  | Some c -> c
-  | None ->
-    if Hashtbl.length canon_memo >= 512 then Hashtbl.reset canon_memo;
-    let c = Layout.Canon.of_problem pr in
-    Hashtbl.add canon_memo key c;
-    c
+    (fun () -> Layout.Canon.of_problem pr)
 
 let interactions (c : Ir.Circuit.t) =
   let table = Hashtbl.create 16 in
@@ -108,35 +125,36 @@ let solve ?(config = Layout.Config.default) ~reliability ~machine_name ~day
   in
   let report, _dt =
     Obs.Span.timed ~attrs "layout.solve" (fun () ->
-        if not config.Layout.Config.cache then
-          { (run_strategy ~config pr) with Layout.Report.cache = Layout.Report.Bypass }
-        else begin
-          let canon = canon_of_problem pr in
-          let scope = scope ~config ~machine_name ~day pr.Layout.Problem.objective in
-          match Layout.Cache.lookup cache ~token:reliability ~scope canon with
-          | Some (placement, strategy, proven_optimal) ->
-            let objective, log_product = Layout.Problem.evaluate pr placement in
-            {
-              Layout.Report.strategy;
-              placement;
-              objective;
-              log_product;
-              proven_optimal;
-              work = Layout.Report.no_work;
-              cache = Layout.Report.Hit;
-            }
-          | None ->
-            let r = run_strategy ~config pr in
-            Layout.Cache.store cache ~token:reliability ~scope canon
-              ~strategy:r.Layout.Report.strategy
-              ~proven_optimal:r.Layout.Report.proven_optimal
-              r.Layout.Report.placement;
-            { r with Layout.Report.cache = Layout.Report.Miss }
-        end)
+        let canon = canon_of_problem pr in
+        let perm = canon.Layout.Canon.perm in
+        let scope = scope ~config ~machine_name ~day pr.Layout.Problem.objective in
+        let solved = ref None in
+        let stored =
+          Layout_memo.find_or_add cache { token = reliability; scope; canon } (fun () ->
+              let r = run_strategy ~config pr in
+              solved := Some r;
+              let canonical = Array.make (Array.length perm) (-1) in
+              Array.iteri (fun p h -> canonical.(perm.(p)) <- h) r.Layout.Report.placement;
+              { r with Layout.Report.placement = canonical })
+        in
+        match !solved with
+        | Some r -> { r with Layout.Report.cache = Layout.Report.Miss }
+        | None ->
+          let placement = Array.map (fun l -> stored.Layout.Report.placement.(l)) perm in
+          let objective, log_product = Layout.Problem.evaluate pr placement in
+          {
+            stored with
+            Layout.Report.placement;
+            objective;
+            log_product;
+            work = Layout.Report.no_work;
+            cache = Layout.Report.Hit;
+          })
   in
   report
 
 let cache_clear () =
-  Layout.Cache.clear cache;
-  Hashtbl.reset canon_memo
-let cache_stats () = Layout.Cache.stats cache
+  Layout_memo.clear cache;
+  Canon_memo.clear canon_memo
+
+let cache_stats () = Layout_memo.stats cache

@@ -1,12 +1,14 @@
 (** The pipeline's entry to the layout engine: lowers a circuit plus
     reliability matrix to a {!Layout.Problem.t}, dispatches on the
     configured strategy (B&B or SMT), and fronts the process-wide layout
-    cache keyed on (canonical interaction-graph form, machine, day,
-    objective, strategy, budget).
+    cache keyed on (reliability token, canonical interaction-graph form,
+    machine, day, objective, strategy, budget).
 
     Every solve runs inside a [layout.solve] span, each engine run inside
-    a [layout.strategy.<name>] span; the cache maintains
-    [layout.cache.hits]/[.misses]/[.evictions] counters. *)
+    a [layout.strategy.<name>] span. The layout cache (capacity 512,
+    counters [layout.cache.*]) and the canonical-form memo in front of it
+    (capacity 512, counters [layout.canon.*]) are {!Parallel.Memo}
+    instances. *)
 
 (** [interactions c] aggregates the program's 2Q operations as
     [((a, b), count)] pairs over program qubits, with (a, b) in first-seen
@@ -26,7 +28,7 @@ val problem :
   ?objective:Layout.Problem.objective -> Reliability.t -> Ir.Circuit.t -> Layout.Problem.t
 
 (** [solve ?config ~reliability ~machine_name ~day circuit] consults the
-    cache (unless disabled) and otherwise runs the configured strategy. *)
+    layout cache and otherwise runs the configured strategy. *)
 val solve :
   ?config:Layout.Config.t ->
   reliability:Reliability.t ->
@@ -35,8 +37,9 @@ val solve :
   Ir.Circuit.t ->
   Layout.Report.t
 
-(** Process-wide layout-cache maintenance (mirrors
-    [Reliability.cache_clear]/[cache_stats]). *)
+(** [cache_clear ()] empties the layout cache and the canonical-form memo
+    (mirrors [Reliability.cache_clear]); a solve after it is cold. *)
 val cache_clear : unit -> unit
 
-val cache_stats : unit -> Layout.Cache.stats
+(** The layout cache's stats since the last {!cache_clear}. *)
+val cache_stats : unit -> Parallel.Memo.stats

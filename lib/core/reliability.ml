@@ -159,33 +159,12 @@ let pp fmt t =
    A sweep recompiles the same (machine, day) pair dozens of times (12
    benchmarks x 4 levels per machine in the paper's grid); the O(n^3)
    Floyd-Warshall pass and the score matrices depend only on (machine,
-   day, noise_aware), so they are shared. The table is guarded by a
-   mutex and safe to use from pool workers; on the rare double-miss race
-   both domains compute the same value and the last store wins. *)
-
-type cache_key = {
-  k_name : string;
-  k_seed : int;
-  k_day : int;
-  k_noise_aware : bool;
-}
-
-let cache : (cache_key, Machine.t * t) Hashtbl.t = Hashtbl.create 64
-let cache_mutex = Mutex.create ()
-let hits = ref 0
-let misses = ref 0
-
-(* The [hits]/[misses] refs reset with [cache_clear] (they describe the
-   current cache generation, which sweeps compare across -j levels); the
-   Obs counters are cumulative over the process, for traces and the
-   bench timings report. *)
-let obs_hits = Obs.Metrics.counter "triq.reliability.cache.hits"
-let obs_misses = Obs.Metrics.counter "triq.reliability.cache.misses"
-let obs_evictions = Obs.Metrics.counter "triq.reliability.cache.evictions"
+   day, noise_aware), so they are shared through one Parallel.Memo
+   instance. *)
 
 (* Machine names are not globally unique (users build machines by hand in
-   tests and examples), so a hit must also verify the cached machine
-   really is the one being asked about. *)
+   tests and examples), so key equality also compares the machines
+   themselves. *)
 (* Field-wise: [two_q_scale] holds a closure, so polymorphic compare on
    whole profiles would raise; distinct closures count as distinct
    profiles (the conservative direction — at worst a needless miss). *)
@@ -214,44 +193,30 @@ let same_machine (a : Machine.t) (b : Machine.t) =
      && Topology.edges a.Machine.topology = Topology.edges b.Machine.topology
      && Topology.n_qubits a.Machine.topology = Topology.n_qubits b.Machine.topology)
 
+type cache_key = { machine : Machine.t; day : int; noise_aware : bool }
+
+module Memo = Parallel.Memo.Make (struct
+  type t = cache_key
+
+  let equal a b =
+    a.day = b.day && a.noise_aware = b.noise_aware && same_machine a.machine b.machine
+
+  let hash k =
+    Hashtbl.hash (k.machine.Machine.name, k.machine.Machine.seed, k.day, k.noise_aware)
+end)
+
+(* Capacity: bundled sweeps span at most seven machines, ten days and both
+   noise modes, so at most 140 keys. *)
+let cache : t Memo.t = Memo.create ~name:"triq.reliability.cache" ~capacity:256
+
 let compute_cached ~noise_aware ?calibration machine ~day =
-  let key =
-    {
-      k_name = machine.Machine.name;
-      k_seed = machine.Machine.seed;
-      k_day = day;
-      k_noise_aware = noise_aware;
-    }
-  in
-  let cached =
-    Mutex.protect cache_mutex (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some (m, r) when same_machine m machine ->
-          incr hits;
-          Obs.Metrics.incr obs_hits;
-          Some r
-        | _ ->
-          incr misses;
-          Obs.Metrics.incr obs_misses;
-          None)
-  in
-  match cached with
-  | Some r -> r
-  | None ->
-    let calibration =
-      match calibration with
-      | Some c -> c
-      | None -> Machine.calibration machine ~day
-    in
-    let r = compute ~noise_aware machine calibration in
-    Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key (machine, r));
-    r
+  Memo.find_or_add cache { machine; day; noise_aware } (fun () ->
+      let calibration =
+        match calibration with
+        | Some c -> c
+        | None -> Machine.calibration machine ~day
+      in
+      compute ~noise_aware machine calibration)
 
-let cache_clear () =
-  Mutex.protect cache_mutex (fun () ->
-      Obs.Metrics.incr obs_evictions ~by:(Hashtbl.length cache);
-      Hashtbl.reset cache;
-      hits := 0;
-      misses := 0)
-
-let cache_stats () = Mutex.protect cache_mutex (fun () -> (!hits, !misses))
+let cache_clear () = Memo.clear cache
+let cache_stats () = Memo.stats cache

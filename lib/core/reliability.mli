@@ -23,8 +23,10 @@ val compute : noise_aware:bool -> Device.Machine.t -> Device.Calibration.t -> t
     compiles against the same calibration (a sweep's common case) reuse
     the Floyd-Warshall and score matrices instead of redoing the O(n^3)
     work. Pass [?calibration] when the caller already generated the
-    day's snapshot, to avoid regenerating it on a miss. The cache is
-    mutex-guarded and safe to use from {!Parallel.Pool} workers. *)
+    day's snapshot, to avoid regenerating it on a miss. The cache is a
+    {!Parallel.Memo} instance (capacity 256, counters
+    [triq.reliability.cache.*]), safe to use from {!Parallel.Pool}
+    workers, and returns one physical matrix per resident key. *)
 val compute_cached :
   noise_aware:bool ->
   ?calibration:Device.Calibration.t ->
@@ -32,13 +34,13 @@ val compute_cached :
   day:int ->
   t
 
-(** [cache_clear ()] empties the cache and zeroes the hit/miss counters —
+(** [cache_clear ()] empties the cache and starts a new stats generation —
     the explicit invalidation hook for callers that mutate calibration
     sources out from under the keys (none of the built-in machines do). *)
 val cache_clear : unit -> unit
 
-(** [(hits, misses)] since the last {!cache_clear}. *)
-val cache_stats : unit -> int * int
+(** Hits, misses, evictions and size since the last {!cache_clear}. *)
+val cache_stats : unit -> Parallel.Memo.stats
 
 (** Structural equality on every derived field (matrices, paths, readout)
     — the cache-correctness oracle used by the tests. *)

@@ -133,29 +133,29 @@ let derive_action k u =
       }
   with Not_clifford -> None
 
-(* Memoized per gate shape (operands normalized to slots 0..k-1). *)
-let action_cache : (Ir.Gate.t, action option) Hashtbl.t = Hashtbl.create 64
+(* Memoized per gate shape (operands normalized to slots 0..k-1). Rotation
+   angles are part of the shape, so the memo is bounded: a parameter sweep
+   keeps only its most recent angles resident. *)
+module Action_memo = Parallel.Memo.Make (struct
+  type t = Ir.Gate.t
+
+  let equal a b = compare a b = 0
+  let hash = Hashtbl.hash
+end)
+
+let action_memo : action option Action_memo.t =
+  Action_memo.create ~name:"dataflow.action" ~capacity:4096
 
 let gate_action g =
   match g with
   | Ir.Gate.Measure _ -> invalid_arg "Tableau: Measure has no unitary action"
   | Ir.Gate.Ccx _ | Ir.Gate.Cswap _ -> None
   | Ir.Gate.One (og, _) ->
-      let key = Ir.Gate.One (og, 0) in
-      (match Hashtbl.find_opt action_cache key with
-      | Some a -> a
-      | None ->
-          let a = derive_action 1 (Ir.Matrices.one_q og) in
-          Hashtbl.replace action_cache key a;
-          a)
+      Action_memo.find_or_add action_memo (Ir.Gate.One (og, 0)) (fun () ->
+          derive_action 1 (Ir.Matrices.one_q og))
   | Ir.Gate.Two (tg, _, _) ->
-      let key = Ir.Gate.Two (tg, 0, 1) in
-      (match Hashtbl.find_opt action_cache key with
-      | Some a -> a
-      | None ->
-          let a = derive_action 2 (Ir.Matrices.two_q tg) in
-          Hashtbl.replace action_cache key a;
-          a)
+      Action_memo.find_or_add action_memo (Ir.Gate.Two (tg, 0, 1)) (fun () ->
+          derive_action 2 (Ir.Matrices.two_q tg))
 
 let is_clifford_gate g =
   match g with
@@ -170,6 +170,7 @@ module Action = struct
   type t = action
 
   let of_gate = gate_action
+  let memo_stats () = Action_memo.stats action_memo
   let arity act = Array.length act.img_x
 
   (* Restrict the row to the operand qubits (slot order; factors on

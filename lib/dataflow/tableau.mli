@@ -28,7 +28,8 @@ val generators : t -> generator list
 
 (** [is_clifford_gate g] tests whether [g] has a Clifford action.
     [Measure] is not Clifford (it is not unitary). Results are memoized
-    per gate. *)
+    per gate shape in a {!Parallel.Memo} instance (capacity 4096,
+    counters [dataflow.action.*]). *)
 val is_clifford_gate : Ir.Gate.t -> bool
 
 (** A gate's derived Clifford action, applicable to caller-owned Pauli
@@ -41,6 +42,9 @@ module Action : sig
   (** Same memoized derivation as {!is_clifford_gate}: [None] when the
       gate is not Clifford. Raises [Invalid_argument] on [Measure]. *)
   val of_gate : Ir.Gate.t -> t option
+
+  (** The derivation memo's stats (see {!is_clifford_gate}). *)
+  val memo_stats : unit -> Parallel.Memo.stats
 
   (** Number of operand slots (1 or 2). *)
   val arity : t -> int

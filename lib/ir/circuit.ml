@@ -1,5 +1,12 @@
 type t = { n_qubits : int; gates : Gate.t list }
 
+let max_qubits = 1024
+
+let check_register ~layer ~line ~used name size =
+  if size > max_qubits - used then
+    Diag.invalid ~rule:"circuit.bounds" ~layer ~loc:(Diag.Line line)
+      "register %s[%d] takes the program past %d qubits" name size max_qubits
+
 let validate n gates =
   if n <= 0 then invalid_arg "Circuit.create: n_qubits must be positive";
   List.iter

@@ -5,6 +5,16 @@
 
 type t = private { n_qubits : int; gates : Gate.t list }
 
+(** The most qubits a program may declare: above every bundled or extended
+    machine (the largest is the 72-qubit Bristlecone grid). *)
+val max_qubits : int
+
+(** [check_register ~layer ~line ~used name size] raises the
+    [circuit.bounds] {!Diag} when a register [name[size]] declared after
+    [used] others would pass {!max_qubits}. The frontends call it where a
+    register is declared, before any per-qubit work. *)
+val check_register : layer:string -> line:int -> used:int -> string -> int -> unit
+
 (** [create n gates] validates that every gate's operands lie in
     [\[0, n)] and are distinct, raising [Invalid_argument] otherwise. *)
 val create : int -> Gate.t list -> t

@@ -8,9 +8,7 @@ let strategy_of_string s =
   let s = String.lowercase_ascii s in
   List.find_opt (fun k -> strategy_name k = s) all
 
-type t = { strategy : strategy; node_budget : int option; cache : bool }
+type t = { strategy : strategy; node_budget : int option }
 
-let default = { strategy = Bb; node_budget = None; cache = true }
-
-let make ?(strategy = Bb) ?node_budget ?(cache = true) () =
-  { strategy; node_budget; cache }
+let default = { strategy = Bb; node_budget = None }
+let make ?(strategy = Bb) ?node_budget () = { strategy; node_budget }

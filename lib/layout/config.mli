@@ -17,8 +17,7 @@ type t = {
   node_budget : int option;
       (** engine work cap (B&B nodes / SAT decisions); [None] = engine
           default (200k nodes for B&B, unlimited for SMT) *)
-  cache : bool;  (** consult/populate the process-wide layout cache *)
 }
 
 val default : t
-val make : ?strategy:strategy -> ?node_budget:int -> ?cache:bool -> unit -> t
+val make : ?strategy:strategy -> ?node_budget:int -> unit -> t

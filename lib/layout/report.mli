@@ -15,7 +15,7 @@ val work_total : work -> int
 
 (** How the layout cache participated in producing this report:
     [Hit] (placement served from cache), [Miss] (solved, then stored), or
-    [Bypass] (cache disabled for this solve). *)
+    [Bypass] (a solver called directly, not through the cache). *)
 type cache_status = Hit | Miss | Bypass
 
 val cache_status_name : cache_status -> string

@@ -616,6 +616,7 @@ let parse st =
       expect_sym st ';';
       if size <= 0 then fail line "qreg %S must have positive size" name;
       if List.mem_assoc name env.qregs then fail line "qreg %S already declared" name;
+      Ir.Circuit.check_register ~layer:"qasm" ~line ~used:env.next_qubit name size;
       env.qregs <- env.qregs @ [ (name, (env.next_qubit, size)) ];
       env.next_qubit <- env.next_qubit + size;
       statements ()
@@ -628,6 +629,7 @@ let parse st =
       expect_sym st ']';
       expect_sym st ';';
       if List.mem_assoc name env.cregs then fail line "creg %S already declared" name;
+      Ir.Circuit.check_register ~layer:"qasm" ~line ~used:env.next_cbit name size;
       env.cregs <- env.cregs @ [ (name, (env.next_cbit, size)) ];
       env.next_cbit <- env.next_cbit + size;
       statements ()

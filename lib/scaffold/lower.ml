@@ -164,6 +164,7 @@ let rec exec_stmt st ctx (s : Ast.stmt) =
     if List.mem_assoc name ctx.registers then
       fail line "register %S already declared in this scope" name;
     if size <= 0 then fail line "register %S must have positive size" name;
+    Ir.Circuit.check_register ~layer:"scaffold" ~line ~used:st.next_qubit name size;
     let base = st.next_qubit in
     st.next_qubit <- st.next_qubit + size;
     for i = 0 to size - 1 do

@@ -1,6 +1,6 @@
 (* Layout-engine tests: golden bit-identity of the compiled artifact
    against the Pipeline.compile_level digests in layout_golden.ml,
-   canonical-form behaviour, cache semantics, B&B/SMT objective
+   canonical-form behaviour, layout-cache semantics, B&B/SMT objective
    agreement, and the structured-report contract. *)
 
 module Machine = Device.Machine
@@ -10,7 +10,6 @@ module Circuit = Ir.Circuit
 module G = Ir.Gate
 module Report = Layout.Report
 module Canon = Layout.Canon
-module Cache = Layout.Cache
 
 let reliability_for machine =
   Triq.Reliability.compute ~noise_aware:true machine (Machine.calibration machine ~day:0)
@@ -42,31 +41,38 @@ let level_of_string_exn s =
   | Some l -> l
   | None -> Alcotest.failf "unknown level %S" s
 
+let status (r : Report.t) = Report.cache_status_name r.Report.cache
+
 let test_golden_bit_identity () =
   (* Every bundled benchmark x machine x level must compile to exactly the
      artifact the pre-refactor pipeline produced (digests pinned in
-     layout_golden.ml before the layout engine existed). The matrix runs
-     twice: the first sweep exercises cold solves (cache misses), the
-     second the cache-hit path, which must reproduce the same placements
-     bit-for-bit after canonical-permutation translation. *)
-  Triq.Placement.cache_clear ();
+     layout_golden.ml before the layout engine existed). Each entry
+     compiles twice after clearing the caches: a cold solve, then the
+     cache-hit path, which must reproduce the same placement bit-for-bit
+     after canonical-permutation translation. *)
   Alcotest.(check bool) "fixture is non-trivial" true
     (List.length Layout_golden.entries > 100);
-  for round = 1 to 2 do
-    List.iter
-      (fun (machine, program, level, expected) ->
-        let m = machine_by_name machine in
-        let p = program_by_name program in
-        let r =
-          Triq.Pipeline.compile_level m p.Programs.circuit
-            ~level:(level_of_string_exn level)
-        in
-        let got = digest r in
-        if got <> expected then
-          Alcotest.failf "round %d: %s/%s/%s: digest %s, expected %s" round
-            machine program level got expected)
-      Layout_golden.entries
-  done
+  List.iter
+    (fun (machine, program, level, expected) ->
+      let m = machine_by_name machine in
+      let p = program_by_name program in
+      Triq.Placement.cache_clear ();
+      List.iter
+        (fun (round, expected_status) ->
+          let r =
+            Triq.Pipeline.compile_level m p.Programs.circuit
+              ~level:(level_of_string_exn level)
+          in
+          let got = digest r in
+          if got <> expected then
+            Alcotest.failf "%s: %s/%s/%s: digest %s, expected %s" round machine
+              program level got expected;
+          match r.Triq.Pipeline.layout with
+          | Some l when l.Report.cache <> expected_status ->
+            Alcotest.failf "%s compile: layout cache %s" round (status l)
+          | _ -> ())
+        [ ("cold", Report.Miss); ("cached", Report.Hit) ])
+    Layout_golden.entries
 
 (* ---------- Canonical forms ---------- *)
 
@@ -112,115 +118,73 @@ let test_canon_measured_distinguishes () =
 
 (* ---------- The cache ---------- *)
 
-(* A deliberately non-uniform score model so that permutation-translation
-   mistakes change the objective. *)
-let score a b = 0.80 +. (0.01 *. float_of_int (((a * 7) + (b * 3)) mod 13))
-let readout q = 0.90 +. (0.005 *. float_of_int q)
-
-let problem_of ?(n_hardware = 8) ~n_program pairs measured =
-  Layout.Problem.make ~n_program ~n_hardware ~pairs ~measured ~score ~readout ()
-
-let test_cache_relabel_hit () =
-  let cache = Cache.create ~capacity:8 () in
-  let token = ref 0 in
-  let pairs = [ ((0, 1), 2); ((1, 2), 1); ((2, 3), 3) ] in
-  let perm = [| 2; 3; 1; 0 |] in
-  let pr = problem_of ~n_program:4 pairs [ 3 ] in
-  let pr' = problem_of ~n_program:4 (relabel_pairs perm pairs) [ perm.(3) ] in
-  let a = Canon.of_problem pr and b = Canon.of_problem pr' in
-  let r = Layout.Bb.solve pr in
-  Cache.store cache ~token ~scope:"s" a ~strategy:"bb" ~proven_optimal:true
-    r.Report.placement;
-  (match Cache.lookup cache ~token ~scope:"s" b with
-  | None -> Alcotest.fail "expected a hit on the isomorphic relabeling"
-  | Some (placement, strategy, optimal) ->
-    Alcotest.(check string) "stored strategy" "bb" strategy;
-    Alcotest.(check bool) "stored optimality" true optimal;
-    let obj, log = Layout.Problem.evaluate pr' placement in
-    let obj0, log0 = Layout.Problem.evaluate pr r.Report.placement in
-    Alcotest.(check (float 0.)) "objective preserved by translation" obj0 obj;
-    Alcotest.(check (float 0.)) "log-product preserved" log0 log);
-  (* Same form under a different scope or a different (physical) token
-     must miss: structural equality of tokens is not enough. *)
-  Alcotest.(check bool) "scope miss" true
-    (Cache.lookup cache ~token ~scope:"other" b = None);
-  Alcotest.(check bool) "token miss" true
-    (Cache.lookup cache ~token:(ref 0) ~scope:"s" b = None);
-  let st = Cache.stats cache in
-  Alcotest.(check int) "hits" 1 st.Cache.hits;
-  Alcotest.(check int) "misses" 2 st.Cache.misses
-
-let test_cache_near_miss_graphs () =
-  (* Same degree sequence, different edges: must not collide. *)
-  let cache = Cache.create ~capacity:8 () in
-  let token = ref 0 in
-  let a = Canon.of_interactions ~n:6 ~pairs:two_triangles ~measured:[] in
-  let b = Canon.of_interactions ~n:6 ~pairs:six_cycle ~measured:[] in
-  Cache.store cache ~token ~scope:"s" a ~strategy:"bb" ~proven_optimal:true
-    [| 0; 1; 2; 3; 4; 5 |];
-  Alcotest.(check bool) "near-miss graph misses" true
-    (Cache.lookup cache ~token ~scope:"s" b = None)
-
-let test_cache_lru_eviction () =
-  let cache = Cache.create ~capacity:2 () in
-  let token = ref 0 in
-  let form_of i = Canon.of_interactions ~n:3 ~pairs:[ ((0, 1), i + 1) ] ~measured:[] in
-  let store c = Cache.store cache ~token ~scope:"s" c ~strategy:"bb" ~proven_optimal:true [| 0; 1; 2 |] in
-  let a = form_of 0 and b = form_of 1 and c = form_of 2 in
-  store a;
-  store b;
-  (* Touch [a] so [b] is the least recently used, then overflow. *)
-  ignore (Cache.lookup cache ~token ~scope:"s" a);
-  store c;
-  let st = Cache.stats cache in
-  Alcotest.(check int) "bounded" 2 st.Cache.size;
-  Alcotest.(check int) "one eviction" 1 st.Cache.evictions;
-  Alcotest.(check bool) "recently used survives" true
-    (Cache.lookup cache ~token ~scope:"s" a <> None);
-  Alcotest.(check bool) "LRU evicted" true (Cache.lookup cache ~token ~scope:"s" b = None);
-  Cache.clear cache;
-  Alcotest.(check int) "cleared" 0 (Cache.stats cache).Cache.size
-
 let cnot_circuit n pairs measured =
   Circuit.create n
     (List.map (fun (a, b) -> G.Two (G.Cnot, a, b)) pairs
     @ List.map (fun q -> G.Measure q) measured)
 
-let test_placement_cache_hits_relabeled_circuit () =
-  (* End-to-end satellite: isomorphic program relabelings must hit the
-     same entry of the process-wide cache; near-miss graphs must not. *)
+let ibmq14_reliability = lazy (reliability_for Machines.ibmq14)
+
+let solve ?(reliability = Lazy.force ibmq14_reliability) ?(machine_name = "IBMQ14")
+    ?(day = 0) c =
+  Triq.Placement.solve ~reliability ~machine_name ~day c
+
+let test_cache_relabel_hit () =
+  (* A relabeled circuit hits the entry of the original and gets the
+     original's placement translated into its own labels; the same form
+     under a different scope (day, machine) or a different physical token
+     must miss: structural equality of tokens is not enough. *)
   Triq.Placement.cache_clear ();
-  let machine = Machines.ibmq14 in
-  let reliability = reliability_for machine in
-  let solve c =
-    Triq.Placement.solve ~reliability ~machine_name:machine.Machine.name ~day:0 c
-  in
-  let c1 = cnot_circuit 3 [ (0, 1); (1, 2) ] [ 2 ] in
-  (* The same line relabeled by 0->2, 1->0, 2->1. *)
-  let c2 = cnot_circuit 3 [ (2, 0); (0, 1) ] [ 1 ] in
-  let r1 = solve c1 in
-  let r2 = solve c2 in
-  Alcotest.(check string) "cold solve misses" "miss" (Report.cache_status_name r1.Report.cache);
-  Alcotest.(check string) "relabeling hits" "hit" (Report.cache_status_name r2.Report.cache);
-  Alcotest.(check (float 0.)) "identical score" r1.Report.objective r2.Report.objective;
-  (* Near-miss pair: same degree sequence, different graphs. *)
+  let c = cnot_circuit 4 [ (0, 1); (0, 1); (1, 2); (2, 3); (2, 3); (2, 3) ] [ 3 ] in
+  (* The same circuit under the relabeling 0->2, 1->3, 2->1, 3->0. *)
+  let c' = cnot_circuit 4 [ (2, 3); (2, 3); (3, 1); (1, 0); (1, 0); (1, 0) ] [ 0 ] in
+  let r = solve c in
+  let r' = solve c' in
+  Alcotest.(check (pair string string)) "miss, then relabeled hit" ("miss", "hit")
+    (status r, status r');
+  Alcotest.(check bool) "stored strategy and optimality" true
+    (r'.Report.strategy = "bb" && r'.Report.proven_optimal);
+  Alcotest.(check (float 0.)) "objective preserved by translation" r.Report.objective
+    r'.Report.objective;
+  Alcotest.(check (float 1e-12)) "log-product preserved" r.Report.log_product
+    r'.Report.log_product;
+  List.iter
+    (fun (what, solve') -> Alcotest.(check string) what "miss" (status (solve' c')))
+    [
+      ("other day", fun c -> solve ~day:1 c);
+      ("other machine", fun c -> solve ~machine_name:"IBMQ14-twin" c);
+      ( "equal but distinct token",
+        fun c -> solve ~reliability:(reliability_for Machines.ibmq14) c );
+    ];
+  let st = Triq.Placement.cache_stats () in
+  Alcotest.(check (list int)) "hits, misses, resident" [ 1; 4; 4 ]
+    [ st.Parallel.Memo.hits; st.Parallel.Memo.misses; st.Parallel.Memo.size ]
+
+let test_cache_near_miss_graphs () =
+  (* Same degree sequence, different graphs: must not collide. *)
+  Triq.Placement.cache_clear ();
   let tri = cnot_circuit 6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ] [] in
   let cyc = cnot_circuit 6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ] [] in
-  let rt = solve tri in
-  let rc = solve cyc in
-  Alcotest.(check string) "triangles miss" "miss" (Report.cache_status_name rt.Report.cache);
-  Alcotest.(check string) "cycle must not hit" "miss" (Report.cache_status_name rc.Report.cache)
+  Alcotest.(check string) "triangles miss" "miss" (status (solve tri));
+  Alcotest.(check string) "cycle must not hit" "miss" (status (solve cyc))
 
-let test_placement_cache_disabled () =
-  let machine = Machines.ibmq5 in
-  let reliability = reliability_for machine in
-  let config = Layout.Config.make ~cache:false () in
-  let c = cnot_circuit 2 [ (0, 1) ] [ 0; 1 ] in
-  let r =
-    Triq.Placement.solve ~config ~reliability ~machine_name:machine.Machine.name
-      ~day:0 c
+let test_pipeline_relabel_hit () =
+  (* Through the whole pipeline: a relabeled program reuses the layout of
+     the original and compiles to a placement of the same quality. *)
+  Triq.Placement.cache_clear ();
+  let c = (Programs.bv 4).Programs.circuit in
+  let n = c.Circuit.n_qubits in
+  let layout c =
+    let r = Triq.Pipeline.compile_level Machines.ibmq14 c ~level:Triq.Pipeline.OneQOptCN in
+    match r.Triq.Pipeline.layout with
+    | Some l -> l
+    | None -> Alcotest.fail "expected a layout report"
   in
-  Alcotest.(check string) "bypass" "bypass" (Report.cache_status_name r.Report.cache)
+  let l = layout c in
+  let l' = layout (Circuit.map_qubits ~n_qubits:n (fun q -> (q + 1) mod n) c) in
+  Alcotest.(check (pair string string)) "miss, then relabeled hit" ("miss", "hit")
+    (status l, status l');
+  Alcotest.(check (float 0.)) "identical objective" l.Report.objective l'.Report.objective
 
 (* ---------- Strategies ---------- *)
 
@@ -264,7 +228,8 @@ let test_pipeline_strategy_dispatch () =
   let machine = Machines.ibmq5 in
   let c = (Programs.bv 4).Programs.circuit in
   let strategy_of mapper =
-    let config = Triq.Pass.Config.make ~mapper ~layout_cache:false () in
+    Triq.Placement.cache_clear ();
+    let config = Triq.Pass.Config.make ~mapper () in
     let r =
       Triq.Pipeline.compile_level ~config machine c ~level:Triq.Pipeline.OneQOptCN
     in
@@ -290,10 +255,7 @@ let () =
         [
           Alcotest.test_case "relabel hit" `Quick test_cache_relabel_hit;
           Alcotest.test_case "near-miss graphs" `Quick test_cache_near_miss_graphs;
-          Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "pipeline relabel hit" `Quick
-            test_placement_cache_hits_relabeled_circuit;
-          Alcotest.test_case "bypass" `Quick test_placement_cache_disabled;
+          Alcotest.test_case "pipeline relabel hit" `Quick test_pipeline_relabel_hit;
         ] );
       ( "strategies",
         [

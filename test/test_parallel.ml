@@ -1,8 +1,8 @@
 (* Parallel-execution tests: the domain pool itself (ordering, exception
    propagation, nesting), the bit-for-bit determinism contract of the
-   trajectory runner and experiment grids across pool sizes, and the
-   reliability-matrix cache (cached results structurally equal to fresh
-   computation). *)
+   trajectory runner and experiment grids across pool sizes (also from
+   cold caches), and the reliability-matrix cache (cached results
+   structurally equal to fresh computation). *)
 
 module Pool = Parallel.Pool
 module Machines = Device.Machines
@@ -162,6 +162,38 @@ let test_experiment_grid_deterministic () =
       let par = grid 4 in
       Alcotest.(check bool) "fig9 grid identical at -j 1 and -j 4" true (seq = par))
 
+let test_cold_caches_study_deterministic () =
+  (* Every bundled benchmark on IBMQ14, Aspen3 and UMDTI, compiled at
+     TriQ-1QOptCN from cold caches and simulated with 50 trajectories:
+     -j 8 (concurrent cache misses, racing stores) must reproduce -j 1
+     byte for byte. *)
+  let cells =
+    List.concat_map
+      (fun m ->
+        Programs.all
+        |> List.filter (fun (p : Programs.t) -> Device.Machine.fits m p.Programs.circuit)
+        |> List.map (fun p -> (m, p)))
+      [ Machines.ibmq14; Machines.aspen3; Machines.umdti ]
+  in
+  let cell pool (m, (p : Programs.t)) =
+    let compiled =
+      Triq.Pipeline.to_compiled
+        (Triq.Pipeline.compile_level m p.Programs.circuit ~level:Triq.Pipeline.OneQOptCN)
+    in
+    let config = Runner.Config.make ~trajectories:50 ~pool () in
+    let o = Runner.simulate ~config compiled p.Programs.spec in
+    let executable = Backend.Emit.executable compiled in
+    Marshal.to_string
+      (executable, o.Runner.distribution, o.Runner.counts, o.Runner.success_rate) []
+  in
+  let run jobs =
+    Reliability.cache_clear ();
+    Triq.Placement.cache_clear ();
+    Pool.with_pool ~jobs (fun pool -> Pool.map pool (cell pool) cells)
+  in
+  Alcotest.(check int) "fitting cells" 33 (List.length cells);
+  Alcotest.(check (list string)) "-j 8 = -j 1" (run 1) (run 8)
+
 (* ---------- Reliability cache ---------- *)
 
 let test_cache_equals_fresh () =
@@ -185,22 +217,23 @@ let test_cache_equals_fresh () =
     [ Machines.ibmq5; Machines.ibmq14; Machines.agave; Machines.umdti ]
 
 let test_cache_hits_and_clear () =
+  let hits_misses () =
+    let st = Reliability.cache_stats () in
+    (st.Parallel.Memo.hits, st.Parallel.Memo.misses)
+  in
   Reliability.cache_clear ();
-  let h0, m0 = Reliability.cache_stats () in
-  Alcotest.(check (pair int int)) "clear resets stats" (0, 0) (h0, m0);
+  Alcotest.(check (pair int int)) "clear resets stats" (0, 0) (hits_misses ());
+  let a = Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1 in
   ignore (Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1);
-  ignore (Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1);
-  ignore (Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1);
-  let h, m = Reliability.cache_stats () in
-  Alcotest.(check int) "one miss" 1 m;
-  Alcotest.(check int) "two hits" 2 h;
+  let b = Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1 in
+  Alcotest.(check bool) "one physical matrix per key" true (a == b);
+  Alcotest.(check (pair int int)) "two hits, one miss" (2, 1) (hits_misses ());
   (* Different key dimensions each miss once. *)
   ignore (Reliability.compute_cached ~noise_aware:false Machines.ibmq14 ~day:1);
   ignore (Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:2);
-  let _, m = Reliability.cache_stats () in
-  Alcotest.(check int) "distinct keys miss" 3 m;
+  Alcotest.(check int) "distinct keys miss" 3 (snd (hits_misses ()));
   Reliability.cache_clear ();
-  Alcotest.(check (pair int int)) "cleared" (0, 0) (Reliability.cache_stats ())
+  Alcotest.(check (pair int int)) "cleared" (0, 0) (hits_misses ())
 
 let test_cache_distinguishes_same_name () =
   (* Two structurally different machines can share a name and seed; the
@@ -266,6 +299,8 @@ let () =
             test_density_batch_matches_sequential;
           Alcotest.test_case "experiment grid" `Quick
             test_experiment_grid_deterministic;
+          Alcotest.test_case "cold caches study" `Quick
+            test_cold_caches_study_deterministic;
         ] );
       ( "reliability cache",
         [

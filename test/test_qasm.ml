@@ -241,6 +241,27 @@ let test_compiles_end_to_end () =
   let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) compiled spec in
   Alcotest.(check bool) "correct" true outcome.Sim.Runner.dominant_correct
 
+let test_huge_registers () =
+  (* Both frontends bound a register where it is declared, before any
+     per-qubit work: 10^8 qubits fail at once with circuit.bounds. *)
+  let rejects what parse src =
+    let t0 = Sys.time () in
+    (match parse src with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      if not (String.starts_with ~prefix:"error[circuit.bounds]" msg) then
+        Alcotest.failf "%s: wrong diagnostic %S" what msg);
+    if Sys.time () -. t0 > 0.1 then Alcotest.failf "%s: rejected too slowly" what
+  in
+  rejects "qreg" F.parse (header ^ "qreg q[100000000];");
+  rejects "creg" F.parse (header ^ "qreg q[1];\ncreg c[100000000];");
+  rejects "qreg total" F.parse (header ^ "qreg a[1000];\nqreg b[1000];");
+  rejects "scaffold qbit" Scaffold.Lower.compile_string
+    "module main() {\n  qbit q[100000000];\n  H(q[0]);\n}";
+  let at_limit = F.parse (Printf.sprintf "%sqreg q[%d];" header Ir.Circuit.max_qubits) in
+  Alcotest.(check int) "the limit itself is accepted" Ir.Circuit.max_qubits
+    at_limit.F.circuit.Ir.Circuit.n_qubits
+
 let () =
   Alcotest.run "qasm"
     [
@@ -262,7 +283,11 @@ let () =
           Alcotest.test_case "nesting" `Quick test_nested_user_gates;
           Alcotest.test_case "semantics" `Quick test_user_gate_semantics;
         ] );
-      ("errors", [ Alcotest.test_case "diagnostics" `Quick test_errors ]);
+      ( "errors",
+        [
+          Alcotest.test_case "diagnostics" `Quick test_errors;
+          Alcotest.test_case "huge registers" `Quick test_huge_registers;
+        ] );
       ( "integration",
         [
           Alcotest.test_case "matches scaffold bv4" `Quick test_matches_scaffold_bv4;
