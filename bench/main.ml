@@ -608,9 +608,9 @@ let run_smoke () =
     "smoke ok: fig9 grid (%d trajectories) identical at -j 1 and -j 4; reliability cache exact\n"
     traj;
   (* Enriched-schema gate: build a quick timings payload (no Bechamel
-     suite), write it to a temp file, re-parse it with the independent
-     Device.Json reader, and assert the per-pass, cache and pool
-     sections are all present. *)
+     suite), write it to a temp file, re-parse the written text with
+     Obs.Json.parse, and assert the per-pass, cache and pool sections
+     are all present. *)
   Obs.Metrics.enable ();
   let per_pass = per_pass_breakdown ~reps:2 () in
   let sp = seq_vs_par ~trajectories:20 () in
@@ -620,13 +620,11 @@ let run_smoke () =
   let sh = sharding_effect ~trajectories:5 () in
   let path = Filename.temp_file "bench_timings_smoke" ".json" in
   write_timings_json path (timings_payload [] per_pass sp ce lc be sh);
-  let doc =
-    Device.Json.parse (In_channel.with_open_text path In_channel.input_all)
-  in
+  let doc = Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) in
   Sys.remove path;
   List.iter
     (fun keys ->
-      try ignore (List.fold_left (fun j k -> Device.Json.member k j) doc keys)
+      try ignore (List.fold_left (fun j k -> Obs.Json.member k j) doc keys)
       with Invalid_argument msg ->
         Printf.eprintf "SMOKE FAIL: BENCH_timings.json missing %s (%s)\n"
           (String.concat "." keys) msg;
@@ -658,20 +656,15 @@ let run_smoke () =
    ns_per_compile out of two BENCH_timings.json files and fail when the
    fresh run exceeds twice the committed baseline. *)
 let mapping_ns_per_compile path =
-  let doc =
-    Device.Json.parse (In_channel.with_open_text path In_channel.input_all)
-  in
-  let passes =
-    Device.Json.to_list (Device.Json.member "passes" (Device.Json.member "per_pass" doc))
-  in
+  let open Obs.Json in
+  let doc = parse (In_channel.with_open_text path In_channel.input_all) in
   let rec find = function
     | [] -> failwith (path ^ ": no \"mapping\" entry under per_pass.passes")
     | p :: rest ->
-      if Device.Json.to_str (Device.Json.member "name" p) = "mapping" then
-        Device.Json.to_float (Device.Json.member "ns_per_compile" p)
+      if to_str (member "name" p) = "mapping" then to_float (member "ns_per_compile" p)
       else find rest
   in
-  find passes
+  find (to_list (member "passes" (member "per_pass" doc)))
 
 let run_guard baseline fresh =
   let base_ns = mapping_ns_per_compile baseline in

@@ -802,10 +802,7 @@ let lint_cmd =
           (Obs.Json.Obj
              [
                ( "diagnostics",
-                 Obs.Json.List
-                   (List.map
-                      (fun d -> Obs.Json.Raw (Analysis.Diag.to_json d))
-                      diags) );
+                 Obs.Json.List (List.map Analysis.Diag.to_json diags) );
                ("errors", Obs.Json.Int errors);
                ("warnings", Obs.Json.Int warnings);
              ])
@@ -920,9 +917,7 @@ let check_cmd =
                           ])
                       validation) );
                ( "diagnostics",
-                 Obs.Json.List
-                   (List.map (fun d -> Obs.Json.Raw (Analysis.Diag.to_json d)) diags)
-               );
+                 Obs.Json.List (List.map Analysis.Diag.to_json diags) );
                ("errors", Obs.Json.Int errors);
                ("findings", Obs.Json.Int findings);
              ])
@@ -1139,10 +1134,7 @@ let fuzz_cmd =
             (Obs.Json.Obj
                [
                  ( "reports",
-                   Obs.Json.List
-                     (List.map
-                        (fun r -> Obs.Json.Raw (Proptest.Oracle.report_json r))
-                        reports) );
+                   Obs.Json.List (List.map Proptest.Oracle.report_json reports) );
                ])
         else List.iter (fun r -> print_endline (Proptest.Oracle.report_text r)) reports;
         if failed then 1 else 0

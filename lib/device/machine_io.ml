@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 exception Error of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
@@ -17,30 +19,29 @@ let interface_of_name = function
 
 let to_json (m : Machine.t) =
   let p = m.Machine.profile in
-  Json.Object
+  Json.Obj
     [
-      ("name", Json.String m.Machine.name);
-      ("interface", Json.String (interface_name m.Machine.basis));
-      ("qubits", Json.Number (float_of_int (Topology.n_qubits m.Machine.topology)));
+      ("name", Json.Str m.Machine.name);
+      ("interface", Json.Str (interface_name m.Machine.basis));
+      ("qubits", Json.Int (Topology.n_qubits m.Machine.topology));
       ("directed", Json.Bool (Topology.directed m.Machine.topology));
       ( "edges",
-        Json.Array
+        Json.List
           (List.map
-             (fun (a, b) ->
-               Json.Array [ Json.Number (float_of_int a); Json.Number (float_of_int b) ])
+             (fun (a, b) -> Json.List [ Json.Int a; Json.Int b ])
              (Topology.edges m.Machine.topology)) );
-      ("seed", Json.Number (float_of_int m.Machine.seed));
+      ("seed", Json.Int m.Machine.seed);
       ( "profile",
-        Json.Object
+        Json.Obj
           [
-            ("one_q_err", Json.Number p.Calibration.avg_one_q_err);
-            ("two_q_err", Json.Number p.Calibration.avg_two_q_err);
-            ("readout_err", Json.Number p.Calibration.avg_readout_err);
-            ("coherence_us", Json.Number p.Calibration.coherence_us);
-            ("one_q_time_us", Json.Number p.Calibration.one_q_time_us);
-            ("two_q_time_us", Json.Number p.Calibration.two_q_time_us);
-            ("spatial_sigma", Json.Number p.Calibration.spatial_sigma);
-            ("temporal_sigma", Json.Number p.Calibration.temporal_sigma);
+            ("one_q_err", Json.Float p.Calibration.avg_one_q_err);
+            ("two_q_err", Json.Float p.Calibration.avg_two_q_err);
+            ("readout_err", Json.Float p.Calibration.avg_readout_err);
+            ("coherence_us", Json.Float p.Calibration.coherence_us);
+            ("one_q_time_us", Json.Float p.Calibration.one_q_time_us);
+            ("two_q_time_us", Json.Float p.Calibration.two_q_time_us);
+            ("spatial_sigma", Json.Float p.Calibration.spatial_sigma);
+            ("temporal_sigma", Json.Float p.Calibration.temporal_sigma);
           ] );
     ]
 
@@ -108,7 +109,7 @@ let of_string s =
   | json -> of_json json
   | exception Json.Parse_error (msg, pos) -> fail "JSON error at offset %d: %s" pos msg
 
-let to_string m = Json.to_string (to_json m) ^ "\n"
+let to_string m = Json.to_string ~pretty:true (to_json m) ^ "\n"
 
 let of_file path =
   let ic = open_in_bin path in

@@ -22,15 +22,23 @@
     }
     v}
 
+    Documents are read with {!Obs.Json.parse}: any RFC 8259 JSON text
+    (all string escapes, [\uXXXX] included) nested at most 512 arrays or
+    objects deep; deeper input fails at once with {!Error}. Integer
+    members ([qubits], [edges], [seed]) also accept integral floats such
+    as [5.0]. {!to_string} escapes every control byte, so its output is
+    read back by any JSON parser.
+
     The optional per-coupling error scaling of large ion traps is not
     representable in a data file (it is a function); such machines are
     constructed in code. *)
 
 exception Error of string
-(** Malformed description (missing/ill-typed members, invalid values). *)
+(** Malformed description: JSON syntax (["JSON error at offset N: ..."]),
+    missing/ill-typed members, or invalid values. *)
 
-val to_json : Machine.t -> Json.t
-val of_json : Json.t -> Machine.t
+val to_json : Machine.t -> Obs.Json.t
+val of_json : Obs.Json.t -> Machine.t
 
 (** [of_string s] parses and validates a JSON description. *)
 val of_string : string -> Machine.t

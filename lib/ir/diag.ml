@@ -43,33 +43,24 @@ let render d =
 
 let pp fmt d = Format.pp_print_string fmt (render d)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
-  let loc_json =
+  let open Obs.Json in
+  let loc =
     match d.loc with
-    | Nowhere -> "null"
-    | Line l -> Printf.sprintf "{\"line\":%d}" l
-    | Gate i -> Printf.sprintf "{\"gate\":%d}" i
-    | Qubit q -> Printf.sprintf "{\"qubit\":%d}" q
-    | Pair (a, b) -> Printf.sprintf "{\"qubits\":[%d,%d]}" a b
+    | Nowhere -> Null
+    | Line l -> Obj [ ("line", Int l) ]
+    | Gate i -> Obj [ ("gate", Int i) ]
+    | Qubit q -> Obj [ ("qubit", Int q) ]
+    | Pair (a, b) -> Obj [ ("qubits", List [ Int a; Int b ]) ]
   in
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"rule\":\"%s\",\"layer\":\"%s\",\"loc\":%s,\"message\":\"%s\"}"
-    (severity_name d.severity) (json_escape d.rule) (json_escape d.layer) loc_json
-    (json_escape d.message)
+  Obj
+    [
+      ("severity", Str (severity_name d.severity));
+      ("rule", Str d.rule);
+      ("layer", Str d.layer);
+      ("loc", loc);
+      ("message", Str d.message);
+    ]
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 

@@ -5,7 +5,7 @@
     (stable ids, catalogued in docs/ANALYSIS.md), the toolflow layer that
     produced it, where in the program or circuit it points, and a human
     message. The rendering is uniform across [triqc] subcommands, and
-    [to_json] gives a machine-readable line for tooling. *)
+    [to_json] gives a machine-readable {!Obs.Json.t} for tooling. *)
 
 type severity = Error | Warning | Info
 
@@ -51,8 +51,9 @@ val render : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** Machine-readable rendering as a single JSON object line. *)
-val to_json : t -> string
+(** Machine-readable rendering: one JSON object with [severity], [rule],
+    [layer], [loc] and [message]. *)
+val to_json : t -> Obs.Json.t
 
 (** Sort severity-first (errors before warnings), then rule id, then
     location — a deterministic report order. *)

@@ -896,31 +896,27 @@ let report_text r =
         indent_block "    " f.repro;
       ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json r =
+  let open Obs.Json in
+  let head =
+    [
+      ("oracle", Str r.oracle);
+      ("seed", Int r.seed);
+      ("cases", Int r.cases);
+      ("cases_run", Int r.cases_run);
+    ]
+  in
   match r.failure with
-  | None ->
-    Printf.sprintf
-      "{\"oracle\":\"%s\",\"seed\":%d,\"cases\":%d,\"cases_run\":%d,\"status\":\"ok\"}"
-      (json_escape r.oracle) r.seed r.cases r.cases_run
+  | None -> Obj (head @ [ ("status", Str "ok") ])
   | Some f ->
-    Printf.sprintf
-      "{\"oracle\":\"%s\",\"seed\":%d,\"cases\":%d,\"cases_run\":%d,\"status\":\"fail\",\"case\":%d,\"shrink_steps\":%d,\"message\":\"%s\",\"original_message\":\"%s\",\"shrunk\":\"%s\",\"repro\":\"%s\"}"
-      (json_escape r.oracle) r.seed r.cases r.cases_run f.case_index
-      f.shrink_steps (json_escape f.message)
-      (json_escape f.original_message)
-      (json_escape f.shrunk_show) (json_escape f.repro)
+    Obj
+      (head
+      @ [
+          ("status", Str "fail");
+          ("case", Int f.case_index);
+          ("shrink_steps", Int f.shrink_steps);
+          ("message", Str f.message);
+          ("original_message", Str f.original_message);
+          ("shrunk", Str f.shrunk_show);
+          ("repro", Str f.repro);
+        ])

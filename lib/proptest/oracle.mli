@@ -136,5 +136,6 @@ val run_all : seed:int -> cases:int -> report list
     fixture). *)
 val report_text : report -> string
 
-(** One JSON object (single line). *)
-val report_json : report -> string
+(** One JSON object: oracle, seed, case counts, status and, on failure,
+    the shrunk counterexample and its repro. *)
+val report_json : report -> Obs.Json.t

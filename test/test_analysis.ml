@@ -44,7 +44,7 @@ let test_diag_json () =
     Diag.errorf ~rule:"exec.esp" ~layer:"executable" ~loc:(Diag.Pair (1, 2))
       "esp \"broken\""
   in
-  let json = Diag.to_json d in
+  let json = Obs.Json.to_string (Diag.to_json d) in
   (* Keys present and the quote in the message escaped. *)
   List.iter
     (fun needle ->
@@ -105,7 +105,7 @@ let test_diag_json_escaping () =
   Alcotest.(check string) "escaped json"
     ("{\"severity\":\"warning\",\"rule\":\"x.y\",\"layer\":\"l\",\"loc\":null,"
     ^ "\"message\":\"quote \\\" slash \\\\ newline \\n tab \\t bell \\u0007\"}")
-    (Diag.to_json d)
+    (Obs.Json.to_string (Diag.to_json d))
 
 let test_diag_violation_message () =
   let ds =

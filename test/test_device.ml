@@ -303,47 +303,116 @@ let test_machines_example_8q () =
 
 (* ---------- Json / Machine_io ---------- *)
 
-module Json = Device.Json
+module Json = Obs.Json
 module Machine_io = Device.Machine_io
 
 let test_json_roundtrip () =
   let doc =
-    Json.Object
+    Json.Obj
       [
-        ("a", Json.Number 1.5);
-        ("b", Json.Array [ Json.Bool true; Json.Null; Json.String "x\"y" ]);
-        ("c", Json.Object [ ("nested", Json.Number 3.0) ]);
+        ("a", Json.Float 1.5);
+        ("b", Json.List [ Json.Bool true; Json.Null; Json.Str "x\"y" ]);
+        ("c", Json.Obj [ ("nested", Json.Int 3) ]);
       ]
   in
-  let text = Json.to_string doc in
+  let text = Json.to_string ~pretty:true doc in
   Alcotest.(check bool) "roundtrip" true (Json.parse text = doc);
   (* Compact form too. *)
-  Alcotest.(check bool) "compact roundtrip" true
-    (Json.parse (Json.to_string ~indent:0 doc) = doc)
+  Alcotest.(check bool) "compact roundtrip" true (Json.parse (Json.to_string doc) = doc)
 
 let test_json_parse_basics () =
-  Alcotest.(check bool) "number" true (Json.parse "42" = Json.Number 42.0);
-  Alcotest.(check bool) "negative float" true (Json.parse "-2.5e1" = Json.Number (-25.0));
-  Alcotest.(check bool) "escapes" true (Json.parse {|"a\nb"|} = Json.String "a\nb");
+  Alcotest.(check bool) "int" true (Json.parse "42" = Json.Int 42);
+  Alcotest.(check bool) "negative float" true (Json.parse "-2.5e1" = Json.Float (-25.0));
+  Alcotest.(check bool) "integral float" true (Json.parse "5.0" = Json.Float 5.0);
+  Alcotest.(check bool) "escapes" true (Json.parse {|"a\nb"|} = Json.Str "a\nb");
+  Alcotest.(check bool) "every escape" true
+    (Json.parse {|"\"\\\/\b\f\n\r\t\u0041\u00e9\ud83d\ude00"|}
+    = Json.Str "\"\\/\b\012\n\r\tA\xc3\xa9\xf0\x9f\x98\x80");
   Alcotest.(check bool) "empty containers" true
-    (Json.parse "[{}, []]" = Json.Array [ Json.Object []; Json.Array [] ])
+    (Json.parse "[{}, []]" = Json.List [ Json.Obj []; Json.List [] ])
 
 let test_json_parse_errors () =
   let raises s = try ignore (Json.parse s); false with Json.Parse_error _ -> true in
-  Alcotest.(check bool) "trailing" true (raises "1 2");
-  Alcotest.(check bool) "unterminated string" true (raises {|"abc|});
-  Alcotest.(check bool) "bad literal" true (raises "nul");
-  Alcotest.(check bool) "unclosed array" true (raises "[1, 2")
+  List.iter
+    (fun (what, s) -> Alcotest.(check bool) what true (raises s))
+    [
+      ("trailing", "1 2");
+      ("unterminated string", {|"abc|});
+      ("bad literal", "nul");
+      ("unclosed array", "[1, 2");
+      ("trailing comma", "[1,]");
+      ("leading zero", "01");
+      ("bare dot", "1.");
+      ("leading dot", ".5");
+      ("plus sign", "+1");
+      ("unknown escape", {|"\x"|});
+      ("lone low surrogate", {|"\udc00"|});
+      ("unpaired high surrogate", {|"\ud800x"|});
+      ("high then non-low", {|"\ud800\u0041"|});
+      ("short \\u", {|"\u12"|});
+      ("raw control byte", "\"a\001b\"");
+      ("raw newline", "\"a\nb\"");
+    ]
 
 let test_json_accessors () =
-  let doc = Json.parse {|{"x": 3, "s": "hi", "flag": false, "l": [1]}|} in
+  let doc = Json.parse {|{"x": 3, "y": 5.0, "z": 2.5, "s": "hi", "flag": false, "l": [1]}|} in
   Alcotest.(check int) "int" 3 (Json.to_int (Json.member "x" doc));
+  Alcotest.(check int) "integral float as int" 5 (Json.to_int (Json.member "y" doc));
+  Alcotest.(check (float 0.)) "int as float" 3.0 (Json.to_float (Json.member "x" doc));
+  Alcotest.(check bool) "fractional float is not an int" true
+    (try ignore (Json.to_int (Json.member "z" doc)); false with Invalid_argument _ -> true);
   Alcotest.(check string) "string" "hi" (Json.to_str (Json.member "s" doc));
   Alcotest.(check bool) "bool" false (Json.to_bool (Json.member "flag" doc));
   Alcotest.(check int) "list" 1 (List.length (Json.to_list (Json.member "l" doc)));
   Alcotest.(check bool) "missing member" true
     (try ignore (Json.member "nope" doc); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "member_opt" true (Json.member_opt "nope" doc = None)
+
+(* IBMQ5 as Python's json.dumps writes it (spaces after ':' and ',',
+   non-ASCII and control characters as \u escapes), with integral
+   members written as floats. *)
+let python_style_machine =
+  {|{"name": "A\u0001B \u00e9", "interface": "ibm", "qubits": 5.0, "directed": true, |}
+  ^ {|"edges": [[1, 0], [2, 0], [2, 1], [3, 2], [3, 4], [4, 2]], "seed": 5, |}
+  ^ {|"profile": {"one_q_err": 0.002, "two_q_err": 4.8e-2, "readout_err": 0.062, |}
+  ^ {|"coherence_us": 40, "one_q_time_us": 0.05, "two_q_time_us": 0.3, |}
+  ^ {|"spatial_sigma": 0.45, "temporal_sigma": 0.3}}|}
+
+let test_machine_io_python_escapes () =
+  let m = Machine_io.of_string python_style_machine in
+  Alcotest.(check string) "decoded name" "A\001B \xc3\xa9" m.Machine.name;
+  Alcotest.(check int) "qubits 5.0" 5 (Machine.n_qubits m);
+  Alcotest.(check (float 0.)) "exponent" 0.048
+    m.Machine.profile.Calibration.avg_two_q_err
+
+let test_machine_io_nesting_bomb () =
+  let bomb = String.make 1_000_000 '[' in
+  let t0 = Sys.time () in
+  let msg =
+    match Machine_io.of_string bomb with
+    | _ -> "accepted"
+    | exception Machine_io.Error msg -> msg
+  in
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check string) "fails at the depth bound"
+    "JSON error at offset 512: nesting deeper than 512 levels" msg;
+  Alcotest.(check bool) (Printf.sprintf "fast (%.3f s)" dt) true (dt < 0.1)
+
+let test_machine_io_control_bytes () =
+  let ibmq5 = Machines.ibmq5 in
+  let name = "a\001b\r\t\"\\" in
+  let m =
+    Machine.create ~name ~basis:ibmq5.Machine.basis ~topology:ibmq5.Machine.topology
+      ~profile:ibmq5.Machine.profile ~seed:ibmq5.Machine.seed
+  in
+  let text = Machine_io.to_string m in
+  String.iter
+    (fun c ->
+      if c <> '\n' && Char.code c < 0x20 then
+        Alcotest.failf "raw control byte 0x%02x in %S" (Char.code c) text)
+    text;
+  Alcotest.(check string) "name round-trips" name
+    (Machine_io.of_string text).Machine.name
 
 let test_machine_io_roundtrip_all () =
   List.iter
@@ -479,6 +548,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_machine_io_validation;
           Alcotest.test_case "usable for compilation" `Quick
             test_machine_io_usable_for_compilation;
+          Alcotest.test_case "python-style escapes" `Quick
+            test_machine_io_python_escapes;
+          Alcotest.test_case "nesting bomb fails fast" `Quick
+            test_machine_io_nesting_bomb;
+          Alcotest.test_case "control bytes escaped" `Quick
+            test_machine_io_control_bytes;
         ] );
       ( "machines",
         [

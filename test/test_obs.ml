@@ -1,10 +1,11 @@
 (* Observability-layer tests: span nesting and ordering (single-domain
    and under a -j 8 domain pool), histogram bucket geometry, exporter
-   round-trips (the Chrome trace re-parses with the independent
-   Device.Json reader), the null-sink no-op contract (instrumentation
-   must not perturb compile or simulation results), pass_times_s as a
-   derived view of the pass spans, metrics counter deltas, and the shared
-   CLI envelope. *)
+   round-trips (the Chrome trace and JSONL lines re-parse with
+   Obs.Json.parse), the JSON writer/reader round-trip (a QCheck property
+   and a table of documents as standard writers print them), the
+   null-sink no-op contract (instrumentation must not perturb compile or
+   simulation results), pass_times_s as a derived view of the pass
+   spans, metrics counter deltas, and the shared CLI envelope. *)
 
 module Span = Obs.Span
 module Metrics = Obs.Metrics
@@ -148,27 +149,27 @@ let make_spans () =
 
 let test_chrome_roundtrip () =
   let spans = make_spans () in
-  let doc = Device.Json.parse (Export.chrome spans) in
-  let events = Device.Json.(to_list (member "traceEvents" doc)) in
+  let doc = Json.parse (Export.chrome spans) in
+  let events = Json.(to_list (member "traceEvents" doc)) in
   Alcotest.(check int) "one event per span" (List.length spans)
     (List.length events);
   let names =
-    List.map (fun e -> Device.Json.(to_str (member "name" e))) events
+    List.map (fun e -> Json.(to_str (member "name" e))) events
   in
   Alcotest.(check bool) "compile event present" true (List.mem "compile" names);
   List.iter
     (fun e ->
       Alcotest.(check string)
         "complete event" "X"
-        Device.Json.(to_str (member "ph" e));
+        Json.(to_str (member "ph" e));
       Alcotest.(check bool) "relative ts >= 0" true
-        (Device.Json.(to_float (member "ts" e)) >= 0.0);
+        (Json.(to_float (member "ts" e)) >= 0.0);
       Alcotest.(check bool) "dur >= 0" true
-        (Device.Json.(to_float (member "dur" e)) >= 0.0);
-      ignore Device.Json.(to_int (member "tid" e)))
+        (Json.(to_float (member "dur" e)) >= 0.0);
+      ignore Json.(to_int (member "tid" e)))
     events;
   let cats =
-    List.map (fun e -> Device.Json.(to_str (member "cat" e))) events
+    List.map (fun e -> Json.(to_str (member "cat" e))) events
   in
   Alcotest.(check bool) "category = name prefix" true (List.mem "sim" cats)
 
@@ -181,15 +182,15 @@ let test_jsonl_roundtrip () =
     (List.length lines);
   List.iter2
     (fun line (s : Span.t) ->
-      let doc = Device.Json.parse line in
+      let doc = Json.parse line in
       Alcotest.(check string)
         "name" s.Span.name
-        Device.Json.(to_str (member "name" doc));
-      Alcotest.(check int) "id" s.Span.id Device.Json.(to_int (member "id" doc));
+        Json.(to_str (member "name" doc));
+      Alcotest.(check int) "id" s.Span.id Json.(to_int (member "id" doc));
       (* start_ns/dur_ns are strings: they do not fit a double exactly. *)
       Alcotest.(check string)
         "dur_ns" (Int64.to_string s.Span.dur_ns)
-        Device.Json.(to_str (member "dur_ns" doc)))
+        Json.(to_str (member "dur_ns" doc)))
     lines spans
 
 let test_text_tree_nesting () =
@@ -299,6 +300,79 @@ let test_metrics_compile_counters () =
   Alcotest.(check int) "pass.runs.routing +1" (before_routing + 1)
     (counter_value "triq.pass.runs.routing")
 
+(* ---------- JSON writer/reader round-trip ---------- *)
+
+(* Integral floats print without a dot and read back as [Int]. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Float f, Json.Int i | Json.Int i, Json.Float f -> f = float_of_int i
+  | Json.List xs, Json.List ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(map Char.chr (int_range 0 127)) (int_range 0 8) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) finite;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  let rec value depth =
+    if depth = 0 then leaf
+    else
+      let child = value (depth - 1) in
+      frequency
+        [
+          (3, leaf);
+          (1, map (fun l -> Json.List l) (list_size (int_range 0 4) child));
+          (1, map (fun kvs -> Json.Obj kvs) (list_size (int_range 0 4) (pair str child)));
+        ]
+  in
+  value 6
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string v) = v"
+    (QCheck.make ~print:(Json.to_string ~pretty:false) json_gen)
+    (fun v ->
+      List.for_all
+        (fun pretty -> json_equal (Json.parse (Json.to_string ~pretty v)) v)
+        [ false; true ])
+
+(* Documents as standard writers (Python's json.dumps, JavaScript's
+   JSON.stringify) print them, read exactly: integer literals as [Int],
+   every other number as [Float]. *)
+let test_json_standard_documents () =
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check bool) text true (Json.parse text = want))
+    [
+      ({|{"a": 1, "b": 2.5}|}, Json.Obj [ ("a", Json.Int 1); ("b", Json.Float 2.5) ]);
+      ( {|[1e3, -0.5E-2, 2E+2, 0, -0, 1.0]|},
+        Json.List
+          [ Json.Float 1000.; Json.Float (-0.005); Json.Float 200.; Json.Int 0;
+            Json.Int 0; Json.Float 1.0 ] );
+      ( {|{"x": [], "y": {}, "z": [[], [{}]]}|},
+        Json.Obj
+          [
+            ("x", Json.List []);
+            ("y", Json.Obj []);
+            ("z", Json.List [ Json.List []; Json.List [ Json.Obj [] ] ]);
+          ] );
+      ( {|"\u00e9 \ud83d\ude00 \u0001 \/ \b\f"|},
+        Json.Str "\xc3\xa9 \xf0\x9f\x98\x80 \001 / \b\012" );
+      ("  [ true , false , null ]  \n", Json.List [ Json.Bool true; Json.Bool false; Json.Null ]);
+      ("-12345678901234567890", Json.Float (-12345678901234567890.));
+      ({|{"k": "v", "k": 2}|}, Json.Obj [ ("k", Json.Str "v"); ("k", Json.Int 2) ]);
+    ]
+
 (* ---------- CLI envelope ---------- *)
 
 let test_output_envelope () =
@@ -306,12 +380,7 @@ let test_output_envelope () =
     "envelope shape"
     {|{"ok":true,"command":"metrics","data":{"a":1,"b":"x"}}|}
     (Obs.Output.to_string ~ok:true ~command:"metrics"
-       (Json.Obj [ ("a", Json.Int 1); ("b", Json.Str "x") ]));
-  Alcotest.(check string)
-    "raw splice"
-    {|{"ok":false,"command":"lint","data":[{"pre":1}]}|}
-    (Obs.Output.to_string ~ok:false ~command:"lint"
-       (Json.List [ Json.Raw {|{"pre":1}|} ]))
+       (Json.Obj [ ("a", Json.Int 1); ("b", Json.Str "x") ]))
 
 let () =
   Alcotest.run "obs"
@@ -346,6 +415,11 @@ let () =
         [
           Alcotest.test_case "pass_times_s from spans" `Quick
             test_pass_times_derived_from_spans;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "standard documents" `Quick test_json_standard_documents;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "cli",
         [
