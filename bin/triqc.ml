@@ -201,11 +201,12 @@ let with_trace (trace, fmt_name) k =
 
 let print_stats (r : Triq.Pipeline.t) =
   Printf.eprintf
-    "; %s on %s (day %d): 2Q=%d, pulses=%d, swaps=%d, ESP=%.4f, compile=%.3fs\n"
+    "; %s on %s (day %d): 2Q=%d, pulses=%d, swaps=%d, ESP=%.4f, compile=%.0fus\n"
     (Triq.Pipeline.level_name r.Triq.Pipeline.level)
     r.Triq.Pipeline.machine.Device.Machine.name r.Triq.Pipeline.day
     r.Triq.Pipeline.two_q_count r.Triq.Pipeline.pulse_count
-    r.Triq.Pipeline.swap_count r.Triq.Pipeline.esp r.Triq.Pipeline.compile_time_s
+    r.Triq.Pipeline.swap_count r.Triq.Pipeline.esp
+    (r.Triq.Pipeline.compile_time_s *. 1e6)
 
 let compile_common file machine_name level_name =
   let ( let* ) = Result.bind in

@@ -47,9 +47,7 @@ module Config : sig
     day : int;  (** calibration day to compile against *)
     layout : Layout.Config.t;
         (** layout-engine options for the mapping pass: strategy
-            (bb/smt), work budget, cache toggle — the
-            one typed record shared with [Pipeline] (the former
-            [node_budget]/[mapper_nodes]/[mapper_optimal] trio) *)
+            (bb/smt) and work budget *)
     router : router;
     peephole : bool;
         (** insert the adjacent self-inverse 2Q cancellation pass after

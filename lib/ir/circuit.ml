@@ -7,6 +7,13 @@ let check_register ~layer ~line ~used name size =
     Diag.invalid ~rule:"circuit.bounds" ~layer ~loc:(Diag.Line line)
       "register %s[%d] takes the program past %d qubits" name size max_qubits
 
+let max_gates = 1_000_000
+
+let check_gates ~layer ~line count =
+  if count > max_gates then
+    Diag.invalid ~rule:"circuit.bounds" ~layer ~loc:(Diag.Line line)
+      "program expands past %d gates" max_gates
+
 let validate n gates =
   if n <= 0 then invalid_arg "Circuit.create: n_qubits must be positive";
   List.iter

@@ -15,6 +15,17 @@ val max_qubits : int
     register is declared, before any per-qubit work. *)
 val check_register : layer:string -> line:int -> used:int -> string -> int -> unit
 
+(** The most gates a frontend may expand a program into: far above every
+    bundled and generated circuit (the 72-qubit scaling circuits hold about
+    10{^4}). A gate-definition or module call and a loop iteration count as
+    one each, so an expansion that emits nothing is bounded too. *)
+val max_gates : int
+
+(** [check_gates ~layer ~line count] raises the [circuit.bounds] {!Diag}
+    when [count] expansion steps pass {!max_gates}. The frontends call it
+    each time they emit a gate, expand a call or unroll a loop iteration. *)
+val check_gates : layer:string -> line:int -> int -> unit
+
 (** [create n gates] validates that every gate's operands lie in
     [\[0, n)] and are distinct, raising [Invalid_argument] otherwise. *)
 val create : int -> Gate.t list -> t

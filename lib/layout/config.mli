@@ -1,6 +1,5 @@
-(** Layout-engine configuration: the one typed record threaded through
-    [Pass.Config] and [Pipeline] (replacing the duplicated
-    [mapper_nodes]/[mapper_optimal]/[node_budget] fields). *)
+(** Layout-engine configuration: which solver the mapping pass runs and
+    how much work it may do. *)
 
 (** The paper's two placement solvers (Section 4.3): [Bb] is the max-min
     branch-and-bound search, [Smt] its SMT threshold formulation. *)

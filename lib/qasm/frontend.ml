@@ -298,6 +298,7 @@ type env = {
   mutable defs : (string * gate_def) list;
   mutable gates : Ir.Gate.t list;  (** reversed *)
   mutable readout : (int * int) list;  (** cbit -> qubit *)
+  mutable expanded : int;  (** gates and calls so far *)
 }
 
 let one k q = Ir.Gate.One (k, q)
@@ -401,6 +402,11 @@ let builtin line name params (qs : int array) =
 
 let max_expansion_depth = 64
 
+(* [n] expansion steps, bounded by Ir.Circuit.max_gates. *)
+let tick env line n =
+  env.expanded <- env.expanded + n;
+  Ir.Circuit.check_gates ~layer:"qasm" ~line env.expanded
+
 let rec apply_gate env depth line name param_values (qs : int array) =
   if depth > max_expansion_depth then
     fail line "gate expansion too deep (recursive definition of %s?)" name;
@@ -410,11 +416,16 @@ let rec apply_gate env depth line name param_values (qs : int array) =
   in
   if not distinct then fail line "gate %s applied with repeated qubits" name;
   match builtin line name param_values qs with
-  | Some gates -> List.iter (fun g -> env.gates <- g :: env.gates) gates
+  | Some gates ->
+    tick env line (max 1 (List.length gates));
+    List.iter (fun g -> env.gates <- g :: env.gates) gates
   | None -> (
-    match List.assoc_opt name env.defs with
+    match
+      List.find_map (fun (n, d) -> if String.equal n name then Some d else None) env.defs
+    with
     | None -> fail line "unknown gate %S" name
     | Some def ->
+      tick env line 1;
       if List.length def.g_params <> List.length param_values then
         fail line "gate %s expects %d parameter(s)" name (List.length def.g_params);
       if List.length def.g_qubits <> Array.length qs then
@@ -561,6 +572,7 @@ let parse_measure st env =
     if List.exists (fun (_, q) -> q = qubit) env.readout then
       fail line "qubit measured twice";
     env.readout <- (cbit, qubit) :: env.readout;
+    tick env line 1;
     env.gates <- Ir.Gate.Measure qubit :: env.gates
   in
   match (src, dst) with
@@ -587,6 +599,7 @@ let parse st =
       defs = [];
       gates = [];
       readout = [];
+      expanded = 0;
     }
   in
   (* Header. *)

@@ -25,6 +25,7 @@ type state = {
   mutable measured : int list;  (** reversed *)
   mutable qubit_names : (string * int) list;  (** reversed *)
   mutable events : event list;  (** reversed; the linter's trace *)
+  mutable expanded : int;  (** gates, calls and loop iterations so far *)
 }
 
 type context = {
@@ -84,12 +85,18 @@ let resolve_qubit ctx line (r : Ast.qubit_ref) =
 
 let emit st g = st.gates <- g :: st.gates
 
+(* One expansion step, bounded by Ir.Circuit.max_gates. *)
+let tick st line =
+  st.expanded <- st.expanded + 1;
+  Ir.Circuit.check_gates ~layer:"scaffold" ~line st.expanded
+
 let record st e = st.events <- e :: st.events
 
 let apply_primitive st ctx line name angles qubits =
   let a = Array.of_list angles in
   let q = Array.of_list qubits in
   ignore ctx;
+  tick st line;
   let need_angles n =
     if Array.length a <> n then
       fail line "gate %s expects %d angle argument(s), got %d" name n (Array.length a)
@@ -194,6 +201,7 @@ let rec exec_stmt st ctx (s : Ast.stmt) =
     let lo = eval_int ctx line from_ and hi = eval_int ctx line to_ in
     if hi - lo > 100_000 then fail line "loop too large to unroll";
     for i = lo to hi - 1 do
+      tick st line;
       let loop_ctx = { ctx with loop_vars = (var, i) :: ctx.loop_vars } in
       ignore (exec_block st loop_ctx body)
     done;
@@ -203,6 +211,7 @@ let rec exec_stmt st ctx (s : Ast.stmt) =
     if List.mem q st.measured then fail line "qubit measured twice";
     st.measured <- q :: st.measured;
     record st (Measure_use { qubit = q; line });
+    tick st line;
     emit st (Ir.Gate.Measure q);
     ctx
   | Measure_all { register; line } -> (
@@ -214,6 +223,7 @@ let rec exec_stmt st ctx (s : Ast.stmt) =
         if List.mem q st.measured then fail line "qubit measured twice";
         st.measured <- q :: st.measured;
         record st (Measure_use { qubit = q; line });
+        tick st line;
         emit st (Ir.Gate.Measure q)
       done;
       ctx)
@@ -223,6 +233,7 @@ and exec_block st ctx body = List.fold_left (exec_stmt st) ctx body
 and call_module st ctx line (callee : Ast.module_def) args =
   if ctx.depth >= max_call_depth then
     fail line "module call depth exceeds %d (recursive modules?)" max_call_depth;
+  tick st line;
   if List.length args <> List.length callee.Ast.params then
     fail line "module %S expects %d qubit argument(s), got %d" callee.Ast.name
       (List.length callee.Ast.params)
@@ -244,7 +255,15 @@ and call_module st ctx line (callee : Ast.module_def) args =
 let lower_traced (ast : Ast.t) =
   let modules = List.map (fun (m : Ast.module_def) -> (m.Ast.name, m)) ast.Ast.modules in
   let st =
-    { modules; next_qubit = 0; gates = []; measured = []; qubit_names = []; events = [] }
+    {
+      modules;
+      next_qubit = 0;
+      gates = [];
+      measured = [];
+      qubit_names = [];
+      events = [];
+      expanded = 0;
+    }
   in
   let result =
     try

@@ -1,6 +1,12 @@
 exception Error of string * int * int
 
-type state = { mutable tokens : Token.t list }
+type state = {
+  mutable tokens : Token.t list;
+  mutable loops : int;  (** enclosing [for] loops *)
+}
+
+(* Deeper nesting fails at once instead of recursing on hostile input. *)
+let max_loop_depth = 512
 
 let current st =
   match st.tokens with
@@ -188,13 +194,18 @@ let rec stmt st =
     | _ -> Some (Ast.Decl { name; size; line }))
   | Kw_for ->
     let line = tok.Token.line in
+    if st.loops >= max_loop_depth then
+      Ir.Diag.invalid ~rule:"circuit.bounds" ~layer:"scaffold" ~loc:(Ir.Diag.Line line)
+        "for loops nested deeper than %d levels" max_loop_depth;
     advance st;
     let var = expect_ident st in
     expect st Token.Kw_in;
     let from_ = int_expr st in
     expect st Token.Dotdot;
     let to_ = int_expr st in
+    st.loops <- st.loops + 1;
     let body = block st in
+    st.loops <- st.loops - 1;
     Some (Ast.For { var; from_; to_; body; line })
   | Kw_measure ->
     let line = tok.Token.line in
@@ -277,7 +288,7 @@ let parse source =
     try Lexer.tokenize source
     with Lexer.Error (msg, line, col) -> raise (Error (msg, line, col))
   in
-  let st = { tokens } in
+  let st = { tokens; loops = 0 } in
   let rec collect acc =
     match (current st).Token.kind with
     | Eof -> List.rev acc

@@ -241,18 +241,20 @@ let test_compiles_end_to_end () =
   let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) compiled spec in
   Alcotest.(check bool) "correct" true outcome.Sim.Runner.dominant_correct
 
+(* [parse src] must fail with the circuit.bounds diagnostic within
+   [seconds] of CPU time. *)
+let rejects ?(seconds = 0.1) what parse src =
+  let t0 = Sys.time () in
+  (match parse src with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument msg ->
+    if not (String.starts_with ~prefix:"error[circuit.bounds]" msg) then
+      Alcotest.failf "%s: wrong diagnostic %S" what msg);
+  if Sys.time () -. t0 > seconds then Alcotest.failf "%s: rejected too slowly" what
+
 let test_huge_registers () =
   (* Both frontends bound a register where it is declared, before any
      per-qubit work: 10^8 qubits fail at once with circuit.bounds. *)
-  let rejects what parse src =
-    let t0 = Sys.time () in
-    (match parse src with
-    | _ -> Alcotest.failf "%s: accepted" what
-    | exception Invalid_argument msg ->
-      if not (String.starts_with ~prefix:"error[circuit.bounds]" msg) then
-        Alcotest.failf "%s: wrong diagnostic %S" what msg);
-    if Sys.time () -. t0 > 0.1 then Alcotest.failf "%s: rejected too slowly" what
-  in
   rejects "qreg" F.parse (header ^ "qreg q[100000000];");
   rejects "creg" F.parse (header ^ "qreg q[1];\ncreg c[100000000];");
   rejects "qreg total" F.parse (header ^ "qreg a[1000];\nqreg b[1000];");
@@ -261,6 +263,36 @@ let test_huge_registers () =
   let at_limit = F.parse (Printf.sprintf "%sqreg q[%d];" header Ir.Circuit.max_qubits) in
   Alcotest.(check int) "the limit itself is accepted" Ir.Circuit.max_qubits
     at_limit.F.circuit.Ir.Circuit.n_qubits
+
+let test_expansion_bombs () =
+  (* Tiny programs that expand to 2^40 and 10^10 gates stop at
+     Ir.Circuit.max_gates instead of running for hours. *)
+  let defs =
+    List.init 40 (fun i ->
+        Printf.sprintf "gate g%d a { g%d a; g%d a; }\n" (i + 1) i i)
+  in
+  rejects ~seconds:1.0 "qasm doubling gates" F.parse
+    (header ^ "gate g0 a { h a; }\n" ^ String.concat "" defs ^ "qreg q[1];\ng40 q[0];\n");
+  rejects ~seconds:1.0 "scaffold nested loops" Scaffold.Lower.compile_string
+    "module main() {\n  qbit q[1];\n\
+    \  for i in 0..100000 { for j in 0..100000 { H(q[0]); } }\n}"
+
+let test_deep_loop_nesting () =
+  (* 10^5 nested for loops fail at the parser's depth cap instead of
+     unrolling in quadratic time. *)
+  let depth = 100_000 in
+  let b = Buffer.create (depth * 24) in
+  Buffer.add_string b "module main() {\n  qbit q[1];\n";
+  for i = 1 to depth do
+    Printf.bprintf b "for v%d in 0..1 {\n" i
+  done;
+  Buffer.add_string b "H(q[0]);\n";
+  for _ = 1 to depth do
+    Buffer.add_string b "}\n"
+  done;
+  Buffer.add_string b "}\n";
+  rejects ~seconds:1.0 "scaffold deep loops" Scaffold.Lower.compile_string
+    (Buffer.contents b)
 
 let () =
   Alcotest.run "qasm"
@@ -287,6 +319,8 @@ let () =
         [
           Alcotest.test_case "diagnostics" `Quick test_errors;
           Alcotest.test_case "huge registers" `Quick test_huge_registers;
+          Alcotest.test_case "expansion bombs" `Quick test_expansion_bombs;
+          Alcotest.test_case "deep loop nesting" `Quick test_deep_loop_nesting;
         ] );
       ( "integration",
         [
