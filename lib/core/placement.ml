@@ -94,6 +94,11 @@ let run_strategy ~(config : Layout.Config.t) pr =
   let report, _dt =
     Obs.Span.timed
       ~attrs:[ ("strategy", Obs.Span.Str name) ]
+      ~result_attrs:(fun (r : Layout.Report.t) ->
+        [
+          ("work", Obs.Span.Int (Layout.Report.work_total r.Layout.Report.work));
+          ("proven_optimal", Obs.Span.Bool r.Layout.Report.proven_optimal);
+        ])
       ("layout.strategy." ^ name)
       (fun () ->
         match config.Layout.Config.strategy with

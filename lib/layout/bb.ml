@@ -1,6 +1,6 @@
 (* Branch-and-bound placement search.
 
-   The paper's max-min search over Problem.t, with two *sound* pruning
+   The paper's max-min search over Problem.t, with three *sound* pruning
    devices on top of the incumbent rule:
 
    - a memoized partial-assignment bound: per-qubit optimistic caps
@@ -9,38 +9,99 @@
      admissible bound on what any completion of the current partial
      assignment can still achieve;
 
+   - a tie bound for Max_min: a branch whose optimistic minimum cannot
+     strictly beat the incumbent's can only be recorded through the
+     log-product tie rule of [better], so it must also be able to beat the
+     incumbent's log-product. Noise-unaware scores are full of equal
+     reliabilities; without this bound the search enumerates every tied
+     placement;
+
    - dominance pruning over symmetric hardware qubits: hardware qubits
      with bitwise-identical score/readout profiles are interchangeable, so
      at each node only the first unused member of each symmetry class is
      branched on.
 
-   Both prunings only discard subtrees that provably cannot change the
+   All three only discard subtrees that provably cannot change the
    recorded incumbent chain, so the returned placement (and objective) is
    bit-identical to the un-pruned search. The argument relies on
    reliability values that are either bitwise equal or separated by much
    more than the 1e-12 tie tolerance — true of every calibration model in
    the tree, and pinned by the compiled-artifact digests in
-   test/layout_golden.ml. *)
+   test/layout_golden.ml.
+
+   Each node is flat and allocation-free: the problem's closures are
+   tabulated once per solve (scores and their logs, readouts and their
+   logs, interaction partners as arrays), candidate costs go into
+   per-depth buffers, and the candidates are ordered by an in-place
+   heapsort on a monomorphic comparison, so a node costs O(k log k) over
+   its k candidates on top of the O(n_hardware) scan. *)
 
 let log_floor = Problem.log_floor
 let default_node_budget = 200_000
+let m_nodes = Obs.Metrics.counter "layout.bb.nodes"
+let m_truncated = Obs.Metrics.counter "layout.bb.truncated"
+
+(* The problem tabulated once per solve. Hardware pairs are row-major:
+   [score.(h * n_hardware + h')] is [pr.score h h'] (the diagonal is never
+   read); the [log_] tables hold [log (max r log_floor)], the exact terms
+   the objective accumulates. [partner.(p)], [oriented.(p)] and
+   [count.(p)] are [Problem.partners] as arrays, in the same order (cost
+   accumulation order is part of the bit-compatibility contract). *)
+type tables = {
+  n_hardware : int;
+  score : float array;
+  log_score : float array;
+  readout : float array;
+  log_readout : float array;
+  partner : int array array;
+  oriented : bool array array;
+  count : float array array;
+  measured : bool array;
+}
+
+let log_term r = log (Float.max r log_floor)
+
+let tabulate (pr : Problem.t) =
+  let n = pr.n_hardware in
+  let score = Array.make (n * n) 0.0 in
+  for h = 0 to n - 1 do
+    for h' = 0 to n - 1 do
+      if h <> h' then score.((h * n) + h') <- pr.score h h'
+    done
+  done;
+  let readout = Array.init n pr.readout in
+  let partners = Array.map Array.of_list (Problem.partners pr) in
+  {
+    n_hardware = n;
+    score;
+    log_score = Array.map log_term score;
+    readout;
+    log_readout = Array.map log_term readout;
+    partner = Array.map (Array.map (fun (other, _, _) -> other)) partners;
+    oriented = Array.map (Array.map (fun (_, oriented, _) -> oriented)) partners;
+    count = Array.map (Array.map (fun (_, _, count) -> float_of_int count)) partners;
+    measured = Problem.measured_set pr;
+  }
 
 (* Hardware symmetry classes: rep.(h) is the smallest hardware qubit whose
    score/readout profile is bitwise identical to h's (swapping the two
    qubits is an automorphism of the score model). *)
-let symmetry_reps (pr : Problem.t) =
-  let n = pr.n_hardware in
+let symmetry_reps t =
+  let n = t.n_hardware and score = t.score in
   let rep = Array.init n (fun h -> h) in
   let same h1 h2 =
-    pr.readout h1 = pr.readout h2
-    && pr.score h1 h2 = pr.score h2 h1
-    && (let ok = ref true in
-        for x = 0 to n - 1 do
-          if x <> h1 && x <> h2 then
-            if pr.score h1 x <> pr.score h2 x || pr.score x h1 <> pr.score x h2
-            then ok := false
-        done;
-        !ok)
+    t.readout.(h1) = t.readout.(h2)
+    && score.((h1 * n) + h2) = score.((h2 * n) + h1)
+    &&
+    let ok = ref true in
+    for x = 0 to n - 1 do
+      if x <> h1 && x <> h2 then
+        if
+          score.((h1 * n) + x) <> score.((h2 * n) + x)
+          || score.((x * n) + h1) <> score.((x * n) + h2)
+        then ok := false
+    done;
+    !ok
   in
   for h2 = 1 to n - 1 do
     let h1 = ref 0 in
@@ -61,15 +122,15 @@ let symmetry_reps (pr : Problem.t) =
    >= k. *)
 type bounds = { suffix_min : float array; suffix_log : float array }
 
-let compute_bounds (pr : Problem.t) order partners measured_set =
-  let n = pr.n_program and h_n = pr.n_hardware in
+let compute_bounds (pr : Problem.t) t order =
+  let n = pr.n_program and h_n = t.n_hardware in
   let rowmax_out = Array.make h_n neg_infinity in
   let rowmax_in = Array.make h_n neg_infinity in
   let global_max = ref neg_infinity in
   for h = 0 to h_n - 1 do
     for h' = 0 to h_n - 1 do
       if h <> h' then begin
-        let s = pr.score h h' in
+        let s = t.score.((h * h_n) + h') in
         if s > rowmax_out.(h) then rowmax_out.(h) <- s;
         if s > rowmax_in.(h') then rowmax_in.(h') <- s;
         if s > !global_max then global_max := s
@@ -81,13 +142,13 @@ let compute_bounds (pr : Problem.t) order partners measured_set =
     let best = ref neg_infinity in
     for h = 0 to h_n - 1 do
       let cap = ref infinity in
-      List.iter
-        (fun (_, oriented, _) ->
+      Array.iter
+        (fun oriented ->
           let rm = if oriented then rowmax_out.(h) else rowmax_in.(h) in
           if rm < !cap then cap := rm)
-        partners.(q);
-      if measured_set.(q) then begin
-        let r = pr.readout h in
+        t.oriented.(q);
+      if t.measured.(q) then begin
+        let r = t.readout.(h) in
         if r < !cap then cap := r
       end;
       if !cap > !best then best := !cap
@@ -99,148 +160,197 @@ let compute_bounds (pr : Problem.t) order partners measured_set =
   (* Log terms accounted at each order position: an edge lands on the
      later-placed endpoint; a readout on its own qubit. *)
   let log_at = Array.make n 0.0 in
-  let edge_log = log (Float.max !global_max log_floor) in
+  let edge_log = log_term !global_max in
   List.iter
     (fun ((a, b), count) ->
       let later = if pos.(a) > pos.(b) then pos.(a) else pos.(b) in
       log_at.(later) <- log_at.(later) +. (float_of_int count *. edge_log))
     pr.pairs;
-  let max_readout = ref neg_infinity in
-  for h = 0 to h_n - 1 do
-    let r = pr.readout h in
-    if r > !max_readout then max_readout := r
-  done;
-  List.iter
-    (fun m ->
-      log_at.(pos.(m)) <- log_at.(pos.(m)) +. log (Float.max !max_readout log_floor))
-    pr.measured;
+  let max_readout =
+    Array.fold_left (fun acc r -> if r > acc then r else acc) neg_infinity t.readout
+  in
+  let readout_log = log_term max_readout in
+  List.iter (fun m -> log_at.(pos.(m)) <- log_at.(pos.(m)) +. readout_log) pr.measured;
   let suffix_min = Array.make (n + 1) infinity in
   let suffix_log = Array.make (n + 1) 0.0 in
   for k = n - 1 downto 0 do
     suffix_min.(k) <- Float.min suffix_min.(k + 1) cap_min.(order.(k));
-    (* Optimistic log terms are <= 0 only when scores are <= 1; clamp at 0
-       so the bound stays admissible for any score model. *)
-    suffix_log.(k) <- suffix_log.(k + 1) +. Float.min 0.0 log_at.(k)
+    suffix_log.(k) <- suffix_log.(k + 1) +. log_at.(k)
   done;
   { suffix_min; suffix_log }
+
+(* Does hardware qubit [a] branch before [b], given their costs
+   [cmin]/[clog] at this node? Best local cost first under the objective's
+   key, ties to the higher hardware qubit. The incumbent chain, and so the
+   returned placement, depends on this order (pinned by
+   test/layout_golden.ml). It is a strict total order, so an unstable
+   in-place sort reproduces it exactly. *)
+let before objective cmin clog a b =
+  let c =
+    match (objective : Problem.objective) with
+    | Max_min ->
+      let c = Float.compare cmin.(a) cmin.(b) in
+      if c <> 0 then c else Float.compare clog.(a) clog.(b)
+    | Product ->
+      let c = Float.compare clog.(a) clog.(b) in
+      if c <> 0 then c else Float.compare cmin.(a) cmin.(b)
+  in
+  if c <> 0 then c > 0 else a > b
+
+(* Heapsort of buf.(0 .. k-1) into branching order: a heap whose root is
+   the candidate branched on last. *)
+let rec sift objective cmin clog buf i k =
+  let l = (2 * i) + 1 in
+  if l < k then begin
+    let c =
+      if l + 1 < k && before objective cmin clog buf.(l) buf.(l + 1) then l + 1 else l
+    in
+    if before objective cmin clog buf.(i) buf.(c) then begin
+      let x = buf.(i) in
+      buf.(i) <- buf.(c);
+      buf.(c) <- x;
+      sift objective cmin clog buf c k
+    end
+  end
+
+let sort_candidates objective cmin clog buf k =
+  for i = (k / 2) - 1 downto 0 do
+    sift objective cmin clog buf i k
+  done;
+  for last = k - 1 downto 1 do
+    let x = buf.(0) in
+    buf.(0) <- buf.(last);
+    buf.(last) <- x;
+    sift objective cmin clog buf 0 last
+  done
 
 let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   let n_program = pr.n_program and n_hardware = pr.n_hardware in
   let objective = pr.objective in
-  let partners = Problem.partners pr in
-  let measured_set = Problem.measured_set pr in
+  let t = tabulate pr in
   let order = Problem.order pr in
-  let rep = symmetry_reps pr in
-  let bounds = compute_bounds pr order partners measured_set in
+  let rep = symmetry_reps t in
+  let { suffix_min; suffix_log } = compute_bounds pr t order in
   let placement = Array.make n_program (-1) in
   let used = Array.make n_hardware false in
+  let class_seen = Array.make n_hardware false in
   let nodes = ref 0 in
   let truncated = ref false in
-  let best_placement = ref None in
-  let best_min = ref (-1.0) in
-  let best_log = ref neg_infinity in
-  (* Incumbent recording rule — identical to the original search. *)
-  let better cur_min cur_log =
-    match objective with
-    | Problem.Max_min ->
-      cur_min > !best_min +. 1e-12
-      || (cur_min > !best_min -. 1e-12 && cur_log > !best_log)
-    | Problem.Product ->
-      cur_log > !best_log || (cur_log = !best_log && cur_min > !best_min +. 1e-12)
+  (* The incumbent, seeded with the trivial placement. *)
+  let best_placement = ref (Problem.trivial pr) in
+  let best_min, best_log =
+    let m, lp = Problem.evaluate pr !best_placement in
+    (ref m, ref lp)
   in
-  let record pl m lp =
-    best_min := m;
-    best_log := lp;
-    best_placement := Some pl
-  in
-  (* Seed the incumbent with the trivial placement. *)
-  let () =
-    let trivial_placement = Problem.trivial pr in
-    let m, lp = Problem.evaluate pr trivial_placement in
-    record trivial_placement m lp
-  in
-  let placement_cost p h =
+  (* Per-depth buffers. At depth d (placing order.(d)): path_min.(d) and
+     path_log.(d) score the partial placement so far; cost_min.(d).(h) and
+     cost_log.(d).(h) are the terms placing order.(d) on h adds;
+     candidates.(d) holds the viable hardware qubits in branching order. *)
+  let path_min = Array.make (n_program + 1) 1.0 in
+  let path_log = Array.make (n_program + 1) 0.0 in
+  let cost_min = Array.make_matrix n_program n_hardware 0.0 in
+  let cost_log = Array.make_matrix n_program n_hardware 0.0 in
+  let candidates = Array.make_matrix n_program n_hardware 0 in
+  (* The terms placing p on h adds against the already-placed partners. *)
+  let placement_cost depth p h =
     let min_rel = ref 1.0 and log_prod = ref 0.0 in
-    let account r count =
+    let partner = t.partner.(p) and oriented = t.oriented.(p) and count = t.count.(p) in
+    for j = 0 to Array.length partner - 1 do
+      let oh = placement.(partner.(j)) in
+      if oh >= 0 then begin
+        let i = if oriented.(j) then (h * n_hardware) + oh else (oh * n_hardware) + h in
+        let r = t.score.(i) in
+        if r < !min_rel then min_rel := r;
+        log_prod := !log_prod +. (count.(j) *. t.log_score.(i))
+      end
+    done;
+    if t.measured.(p) then begin
+      let r = t.readout.(h) in
       if r < !min_rel then min_rel := r;
-      log_prod := !log_prod +. (float_of_int count *. log (Float.max r log_floor))
-    in
-    List.iter
-      (fun (other, oriented, count) ->
-        let oh = placement.(other) in
-        if oh >= 0 then
-          let r = if oriented then pr.score h oh else pr.score oh h in
-          account r count)
-      partners.(p);
-    if measured_set.(p) then account (pr.readout h) 1;
-    (!min_rel, !log_prod)
+      log_prod := !log_prod +. t.log_readout.(h)
+    end;
+    cost_min.(depth).(h) <- !min_rel;
+    cost_log.(depth).(h) <- !log_prod
   in
-  (* The original viability rule, plus the O(1) suffix bound: a branch is
-     kept only when an optimistic completion could still be recorded. *)
-  let viable depth next_min next_log =
+  (* Could some completion of placing order.(depth) on h still be
+     recorded? Checked against the suffix bounds and, for Max_min, the tie
+     bound: a completion that cannot strictly beat the incumbent's minimum
+     is recorded only if it beats its log-product. *)
+  let viable depth h =
+    let next_min = Float.min path_min.(depth) cost_min.(depth).(h) in
+    let next_log = path_log.(depth) +. cost_log.(depth).(h) in
+    let opt_log = next_log +. suffix_log.(depth + 1) in
     match objective with
     | Problem.Max_min ->
-      (!best_placement = None || next_min >= !best_min -. 1e-12)
-      && Float.min next_min bounds.suffix_min.(depth) >= !best_min -. 1e-12
-    | Problem.Product ->
-      (!best_placement = None || next_log > !best_log)
-      && next_log +. bounds.suffix_log.(depth) >= !best_log
+      let opt_min = Float.min next_min suffix_min.(depth + 1) in
+      opt_min >= !best_min -. 1e-12
+      && (opt_min > !best_min +. 1e-12 || opt_log > !best_log)
+    | Problem.Product -> next_log > !best_log && opt_log >= !best_log
   in
-  let class_seen = Array.make n_hardware false in
-  let rec search depth cur_min cur_log =
-    if !truncated then ()
-    else if depth = n_program then begin
-      if better cur_min cur_log then record (Array.copy placement) cur_min cur_log
+  let rec search depth =
+    if depth = n_program then begin
+      (* The incumbent recording rule: Max_min breaks ties on the minimum
+         (within 1e-12) by log-product. *)
+      let cur_min = path_min.(depth) and cur_log = path_log.(depth) in
+      let better =
+        match objective with
+        | Problem.Max_min ->
+          cur_min > !best_min +. 1e-12
+          || (cur_min > !best_min -. 1e-12 && cur_log > !best_log)
+        | Problem.Product ->
+          cur_log > !best_log || (cur_log = !best_log && cur_min > !best_min +. 1e-12)
+      in
+      if better then begin
+        best_min := cur_min;
+        best_log := cur_log;
+        best_placement := Array.copy placement
+      end
     end
     else begin
       let p = order.(depth) in
-      (* Candidate hardware qubits, best local cost first. Dominance: only
-         the first unused member of each hardware symmetry class is
-         branched on — its class twins root isomorphic subtrees explored
-         no earlier, which can never improve on it. *)
+      let cmin = cost_min.(depth) and clog = cost_log.(depth) in
+      let buf = candidates.(depth) in
+      (* Candidate hardware qubits. Dominance: only the first unused
+         member of each hardware symmetry class is branched on — its class
+         twins root isomorphic subtrees explored no earlier, which can
+         never improve on it. *)
       Array.fill class_seen 0 n_hardware false;
-      let candidates = ref [] in
+      let k = ref 0 in
       for h = 0 to n_hardware - 1 do
         if (not used.(h)) && not class_seen.(rep.(h)) then begin
           class_seen.(rep.(h)) <- true;
-          let m, lp = placement_cost p h in
-          if viable (depth + 1) (Float.min cur_min m) (cur_log +. lp) then
-            candidates := (m, lp, h) :: !candidates
+          placement_cost depth p h;
+          if viable depth h then begin
+            buf.(!k) <- h;
+            incr k
+          end
         end
       done;
-      let candidates =
-        let by_min (m1, l1, _) (m2, l2, _) = compare (m2, l2) (m1, l1) in
-        let by_log (m1, l1, _) (m2, l2, _) = compare (l2, m2) (l1, m1) in
-        List.sort
-          (match objective with Problem.Max_min -> by_min | Problem.Product -> by_log)
-          !candidates
-      in
-      List.iter
-        (fun (m, lp, h) ->
-          if not !truncated then begin
-            incr nodes;
-            if !nodes > node_budget then truncated := true
-            else begin
-              let next_min = Float.min cur_min m in
-              if viable (depth + 1) next_min (cur_log +. lp) then begin
-                placement.(p) <- h;
-                used.(h) <- true;
-                search (depth + 1) next_min (cur_log +. lp);
-                used.(h) <- false;
-                placement.(p) <- -1
-              end
-            end
-          end)
-        candidates
+      sort_candidates objective cmin clog buf !k;
+      let i = ref 0 in
+      while !i < !k && not !truncated do
+        let h = buf.(!i) in
+        incr nodes;
+        if !nodes > node_budget then truncated := true
+        else if viable depth h then begin
+          placement.(p) <- h;
+          used.(h) <- true;
+          path_min.(depth + 1) <- Float.min path_min.(depth) cmin.(h);
+          path_log.(depth + 1) <- path_log.(depth) +. clog.(h);
+          search (depth + 1);
+          used.(h) <- false;
+          placement.(p) <- -1
+        end;
+        incr i
+      done
     end
   in
-  search 0 1.0 0.0;
-  let pl =
-    match !best_placement with Some pl -> pl | None -> Problem.trivial pr
-  in
+  search 0;
+  Obs.Metrics.incr m_nodes ~by:!nodes;
+  if !truncated then Obs.Metrics.incr m_truncated;
   {
     Report.strategy = "bb";
-    placement = pl;
+    placement = !best_placement;
     objective = !best_min;
     log_product = !best_log;
     proven_optimal = not !truncated;

@@ -1,11 +1,15 @@
 (** Branch-and-bound placement: the paper's max-min search (Section 4.3)
-    rebuilt with memoized partial-assignment bounds and dominance pruning
-    over symmetric hardware qubits.
+    rebuilt with memoized partial-assignment bounds, a log-product bound
+    on branches that can only tie the incumbent's minimum, and dominance
+    pruning over symmetric hardware qubits. Each search node is
+    allocation-free.
 
-    Both added prunings are conservative: they only discard subtrees that
+    All three prunings are conservative: they only discard subtrees that
     provably cannot change the recorded incumbent, so results are
     bit-identical to the un-pruned search (pinned by the compiled-artifact
-    digests in [test/layout_golden.ml]). *)
+    digests in [test/layout_golden.ml]). Every solve adds its node count
+    to the [layout.bb.nodes] counter and, when it hits the budget, one to
+    [layout.bb.truncated]. *)
 
 val default_node_budget : int
 

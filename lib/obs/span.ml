@@ -57,7 +57,7 @@ let start name attrs =
   let start_ns = Clock.now_ns () in
   (id, parent, name, attrs, start_ns)
 
-let finish (id, parent, name, attrs, start_ns) =
+let finish ?(extra = []) (id, parent, name, attrs, start_ns) =
   let dur_ns = Clock.elapsed_ns ~since:start_ns in
   let stack = Domain.DLS.get open_stack in
   (match !stack with top :: rest when top = id -> stack := rest | _ -> ());
@@ -69,7 +69,7 @@ let finish (id, parent, name, attrs, start_ns) =
       domain = (Domain.self () :> int);
       start_ns;
       dur_ns;
-      attrs;
+      attrs = attrs @ extra;
     };
   dur_ns
 
@@ -87,7 +87,7 @@ let with_span ?(attrs = []) name f =
       Printexc.raise_with_backtrace e bt
   end
 
-let timed ?(attrs = []) name f =
+let timed ?(attrs = []) ?(result_attrs = fun _ -> []) name f =
   if not (Atomic.get enabled_flag) then begin
     let t0 = Clock.now_ns () in
     let v = f () in
@@ -97,7 +97,7 @@ let timed ?(attrs = []) name f =
     let open_span = start name attrs in
     match f () with
     | v ->
-      let dur_ns = finish open_span in
+      let dur_ns = finish ~extra:(result_attrs v) open_span in
       (v, Clock.ns_to_s dur_ns)
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in

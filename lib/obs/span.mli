@@ -58,8 +58,15 @@ val collected : unit -> t list
     atomic load. *)
 val with_span : ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a
 
-(** [timed ?attrs name f] is [with_span] that additionally returns [f]'s
-    wall-clock seconds, measured whether or not the sink is enabled —
-    and when it is, the recorded span's [dur_ns] is exactly the same
-    measurement ([dur_ns = seconds *. 1e9] up to float rounding). *)
-val timed : ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a * float
+(** [timed ?attrs ?result_attrs name f] is [with_span] that additionally
+    returns [f]'s wall-clock seconds, measured whether or not the sink is
+    enabled — and when it is, the recorded span's [dur_ns] is exactly the
+    same measurement ([dur_ns = seconds *. 1e9] up to float rounding).
+    [result_attrs] derives further attributes from [f]'s result (e.g. the
+    work a solver did); it runs only when the span is recorded. *)
+val timed :
+  ?attrs:(string * attr) list ->
+  ?result_attrs:('a -> (string * attr) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a * float

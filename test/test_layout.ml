@@ -205,6 +205,92 @@ let test_strategies_agree_on_objective () =
       (Machines.ibmq14, Programs.hidden_shift 4);
     ]
 
+(* Tie-bound soundness: on random small Max_min problems whose scores
+   come from a handful of values, so ties on the minimum are the rule,
+   B&B must reach the same objective and log-product as enumerating
+   every injective placement under the same incumbent rule. *)
+type tie_case = {
+  n_program : int;
+  n_hardware : int;
+  pairs : ((int * int) * int) list;
+  measured : int list;
+  score : float array;
+  readout : float array;
+}
+
+let tie_case_gen =
+  let open QCheck.Gen in
+  let value = oneofl [ 0.5; 0.8; 0.9; 0.95 ] in
+  int_range 2 5 >>= fun n_program ->
+  int_range n_program 7 >>= fun n_hardware ->
+  let program_pairs =
+    List.concat_map
+      (fun a -> List.init (n_program - a - 1) (fun i -> (a, a + 1 + i)))
+      (List.init n_program Fun.id)
+  in
+  flatten_l
+    (List.map
+       (fun (a, b) ->
+         map2
+           (fun kind count ->
+             match kind with 0 -> [] | 1 -> [ ((a, b), count) ] | _ -> [ ((b, a), count) ])
+           (int_bound 2) (int_range 1 3))
+       program_pairs)
+  >>= fun pairs ->
+  list_repeat n_program bool >>= fun measured ->
+  array_repeat (n_hardware * n_hardware) value >>= fun score ->
+  array_repeat n_hardware value >|= fun readout ->
+  {
+    n_program;
+    n_hardware;
+    pairs = List.concat pairs;
+    measured = List.concat (List.mapi (fun q m -> if m then [ q ] else []) measured);
+    score;
+    readout;
+  }
+
+let problem_of_tie_case c =
+  Layout.Problem.make ~n_program:c.n_program ~n_hardware:c.n_hardware ~pairs:c.pairs
+    ~measured:c.measured
+    ~score:(fun h h' -> c.score.((h * c.n_hardware) + h'))
+    ~readout:(fun h -> c.readout.(h))
+    ()
+
+(* Best (min, log-product) over every injective placement, recorded with
+   B&B's Max_min rule starting from the same trivial incumbent. *)
+let brute_force (pr : Layout.Problem.t) =
+  let best = ref (Layout.Problem.evaluate pr (Layout.Problem.trivial pr)) in
+  let placement = Array.make pr.Layout.Problem.n_program (-1) in
+  let used = Array.make pr.Layout.Problem.n_hardware false in
+  let rec go p =
+    if p = pr.Layout.Problem.n_program then begin
+      let m, lp = Layout.Problem.evaluate pr placement in
+      let best_min, best_log = !best in
+      if m > best_min +. 1e-12 || (m > best_min -. 1e-12 && lp > best_log) then
+        best := (m, lp)
+    end
+    else
+      for h = 0 to pr.Layout.Problem.n_hardware - 1 do
+        if not used.(h) then begin
+          used.(h) <- true;
+          placement.(p) <- h;
+          go (p + 1);
+          used.(h) <- false
+        end
+      done
+  in
+  go 0;
+  !best
+
+let prop_tie_bound_exact =
+  QCheck.Test.make ~count:300 ~name:"b&b matches enumeration on tied scores"
+    (QCheck.make tie_case_gen) (fun c ->
+      let pr = problem_of_tie_case c in
+      let r = Layout.Bb.solve pr in
+      let best_min, best_log = brute_force pr in
+      r.Report.proven_optimal && r.Report.objective = best_min
+      && Float.abs (r.Report.log_product -. best_log) <= 1e-9)
+
 (* ---------- Reports ---------- *)
 
 let test_pipeline_layout_report () =
@@ -260,6 +346,7 @@ let () =
       ( "strategies",
         [
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;
+          QCheck_alcotest.to_alcotest prop_tie_bound_exact;
         ] );
       ( "reports",
         [

@@ -174,35 +174,47 @@ let reliability_for machine =
 let smt_solve reliability flat =
   Layout.Smt_search.solve (Triq.Placement.problem reliability flat)
 
-(* The strategy comparison over every fitting benchmark x machine problem:
-   B&B must prove optimality at its default budget (a benchmark that ever
-   truncates it fails here by name), and the SMT formulation must reach
-   the same max-min objective. *)
+(* The strategy comparison over every fitting benchmark x machine problem,
+   with noise-aware (TriQ-1QOptCN) and noise-unaware (TriQ-1QOptC)
+   scores: B&B must prove optimality at its default budget (a problem
+   that ever truncates it fails here by name), and the SMT formulation
+   must reach the same max-min objective. Noise-unaware scores are full
+   of tied reliabilities, which is where an incomplete tie bound shows. *)
 let test_mapper_smt_matches_bnb () =
   let problems =
     List.concat_map
-      (fun machine ->
-        let reliability = reliability_for machine in
-        List.filter_map
-          (fun (p : Bench_kit.Programs.t) ->
-            if Machine.fits machine p.Bench_kit.Programs.circuit then
-              let flat = Ir.Decompose.flatten p.Bench_kit.Programs.circuit in
-              Some (machine, p, Triq.Placement.problem reliability flat)
-            else None)
-          Bench_kit.Programs.all)
-      Machines.all
+      (fun noise_aware ->
+        List.concat_map
+          (fun machine ->
+            let reliability =
+              Triq.Reliability.compute ~noise_aware machine
+                (Machine.calibration machine ~day:0)
+            in
+            List.filter_map
+              (fun (p : Bench_kit.Programs.t) ->
+                if Machine.fits machine p.Bench_kit.Programs.circuit then
+                  let flat = Ir.Decompose.flatten p.Bench_kit.Programs.circuit in
+                  let name =
+                    Printf.sprintf "%s/%s/%s" machine.Machine.name
+                      p.Bench_kit.Programs.name
+                      (if noise_aware then "noise-aware" else "noise-unaware")
+                  in
+                  Some (name, Triq.Placement.problem reliability flat)
+                else None)
+              Bench_kit.Programs.all)
+          Machines.all)
+      [ true; false ]
   in
-  Alcotest.(check int) "fitting problems" 75 (List.length problems);
+  Alcotest.(check int) "fitting problems" 150 (List.length problems);
   List.iter
-    (fun (machine, (p : Bench_kit.Programs.t), pr) ->
+    (fun (name, pr) ->
       let bnb = Layout.Bb.solve pr in
       let smt = Layout.Smt_search.solve pr in
       if not bnb.Report.proven_optimal then
-        Alcotest.failf "%s/%s: b&b truncated at its default budget"
-          machine.Machine.name p.Bench_kit.Programs.name;
+        Alcotest.failf "%s: b&b truncated at its default budget" name;
       if Float.abs (bnb.Report.objective -. smt.Report.objective) > 1e-9 then
-        Alcotest.failf "%s/%s: bnb %.6f vs smt %.6f" machine.Machine.name
-          p.Bench_kit.Programs.name bnb.Report.objective smt.Report.objective)
+        Alcotest.failf "%s: bnb %.6f vs smt %.6f" name bnb.Report.objective
+          smt.Report.objective)
     problems
 
 let test_mapper_smt_placement_valid () =
