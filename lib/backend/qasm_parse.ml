@@ -1,141 +1,4 @@
-exception Error of string * int
-
-type program = {
-  n_qubits : int;
-  circuit : Ir.Circuit.t;
-  readout : (int * int) list;
-}
-
-let fail line fmt = Printf.ksprintf (fun msg -> raise (Error (msg, line))) fmt
-
-let strip s = String.trim s
-
-(* Tabs are legal token separators in text some toolchains emit; fold them
-   into spaces so the space-based statement splitting below sees one
-   dialect. [String.trim] already strips CR from CRLF line endings. *)
-let normalize_line s = String.map (fun c -> if c = '\t' then ' ' else c) s
-
-(* Parse "name(args) rest" or "name rest"; returns (name, args, rest). *)
-let split_gate line_no text =
-  match String.index_opt text '(' with
-  | Some open_paren -> (
-    match String.index_opt text ')' with
-    | Some close_paren when close_paren > open_paren ->
-      let name = strip (String.sub text 0 open_paren) in
-      let args = String.sub text (open_paren + 1) (close_paren - open_paren - 1) in
-      let rest = strip (String.sub text (close_paren + 1) (String.length text - close_paren - 1)) in
-      (name, List.map strip (String.split_on_char ',' args), rest)
-    | _ -> fail line_no "unbalanced parentheses")
-  | None -> (
-    match String.index_opt text ' ' with
-    | Some sp ->
-      ( strip (String.sub text 0 sp),
-        [],
-        strip (String.sub text sp (String.length text - sp)) )
-    | None -> (text, [], ""))
-
-let parse_float line_no s =
-  match float_of_string_opt (strip s) with
-  | Some f -> f
-  | None -> fail line_no "bad angle %S" s
-
-let parse_qubit line_no s =
-  let s = strip s in
-  if String.length s < 4 || not (String.length s > 2 && s.[0] = 'q' && s.[1] = '[') then
-    fail line_no "bad qubit reference %S" s
-  else begin
-    match String.index_opt s ']' with
-    | Some close -> (
-      match int_of_string_opt (String.sub s 2 (close - 2)) with
-      | Some q -> q
-      | None -> fail line_no "bad qubit index in %S" s)
-    | None -> fail line_no "bad qubit reference %S" s
-  end
-
-let parse_cbit line_no s =
-  let s = strip s in
-  if String.length s > 2 && s.[0] = 'c' && s.[1] = '[' then begin
-    match String.index_opt s ']' with
-    | Some close -> (
-      match int_of_string_opt (String.sub s 2 (close - 2)) with
-      | Some c -> c
-      | None -> fail line_no "bad classical index in %S" s)
-    | None -> fail line_no "bad classical reference %S" s
-  end
-  else fail line_no "bad classical reference %S" s
-
-let parse source =
-  let lines = String.split_on_char '\n' source in
-  let n_qubits = ref 0 in
-  let gates = ref [] in
-  let readout = ref [] in
-  List.iteri
-    (fun idx raw ->
-      let line_no = idx + 1 in
-      let text = strip (normalize_line raw) in
-      let text =
-        (* Strip trailing // comments. *)
-        let rec find_comment i =
-          if i + 1 >= String.length text then None
-          else if text.[i] = '/' && text.[i + 1] = '/' then Some i
-          else find_comment (i + 1)
-        in
-        match find_comment 0 with
-        | Some i -> strip (String.sub text 0 i)
-        | None -> text
-      in
-      if text = "" then ()
-      else if String.length text >= 8 && String.sub text 0 8 = "OPENQASM" then ()
-      else if String.length text >= 7 && String.sub text 0 7 = "include" then ()
-      else begin
-        let text =
-          if String.length text > 0 && text.[String.length text - 1] = ';' then
-            strip (String.sub text 0 (String.length text - 1))
-          else text
-        in
-        if text = "" then ()
-        else if String.length text >= 5 && String.sub text 0 5 = "qreg " then
-          (* "qreg q[n]": the declaration reuses the qubit-reference shape. *)
-          n_qubits := parse_qubit line_no (String.sub text 5 (String.length text - 5))
-        else if String.length text >= 5 && String.sub text 0 5 = "creg " then ()
-        else if String.length text >= 8 && String.sub text 0 8 = "measure " then begin
-          match String.index_opt text '>' with
-          | Some arrow when arrow >= 2 && text.[arrow - 1] = '-' ->
-            let q = parse_qubit line_no (String.sub text 8 (arrow - 9)) in
-            let c =
-              parse_cbit line_no
-                (String.sub text (arrow + 1) (String.length text - arrow - 1))
-            in
-            readout := (c, q) :: !readout;
-            gates := Ir.Gate.Measure q :: !gates
-          | _ -> fail line_no "bad measure statement"
-        end
-        else begin
-          let name, args, rest = split_gate line_no text in
-          let qubits = List.map (parse_qubit line_no) (String.split_on_char ',' rest) in
-          match (name, args, qubits) with
-          | "u1", [ l ], [ q ] ->
-            gates := Ir.Gate.One (Ir.Gate.U1 (parse_float line_no l), q) :: !gates
-          | "u2", [ p; l ], [ q ] ->
-            gates :=
-              Ir.Gate.One
-                (Ir.Gate.U2 (parse_float line_no p, parse_float line_no l), q)
-              :: !gates
-          | "u3", [ t; p; l ], [ q ] ->
-            gates :=
-              Ir.Gate.One
-                ( Ir.Gate.U3
-                    (parse_float line_no t, parse_float line_no p, parse_float line_no l),
-                  q )
-              :: !gates
-          | "cx", [], [ a; b ] -> gates := Ir.Gate.Two (Ir.Gate.Cnot, a, b) :: !gates
-          | _ -> fail line_no "unsupported statement %S" text
-        end
-      end)
-    lines;
-  if !n_qubits = 0 then raise (Error ("missing qreg declaration", 1));
-  {
-    n_qubits = !n_qubits;
-    circuit = Ir.Circuit.create !n_qubits (List.rev !gates);
-    readout = List.sort compare !readout;
-  }
+(* OpenQASM is read by one parser, [Qasm.Frontend]. This alias keeps the
+   old module name for perfbench/main.ml only; delete it once perfbench
+   names [Qasm.Frontend] directly. *)
+include Qasm.Frontend

@@ -517,22 +517,6 @@ let print_related () =
   Printf.printf "geomean 2Q reduction over Zulehner-style mapper: %.2fx\n"
     (geomean_improvement rows ~better:"TriQ-1QOptC" ~baseline:"Zulehner" float_of_int)
 
-let run_all ?trajectories () =
-  print_fig1 ();
-  print_fig2 ();
-  print_fig3 ();
-  print_tab1 ();
-  print_fig5 ();
-  print_fig6 ();
-  print_fig7 ();
-  print_fig8 ();
-  print_fig9 ?trajectories ();
-  print_fig10 ?trajectories ();
-  print_fig11 ?trajectories ();
-  print_fig12 ?trajectories ();
-  print_scaling ();
-  print_related ()
-
 (* ---------- Extensions beyond the paper's figures ---------- *)
 
 (* Mapper-objective ablation (Section 4.3's scalability argument): the
@@ -670,12 +654,6 @@ let print_tannu ?trajectories () =
   let triq = List.map (fun (_, t, _) -> t) data in
   Printf.printf "TriQ range %.2f-%.2f, average %.2f (paper: 0.43-0.51, avg 0.47)\n"
     (Stats.minimum triq) (Stats.maximum triq) (Stats.mean triq)
-
-let run_extensions ?trajectories () =
-  print_ablation_mapper ();
-  print_ablation_peephole ();
-  print_iontrap ?trajectories ();
-  print_tannu ?trajectories ()
 
 (* Pulse-level timing vs coherence (Sections 3.3 and 7): programs consume
    only a small fraction of the coherence window, supporting the paper's

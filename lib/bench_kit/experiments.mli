@@ -3,10 +3,9 @@
 
     Every experiment has a data function (structured rows, used by tests
     and by EXPERIMENTS.md generation) and a [print_*] companion that
-    renders the same rows as a text table. [run_all] prints everything in
-    paper order. Success-rate experiments accept [?trajectories] to trade
-    precision for speed (tests use small values; the bench harness uses
-    the default).
+    renders the same rows as a text table. Success-rate experiments accept
+    [?trajectories] to trade precision for speed (tests use small values;
+    the bench harness uses the default).
 
     Grid rows fan out across {!Parallel.Pool.default} (resize it with
     [Parallel.Pool.set_default_jobs], i.e. the [-j] flags of bench/main
@@ -119,9 +118,6 @@ val print_related : unit -> unit
 val geomean_improvement :
   ?invert:bool -> 'a row list -> better:string -> baseline:string -> ('a -> float) -> float
 
-(** [run_all ?trajectories ()] prints every experiment in paper order. *)
-val run_all : ?trajectories:int -> unit -> unit
-
 (* -- Extensions beyond the paper's figures (see EXPERIMENTS.md) -- *)
 
 (** Mapper-engine ablation on IBMQ16 (Section 4.3): branch-and-bound with
@@ -153,9 +149,6 @@ val print_iontrap : ?trajectories:int -> unit -> unit
 val tannu_data : ?trajectories:int -> unit -> (int * float * float) list
 
 val print_tannu : ?trajectories:int -> unit -> unit
-
-(** [run_extensions ?trajectories ()] prints the four extension studies. *)
-val run_extensions : ?trajectories:int -> unit -> unit
 
 (** Pulse-level schedule length against the coherence window for every
     machine (Toffoli benchmark): (machine, pulses, frame changes,

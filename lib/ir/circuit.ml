@@ -14,6 +14,11 @@ let check_gates ~layer ~line count =
     Diag.invalid ~rule:"circuit.bounds" ~layer ~loc:(Diag.Line line)
       "program expands past %d gates" max_gates
 
+let check_angle ~layer ~line a =
+  if not (Float.is_finite a) then
+    Diag.invalid ~rule:"circuit.bounds" ~layer ~loc:(Diag.Line line)
+      "gate angle %s is not a finite number" (Float.to_string a)
+
 let validate n gates =
   if n <= 0 then invalid_arg "Circuit.create: n_qubits must be positive";
   List.iter

@@ -26,6 +26,12 @@ val max_gates : int
     each time they emit a gate, expand a call or unroll a loop iteration. *)
 val check_gates : layer:string -> line:int -> int -> unit
 
+(** [check_angle ~layer ~line a] raises the [circuit.bounds] {!Diag} when
+    the gate angle [a] is NaN or infinite (an overflowing literal or
+    expression), which no emitter can print as a valid executable. The
+    frontends call it on every evaluated gate parameter. *)
+val check_angle : layer:string -> line:int -> float -> unit
+
 (** [create n gates] validates that every gate's operands lie in
     [\[0, n)] and are distinct, raising [Invalid_argument] otherwise. *)
 val create : int -> Gate.t list -> t

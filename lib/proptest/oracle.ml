@@ -59,9 +59,9 @@ let check_parsed ~what ~expect_n c (parsed_circuit : Circuit.t) parsed_readout =
 let roundtrip_once vendor c ~what text =
   match vendor with
   | Qasm ->
-    let p = Backend.Qasm_parse.parse text in
-    check_parsed ~what ~expect_n:c.Circuit.n_qubits c p.Backend.Qasm_parse.circuit
-      p.Backend.Qasm_parse.readout
+    let p = Qasm.Frontend.parse text in
+    let readout = List.mapi (fun i q -> (i, q)) p.Qasm.Frontend.measured in
+    check_parsed ~what ~expect_n:c.Circuit.n_qubits c p.Qasm.Frontend.circuit readout
   | Quil ->
     let p = Backend.Quil_parse.parse text in
     (* Quil has no qubit declaration: the parser can only infer the

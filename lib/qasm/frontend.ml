@@ -217,6 +217,12 @@ let rec eval_expr line env = function
     | '^' -> Float.pow x y
     | _ -> assert false)
 
+(* A gate parameter: the expression's value, which must be a finite angle. *)
+let eval_param line env e =
+  let v = eval_expr line env e in
+  Ir.Circuit.check_angle ~layer:"qasm" ~line v;
+  v
+
 (* ---------- Arguments and gate bodies ---------- *)
 
 type arg = Whole of string | Indexed of string * int
@@ -434,7 +440,7 @@ let rec apply_gate env depth line name param_values (qs : int array) =
       let qubit_env = List.combine def.g_qubits (Array.to_list qs) in
       List.iter
         (fun op ->
-          let values = List.map (eval_expr op.op_line param_env) op.op_params in
+          let values = List.map (eval_param op.op_line param_env) op.op_params in
           let operands =
             Array.of_list
               (List.map
@@ -669,7 +675,7 @@ let parse st =
         (match (current st).tok with Ident s -> s | _ -> "")
     | Ident _ ->
       let op = parse_gate_op st in
-      let values = List.map (eval_expr op.op_line []) op.op_params in
+      let values = List.map (eval_param op.op_line []) op.op_params in
       resolve_call env op.op_line op.op_name values op.op_args;
       statements ()
     | _ -> fail (cur_line st) "unexpected token"

@@ -68,6 +68,12 @@ let rec eval_float ctx line (e : Ast.float_expr) =
     | Fdiv ->
       if Float.abs y < 1e-300 then fail line "division by zero in angle" else x /. y)
 
+(* A gate angle: the expression's value, which must be finite. *)
+let eval_angle ctx line e =
+  let v = eval_float ctx line e in
+  Ir.Circuit.check_angle ~layer:"scaffold" ~line v;
+  v
+
 let resolve_qubit ctx line (r : Ast.qubit_ref) =
   match List.assoc_opt r.register ctx.registers with
   | None -> fail line "unknown register %S" r.register
@@ -187,7 +193,7 @@ let rec exec_stmt st ctx (s : Ast.stmt) =
       call_module st ctx line callee qubits;
       ctx
     | None ->
-      let angle_values = List.map (eval_float ctx line) angles in
+      let angle_values = List.map (eval_angle ctx line) angles in
       let qubit_values = List.map (resolve_qubit ctx line) qubits in
       let distinct = List.sort_uniq compare qubit_values in
       if List.length distinct <> List.length qubit_values then

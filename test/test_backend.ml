@@ -43,27 +43,27 @@ let test_qasm_rejects_wrong_vendor () =
 let test_qasm_roundtrip () =
   let compiled = compile Machines.ibmq5 in
   let text = Backend.Qasm_emit.emit compiled in
-  let parsed = Backend.Qasm_parse.parse text in
-  Alcotest.(check int) "qubits" 5 parsed.Backend.Qasm_parse.n_qubits;
+  let parsed = Qasm.Frontend.parse text in
+  Alcotest.(check int) "qubits" 5 parsed.Qasm.Frontend.circuit.Circuit.n_qubits;
   (* Same gate sequence after the round trip. *)
   Alcotest.(check bool) "circuits equal" true
-    (Circuit.equal compiled.Triq.Compiled.hardware parsed.Backend.Qasm_parse.circuit)
+    (Circuit.equal compiled.Triq.Compiled.hardware parsed.Qasm.Frontend.circuit)
 
 let test_qasm_roundtrip_unitary () =
   let compiled = compile Machines.ibmq5 in
   let text = Backend.Qasm_emit.emit compiled in
-  let parsed = Backend.Qasm_parse.parse text in
+  let parsed = Qasm.Frontend.parse text in
   let restrict c =
     let body = Circuit.body c in
     fst (Circuit.compact body)
   in
   let u1 = Mat.circuit_unitary (restrict compiled.Triq.Compiled.hardware) in
-  let u2 = Mat.circuit_unitary (restrict parsed.Backend.Qasm_parse.circuit) in
+  let u2 = Mat.circuit_unitary (restrict parsed.Qasm.Frontend.circuit) in
   Alcotest.(check bool) "unitary preserved" true (M.proportional ~eps:1e-9 u1 u2)
 
 let test_qasm_parse_errors () =
   let raises s =
-    try ignore (Backend.Qasm_parse.parse s); false with Backend.Qasm_parse.Error _ -> true
+    try ignore (Qasm.Frontend.parse s); false with Qasm.Frontend.Error _ -> true
   in
   Alcotest.(check bool) "no qreg" true (raises "OPENQASM 2.0;\ncx q[0],q[1];");
   Alcotest.(check bool) "junk" true
@@ -75,9 +75,9 @@ let test_qasm_parse_readout_map () =
   let text =
     "OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\nmeasure q[2] -> c[0];\nmeasure q[0] -> c[1];\n"
   in
-  let parsed = Backend.Qasm_parse.parse text in
+  let parsed = Qasm.Frontend.parse text in
   Alcotest.(check (list (pair int int))) "readout" [ (0, 2); (1, 0) ]
-    parsed.Backend.Qasm_parse.readout
+    (List.mapi (fun i q -> (i, q)) parsed.Qasm.Frontend.measured)
 
 (* ---------- Quil ---------- *)
 
@@ -185,7 +185,7 @@ let test_qasm_whitespace_dialects () =
         "OPENQASM 2.0;\nqreg q[2];  \nu1(0.5) q[1];   \n",
         [ G.One (G.U1 0.5, 1) ] );
       ( "tab separators",
-        "OPENQASM 2.0;\nqreg\tq[2];\ncx\tq[0],q[1];\nmeasure\tq[0]\t->\tc[0];\n",
+        "OPENQASM 2.0;\nqreg\tq[2];\ncreg\tc[1];\ncx\tq[0],q[1];\nmeasure\tq[0]\t->\tc[0];\n",
         [ G.Two (G.Cnot, 0, 1); G.Measure 0 ] );
       ( "scientific notation",
         "OPENQASM 2.0;\nqreg q[1];\nu1(1e-3) q[0];\nu2(2.5e-2,-1E-4) q[0];\n",
@@ -197,7 +197,7 @@ let test_qasm_whitespace_dialects () =
   in
   List.iter
     (fun (label, src, expected) ->
-      check_gates label expected (Backend.Qasm_parse.parse src).Backend.Qasm_parse.circuit)
+      check_gates label expected (Qasm.Frontend.parse src).Qasm.Frontend.circuit)
     table
 
 let test_quil_whitespace_dialects () =

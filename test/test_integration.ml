@@ -131,9 +131,9 @@ let test_scaffold_qasm_roundtrip () =
          ~level:Pipeline.OneQOptCN)
   in
   let text = Backend.Qasm_emit.emit compiled in
-  let parsed = Backend.Qasm_parse.parse text in
+  let parsed = Qasm.Frontend.parse text in
   Alcotest.(check bool) "roundtrip equal" true
-    (Circuit.equal compiled.Triq.Compiled.hardware parsed.Backend.Qasm_parse.circuit)
+    (Circuit.equal compiled.Triq.Compiled.hardware parsed.Qasm.Frontend.circuit)
 
 (* Dominance under noise for all 12 benchmarks on the low-noise machine:
    none of them should fail outright on UMDTI (Figure 9b's observation). *)

@@ -151,6 +151,17 @@ let expect_error src fragment =
     if not contains then Alcotest.failf "error %S does not mention %S" msg fragment
   | _ -> Alcotest.failf "expected failure for %S" src
 
+(* [parse src] must fail with the circuit.bounds diagnostic within
+   [seconds] of CPU time. *)
+let rejects ?(seconds = 0.1) what parse src =
+  let t0 = Sys.time () in
+  (match parse src with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument msg ->
+    if not (String.starts_with ~prefix:"error[circuit.bounds]" msg) then
+      Alcotest.failf "%s: wrong diagnostic %S" what msg);
+  if Sys.time () -. t0 > seconds then Alcotest.failf "%s: rejected too slowly" what
+
 let test_errors () =
   expect_error "qreg q[1];" "OPENQASM";
   expect_error (header ^ "frob q[0];") "unknown";
@@ -164,7 +175,13 @@ let test_errors () =
     (header ^ "gate loop a { loop a; }\nqreg q[1];\nloop q[0];")
     "too deep";
   expect_error (header ^ "qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\nmeasure q[0] -> c[0];")
-    "measured twice"
+    "measured twice";
+  expect_error (header ^ "qreg q[1];\nmeasure q[0] -> c[0];") "unknown classical register";
+  (* An overflowing angle would be emitted as nan: invalid OpenQASM. *)
+  rejects "infinite literal" F.parse (header ^ "qreg q[1];\nu3(1e999,0,0) q[0];");
+  rejects "overflowing expression" F.parse (header ^ "qreg q[1];\nrz(10^400) q[0];");
+  rejects "overflow in a gate body" F.parse
+    (header ^ "gate g(t) a { rz(t*1e300) a; }\nqreg q[1];\ng(1e10) q[0];")
 
 (* ---------- Agreement with Scaffold front end ---------- *)
 
@@ -240,17 +257,6 @@ let test_compiles_end_to_end () =
   let spec = Ir.Spec.deterministic p.F.measured "111" in
   let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) compiled spec in
   Alcotest.(check bool) "correct" true outcome.Sim.Runner.dominant_correct
-
-(* [parse src] must fail with the circuit.bounds diagnostic within
-   [seconds] of CPU time. *)
-let rejects ?(seconds = 0.1) what parse src =
-  let t0 = Sys.time () in
-  (match parse src with
-  | _ -> Alcotest.failf "%s: accepted" what
-  | exception Invalid_argument msg ->
-    if not (String.starts_with ~prefix:"error[circuit.bounds]" msg) then
-      Alcotest.failf "%s: wrong diagnostic %S" what msg);
-  if Sys.time () -. t0 > seconds then Alcotest.failf "%s: rejected too slowly" what
 
 let test_huge_registers () =
   (* Both frontends bound a register where it is declared, before any

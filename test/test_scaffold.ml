@@ -143,7 +143,14 @@ let test_error_unknown_register () =
   expect_error "module main() { qbit q[2]; H(r[0]); }" "unknown register"
 
 let test_error_out_of_bounds () =
-  expect_error "module main() { qbit q[2]; H(q[5]); }" "out of bounds"
+  expect_error "module main() { qbit q[2]; H(q[5]); }" "out of bounds";
+  (* An angle that overflows to infinity would be emitted as nan. *)
+  let big = String.make 300 '9' ^ ".0" in
+  match compile (Printf.sprintf "module main() { qbit q[1]; Rz(%s*1000000000.0, q[0]); }" big) with
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "circuit.bounds" true
+      (String.starts_with ~prefix:"error[circuit.bounds]" msg)
+  | _ -> Alcotest.fail "non-finite angle accepted"
 
 let test_error_unknown_gate () =
   expect_error "module main() { qbit q[1]; FROB(q[0]); }" "unknown gate"
