@@ -45,13 +45,13 @@ let find_machine spec =
               (List.map (fun m -> m.Device.Machine.name) Device.Machines.all)))
 
 let find_level name =
-  match Triq.Pipeline.level_of_string name with
+  match Triq.Pass.level_of_string name with
   | Some l -> Ok l
   | None ->
     Error
       (Printf.sprintf "unknown optimization level %S (valid, case-insensitive: %s)"
          name
-         (String.concat ", " Triq.Pipeline.level_strings))
+         (String.concat ", " Triq.Pass.level_strings))
 
 let find_router name =
   match Triq.Pass.Config.router_of_string name with
@@ -199,14 +199,14 @@ let with_trace (trace, fmt_name) k =
          Printf.eprintf "triqc: cannot write trace: %s\n" msg;
          if code = 0 then 1 else code))
 
-let print_stats (r : Triq.Pipeline.t) =
+let print_stats (r : Triq.Compiled.t) =
   Printf.eprintf
     "; %s on %s (day %d): 2Q=%d, pulses=%d, swaps=%d, ESP=%.4f, compile=%.0fus\n"
-    (Triq.Pipeline.level_name r.Triq.Pipeline.level)
-    r.Triq.Pipeline.machine.Device.Machine.name r.Triq.Pipeline.day
-    r.Triq.Pipeline.two_q_count r.Triq.Pipeline.pulse_count
-    r.Triq.Pipeline.swap_count r.Triq.Pipeline.esp
-    (r.Triq.Pipeline.compile_time_s *. 1e6)
+    r.Triq.Compiled.compiler
+    r.Triq.Compiled.machine.Device.Machine.name r.Triq.Compiled.day
+    r.Triq.Compiled.two_q_count r.Triq.Compiled.pulse_count
+    r.Triq.Compiled.swap_count r.Triq.Compiled.esp
+    (r.Triq.Compiled.compile_time_s *. 1e6)
 
 let compile_common file machine_name level_name =
   let ( let* ) = Result.bind in
@@ -296,7 +296,7 @@ let compile_cmd =
       1
     | Ok compiled ->
       print_stats compiled;
-      print_string (Backend.Emit.executable (Triq.Pipeline.to_compiled compiled));
+      print_string (Backend.Emit.executable compiled);
       0
   in
   let doc = "Compile a Scaffold program to a vendor executable." in
@@ -393,7 +393,7 @@ let simulate_cmd =
             ~config:
               (Sim.Runner.Config.make ~trials ~trajectories ~backend
                  ~fusion:(not no_fusion) ())
-            (Triq.Pipeline.to_compiled compiled) spec
+            compiled spec
         in
         Printf.printf "success rate: %.4f (%s)\n" outcome.Sim.Runner.success_rate
           (if outcome.Sim.Runner.dominant_correct then "correct answer dominates"
@@ -456,13 +456,13 @@ let sweep_cmd =
               | None -> "n/a"
               | Some spec ->
                 Printf.sprintf "%.3f"
-                  (Sim.Runner.simulate (Triq.Pipeline.to_compiled compiled) spec)
+                  (Sim.Runner.simulate compiled spec)
                     .Sim.Runner.success_rate
             in
             Printf.printf "%-14s %6d %8d %6d %8.4f %10s\n"
-              (Triq.Pipeline.level_name level)
-              compiled.Triq.Pipeline.two_q_count compiled.Triq.Pipeline.pulse_count
-              compiled.Triq.Pipeline.swap_count compiled.Triq.Pipeline.esp success)
+              (Triq.Pass.level_name level)
+              compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.pulse_count
+              compiled.Triq.Compiled.swap_count compiled.Triq.Compiled.esp success)
           Triq.Pipeline.all_levels;
         0
       end
@@ -487,7 +487,7 @@ let draw_cmd =
           compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
             program.Scaffold.Lower.circuit
         in
-        print_string (Ir.Draw.render compiled.Triq.Pipeline.hardware)
+        print_string (Ir.Draw.render compiled.Triq.Compiled.hardware)
       end
       else begin
         let labels =
@@ -532,9 +532,8 @@ let verify_cmd =
         List.iter
           (fun level ->
             let compiled =
-              Triq.Pipeline.to_compiled
-                (compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-                   program.Scaffold.Lower.circuit)
+              compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
+                program.Scaffold.Lower.circuit
             in
             let result =
               Sim.Verify.check ~program:program.Scaffold.Lower.circuit
@@ -542,11 +541,11 @@ let verify_cmd =
             in
             if result.Sim.Verify.equivalent then
               Printf.printf "%-14s OK   (noiseless outputs identical)\n"
-                (Triq.Pipeline.level_name level)
+                (Triq.Pass.level_name level)
             else begin
               incr failures;
               Printf.printf "%-14s FAIL (total variation %.6f)\n"
-                (Triq.Pipeline.level_name level) result.Sim.Verify.total_variation
+                (Triq.Pass.level_name level) result.Sim.Verify.total_variation
             end)
           Triq.Pipeline.all_levels;
         if !failures = 0 then 0 else 1
@@ -629,7 +628,7 @@ let pulse_cmd =
           program.Scaffold.Lower.circuit
       in
       print_stats compiled;
-      let schedule = Pulse.Lower.of_compiled (Triq.Pipeline.to_compiled compiled) in
+      let schedule = Pulse.Lower.of_compiled compiled in
       Printf.eprintf "; schedule: %d pulses, %d frame changes, %.1f us\n"
         (Pulse.Schedule.play_count schedule)
         (Pulse.Schedule.frame_change_count schedule)
@@ -780,7 +779,7 @@ let lint_cmd =
                      machine level program.Scaffold.Lower.circuit
                  with
                  | compiled ->
-                   Triq.Validate.check_pipeline
+                   Triq.Validate.check_compiled
                      ~measured:program.Scaffold.Lower.measured compiled
                  | exception Analysis.Diag.Violation (_, diags) -> diags)
                levels)
@@ -881,11 +880,11 @@ let check_cmd =
                (fun level ->
                  match compile_at ~config machine level circuit with
                  | compiled ->
-                   ( Triq.Pipeline.level_name level,
-                     List.length compiled.Triq.Pipeline.pass_times_s,
+                   ( Triq.Pass.level_name level,
+                     List.length compiled.Triq.Compiled.pass_times_s,
                      [] )
                  | exception Analysis.Diag.Violation (pass, diags) ->
-                   (Triq.Pipeline.level_name level, 0, List.map (fun d -> (pass, d)) diags))
+                   (Triq.Pass.level_name level, 0, List.map (fun d -> (pass, d)) diags))
                levels)
       in
       Ok (summary, lints, validation)
@@ -1003,7 +1002,7 @@ let metrics_cmd =
           ignore
             (Sim.Runner.simulate
                ~config:(Sim.Runner.Config.make ~trajectories ())
-               (Triq.Pipeline.to_compiled compiled)
+               compiled
                spec);
           Ok ()
         end
@@ -1070,11 +1069,11 @@ let bench_cmd =
               in
               let outcome =
                 Sim.Runner.simulate
-                  (Triq.Pipeline.to_compiled compiled)
+                  compiled
                   p.Bench_kit.Programs.spec
               in
               Printf.printf "%-10s %6d %8.3f %8.3f %10s\n" p.Bench_kit.Programs.name
-                compiled.Triq.Pipeline.two_q_count compiled.Triq.Pipeline.esp
+                compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.esp
                 outcome.Sim.Runner.success_rate
                 (if outcome.Sim.Runner.dominant_correct then "yes" else "NO")
             end

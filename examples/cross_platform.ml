@@ -20,14 +20,13 @@ let () =
           Triq.Pipeline.compile_level machine program.Bench_kit.Programs.circuit
             ~level:Triq.Pipeline.OneQOptCN
         in
-        let as_compiled = Triq.Pipeline.to_compiled compiled in
-        let outcome = Sim.Runner.simulate as_compiled program.Bench_kit.Programs.spec in
+        let outcome = Sim.Runner.simulate compiled program.Bench_kit.Programs.spec in
         Printf.printf
           "%-8s %-12s  2Q=%2d  pulses=%3d  swaps=%d  ESP=%.3f  success=%.3f\n"
           machine.Device.Machine.name
-          (Backend.Emit.format_name as_compiled)
-          compiled.Triq.Pipeline.two_q_count compiled.Triq.Pipeline.pulse_count
-          compiled.Triq.Pipeline.swap_count compiled.Triq.Pipeline.esp
+          (Backend.Emit.format_name compiled)
+          compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.pulse_count
+          compiled.Triq.Compiled.swap_count compiled.Triq.Compiled.esp
           outcome.Sim.Runner.success_rate
       end
       else
@@ -42,9 +41,8 @@ let () =
         Triq.Pipeline.compile_level machine program.Bench_kit.Programs.circuit
           ~level:Triq.Pipeline.OneQOptCN
       in
-      let as_compiled = Triq.Pipeline.to_compiled compiled in
       Printf.printf "\n--- %s (%s) ---\n%s"
         machine.Device.Machine.name
-        (Backend.Emit.format_name as_compiled)
-        (Backend.Emit.executable as_compiled))
+        (Backend.Emit.format_name compiled)
+        (Backend.Emit.executable compiled))
     [ Device.Machines.ibmq5; Device.Machines.agave; Device.Machines.umdti ]

@@ -61,11 +61,11 @@ let () =
             ~level:Triq.Pipeline.OneQOptCN
         in
         let outcome =
-          Sim.Runner.simulate (Triq.Pipeline.to_compiled compiled)
+          Sim.Runner.simulate compiled
             p.Bench_kit.Programs.spec
         in
         Printf.printf "%-10s %6d %8.3f %8.3f\n" p.Bench_kit.Programs.name
-          compiled.Triq.Pipeline.two_q_count compiled.Triq.Pipeline.esp
+          compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.esp
           outcome.Sim.Runner.success_rate
       end)
     Bench_kit.Programs.all;
@@ -81,8 +81,8 @@ let () =
           ~level:Triq.Pipeline.OneQOptCN
       in
       let outcome =
-        Sim.Runner.simulate (Triq.Pipeline.to_compiled compiled) p.Bench_kit.Programs.spec
+        Sim.Runner.simulate compiled p.Bench_kit.Programs.spec
       in
       Printf.printf "  seed %3d: success %.3f (ESP %.3f)\n" seed
-        outcome.Sim.Runner.success_rate compiled.Triq.Pipeline.esp)
+        outcome.Sim.Runner.success_rate compiled.Triq.Compiled.esp)
     [ 77; 78; 79; 80 ]

@@ -22,12 +22,12 @@ let () =
       let compiled =
         Triq.Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level
       in
-      let budget = Triq.Compiled.budget_of (Triq.Pipeline.to_compiled compiled) in
+      let budget = Triq.Compiled.budget_of compiled in
       Printf.printf "%-14s %8d %10.3f %10.3f %10.3f %10.3f\n"
-        (Triq.Pipeline.level_name level)
-        compiled.Triq.Pipeline.two_q_count budget.Triq.Compiled.two_q
+        (Triq.Pass.level_name level)
+        compiled.Triq.Compiled.two_q_count budget.Triq.Compiled.two_q
         budget.Triq.Compiled.one_q budget.Triq.Compiled.readout
-        compiled.Triq.Pipeline.esp)
+        compiled.Triq.Compiled.esp)
     Triq.Pipeline.all_levels;
   print_newline ();
   (* Decompose the best executable's losses and check against measured
@@ -37,13 +37,13 @@ let () =
       ~level:Triq.Pipeline.OneQOptCN
   in
   let outcome =
-    Sim.Runner.simulate (Triq.Pipeline.to_compiled compiled) p.Bench_kit.Programs.spec
+    Sim.Runner.simulate compiled p.Bench_kit.Programs.spec
   in
-  let budget = Triq.Compiled.budget_of (Triq.Pipeline.to_compiled compiled) in
+  let budget = Triq.Compiled.budget_of compiled in
   Printf.printf
     "TriQ-1QOptCN loses %.1f%% to 2Q gates, %.1f%% to 1Q pulses, %.1f%% to readout.\n"
     (100.0 *. (1.0 -. budget.Triq.Compiled.two_q))
     (100.0 *. (1.0 -. budget.Triq.Compiled.one_q))
     (100.0 *. (1.0 -. budget.Triq.Compiled.readout));
-  Printf.printf "ESP %.3f vs measured success %.3f.\n" compiled.Triq.Pipeline.esp
+  Printf.printf "ESP %.3f vs measured success %.3f.\n" compiled.Triq.Compiled.esp
     outcome.Sim.Runner.success_rate

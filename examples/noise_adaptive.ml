@@ -21,7 +21,7 @@ let () =
           program.Bench_kit.Programs.circuit ~level
       in
       let outcome =
-        Sim.Runner.simulate (Triq.Pipeline.to_compiled compiled)
+        Sim.Runner.simulate compiled
           program.Bench_kit.Programs.spec
       in
       outcome.Sim.Runner.success_rate
@@ -45,7 +45,7 @@ let () =
       Triq.Pipeline.compile_level ~config:(Triq.Pass.Config.make ~day ()) machine
         program.Bench_kit.Programs.circuit ~level:Triq.Pipeline.OneQOptCN
     in
-    let pl = compiled.Triq.Pipeline.initial_placement in
+    let pl = compiled.Triq.Compiled.initial_placement in
     Printf.printf "  day %d: %s\n" day
       (String.concat ", "
          (List.mapi (fun p h -> Printf.sprintf "%d->%d" p h) (Array.to_list pl)))

@@ -13,9 +13,8 @@ let () =
   List.iter
     (fun machine ->
       let compiled =
-        Triq.Pipeline.to_compiled
-          (Triq.Pipeline.compile_level machine program.Bench_kit.Programs.circuit
-             ~level:Triq.Pipeline.OneQOptCN)
+        Triq.Pipeline.compile_level machine program.Bench_kit.Programs.circuit
+          ~level:Triq.Pipeline.OneQOptCN
       in
       let schedule = Pulse.Lower.of_compiled compiled in
       Printf.printf
@@ -29,8 +28,7 @@ let () =
   print_newline ();
   print_endline "OpenPulse-style JSON for the IBM schedule:";
   let compiled =
-    Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_level Device.Machines.ibmq5
-         program.Bench_kit.Programs.circuit ~level:Triq.Pipeline.OneQOptCN)
+    Triq.Pipeline.compile_level Device.Machines.ibmq5
+      program.Bench_kit.Programs.circuit ~level:Triq.Pipeline.OneQOptCN
   in
   print_string (Pulse.Emit.openpulse_json (Pulse.Lower.of_compiled compiled))

@@ -31,20 +31,20 @@ let () =
       ~level:Triq.Pipeline.OneQOptCN
   in
   Printf.printf "Compiled for %s: %d 2Q gates, %d pulses, %d swaps, ESP %.3f\n\n"
-    machine.Device.Machine.name compiled.Triq.Pipeline.two_q_count
-    compiled.Triq.Pipeline.pulse_count compiled.Triq.Pipeline.swap_count
-    compiled.Triq.Pipeline.esp;
+    machine.Device.Machine.name compiled.Triq.Compiled.two_q_count
+    compiled.Triq.Compiled.pulse_count compiled.Triq.Compiled.swap_count
+    compiled.Triq.Compiled.esp;
 
   (* 3. Emit the vendor executable (OpenQASM for IBM machines). *)
-  let executable = Backend.Emit.executable (Triq.Pipeline.to_compiled compiled) in
+  let executable = Backend.Emit.executable compiled in
   Printf.printf "Generated %s:\n%s\n"
-    (Backend.Emit.format_name (Triq.Pipeline.to_compiled compiled))
+    (Backend.Emit.format_name compiled)
     executable;
 
   (* 4. Execute on the noisy device model and score against the known
      answer (the hidden string). *)
   let spec = Ir.Spec.deterministic program.Scaffold.Lower.measured "111" in
-  let outcome = Sim.Runner.simulate (Triq.Pipeline.to_compiled compiled) spec in
+  let outcome = Sim.Runner.simulate compiled spec in
   Printf.printf "Success rate on %s: %.3f (%d trials)\n"
     machine.Device.Machine.name outcome.Sim.Runner.success_rate
     outcome.Sim.Runner.trials;

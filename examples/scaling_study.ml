@@ -26,7 +26,7 @@ let () =
         (Printf.sprintf "%dx%d" rows cols)
         (rows * cols)
         (Bench_kit.Supremacy.two_q_count circuit)
-        compiled.Triq.Pipeline.two_q_count compiled.Triq.Pipeline.swap_count
+        compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.swap_count
         (Sys.time () -. t0))
     [
       (4, 4, 16); (5, 5, 16); (6, 6, 16); (6, 9, 16); (6, 12, 16); (6, 12, 128);

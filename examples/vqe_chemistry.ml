@@ -52,8 +52,7 @@ let expectations ?(mitigate = true) machine theta =
   let run basis =
     let circuit = measurement_circuit theta basis in
     let compiled =
-      Triq.Pipeline.to_compiled
-        (Triq.Pipeline.compile_level machine circuit ~level:Triq.Pipeline.OneQOptCN)
+      Triq.Pipeline.compile_level machine circuit ~level:Triq.Pipeline.OneQOptCN
     in
     (* A dummy deterministic spec is not available (superposition output);
        run against the ideal distribution of this measurement circuit. *)

@@ -1,11 +1,5 @@
-module Machine = Device.Machine
 module Topology = Device.Topology
 module Pass = Triq.Pass
-
-let start machine ~day circuit =
-  let config = Pass.Config.make ~day () in
-  let state = Pass.init ~config machine circuit in
-  Pass.run_passes state [ Pass.flatten ]
 
 (* The stages shared with the TriQ levels once a baseline has placed and
    routed: generic SWAP expansion (baselines know nothing about native
@@ -13,19 +7,9 @@ let start machine ~day circuit =
 let tail_passes =
   Pass.[ swap_expansion_generic; orientation; translation; oneq_coalesce; readout ]
 
-let finalize ~compiler ~routed ~initial_placement ~final_placement ~swap_count
-    ~started_at ~front_times (state : Pass.state) =
-  let state =
-    { state with Pass.circuit = routed; initial_placement; final_placement; swap_count }
-  in
-  let state, tail_times = Pass.run_passes state tail_passes in
-  Triq.Compiled.make
-    ~pass_times_s:(front_times @ tail_times)
-    ~machine:state.Pass.machine ~compiler
-    ~day:state.Pass.config.Pass.Config.day ~hardware:state.Pass.circuit
-    ~initial_placement ~final_placement ~readout_map:state.Pass.readout_map
-    ~swap_count ~flipped_cnots:state.Pass.flipped_cnots
-    ~compile_time_s:(Sys.time () -. started_at) ()
+let compile ~name ~day passes machine circuit =
+  Triq.Pipeline.compile_schedule ~config:(Pass.Config.make ~day ()) machine circuit
+    { Pass.Schedule.name; passes = (Pass.flatten :: passes) @ tail_passes }
 
 let hop_distances topology =
   let n = Topology.n_qubits topology in

@@ -1,32 +1,20 @@
-(** Shared back-end for the baseline compilers, built on the TriQ pass
-    driver ({!Triq.Pass}): the flatten front and — once a baseline has
-    placed and routed a program — the remaining stages (generic SWAP
-    expansion, CNOT orientation repair, translation to the
-    software-visible gate set, 1Q coalescing, readout map) are identical
-    across baselines and run as the same passes the TriQ levels use. *)
+(** Shared back-end for the baseline compilers. A baseline is a
+    {!Triq.Pass.Schedule.t} run by {!Triq.Pipeline.compile_schedule}, the
+    driver the TriQ levels use: the [flatten] pass, the baseline's own
+    placement and routing passes, then the stages shared across baselines
+    (generic SWAP expansion, CNOT orientation repair, translation to the
+    software-visible gate set, 1Q coalescing, readout map). *)
 
-(** [start machine ~day circuit] initializes a pass state for the
-    baseline and runs the shared [flatten] pass through the driver:
-    returns the state (whose [circuit] is the flattened program) and the
-    front pass times. *)
-val start :
-  Device.Machine.t -> day:int -> Ir.Circuit.t -> Triq.Pass.state * (string * float) list
-
-(** [finalize ~compiler ~routed ... state] completes compilation of a
-    routed hardware circuit through the shared tail passes and packages
-    it as an executable. [state] is the value from {!start};
-    [front_times] its pass times (prepended to the tail's in
-    [pass_times_s]); [started_at] the [Sys.time] value when the baseline
-    started, for compile-time reporting. *)
-val finalize :
-  compiler:string ->
-  routed:Ir.Circuit.t ->
-  initial_placement:int array ->
-  final_placement:int array ->
-  swap_count:int ->
-  started_at:float ->
-  front_times:(string * float) list ->
-  Triq.Pass.state ->
+(** [compile ~name ~day passes machine circuit] compiles [circuit] at
+    calibration day [day] with the schedule [name]: [flatten], [passes],
+    then the shared stages. Raises [Invalid_argument] (rule
+    [circuit.bounds]) if the program does not fit the machine. *)
+val compile :
+  name:string ->
+  day:int ->
+  Triq.Pass.t list ->
+  Device.Machine.t ->
+  Ir.Circuit.t ->
   Triq.Compiled.t
 
 (** [hop_distances topology] is the all-pairs hop-count matrix. *)

@@ -57,16 +57,14 @@ let route machine rng ~placement (c : Ir.Circuit.t) =
   (Ir.Circuit.create n_hardware (List.rev !out), cur, !swaps)
 
 let compile ?(day = 0) ?(seed = 1) machine circuit =
-  if not (Machine.fits machine circuit) then
-    invalid_arg "Qiskit_like.compile: program does not fit";
-  let started_at = Sys.time () in
-  let state, front_times = Common.start machine ~day circuit in
-  let flat = state.Triq.Pass.circuit in
-  let placement =
-    Triq.Placement.trivial ~n_program:flat.Ir.Circuit.n_qubits
-      ~n_hardware:(Machine.n_qubits machine)
-  in
-  let rng = Rng.create seed in
-  let routed, final_placement, swap_count = route machine rng ~placement flat in
-  Common.finalize ~compiler:"Qiskit" ~routed ~initial_placement:placement
-    ~final_placement ~swap_count ~started_at ~front_times state
+  Common.compile ~name:"Qiskit" ~day
+    [
+      Triq.Pass.mapping_trivial;
+      Triq.Pass.make ~name:"routing" ~optional:false (fun s ->
+          let circuit, final_placement, swap_count =
+            route s.Triq.Pass.machine (Rng.create seed)
+              ~placement:s.Triq.Pass.initial_placement s.Triq.Pass.circuit
+          in
+          { s with Triq.Pass.circuit; final_placement; swap_count });
+    ]
+    machine circuit

@@ -42,16 +42,14 @@ let route machine ~placement (c : Ir.Circuit.t) =
   (Ir.Circuit.create n_hardware (List.rev !out), !swaps)
 
 let compile ?(day = 0) machine circuit =
-  if not (Machine.fits machine circuit) then
-    invalid_arg "Quil_like.compile: program does not fit";
-  let started_at = Sys.time () in
-  let state, front_times = Common.start machine ~day circuit in
-  let flat = state.Triq.Pass.circuit in
-  let placement =
-    Triq.Placement.trivial ~n_program:flat.Ir.Circuit.n_qubits
-      ~n_hardware:(Machine.n_qubits machine)
-  in
-  let routed, swap_count = route machine ~placement flat in
-  Common.finalize ~compiler:"Quil" ~routed ~initial_placement:placement
-    ~final_placement:(Array.copy placement) ~swap_count ~started_at ~front_times
-    state
+  Common.compile ~name:"Quil" ~day
+    [
+      Triq.Pass.mapping_trivial;
+      Triq.Pass.make ~name:"routing" ~optional:false (fun s ->
+          let placement = s.Triq.Pass.initial_placement in
+          let circuit, swap_count =
+            route s.Triq.Pass.machine ~placement s.Triq.Pass.circuit
+          in
+          { s with Triq.Pass.circuit; final_placement = Array.copy placement; swap_count });
+    ]
+    machine circuit

@@ -56,21 +56,15 @@ let greedy_placement machine (flat : Ir.Circuit.t) =
     order;
   placement
 
+(* Hop-count routing = the noise-unaware reliability matrix under the
+   TriQ router. *)
 let compile ?(day = 0) machine circuit =
-  if not (Machine.fits machine circuit) then
-    invalid_arg "Zulehner_like.compile: program does not fit";
-  let started_at = Sys.time () in
-  let state, front_times = Common.start machine ~day circuit in
-  let flat = state.Triq.Pass.circuit in
-  let placement = greedy_placement machine flat in
-  (* Hop-count routing = noise-unaware reliability matrix. *)
-  let reliability =
-    Triq.Reliability.compute_cached ~noise_aware:false
-      ~calibration:state.Triq.Pass.calibration machine ~day
-  in
-  let routed =
-    Triq.Router.route reliability machine.Machine.topology ~placement flat
-  in
-  Common.finalize ~compiler:"Zulehner" ~routed:routed.Triq.Router.circuit
-    ~initial_placement:placement ~final_placement:routed.Triq.Router.final_placement
-    ~swap_count:routed.Triq.Router.swap_count ~started_at ~front_times state
+  Common.compile ~name:"Zulehner" ~day
+    [
+      Triq.Pass.reliability ~noise_aware:false;
+      Triq.Pass.make ~name:"mapping" (fun s ->
+          let placement = greedy_placement s.Triq.Pass.machine s.Triq.Pass.circuit in
+          { s with Triq.Pass.initial_placement = placement });
+      Triq.Pass.routing Triq.Pass.Config.Default;
+    ]
+    machine circuit

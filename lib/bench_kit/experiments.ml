@@ -98,7 +98,7 @@ let try_success ?config ?day ?trajectories machine level p =
   Option.map
     (fun compiled ->
       let outcome =
-        Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled) p.Programs.spec
+        Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled p.Programs.spec
       in
       outcome.Sim.Runner.success_rate)
     (try_compile ?config ?day machine level p)
@@ -244,7 +244,7 @@ let fig8_data () =
   machine_grid (fig8_machines ())
     ~cols:[ ("TriQ-N", Pipeline.N); ("TriQ-1QOpt", Pipeline.OneQOpt) ]
     ~cell:(fun machine level p ->
-      Option.map (fun r -> r.Pipeline.pulse_count) (try_compile machine level p))
+      Option.map (fun r -> r.Triq.Compiled.pulse_count) (try_compile machine level p))
 
 let row_table (to_string : 'a option -> string) rows =
   match rows with
@@ -314,7 +314,7 @@ let fig10_counts () =
     [ Machines.ibmq14; Machines.agave ]
     ~cols:[ ("TriQ-1QOpt", Pipeline.OneQOpt); ("TriQ-1QOptC", Pipeline.OneQOptC) ]
     ~cell:(fun machine level p ->
-      Option.map (fun r -> r.Pipeline.two_q_count) (try_compile machine level p))
+      Option.map (fun r -> r.Triq.Compiled.two_q_count) (try_compile machine level p))
 
 let fig10_success ?trajectories () =
   let machine = Machines.ibmq14 in
@@ -371,7 +371,7 @@ let fig11_counts () =
           (fun c -> c.Triq.Compiled.two_q_count)
           (compile_with_baseline machine `Qiskit p)
       | `Level level ->
-        Option.map (fun r -> r.Pipeline.two_q_count) (try_compile machine level p))
+        Option.map (fun r -> r.Triq.Compiled.two_q_count) (try_compile machine level p))
 
 let fig11_ibm_success ?trajectories () =
   let machine = Machines.ibmq14 in
@@ -472,8 +472,8 @@ let scaling_data ?(node_budget = 20_000) ?(depth = 16) () =
       let compiled = compile_level ~config machine Pipeline.OneQOptCN circuit in
       ( Printf.sprintf "%dx%d d%d" rows cols depth,
         n,
-        compiled.Pipeline.two_q_count,
-        compiled.Pipeline.compile_time_s ))
+        compiled.Triq.Compiled.two_q_count,
+        compiled.Triq.Compiled.compile_time_s ))
     (scaling_grids depth)
 
 let print_scaling ?node_budget ?depth () =
@@ -500,7 +500,7 @@ let related_data () =
       in
       let triq =
         Option.map
-          (fun r -> r.Pipeline.two_q_count)
+          (fun r -> r.Triq.Compiled.two_q_count)
           (try_compile machine Pipeline.OneQOptC p)
       in
       {
@@ -570,7 +570,7 @@ let ablation_peephole_data () =
       else begin
         let two_q config =
           (compile_level ~config machine Pipeline.OneQOptCN p.Programs.circuit)
-            .Pipeline.two_q_count
+            .Triq.Compiled.two_q_count
         in
         Some
           ( p.Programs.name,
@@ -663,8 +663,7 @@ let coherence_data () =
   pmap
     (fun machine ->
       let compiled =
-        Pipeline.to_compiled
-          (compile_level machine Pipeline.OneQOptCN p.Programs.circuit)
+        compile_level machine Pipeline.OneQOptCN p.Programs.circuit
       in
       let schedule = Pulse.Lower.of_compiled compiled in
       let duration_us = Pulse.Schedule.duration_ns schedule /. 1000.0 in
@@ -739,27 +738,19 @@ let print_characterize () =
     rows
 
 (* Routing ablation: noise-aware mapping with hop-count routing isolates
-   the contribution of reliability-path SWAP insertion (Section 4.4). *)
+   the contribution of reliability-path SWAP insertion (Section 4.4). The
+   second reliability pass swaps in the device-average matrix, so the
+   router follows hop counts while the placement stays noise-aware. *)
 let hybrid_routing_compile ?(day = 0) machine (p : Programs.t) =
-  let started_at = Sys.time () in
-  let state, front_times = Baselines.Common.start machine ~day p.Programs.circuit in
-  let flat = state.Triq.Pass.circuit in
-  let calibration = state.Triq.Pass.calibration in
-  let aware =
-    Triq.Reliability.compute_cached ~noise_aware:true ~calibration machine ~day
-  in
-  let unaware =
-    Triq.Reliability.compute_cached ~noise_aware:false ~calibration machine ~day
-  in
-  let placement =
-    (Triq.Placement.solve ~reliability:aware ~machine_name:machine.Machine.name
-       ~day flat)
-      .Layout.Report.placement
-  in
-  let routed = Triq.Router.route unaware machine.Machine.topology ~placement flat in
-  Baselines.Common.finalize ~compiler:"TriQ-hybrid" ~routed:routed.Triq.Router.circuit
-    ~initial_placement:placement ~final_placement:routed.Triq.Router.final_placement
-    ~swap_count:routed.Triq.Router.swap_count ~started_at ~front_times state
+  Baselines.Common.compile ~name:"TriQ-hybrid" ~day
+    Triq.Pass.
+      [
+        reliability ~noise_aware:true;
+        mapping_solver;
+        reliability ~noise_aware:false;
+        routing Config.Default;
+      ]
+    machine p.Programs.circuit
 
 let ablation_routing_data ?trajectories () =
   let machine = Machines.ibmq14 in
@@ -797,8 +788,7 @@ let staleness_data ?trajectories ?(days = 8) () =
   let machine = Machines.ibmq14 in
   let p = Programs.bv 6 in
   let stale_exe =
-    Pipeline.to_compiled
-      (compile_level ~day:0 machine Pipeline.OneQOptCN p.Programs.circuit)
+    compile_level ~day:0 machine Pipeline.OneQOptCN p.Programs.circuit
   in
   pmap_range days (fun day ->
       let stale =
@@ -807,8 +797,7 @@ let staleness_data ?trajectories ?(days = 8) () =
       in
       let fresh =
         (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ())
-           (Pipeline.to_compiled
-              (compile_level ~day machine Pipeline.OneQOptCN p.Programs.circuit))
+           (compile_level ~day machine Pipeline.OneQOptCN p.Programs.circuit)
            p.Programs.spec)
           .Sim.Runner.success_rate
       in
@@ -843,12 +832,12 @@ let esp_correlation_data ?trajectories () =
       Option.map
         (fun compiled ->
           let success =
-            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled)
+            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
                p.Programs.spec)
               .Sim.Runner.success_rate
           in
           ( Printf.sprintf "%s/%s" machine.Machine.name p.Programs.name,
-            compiled.Pipeline.esp,
+            compiled.Triq.Compiled.esp,
             success ))
         (try_compile machine Pipeline.OneQOptCN p))
     (List.concat_map
@@ -880,8 +869,8 @@ let ablation_lookahead_data ?trajectories () =
           let compiled =
             compile_level ~config machine Pipeline.OneQOptCN p.Programs.circuit
           in
-          ( compiled.Pipeline.two_q_count,
-            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled)
+          ( compiled.Triq.Compiled.two_q_count,
+            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
                p.Programs.spec)
               .Sim.Runner.success_rate )
         in
@@ -963,15 +952,15 @@ let properties_rows machine =
     (fun (p : Programs.t) ->
       Option.map
         (fun r ->
-          let dag = Ir.Dag.of_circuit r.Pipeline.hardware in
+          let dag = Ir.Dag.of_circuit r.Triq.Compiled.hardware in
           [
             p.Programs.name;
-            string_of_int r.Pipeline.two_q_count;
-            string_of_int r.Pipeline.pulse_count;
-            string_of_int r.Pipeline.swap_count;
+            string_of_int r.Triq.Compiled.two_q_count;
+            string_of_int r.Triq.Compiled.pulse_count;
+            string_of_int r.Triq.Compiled.swap_count;
             string_of_int (Ir.Dag.depth dag);
-            Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Pipeline.hardware));
-            Table.f3 r.Pipeline.esp;
+            Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Triq.Compiled.hardware));
+            Table.f3 r.Triq.Compiled.esp;
           ])
         (try_compile machine Pipeline.OneQOptCN p))
     (benches ())
@@ -1066,8 +1055,8 @@ let parametric_data ?trajectories () =
               let compiled =
                 compile_level machine Pipeline.OneQOptCN p.Programs.circuit
               in
-              ( compiled.Pipeline.two_q_count,
-                (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled)
+              ( compiled.Triq.Compiled.two_q_count,
+                (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
                    p.Programs.spec)
                   .Sim.Runner.success_rate )
             in
@@ -1105,8 +1094,7 @@ let noise_model_data ?trajectories () =
       if not (Machine.fits machine p.Programs.circuit) then None
       else begin
         let compiled =
-          Pipeline.to_compiled
-            (compile_level machine Pipeline.OneQOptCN p.Programs.circuit)
+          compile_level machine Pipeline.OneQOptCN p.Programs.circuit
         in
         let folded =
           (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled p.Programs.spec).Sim.Runner.success_rate
@@ -1146,7 +1134,7 @@ let ghz_fidelity ?trajectories machine n =
     let run gates =
       let circuit = Ir.Circuit.measure_all (Ir.Circuit.create n gates) measured in
       let compiled =
-        Pipeline.to_compiled (compile_level machine Pipeline.OneQOptCN circuit)
+        compile_level machine Pipeline.OneQOptCN circuit
       in
       let spec =
         Ir.Spec.distribution measured

@@ -15,6 +15,7 @@ type t = {
   pulse_count : int;
   flipped_cnots : int;
   esp : float;
+  layout : Layout.Report.t option;
   compile_time_s : float;
   pass_times_s : (string * float) list;
 }
@@ -31,28 +32,6 @@ let estimated_success_probability machine calibration (c : Ir.Circuit.t) =
       | Measure q -> acc *. (1.0 -. Calibration.readout_err calibration q)
       | Ccx _ | Cswap _ -> invalid_arg "Compiled.esp: not flattened")
     1.0 c.Ir.Circuit.gates
-
-let make ?(pass_times_s = []) ~machine ~compiler ~day ~hardware ~initial_placement
-    ~final_placement ~readout_map ~swap_count ~flipped_cnots ~compile_time_s () =
-  if not (Gateset.circuit_visible machine.Machine.basis hardware) then
-    invalid_arg "Compiled.make: hardware circuit contains non-visible gates";
-  let calibration = Machine.calibration machine ~day in
-  {
-    machine;
-    compiler;
-    day;
-    hardware;
-    initial_placement;
-    final_placement;
-    readout_map;
-    swap_count;
-    two_q_count = Ir.Circuit.two_q_count hardware;
-    pulse_count = Gateset.circuit_pulse_count machine.Machine.basis hardware;
-    flipped_cnots;
-    esp = estimated_success_probability machine calibration hardware;
-    compile_time_s;
-    pass_times_s;
-  }
 
 type error_budget = { two_q : float; one_q : float; readout : float }
 

@@ -1,7 +1,7 @@
-(** A compiled executable: the common output shape of every compiler in
+(** A compiled executable: the one output record of every compiler in
     the study (the four TriQ levels and the vendor-baseline
-    reimplementations), consumed by the simulator runner and the
-    experiment harness. *)
+    reimplementations), built by {!Pipeline.compile_schedule} and consumed
+    by the emitters, the simulator runner and the experiment harness. *)
 
 type t = {
   machine : Device.Machine.t;
@@ -17,31 +17,15 @@ type t = {
   pulse_count : int;  (** physical X/Y pulses (Figure 8's metric) *)
   flipped_cnots : int;
   esp : float;  (** estimated success probability under the calibration *)
-  compile_time_s : float;
+  layout : Layout.Report.t option;
+      (** the mapping pass's structured layout report — strategy, work
+          counters, optimality and cache status ([None] when the schedule
+          placed qubits without the layout engine) *)
+  compile_time_s : float;  (** wall clock of the driver's [compile] span *)
   pass_times_s : (string * float) list;
-      (** per-pass wall time keyed by {!Pass.t} canonical names; [[]] when
-          the producer did not run through the pass driver *)
+      (** per-pass wall time keyed by {!Pass.t} canonical names, in
+          schedule order (Section 6.5's compile-time attribution) *)
 }
-
-(** [make ... ()] assembles an executable, computing the derived
-    statistics (2Q count, pulse count, ESP) from the hardware circuit and
-    the machine's day-[day] calibration. The hardware circuit must be
-    entirely software-visible. [pass_times_s] (default [[]]) records the
-    per-pass wall clock when the producer ran through the pass driver. *)
-val make :
-  ?pass_times_s:(string * float) list ->
-  machine:Device.Machine.t ->
-  compiler:string ->
-  day:int ->
-  hardware:Ir.Circuit.t ->
-  initial_placement:int array ->
-  final_placement:int array ->
-  readout_map:(int * int) list ->
-  swap_count:int ->
-  flipped_cnots:int ->
-  compile_time_s:float ->
-  unit ->
-  t
 
 (** [estimated_success_probability machine calibration c] multiplies the
     per-gate success probabilities of a hardware-level, software-visible

@@ -419,12 +419,11 @@ let pass_of_name ~config ~level name =
 module Schedule = struct
   type pass = t
 
-  type t = { name : string; level : level; passes : pass list }
+  type t = { name : string; passes : pass list }
 
   let of_level ?(config = Config.default) level =
     {
       name = level_name level;
-      level;
       passes =
         [
           flatten;
@@ -464,7 +463,7 @@ module Schedule = struct
 
   let make ?(config = Config.default) ~level names =
     let rec resolve acc = function
-      | [] -> Ok { name = level_name level; level; passes = List.rev acc }
+      | [] -> Ok { name = level_name level; passes = List.rev acc }
       | n :: rest -> (
         match pass_of_name ~config ~level n with
         | Ok p -> resolve (p :: acc) rest
@@ -543,26 +542,3 @@ let run_passes state passes =
       (state, []) passes
   in
   (state, List.rev times)
-
-type outcome = {
-  state : state;
-  pass_times_s : (string * float) list;
-  compile_time_s : float;
-}
-
-let run ~config machine circuit (schedule : Schedule.t) =
-  Obs.Metrics.incr (Obs.Metrics.counter "triq.compile.count");
-  let (state, pass_times_s), compile_time_s =
-    Obs.Span.timed
-      ~attrs:
-        [
-          ("machine", Obs.Span.Str machine.Machine.name);
-          ("schedule", Obs.Span.Str schedule.Schedule.name);
-          ("day", Obs.Span.Int config.Config.day);
-        ]
-      "compile"
-      (fun () ->
-        let state = init ~config machine circuit in
-        run_passes state schedule.Schedule.passes)
-  in
-  { state; pass_times_s; compile_time_s }

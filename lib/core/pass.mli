@@ -1,18 +1,18 @@
 (** First-class compiler passes and named schedules.
 
     The toolflow of Figure 4 is decomposed into named {!t} values — each
-    pass transforms a shared compilation {!state} — and a driver ({!run})
-    that uniformly handles per-pass wall-clock timing and the
+    pass transforms a shared compilation {!state} — and {!run_pass},
+    which uniformly handles per-pass wall-clock timing and the
     {!Analysis.Check} pass-invariant harness. The four optimization
     levels of Table 1 are the named {!Schedule.t} values built by
-    {!Schedule.of_level}; ablations (peephole cancellation, lookahead
-    routing) are schedule/config edits rather than boolean plumbing.
+    {!Schedule.of_level}, and the vendor baselines are schedules too;
+    ablations (peephole cancellation, lookahead routing) are
+    schedule/config edits rather than boolean plumbing.
 
-    {!Pipeline.compile_level} remains the stable high-level entry point;
-    it is a thin wrapper over [run]. Use this
-    module directly to run custom schedules ([triqc compile --passes],
-    [--disable-pass]) or to register project-specific passes
-    (see docs/EXTENDING.md, "Adding a pass"). *)
+    {!Pipeline.compile_schedule} is the one driver that runs a schedule
+    into a {!Compiled.t}. Use this module to build custom schedules
+    ([triqc compile --passes], [--disable-pass]) or to register
+    project-specific passes (see docs/EXTENDING.md, "Adding a pass"). *)
 
 (** {1 Optimization levels} *)
 
@@ -213,8 +213,9 @@ module Schedule : sig
   type pass := t
 
   type t = {
-    name : string;  (** display name, e.g. "TriQ-1QOptCN" *)
-    level : level;  (** level whose variants/labels the schedule uses *)
+    name : string;
+        (** display name, e.g. "TriQ-1QOptCN" or "Qiskit"; it becomes the
+            executable's [Compiled.compiler] *)
     passes : pass list;
   }
 
@@ -233,12 +234,14 @@ module Schedule : sig
       unknown, not in the schedule, or not optional. *)
   val disable : t -> string -> (t, string) result
 
-  (** [make ?config ~level names] builds a custom schedule from canonical
-      pass names resolved by {!pass_of_name}. *)
+  (** [make ?config ~level names] builds a custom schedule, named after
+      [level], from canonical pass names resolved by {!pass_of_name}. *)
   val make : ?config:Config.t -> level:level -> string list -> (t, string) result
 end
 
-(** {1 The driver} *)
+(** {1 Running passes}
+
+    {!Pipeline.compile_schedule} drives these inside its [compile] span. *)
 
 (** [init ~config machine circuit] is the starting state: fits-check,
     day-[config.day] calibration, identity placements. Raises
@@ -258,16 +261,3 @@ val run_pass : state -> t -> state * float
 (** [run_passes state ps] folds {!run_pass}, collecting
     [(name, seconds)] in schedule order. *)
 val run_passes : state -> t list -> state * (string * float) list
-
-type outcome = {
-  state : state;
-  pass_times_s : (string * float) list;
-  compile_time_s : float;  (** total wall clock including the driver *)
-}
-
-(** [run ~config machine circuit schedule] = {!init} + {!run_passes},
-    wrapped in an [Obs.Span] named ["compile"] (attributes: machine,
-    schedule, day) whose duration is [compile_time_s]. Per-pass and
-    total times come from the same wall clock, so
-    [sum pass_times_s <= compile_time_s] up to rounding. *)
-val run : config:Config.t -> Device.Machine.t -> Ir.Circuit.t -> Schedule.t -> outcome

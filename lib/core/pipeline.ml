@@ -1,16 +1,13 @@
 module Machine = Device.Machine
-module Gateset = Device.Gateset
+module Check = Analysis.Check
 
 type level = Pass.level = N | OneQOpt | OneQOptC | OneQOptCN
 
 let all_levels = Pass.all_levels
-let level_name = Pass.level_name
-let level_of_string = Pass.level_of_string
-let level_strings = Pass.level_strings
 
-type t = {
+type t = Compiled.t = {
   machine : Machine.t;
-  level : level;
+  compiler : string;
   day : int;
   hardware : Ir.Circuit.t;
   initial_placement : int array;
@@ -26,52 +23,56 @@ type t = {
   pass_times_s : (string * float) list;
 }
 
-let estimated_success_probability = Compiled.estimated_success_probability
+(* The statistics below are defined only on software-visible gates over
+   coupled pairs; a partial schedule that stops short of that fails here
+   with a diagnostic rather than inside the ESP or pulse count. *)
+let require_executable (s : Pass.state) =
+  let gates = s.Pass.circuit.Ir.Circuit.gates in
+  match
+    Check.gateset ~layer:"pipeline" s.Pass.machine.Machine.basis gates
+    @ Check.coupling ~layer:"pipeline" s.Pass.machine.Machine.topology gates
+  with
+  | [] -> ()
+  | d :: _ ->
+    Analysis.Diag.invalid ~rule:d.Analysis.Diag.rule ~layer:d.Analysis.Diag.layer
+      ~loc:d.Analysis.Diag.loc "%s" d.Analysis.Diag.message
 
-let of_outcome ~level (o : Pass.outcome) =
-  let s = o.Pass.state in
+let compile_schedule ?(config = Pass.Config.default) machine circuit
+    (schedule : Pass.Schedule.t) =
+  Obs.Metrics.incr (Obs.Metrics.counter "triq.compile.count");
+  let (s, pass_times_s), compile_time_s =
+    Obs.Span.timed
+      ~attrs:
+        [
+          ("machine", Obs.Span.Str machine.Machine.name);
+          ("schedule", Obs.Span.Str schedule.Pass.Schedule.name);
+          ("day", Obs.Span.Int config.Pass.Config.day);
+        ]
+      "compile"
+      (fun () ->
+        Pass.run_passes (Pass.init ~config machine circuit) schedule.Pass.Schedule.passes)
+  in
+  require_executable s;
+  let hardware = s.Pass.circuit in
   {
-    machine = s.Pass.machine;
-    level;
-    day = s.Pass.config.Pass.Config.day;
-    hardware = s.Pass.circuit;
+    machine;
+    compiler = schedule.Pass.Schedule.name;
+    day = config.Pass.Config.day;
+    hardware;
     initial_placement = s.Pass.initial_placement;
     final_placement = s.Pass.final_placement;
     readout_map = s.Pass.readout_map;
     swap_count = s.Pass.swap_count;
-    two_q_count = Ir.Circuit.two_q_count s.Pass.circuit;
-    pulse_count =
-      Gateset.circuit_pulse_count s.Pass.machine.Machine.basis s.Pass.circuit;
+    two_q_count = Ir.Circuit.two_q_count hardware;
+    pulse_count = Device.Gateset.circuit_pulse_count machine.Machine.basis hardware;
     flipped_cnots = s.Pass.flipped_cnots;
-    esp =
-      estimated_success_probability s.Pass.machine s.Pass.calibration s.Pass.circuit;
+    esp = Compiled.estimated_success_probability machine s.Pass.calibration hardware;
     layout = s.Pass.layout;
-    compile_time_s = o.Pass.compile_time_s;
-    pass_times_s = o.Pass.pass_times_s;
+    compile_time_s;
+    pass_times_s;
   }
-
-let compile_schedule ?(config = Pass.Config.default) machine circuit
-    (schedule : Pass.Schedule.t) =
-  of_outcome ~level:schedule.Pass.Schedule.level
-    (Pass.run ~config machine circuit schedule)
 
 let compile_level ?(config = Pass.Config.default) machine circuit ~level =
   compile_schedule ~config machine circuit (Pass.Schedule.of_level ~config level)
 
-let to_compiled t =
-  {
-    Compiled.machine = t.machine;
-    compiler = level_name t.level;
-    day = t.day;
-    hardware = t.hardware;
-    initial_placement = t.initial_placement;
-    final_placement = t.final_placement;
-    readout_map = t.readout_map;
-    swap_count = t.swap_count;
-    two_q_count = t.two_q_count;
-    pulse_count = t.pulse_count;
-    flipped_cnots = t.flipped_cnots;
-    esp = t.esp;
-    compile_time_s = t.compile_time_s;
-    pass_times_s = t.pass_times_s;
-  }
+let to_compiled t = t

@@ -13,5 +13,3 @@ let executable_of_compiled ?measured (c : Compiled.t) =
 
 let check_compiled ?measured c =
   Analysis.Check.check_executable (executable_of_compiled ?measured c)
-
-let check_pipeline ?measured t = check_compiled ?measured (Pipeline.to_compiled t)

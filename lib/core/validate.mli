@@ -1,7 +1,7 @@
 (** Static validation of compiled executables.
 
     The read side of the pass-invariant harness: package a finished
-    {!Compiled.t} (or {!Pipeline.t}) as an {!Analysis.Check.executable}
+    {!Compiled.t} as an {!Analysis.Check.executable}
     and run the full rule catalog over it. This is the cheap structural
     complement to the dynamic oracle {!Sim.Verify.check} — it never
     simulates, so it runs in linear time on any size of executable, and
@@ -18,6 +18,3 @@ val executable_of_compiled :
 (** [check_compiled ?measured c] returns every rule violation in [c]
     (empty list = statically well-formed). *)
 val check_compiled : ?measured:int list -> Compiled.t -> Analysis.Diag.t list
-
-(** [check_pipeline ?measured t] audits a TriQ pipeline result. *)
-val check_pipeline : ?measured:int list -> Pipeline.t -> Analysis.Diag.t list

@@ -50,6 +50,9 @@ let of_json json =
     let name = Json.to_str (Json.member "name" json) in
     let basis = interface_of_name (Json.to_str (Json.member "interface" json)) in
     let qubits = Json.to_int (Json.member "qubits" json) in
+    if qubits > Ir.Circuit.max_qubits then
+      fail "qubits = %d exceeds the bound of %d (Ir.Circuit.max_qubits)" qubits
+        Ir.Circuit.max_qubits;
     let directed =
       match Json.member_opt "directed" json with
       | Some v -> Json.to_bool v

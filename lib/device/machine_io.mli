@@ -26,8 +26,10 @@
     (all string escapes, [\uXXXX] included) nested at most 512 arrays or
     objects deep; deeper input fails at once with {!Error}. Integer
     members ([qubits], [edges], [seed]) also accept integral floats such
-    as [5.0]. {!to_string} escapes every control byte, so its output is
-    read back by any JSON parser.
+    as [5.0]. A device may have at most [Ir.Circuit.max_qubits] qubits,
+    the frontends' register bound; a larger [qubits] fails with {!Error}
+    before its topology is built. {!to_string} escapes every control
+    byte, so its output is read back by any JSON parser.
 
     The optional per-coupling error scaling of large ion traps is not
     representable in a data file (it is a function); such machines are

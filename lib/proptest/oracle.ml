@@ -249,17 +249,16 @@ let check_schedule ~machine ~level ~router ~peephole ~day c =
       Error
         (Printf.sprintf "%s at %s (router=%s, peephole=%b, day=%d) raised: %s"
            machine.Device.Machine.name
-           (Triq.Pipeline.level_name level)
+           (Triq.Pass.level_name level)
            (Triq.Pass.Config.router_name router)
            peephole day (Printexc.to_string e))
     | compiled -> (
-      let executable = Triq.Pipeline.to_compiled compiled in
-      match Sim.Verify.check ~program:c ~measured executable with
+      match Sim.Verify.check ~program:c ~measured compiled with
       | exception e ->
         Error
           (Printf.sprintf "%s at %s: verification raised: %s"
              machine.Device.Machine.name
-             (Triq.Pipeline.level_name level)
+             (Triq.Pass.level_name level)
              (Printexc.to_string e))
       | result ->
         if result.Sim.Verify.equivalent then Ok ()
@@ -269,7 +268,7 @@ let check_schedule ~machine ~level ~router ~peephole ~day c =
                "%s at %s (router=%s, peephole=%b, day=%d): compiled output \
                 diverges, total variation %.6f"
                machine.Device.Machine.name
-               (Triq.Pipeline.level_name level)
+               (Triq.Pass.level_name level)
                (Triq.Pass.Config.router_name router)
                peephole day result.Sim.Verify.total_variation))
   end
@@ -300,7 +299,6 @@ let check_determinism ~machine ~sample_counts ~explicit_t1 ~run_seed c =
     | exception e ->
       Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
     | compiled -> (
-      let executable = Triq.Pipeline.to_compiled compiled in
       let spec =
         match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
         | [] -> Ir.Spec.deterministic measured (String.make (List.length measured) '0')
@@ -311,7 +309,7 @@ let check_determinism ~machine ~sample_counts ~explicit_t1 ~run_seed c =
           ~config:
             (Sim.Runner.Config.make ~seed:run_seed ~trials:512 ~trajectories:60
                ~sample_counts ~explicit_t1 ~pool ())
-          executable spec
+          compiled spec
       in
       match List.map (fun (j, p) -> (j, run p)) (Lazy.force pools) with
       | exception e ->
@@ -420,7 +418,6 @@ let check_clifford ~machine ~run_seed c =
           | exception e ->
             Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
           | compiled -> (
-            let executable = Triq.Pipeline.to_compiled compiled in
             let spec =
               match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
               | [] ->
@@ -433,7 +430,7 @@ let check_clifford ~machine ~run_seed c =
                 ~config:
                   (Sim.Runner.Config.make ~seed:run_seed ~trials:512
                      ~trajectories:60 ~fusion:false ~backend ())
-                executable spec
+                compiled spec
             in
             match
               (run Sim.Runner.Config.Auto, run Sim.Runner.Config.Statevector)
@@ -642,7 +639,7 @@ let schedule_spec : schedule_case Harness.spec =
       (fun c ->
         Printf.sprintf "machine=%s level=%s router=%s peephole=%b day=%d\n%s"
           c.sc_machine.Device.Machine.name
-          (Triq.Pipeline.level_name c.sc_level)
+          (Triq.Pass.level_name c.sc_level)
           (Triq.Pass.Config.router_name c.sc_router)
           c.sc_peephole c.sc_day (show_circuit c.sc_circuit));
     prop =

@@ -6,18 +6,18 @@
 
    Usage: dune exec test/gen_golden/gen_golden.exe > test/layout_golden.ml *)
 
-let digest (r : Triq.Pipeline.t) =
+let digest (r : Triq.Compiled.t) =
   let payload =
-    ( r.Triq.Pipeline.hardware.Ir.Circuit.gates,
-      r.Triq.Pipeline.hardware.Ir.Circuit.n_qubits,
-      r.Triq.Pipeline.initial_placement,
-      r.Triq.Pipeline.final_placement,
-      r.Triq.Pipeline.readout_map,
-      r.Triq.Pipeline.swap_count,
-      r.Triq.Pipeline.two_q_count,
-      r.Triq.Pipeline.pulse_count,
-      r.Triq.Pipeline.flipped_cnots,
-      r.Triq.Pipeline.esp )
+    ( r.Triq.Compiled.hardware.Ir.Circuit.gates,
+      r.Triq.Compiled.hardware.Ir.Circuit.n_qubits,
+      r.Triq.Compiled.initial_placement,
+      r.Triq.Compiled.final_placement,
+      r.Triq.Compiled.readout_map,
+      r.Triq.Compiled.swap_count,
+      r.Triq.Compiled.two_q_count,
+      r.Triq.Compiled.pulse_count,
+      r.Triq.Compiled.flipped_cnots,
+      r.Triq.Compiled.esp )
   in
   Digest.to_hex (Digest.string (Marshal.to_string payload []))
 
@@ -43,7 +43,7 @@ let () =
                 in
                 Printf.printf "    (%S, %S, %S, %S);\n" m.Device.Machine.name
                   p.Bench_kit.Programs.name
-                  (Triq.Pipeline.level_name level)
+                  (Triq.Pass.level_name level)
                   (digest r))
               Triq.Pipeline.all_levels)
         Bench_kit.Programs.all)

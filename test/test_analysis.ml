@@ -236,8 +236,7 @@ let test_rule_counters () =
 (* Tampering with a really-compiled executable is caught by the audit. *)
 let test_tampered_executable () =
   let p = Programs.bv 4 in
-  let r = Pipeline.compile_level Machines.ibmq5 p.Programs.circuit ~level:Pipeline.OneQOptCN in
-  let c = Pipeline.to_compiled r in
+  let c = Pipeline.compile_level Machines.ibmq5 p.Programs.circuit ~level:Pipeline.OneQOptCN in
   clean "untouched" (Triq.Validate.check_compiled c);
   fired "tampered 2q" "exec.count-2q"
     (Triq.Validate.check_compiled
@@ -342,8 +341,8 @@ let test_validated_matrix () =
                 in
                 clean
                   (Printf.sprintf "%s/%s/%s" machine.Device.Machine.name
-                     p.Programs.name (Pipeline.level_name level))
-                  (Triq.Validate.check_pipeline
+                     p.Programs.name (Triq.Pass.level_name level))
+                  (Triq.Validate.check_compiled
                      ~measured:(Circuit.measured_qubits p.Programs.circuit)
                      r))
               Pipeline.all_levels)
@@ -367,7 +366,7 @@ let test_validated_ablations () =
                 clean
                   (Printf.sprintf "%s/%s ablation" machine.Device.Machine.name
                      p.Programs.name)
-                  (Triq.Validate.check_pipeline
+                  (Triq.Validate.check_compiled
                      ~measured:(Circuit.measured_qubits p.Programs.circuit)
                      r))
               matrix_configs)
@@ -383,12 +382,11 @@ let test_static_clean_implies_verified () =
         (fun (p : Programs.t) ->
           if Device.Machine.fits machine p.Programs.circuit then begin
             let measured = Circuit.measured_qubits p.Programs.circuit in
-            let r =
+            let c =
               Pipeline.compile_level ~config:(Triq.Pass.Config.make ~validate:Triq.Pass.Config.Shape ())
                 machine p.Programs.circuit
                 ~level:Pipeline.OneQOptCN
             in
-            let c = Pipeline.to_compiled r in
             clean
               (Printf.sprintf "%s on %s static" p.Programs.name name)
               (Triq.Validate.check_compiled ~measured c);

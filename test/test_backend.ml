@@ -11,7 +11,7 @@ module Pipeline = Triq.Pipeline
 
 let bv4 = (Bench_kit.Programs.bv 4).Bench_kit.Programs.circuit
 
-let compile machine = Pipeline.to_compiled (Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN)
+let compile machine = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN
 
 let contains hay needle =
   let h = String.length hay and n = String.length needle in

@@ -66,9 +66,8 @@ let test_triq_beats_qiskit () =
     List.map
       (fun (p : Bench_kit.Programs.t) ->
         let triq =
-          Pipeline.to_compiled
-            (Pipeline.compile_level Machines.ibmq14 p.Bench_kit.Programs.circuit
-               ~level:Pipeline.OneQOptCN)
+          Pipeline.compile_level Machines.ibmq14 p.Bench_kit.Programs.circuit
+            ~level:Pipeline.OneQOptCN
         in
         let qiskit = Baselines.Qiskit_like.compile Machines.ibmq14 p.Bench_kit.Programs.circuit in
         ( success triq p.Bench_kit.Programs.spec,
@@ -113,9 +112,9 @@ let test_quil_more_swaps_than_triq () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "quil %d >= triq %d swaps" quil.Triq.Compiled.swap_count
-       triq.Pipeline.swap_count)
+       triq.Triq.Compiled.swap_count)
     true
-    (quil.Triq.Compiled.swap_count >= triq.Pipeline.swap_count)
+    (quil.Triq.Compiled.swap_count >= triq.Triq.Compiled.swap_count)
 
 (* ---------- Zulehner-like ---------- *)
 

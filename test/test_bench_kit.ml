@@ -81,9 +81,8 @@ let test_extras () =
   Alcotest.(check int) "two outcomes" 2
     (List.length ghz.Programs.spec.Ir.Spec.expected);
   let compiled =
-    Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_level Device.Machines.umdti ghz.Programs.circuit
-         ~level:Triq.Pipeline.OneQOptCN)
+    Triq.Pipeline.compile_level Device.Machines.umdti ghz.Programs.circuit
+      ~level:Triq.Pipeline.OneQOptCN
   in
   let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) compiled ghz.Programs.spec in
   Alcotest.(check bool)

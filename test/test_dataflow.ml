@@ -336,7 +336,7 @@ let test_deep_matrix () =
                 | exception Diag.Violation (pass, ds) ->
                   Alcotest.failf "%s on %s at %s: pass %s violated %s"
                     p.Programs.name machine.Device.Machine.name
-                    (Pipeline.level_name level) pass
+                    (Triq.Pass.level_name level) pass
                     (String.concat "," (rules ds)))
               Pipeline.all_levels)
         machines)

@@ -105,8 +105,7 @@ let test_channel_probability_validation () =
 
 let cross_validate name machine (p : Bench_kit.Programs.t) =
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN
   in
   let exact = Sim.Density_runner.run compiled p.Bench_kit.Programs.spec in
   let sampled =
@@ -144,9 +143,8 @@ let test_full_distribution_cross_validation () =
   List.iter
     (fun (machine, (p : Bench_kit.Programs.t)) ->
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level machine p.Bench_kit.Programs.circuit
-             ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level machine p.Bench_kit.Programs.circuit
+          ~level:Pipeline.OneQOptCN
       in
       let exact = Sim.Density_runner.run compiled p.Bench_kit.Programs.spec in
       let sampled =
@@ -168,9 +166,8 @@ let test_full_distribution_cross_validation () =
 let test_exact_distribution_sums_to_one () =
   let p = Bench_kit.Programs.toffoli in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.umdti p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.umdti p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let exact = Sim.Density_runner.run compiled p.Bench_kit.Programs.spec in
   let total =
@@ -187,9 +184,8 @@ let test_t1_mode_cross_validation () =
   List.iter
     (fun (machine, (p : Bench_kit.Programs.t)) ->
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level machine p.Bench_kit.Programs.circuit
-             ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level machine p.Bench_kit.Programs.circuit
+          ~level:Pipeline.OneQOptCN
       in
       let exact =
         Sim.Density_runner.run ~explicit_t1:true compiled p.Bench_kit.Programs.spec
@@ -237,9 +233,8 @@ let test_t1_model_choice_similar () =
      on success to within a few points (the model ablation's claim). *)
   let p = Bench_kit.Programs.bv 4 in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.ibmq5 p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.ibmq5 p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let folded = (Sim.Density_runner.run compiled p.Bench_kit.Programs.spec).Sim.Density_runner.success_rate in
   let explicit =
@@ -252,9 +247,8 @@ let test_t1_model_choice_similar () =
 let test_exact_runner_rejects_large () =
   let p = Bench_kit.Programs.bv 8 in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.ibmq16 p.Bench_kit.Programs.circuit
-         ~level:Pipeline.N)
+    Pipeline.compile_level Machines.ibmq16 p.Bench_kit.Programs.circuit
+      ~level:Pipeline.N
   in
   (* BV8 at level N touches many qubits through swap chains; if it exceeds
      the exact-backend limit the runner must refuse rather than blow up. *)

@@ -454,7 +454,30 @@ let test_machine_io_validation () =
        {|{"name":"x","interface":"ibm","qubits":4,"edges":[[0,1]],
           "profile":{"one_q_err":0.01,"two_q_err":0.02,"readout_err":0.03,
           "coherence_us":10,"one_q_time_us":0.1,"two_q_time_us":0.2,
-          "spatial_sigma":0.1,"temporal_sigma":0.1}}|})
+          "spatial_sigma":0.1,"temporal_sigma":0.1}}|});
+  (* Device size is bounded like a program register: an oversized line is
+     rejected before its topology is built, and the bound itself loads. *)
+  let line n =
+    Printf.sprintf
+      {|{"name":"line","interface":"ibm","qubits":%d,"edges":[%s],
+         "profile":{"one_q_err":0.01,"two_q_err":0.02,"readout_err":0.03,
+         "coherence_us":10,"one_q_time_us":0.1,"two_q_time_us":0.2,
+         "spatial_sigma":0.1,"temporal_sigma":0.1}}|}
+      n
+      (String.concat "," (List.init (n - 1) (fun i -> Printf.sprintf "[%d,%d]" i (i + 1))))
+  in
+  let t0 = Sys.time () in
+  let msg =
+    match Machine_io.of_string (line 2000) with
+    | _ -> "accepted"
+    | exception Machine_io.Error msg -> msg
+  in
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check string) "2000 qubits rejected at the bound"
+    "qubits = 2000 exceeds the bound of 1024 (Ir.Circuit.max_qubits)" msg;
+  Alcotest.(check bool) (Printf.sprintf "rejected fast (%.3f s)" dt) true (dt < 1.0);
+  Alcotest.(check int) "1024 qubits load" Ir.Circuit.max_qubits
+    (Machine.n_qubits (Machine_io.of_string (line Ir.Circuit.max_qubits)))
 
 let test_machine_io_usable_for_compilation () =
   (* A machine loaded from JSON drives the full pipeline. *)
@@ -462,7 +485,7 @@ let test_machine_io_usable_for_compilation () =
   let p = Circuit.measure_all
       (Circuit.create 2 [ G.One (G.H, 0); G.Two (G.Cnot, 0, 1) ]) [ 0; 1 ] in
   let compiled = Triq.Pipeline.compile_level m p ~level:Triq.Pipeline.OneQOptCN in
-  Alcotest.(check bool) "compiles" true (compiled.Triq.Pipeline.two_q_count > 0)
+  Alcotest.(check bool) "compiles" true (compiled.Triq.Compiled.two_q_count > 0)
 
 (* qcheck: random ring machines roundtrip through JSON exactly. *)
 let machine_gen =

@@ -126,9 +126,9 @@ let test_peephole_pipeline_integration () =
       ~level:Pipeline.OneQOptCN
   in
   Alcotest.(check bool) "not worse" true
-    (with_.Pipeline.two_q_count <= without.Pipeline.two_q_count);
+    (with_.Triq.Compiled.two_q_count <= without.Triq.Compiled.two_q_count);
   let outcome =
-    Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) (Pipeline.to_compiled with_)
+    Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) with_
       p.Bench_kit.Programs.spec
   in
   Alcotest.(check bool) "still correct" true outcome.Sim.Runner.dominant_correct
@@ -218,7 +218,7 @@ let test_ion_trap_noise_adaptivity_matters_more () =
       let compiled =
         Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level
       in
-      (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:200 ()) (Pipeline.to_compiled compiled)
+      (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:200 ()) compiled
          p.Bench_kit.Programs.spec).Sim.Runner.success_rate
     in
     s Pipeline.OneQOptCN /. s Pipeline.OneQOptC
@@ -241,11 +241,10 @@ let test_lookahead_preserves_semantics () =
         (fun (p : Bench_kit.Programs.t) ->
           if Machine.fits machine p.Bench_kit.Programs.circuit then begin
             let compiled =
-              Pipeline.to_compiled
-                (Pipeline.compile_level
-                   ~config:
-                     (Triq.Pass.Config.make ~router:Triq.Pass.Config.Lookahead ())
-                   machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN)
+              Pipeline.compile_level
+                ~config:
+                  (Triq.Pass.Config.make ~router:Triq.Pass.Config.Lookahead ())
+                machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN
             in
             let result =
               Sim.Verify.check_spec p.Bench_kit.Programs.spec
@@ -270,7 +269,7 @@ let test_lookahead_not_worse_on_2q () =
           let count router =
             (Pipeline.compile_level ~config:(Triq.Pass.Config.make ~router ())
                machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN)
-              .Pipeline.two_q_count
+              .Triq.Compiled.two_q_count
           in
           Some
             ( float_of_int (count Triq.Pass.Config.Default),
@@ -288,9 +287,8 @@ let test_parametric_semantics () =
   List.iter
     (fun (p : Bench_kit.Programs.t) ->
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
-             ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
+          ~level:Pipeline.OneQOptCN
       in
       Alcotest.(check bool) (p.Bench_kit.Programs.name ^ " visible") true
         (Device.Gateset.circuit_visible Device.Gateset.Rigetti_parametric_visible
@@ -309,7 +307,7 @@ let test_parametric_fewer_two_q () =
   let p = Bench_kit.Programs.bv 8 in
   let count machine =
     (Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN)
-      .Pipeline.two_q_count
+      .Triq.Compiled.two_q_count
   in
   let plain = count Machines.aspen1 and parametric = count Machines.aspen1_parametric in
   Alcotest.(check bool)
@@ -319,9 +317,8 @@ let test_parametric_fewer_two_q () =
 let test_parametric_quil_roundtrip () =
   let p = Bench_kit.Programs.bv 6 in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let text = Backend.Quil_emit.emit compiled in
   let contains needle =

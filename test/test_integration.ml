@@ -37,11 +37,11 @@ let test_triq_semantics_all_levels () =
             List.iter
               (fun level ->
                 let compiled =
-                  Pipeline.to_compiled (Pipeline.compile_level machine p.Programs.circuit ~level)
+                  Pipeline.compile_level machine p.Programs.circuit ~level
                 in
                 check_semantics
                   (Printf.sprintf "%s/%s/%s" machine.Machine.name p.Programs.name
-                     (Pipeline.level_name level))
+                     (Triq.Pass.level_name level))
                   compiled p)
               Pipeline.all_levels)
         (semantic_benchmarks ()))
@@ -55,9 +55,8 @@ let test_triq_semantics_across_days () =
   List.iter
     (fun day ->
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level ~config:(Triq.Pass.Config.make ~day ())
-             machine p.Programs.circuit ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level ~config:(Triq.Pass.Config.make ~day ())
+          machine p.Programs.circuit ~level:Pipeline.OneQOptCN
       in
       check_semantics (Printf.sprintf "day %d" day) compiled p)
     [ 0; 3; 7; 11 ]
@@ -79,8 +78,7 @@ let test_sequences_semantics_on_umd () =
     (fun k ->
       let p = Bench_kit.Sequences.fredkin k in
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level Machines.umdti p.Programs.circuit ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level Machines.umdti p.Programs.circuit ~level:Pipeline.OneQOptCN
       in
       check_semantics (Printf.sprintf "fredkin-x%d" k) compiled p)
     [ 1; 2; 3 ]
@@ -103,9 +101,8 @@ let test_scaffold_to_execution () =
   List.iter
     (fun machine ->
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level machine program.Scaffold.Lower.circuit
-             ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level machine program.Scaffold.Lower.circuit
+          ~level:Pipeline.OneQOptCN
       in
       let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) compiled spec in
       if not outcome.Sim.Runner.dominant_correct then
@@ -126,9 +123,8 @@ let test_scaffold_qasm_roundtrip () =
   in
   let program = Scaffold.Lower.compile_string source in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.ibmq5 program.Scaffold.Lower.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.ibmq5 program.Scaffold.Lower.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let text = Backend.Qasm_emit.emit compiled in
   let parsed = Qasm.Frontend.parse text in
@@ -142,9 +138,8 @@ let test_umdti_never_fails () =
     (fun (p : Programs.t) ->
       if Machine.fits Machines.umdti p.Programs.circuit then begin
         let compiled =
-          Pipeline.to_compiled
-            (Pipeline.compile_level Machines.umdti p.Programs.circuit
-               ~level:Pipeline.OneQOptCN)
+          Pipeline.compile_level Machines.umdti p.Programs.circuit
+            ~level:Pipeline.OneQOptCN
         in
         let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) compiled p.Programs.spec in
         if not outcome.Sim.Runner.dominant_correct then
@@ -163,7 +158,7 @@ let test_esp_tracks_success () =
   let p = Programs.bv 6 in
   let variants =
     List.map
-      (fun level -> Pipeline.to_compiled (Pipeline.compile_level machine p.Programs.circuit ~level))
+      (fun level -> Pipeline.compile_level machine p.Programs.circuit ~level)
       Pipeline.all_levels
   in
   let scored =
@@ -240,8 +235,7 @@ let prop_compile_on_random_machines =
     (QCheck.make random_machine_gen) (fun machine ->
       let program = (Bench_kit.Programs.toffoli).Programs.circuit in
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level machine program ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level machine program ~level:Pipeline.OneQOptCN
       in
       let result =
         Sim.Verify.check ~program ~measured:[ 0; 1; 2 ] compiled
@@ -258,7 +252,7 @@ let prop_compile_preserves_semantics =
       List.for_all
         (fun (machine, level) ->
           let compiled =
-            Pipeline.to_compiled (Pipeline.compile_level machine program ~level)
+            Pipeline.compile_level machine program ~level
           in
           let hw, mapping = Circuit.compact compiled.Triq.Compiled.hardware in
           let measured_hw =

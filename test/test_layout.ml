@@ -18,18 +18,18 @@ let reliability_for machine =
 
 (* Same digest as test/gen_golden: every output-relevant field of the
    compiled artifact, but not timing or search-effort metadata. *)
-let digest (r : Triq.Pipeline.t) =
+let digest (r : Triq.Compiled.t) =
   let payload =
-    ( r.Triq.Pipeline.hardware.Ir.Circuit.gates,
-      r.Triq.Pipeline.hardware.Ir.Circuit.n_qubits,
-      r.Triq.Pipeline.initial_placement,
-      r.Triq.Pipeline.final_placement,
-      r.Triq.Pipeline.readout_map,
-      r.Triq.Pipeline.swap_count,
-      r.Triq.Pipeline.two_q_count,
-      r.Triq.Pipeline.pulse_count,
-      r.Triq.Pipeline.flipped_cnots,
-      r.Triq.Pipeline.esp )
+    ( r.Triq.Compiled.hardware.Ir.Circuit.gates,
+      r.Triq.Compiled.hardware.Ir.Circuit.n_qubits,
+      r.Triq.Compiled.initial_placement,
+      r.Triq.Compiled.final_placement,
+      r.Triq.Compiled.readout_map,
+      r.Triq.Compiled.swap_count,
+      r.Triq.Compiled.two_q_count,
+      r.Triq.Compiled.pulse_count,
+      r.Triq.Compiled.flipped_cnots,
+      r.Triq.Compiled.esp )
   in
   Digest.to_hex (Digest.string (Marshal.to_string payload []))
 
@@ -37,7 +37,7 @@ let machine_by_name name = List.find (fun m -> m.Machine.name = name) Machines.a
 let program_by_name name = List.find (fun p -> p.Programs.name = name) Programs.all
 
 let level_of_string_exn s =
-  match Triq.Pipeline.level_of_string s with
+  match Triq.Pass.level_of_string s with
   | Some l -> l
   | None -> Alcotest.failf "unknown level %S" s
 
@@ -67,7 +67,7 @@ let test_golden_bit_identity () =
           if got <> expected then
             Alcotest.failf "%s: %s/%s/%s: digest %s, expected %s" round machine
               program level got expected;
-          match r.Triq.Pipeline.layout with
+          match r.Triq.Compiled.layout with
           | Some l when l.Report.cache <> expected_status ->
             Alcotest.failf "%s compile: layout cache %s" round (status l)
           | _ -> ())
@@ -176,7 +176,7 @@ let test_pipeline_relabel_hit () =
   let n = c.Circuit.n_qubits in
   let layout c =
     let r = Triq.Pipeline.compile_level Machines.ibmq14 c ~level:Triq.Pipeline.OneQOptCN in
-    match r.Triq.Pipeline.layout with
+    match r.Triq.Compiled.layout with
     | Some l -> l
     | None -> Alcotest.fail "expected a layout report"
   in
@@ -298,17 +298,17 @@ let test_pipeline_layout_report () =
   let machine = Machines.ibmq5 in
   let c = (Programs.bv 4).Programs.circuit in
   let r = Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.OneQOptCN in
-  (match r.Triq.Pipeline.layout with
+  (match r.Triq.Compiled.layout with
   | None -> Alcotest.fail "solver levels must report a layout"
   | Some l ->
     Alcotest.(check string) "default strategy" "bb" l.Report.strategy;
     Alcotest.(check bool) "did some work" true (Report.work_total l.Report.work > 0);
     Alcotest.(check bool) "proved optimality" true l.Report.proven_optimal;
     Alcotest.(check bool) "placement recorded" true
-      (l.Report.placement = r.Triq.Pipeline.initial_placement));
+      (l.Report.placement = r.Triq.Compiled.initial_placement));
   let rn = Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.N in
   Alcotest.(check bool) "identity mapping has no layout" true
-    (rn.Triq.Pipeline.layout = None)
+    (rn.Triq.Compiled.layout = None)
 
 let test_pipeline_strategy_dispatch () =
   let machine = Machines.ibmq5 in
@@ -319,7 +319,7 @@ let test_pipeline_strategy_dispatch () =
     let r =
       Triq.Pipeline.compile_level ~config machine c ~level:Triq.Pipeline.OneQOptCN
     in
-    match r.Triq.Pipeline.layout with
+    match r.Triq.Compiled.layout with
     | None -> Alcotest.fail "expected a layout report"
     | Some l -> l.Report.strategy
   in

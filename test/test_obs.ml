@@ -230,7 +230,7 @@ let test_null_sink_golden_compile () =
   let simulate c =
     Runner.simulate
       ~config:(Runner.Config.make ~trajectories:40 ())
-      (Triq.Pipeline.to_compiled c) p.Programs.spec
+      c p.Programs.spec
   in
   Span.disable ();
   let c_off = compile () in
@@ -239,8 +239,8 @@ let test_null_sink_golden_compile () =
       let c_on = compile () in
       let o_on = simulate c_on in
       Alcotest.(check bool) "placement identical" true
-        (c_off.Triq.Pipeline.initial_placement
-        = c_on.Triq.Pipeline.initial_placement);
+        (c_off.Triq.Compiled.initial_placement
+        = c_on.Triq.Compiled.initial_placement);
       Alcotest.(check bool) "distribution identical" true
         (o_off.Runner.distribution = o_on.Runner.distribution);
       Alcotest.(check (float 0.0))
@@ -274,9 +274,9 @@ let test_pass_times_derived_from_spans () =
             Alcotest.(check (option int))
               (name ^ " nests under compile")
               (Some compile_span.Span.id) s.Span.parent)
-        r.Triq.Pipeline.pass_times_s;
+        r.Triq.Compiled.pass_times_s;
       let sum =
-        List.fold_left (fun a (_, s) -> a +. s) 0.0 r.Triq.Pipeline.pass_times_s
+        List.fold_left (fun a (_, s) -> a +. s) 0.0 r.Triq.Compiled.pass_times_s
       in
       Alcotest.(check bool) "sum of passes <= compile total" true
         (sum <= Obs.Clock.ns_to_s compile_span.Span.dur_ns +. 1e-6))

@@ -81,9 +81,8 @@ let test_pool_default_resize () =
 
 let compiled_bv machine n =
   let p = Programs.bv n in
-  ( Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_level machine p.Programs.circuit
-         ~level:Triq.Pipeline.OneQOptCN),
+  ( Triq.Pipeline.compile_level machine p.Programs.circuit
+      ~level:Triq.Pipeline.OneQOptCN,
     p.Programs.spec )
 
 let check_outcome_equal what (a : Runner.outcome) (b : Runner.outcome) =
@@ -177,8 +176,7 @@ let test_cold_caches_study_deterministic () =
   in
   let cell pool (m, (p : Programs.t)) =
     let compiled =
-      Triq.Pipeline.to_compiled
-        (Triq.Pipeline.compile_level m p.Programs.circuit ~level:Triq.Pipeline.OneQOptCN)
+      Triq.Pipeline.compile_level m p.Programs.circuit ~level:Triq.Pipeline.OneQOptCN
     in
     let config = Runner.Config.make ~trajectories:50 ~pool () in
     let o = Runner.simulate ~config compiled p.Programs.spec in

@@ -17,58 +17,69 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let check_identical label (a : Pipeline.t) (b : Pipeline.t) =
+let check_identical label (a : Triq.Compiled.t) (b : Triq.Compiled.t) =
   Alcotest.(check bool)
     (label ^ ": hardware circuit identical")
     true
-    (a.Pipeline.hardware = b.Pipeline.hardware);
+    (a.Triq.Compiled.hardware = b.Triq.Compiled.hardware);
   Alcotest.(check bool)
     (label ^ ": initial placement identical")
     true
-    (a.Pipeline.initial_placement = b.Pipeline.initial_placement);
+    (a.Triq.Compiled.initial_placement = b.Triq.Compiled.initial_placement);
   Alcotest.(check bool)
     (label ^ ": final placement identical")
     true
-    (a.Pipeline.final_placement = b.Pipeline.final_placement);
+    (a.Triq.Compiled.final_placement = b.Triq.Compiled.final_placement);
   Alcotest.(check bool)
     (label ^ ": readout map identical")
     true
-    (a.Pipeline.readout_map = b.Pipeline.readout_map);
-  Alcotest.(check int) (label ^ ": swap count") a.Pipeline.swap_count
-    b.Pipeline.swap_count;
-  Alcotest.(check int) (label ^ ": 2Q count") a.Pipeline.two_q_count
-    b.Pipeline.two_q_count;
-  Alcotest.(check int) (label ^ ": pulse count") a.Pipeline.pulse_count
-    b.Pipeline.pulse_count;
-  Alcotest.(check int) (label ^ ": flipped CNOTs") a.Pipeline.flipped_cnots
-    b.Pipeline.flipped_cnots;
-  if abs_float (a.Pipeline.esp -. b.Pipeline.esp) > 1e-12 then
-    Alcotest.failf "%s: ESP differs: %.15f vs %.15f" label a.Pipeline.esp
-      b.Pipeline.esp
+    (a.Triq.Compiled.readout_map = b.Triq.Compiled.readout_map);
+  Alcotest.(check int) (label ^ ": swap count") a.Triq.Compiled.swap_count
+    b.Triq.Compiled.swap_count;
+  Alcotest.(check int) (label ^ ": 2Q count") a.Triq.Compiled.two_q_count
+    b.Triq.Compiled.two_q_count;
+  Alcotest.(check int) (label ^ ": pulse count") a.Triq.Compiled.pulse_count
+    b.Triq.Compiled.pulse_count;
+  Alcotest.(check int) (label ^ ": flipped CNOTs") a.Triq.Compiled.flipped_cnots
+    b.Triq.Compiled.flipped_cnots;
+  if abs_float (a.Triq.Compiled.esp -. b.Triq.Compiled.esp) > 1e-12 then
+    Alcotest.failf "%s: ESP differs: %.15f vs %.15f" label a.Triq.Compiled.esp
+      b.Triq.Compiled.esp
 
 (* Per-pass times are measured inside the whole-compile clock, so they
-   sum to at most the total, for every machine x level x benchmark. *)
+   sum to at most the total, for every machine x benchmark x compiler: the
+   four levels and the three baselines run through the same driver. *)
 let test_pass_times_within_compile_time () =
+  let compilers =
+    List.map
+      (fun level ->
+        (Triq.Pass.level_name level, fun m c -> Pipeline.compile_level m c ~level))
+      Pipeline.all_levels
+    @ [
+        ("Qiskit", fun m c -> Baselines.Qiskit_like.compile m c);
+        ("Quil", fun m c -> Baselines.Quil_like.compile m c);
+        ("Zulehner", fun m c -> Baselines.Zulehner_like.compile m c);
+      ]
+  in
   List.iter
     (fun machine ->
       List.iter
         (fun (p : Programs.t) ->
           if Machine.fits machine p.Programs.circuit then
             List.iter
-              (fun level ->
+              (fun (name, compile) ->
                 let label =
-                  Printf.sprintf "%s/%s/%s" machine.Machine.name p.Programs.name
-                    (Pipeline.level_name level)
+                  Printf.sprintf "%s/%s/%s" machine.Machine.name p.Programs.name name
                 in
-                let r = Pipeline.compile_level machine p.Programs.circuit ~level in
+                let r = compile machine p.Programs.circuit in
                 let total =
-                  List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Pipeline.pass_times_s
+                  List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Triq.Compiled.pass_times_s
                 in
                 Alcotest.(check bool)
                   (label ^ ": pass times within compile time")
                   true
-                  (total <= r.Pipeline.compile_time_s +. 1e-6))
-              Pipeline.all_levels)
+                  (total <= r.Triq.Compiled.compile_time_s +. 1e-6))
+              compilers)
         benchmarks)
     Machines.all
 
@@ -83,14 +94,14 @@ let test_pass_name_sets_match () =
         Pipeline.compile_level Machines.ibmq5 (Programs.bv 4).Programs.circuit ~level
       in
       Alcotest.(check (list string))
-        (Pipeline.level_name level ^ ": timing keys = schedule pass names")
+        (Triq.Pass.level_name level ^ ": timing keys = schedule pass names")
         (Schedule.pass_names schedule)
-        (List.map fst r.Pipeline.pass_times_s);
+        (List.map fst r.Triq.Compiled.pass_times_s);
       List.iter
         (fun name ->
           if not (List.mem name catalog_names) then
             Alcotest.failf "%s: schedule pass %S not in Pass.catalog"
-              (Pipeline.level_name level) name)
+              (Triq.Pass.level_name level) name)
         (Schedule.pass_names schedule))
     Pipeline.all_levels;
   (* The peephole variant's key is registered too. *)
@@ -192,9 +203,31 @@ let test_schedule_make () =
     Alcotest.(check bool) "unknown pass error lists names" true
       (contains msg "flatten")
   | Ok _ -> Alcotest.fail "unknown pass name must fail");
-  match Schedule.make ~level:Pipeline.OneQOptCN [] with
+  (match Schedule.make ~level:Pipeline.OneQOptCN [] with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty schedule must fail"
+  | Ok _ -> Alcotest.fail "empty schedule must fail");
+  (* A partial schedule whose output is not yet an executable fails with a
+     gate-set or coupling diagnostic, not inside the ESP or pulse count. *)
+  List.iter
+    (fun names ->
+      let label = String.concat "," names in
+      match Schedule.make ~level:Pipeline.OneQOptCN names with
+      | Error msg -> Alcotest.failf "make %s: %s" label msg
+      | Ok schedule -> (
+        match
+          Pipeline.compile_schedule Machines.ibmq5 (Programs.bv 4).Programs.circuit
+            schedule
+        with
+        | _ -> Alcotest.failf "%s: compiled a non-executable circuit" label
+        | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (label ^ ": gate.set or topo.coupling diagnostic: " ^ msg)
+            true
+            (contains msg "error[gate.set]" || contains msg "error[topo.coupling]")))
+    [
+      [ "flatten"; "readout" ];
+      [ "flatten"; "reliability"; "mapping"; "routing"; "swap-expansion"; "readout" ];
+    ]
 
 let test_config_router_parsing () =
   Alcotest.(check bool) "default" true
@@ -208,14 +241,18 @@ let test_config_router_parsing () =
         Alcotest.failf "router_names entry %S does not parse" s)
     Config.router_names
 
-(* The baselines run the shared stages through the same driver, so their
-   executables now carry per-pass times under the canonical names. *)
+(* The baselines are schedules run by the same driver, so their
+   executables carry per-pass times under the canonical names, their own
+   placement and routing included. *)
 let test_baseline_pass_times () =
   let machine = Machines.ibmq14 in
   let compiled = Baselines.Qiskit_like.compile machine (Programs.bv 4).Programs.circuit in
   let names = List.map fst compiled.Triq.Compiled.pass_times_s in
-  Alcotest.(check (list string)) "baseline tail pass names"
-    [ "flatten"; "swap-expansion"; "orientation"; "translation"; "oneq"; "readout" ]
+  Alcotest.(check (list string)) "baseline pass names"
+    [
+      "flatten"; "mapping"; "routing"; "swap-expansion"; "orientation"; "translation";
+      "oneq"; "readout";
+    ]
     names;
   let catalog_names = List.map fst Pass.catalog in
   List.iter

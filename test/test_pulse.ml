@@ -97,7 +97,7 @@ let test_schedule_control_channel_normalized () =
 (* ---------- Lowering ---------- *)
 
 let compiled_for machine program =
-  Pipeline.to_compiled (Pipeline.compile_level machine program ~level:Pipeline.OneQOptCN)
+  Pipeline.compile_level machine program ~level:Pipeline.OneQOptCN
 
 let bv4 = (Bench_kit.Programs.bv 4).Bench_kit.Programs.circuit
 

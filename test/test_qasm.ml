@@ -250,9 +250,8 @@ let test_compiles_end_to_end () =
      ^ "qreg q[3];\ncreg c[3];\nx q[0];\nx q[1];\nccx q[0],q[1],q[2];\nmeasure q -> c;\n")
   in
   let compiled =
-    Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_level Device.Machines.umdti p.F.circuit
-         ~level:Triq.Pipeline.OneQOptCN)
+    Triq.Pipeline.compile_level Device.Machines.umdti p.F.circuit
+      ~level:Triq.Pipeline.OneQOptCN
   in
   let spec = Ir.Spec.deterministic p.F.measured "111" in
   let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) compiled spec in

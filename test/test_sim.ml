@@ -196,8 +196,7 @@ let bell_spec = Ir.Spec.distribution [ 0; 1 ] [ ("00", 0.5); ("11", 0.5) ]
 
 let test_runner_rejects_degenerate_params () =
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN
   in
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   (* trajectories=0 used to divide the averaged distribution by zero and
@@ -209,7 +208,7 @@ let test_runner_rejects_degenerate_params () =
 
 let test_runner_bell_on_umd () =
   let compiled = Pipeline.compile_level Machines.umdti bell_program ~level:Pipeline.OneQOptCN in
-  let outcome = Runner.simulate (Pipeline.to_compiled compiled) bell_spec in
+  let outcome = Runner.simulate compiled bell_spec in
   Alcotest.(check bool)
     (Printf.sprintf "high success (%f)" outcome.Runner.success_rate)
     true
@@ -219,8 +218,8 @@ let test_runner_bell_on_umd () =
 
 let test_runner_deterministic () =
   let compiled = Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN in
-  let o1 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) (Pipeline.to_compiled compiled) bell_spec in
-  let o2 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) (Pipeline.to_compiled compiled) bell_spec in
+  let o1 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) compiled bell_spec in
+  let o2 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) compiled bell_spec in
   Alcotest.(check (float 1e-12)) "same seed, same result" o1.Runner.success_rate
     o2.Runner.success_rate
 
@@ -230,7 +229,7 @@ let test_runner_noise_hurts () =
   let x_program = Circuit.measure_all (circuit 1 [ G.One (G.X, 0) ]) [ 0 ] in
   let spec = Ir.Spec.deterministic [ 0 ] "1" in
   let compiled = Pipeline.compile_level Machines.agave x_program ~level:Pipeline.OneQOptCN in
-  let outcome = Runner.simulate (Pipeline.to_compiled compiled) spec in
+  let outcome = Runner.simulate compiled spec in
   Alcotest.(check bool) "below perfect" true (outcome.Runner.success_rate < 1.0);
   Alcotest.(check bool) "above chance" true (outcome.Runner.success_rate > 0.6)
 
@@ -261,8 +260,8 @@ let test_runner_better_esp_better_success () =
       ~level:Pipeline.OneQOptCN
   in
   let spec = program.Bench_kit.Programs.spec in
-  let o_naive = Runner.simulate (Pipeline.to_compiled naive) spec in
-  let o_smart = Runner.simulate (Pipeline.to_compiled smart) spec in
+  let o_naive = Runner.simulate naive spec in
+  let o_smart = Runner.simulate smart spec in
   Alcotest.(check bool)
     (Printf.sprintf "smart %.3f >= naive %.3f - 0.05" o_smart.Runner.success_rate
        o_naive.Runner.success_rate)
@@ -272,7 +271,7 @@ let test_runner_better_esp_better_success () =
 let test_runner_sampled_counts () =
   let compiled = Pipeline.compile_level Machines.umdti bell_program ~level:Pipeline.OneQOptCN in
   let o =
-    Runner.simulate ~config:(Runner.Config.make ~seed:9 ~sample_counts:true ()) (Pipeline.to_compiled compiled) bell_spec
+    Runner.simulate ~config:(Runner.Config.make ~seed:9 ~sample_counts:true ()) compiled bell_spec
   in
   Alcotest.(check int) "counts sum to trials" o.Runner.trials
     (List.fold_left (fun acc (_, n) -> acc + n) 0 o.Runner.counts);
@@ -285,7 +284,7 @@ let test_runner_sampled_counts () =
     (Float.abs (p00 -. 0.5) < 0.05);
   (* Different seeds produce different samples. *)
   let o2 =
-    Runner.simulate ~config:(Runner.Config.make ~seed:10 ~sample_counts:true ()) (Pipeline.to_compiled compiled) bell_spec
+    Runner.simulate ~config:(Runner.Config.make ~seed:10 ~sample_counts:true ()) compiled bell_spec
   in
   Alcotest.(check bool) "seeds differ" true (o.Runner.counts <> o2.Runner.counts)
 
@@ -324,9 +323,8 @@ let test_mitigation_improves_success () =
   (* On a readout-heavy machine, mitigation must raise measured success. *)
   let p = Bench_kit.Programs.toffoli in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.agave p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.agave p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let raw, mitigated =
     Sim.Mitigation.mitigated_success ~trajectories:300 compiled
@@ -579,9 +577,8 @@ let test_runner_backends_agree () =
      the tiny gap absorbs the report's 1e-6 truncation). *)
   let p = Bench_kit.Programs.bv 4 in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.ibmq5 p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.ibmq5 p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let run backend fusion =
     Runner.simulate

@@ -467,10 +467,10 @@ let test_pipeline_all_levels_visible () =
       List.iter
         (fun level ->
           let r = Pipeline.compile_level machine bv4 ~level in
-          if not (Gateset.circuit_visible machine.Device.Machine.basis r.Pipeline.hardware)
+          if not (Gateset.circuit_visible machine.Device.Machine.basis r.Triq.Compiled.hardware)
           then
             Alcotest.failf "non-visible output on %s at %s"
-              machine.Device.Machine.name (Pipeline.level_name level))
+              machine.Device.Machine.name (Triq.Pass.level_name level))
         Pipeline.all_levels)
     [ Machines.ibmq5; Machines.ibmq14; Machines.agave; Machines.umdti ]
 
@@ -486,7 +486,7 @@ let test_pipeline_two_q_on_coupled_pairs () =
               Alcotest.failf "2q gate on uncoupled pair %d,%d (%s)" a b
                 machine.Device.Machine.name
           | _ -> ())
-        r.Pipeline.hardware.Circuit.gates)
+        r.Triq.Compiled.hardware.Circuit.gates)
     [ Machines.ibmq5; Machines.ibmq14; Machines.ibmq16; Machines.agave ]
 
 let test_pipeline_cnot_direction_respected () =
@@ -499,45 +499,45 @@ let test_pipeline_cnot_direction_respected () =
         if not (Topology.has_directed_edge machine.Device.Machine.topology a b) then
           Alcotest.failf "CNOT %d->%d against hardware direction" a b
       | _ -> ())
-    r.Pipeline.hardware.Circuit.gates
+    r.Triq.Compiled.hardware.Circuit.gates
 
 let test_pipeline_umd_needs_no_swaps () =
   let r = Pipeline.compile_level Machines.umdti bv4 ~level:Pipeline.OneQOptCN in
-  Alcotest.(check int) "fully connected: zero swaps" 0 r.Pipeline.swap_count
+  Alcotest.(check int) "fully connected: zero swaps" 0 r.Triq.Compiled.swap_count
 
 let test_pipeline_opt_levels_reduce_pulses () =
   let machine = Machines.ibmq14 in
   let n = Pipeline.compile_level machine bv4 ~level:Pipeline.N in
   let o = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOpt in
   Alcotest.(check bool)
-    (Printf.sprintf "pulses %d -> %d" n.Pipeline.pulse_count o.Pipeline.pulse_count)
+    (Printf.sprintf "pulses %d -> %d" n.Triq.Compiled.pulse_count o.Triq.Compiled.pulse_count)
     true
-    (o.Pipeline.pulse_count <= n.Pipeline.pulse_count)
+    (o.Triq.Compiled.pulse_count <= n.Triq.Compiled.pulse_count)
 
 let test_pipeline_comm_opt_reduces_two_q () =
   let machine = Machines.ibmq14 in
   let o = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOpt in
   let c = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptC in
   Alcotest.(check bool)
-    (Printf.sprintf "2q %d -> %d" o.Pipeline.two_q_count c.Pipeline.two_q_count)
+    (Printf.sprintf "2q %d -> %d" o.Triq.Compiled.two_q_count c.Triq.Compiled.two_q_count)
     true
-    (c.Pipeline.two_q_count <= o.Pipeline.two_q_count)
+    (c.Triq.Compiled.two_q_count <= o.Triq.Compiled.two_q_count)
 
 let test_pipeline_esp_in_range () =
   List.iter
     (fun machine ->
       let r = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN in
-      if r.Pipeline.esp <= 0.0 || r.Pipeline.esp > 1.0 then
-        Alcotest.failf "esp out of range: %f" r.Pipeline.esp)
+      if r.Triq.Compiled.esp <= 0.0 || r.Triq.Compiled.esp > 1.0 then
+        Alcotest.failf "esp out of range: %f" r.Triq.Compiled.esp)
     Machines.all
 
 let test_pipeline_readout_map () =
   let r = Pipeline.compile_level Machines.ibmq5 bv4 ~level:Pipeline.OneQOptCN in
-  Alcotest.(check int) "three readouts" 3 (List.length r.Pipeline.readout_map);
+  Alcotest.(check int) "three readouts" 3 (List.length r.Triq.Compiled.readout_map);
   List.iter
     (fun (p, h) ->
-      Alcotest.(check int) "follows final placement" r.Pipeline.final_placement.(p) h)
-    r.Pipeline.readout_map
+      Alcotest.(check int) "follows final placement" r.Triq.Compiled.final_placement.(p) h)
+    r.Triq.Compiled.readout_map
 
 let test_pipeline_rejects_oversize () =
   let big = circuit 6 [ G.One (G.H, 5) ] in
@@ -546,26 +546,26 @@ let test_pipeline_rejects_oversize () =
      with Invalid_argument _ -> true)
 
 let test_pipeline_level_names () =
-  Alcotest.(check string) "cn name" "TriQ-1QOptCN" (Pipeline.level_name Pipeline.OneQOptCN);
+  Alcotest.(check string) "cn name" "TriQ-1QOptCN" (Triq.Pass.level_name Pipeline.OneQOptCN);
   List.iter
     (fun l ->
-      match Pipeline.level_of_string (Pipeline.level_name l) with
+      match Triq.Pass.level_of_string (Triq.Pass.level_name l) with
       | Some l' when l = l' -> ()
       | _ -> Alcotest.fail "level name roundtrip")
     Pipeline.all_levels;
   (* Parsing is case-insensitive in both the short and display forms. *)
   Alcotest.(check bool) "uppercase short" true
-    (Pipeline.level_of_string "1QOPTCN" = Some Pipeline.OneQOptCN);
+    (Triq.Pass.level_of_string "1QOPTCN" = Some Pipeline.OneQOptCN);
   Alcotest.(check bool) "uppercase display" true
-    (Pipeline.level_of_string "TRIQ-1QOPTC" = Some Pipeline.OneQOptC);
+    (Triq.Pass.level_of_string "TRIQ-1QOPTC" = Some Pipeline.OneQOptC);
   Alcotest.(check bool) "mixed case" true
-    (Pipeline.level_of_string "TriQ-n" = Some Pipeline.N);
+    (Triq.Pass.level_of_string "TriQ-n" = Some Pipeline.N);
   List.iter
     (fun s ->
-      if Pipeline.level_of_string s = None then
+      if Triq.Pass.level_of_string s = None then
         Alcotest.failf "level_strings entry %S does not parse" s)
-    Pipeline.level_strings;
-  Alcotest.(check bool) "unknown" true (Pipeline.level_of_string "bogus" = None)
+    Triq.Pass.level_strings;
+  Alcotest.(check bool) "unknown" true (Triq.Pass.level_of_string "bogus" = None)
 
 (* Semantic end-to-end check: compiled BV4 on a noiseless simulator of the
    hardware circuit must produce the program's ideal output. Done via
@@ -573,9 +573,9 @@ let test_pipeline_level_names () =
 let test_pipeline_semantics_small () =
   let machine = Machines.agave in
   let r = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN in
-  let hw, mapping = Circuit.compact (Circuit.body r.Pipeline.hardware) in
+  let hw, mapping = Circuit.compact (Circuit.body r.Triq.Compiled.hardware) in
   (* Build expected: program body mapped through placement and compaction. *)
-  let place p = List.assoc r.Pipeline.final_placement.(p) mapping in
+  let place p = List.assoc r.Triq.Compiled.final_placement.(p) mapping in
   ignore place;
   (* Just sanity-check the compacted hardware circuit is still unitary and
      small; full distribution-level checks live in the simulator tests. *)
@@ -583,7 +583,7 @@ let test_pipeline_semantics_small () =
 
 let test_pipeline_pass_timings () =
   let r = Pipeline.compile_level Machines.ibmq14 bv4 ~level:Pipeline.OneQOptCN in
-  let names = List.map fst r.Pipeline.pass_times_s in
+  let names = List.map fst r.Triq.Compiled.pass_times_s in
   Alcotest.(check (list string)) "pass order"
     [
       "flatten"; "reliability"; "mapping"; "routing"; "swap-expansion";
@@ -592,10 +592,10 @@ let test_pipeline_pass_timings () =
     names;
   List.iter
     (fun (name, t) -> if t < 0.0 then Alcotest.failf "%s: negative time" name)
-    r.Pipeline.pass_times_s;
-  let total = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Pipeline.pass_times_s in
+    r.Triq.Compiled.pass_times_s;
+  let total = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Triq.Compiled.pass_times_s in
   Alcotest.(check bool) "passes within total" true
-    (total <= r.Pipeline.compile_time_s +. 1e-6)
+    (total <= r.Triq.Compiled.compile_time_s +. 1e-6)
 
 (* ---------- Error budget ---------- *)
 
@@ -603,20 +603,20 @@ let test_error_budget_multiplies_to_esp () =
   List.iter
     (fun machine ->
       let r = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN in
-      let budget = Triq.Compiled.budget_of (Pipeline.to_compiled r) in
+      let budget = Triq.Compiled.budget_of r in
       let product =
         budget.Triq.Compiled.two_q *. budget.Triq.Compiled.one_q
         *. budget.Triq.Compiled.readout
       in
       Alcotest.(check (float 1e-9)) (machine.Device.Machine.name ^ " product = esp")
-        r.Pipeline.esp product)
+        r.Triq.Compiled.esp product)
     [ Machines.ibmq5; Machines.agave; Machines.umdti ]
 
 let test_error_budget_two_q_dominates () =
   (* On superconducting machines, 2Q gates are the dominant loss for BV4
      (the paper's "2Q and RO operations dominate error rates"). *)
   let r = Pipeline.compile_level Machines.ibmq14 bv4 ~level:Pipeline.OneQOptCN in
-  let b = Triq.Compiled.budget_of (Pipeline.to_compiled r) in
+  let b = Triq.Compiled.budget_of r in
   Alcotest.(check bool) "2q loss largest" true
     (b.Triq.Compiled.two_q < b.Triq.Compiled.one_q);
   Alcotest.(check bool) "2q below readout" true
