@@ -733,13 +733,22 @@ let lint_cmd =
   let run file machine_spec level_name day all_levels deep json =
     let ( let* ) = Result.bind in
     let result =
-      (* Source-level lints (Scaffold only; QASM input skips straight to the
-         compile-time checks). *)
+      (* Source-level lints: Scaffold gets the full source lints; QASM
+         input must read through Qasm.Frontend, then skips straight to the
+         compile-time checks. *)
       let* source_diags =
-        if Filename.check_suffix file ".qasm" then Ok []
-        else
-          try Ok (Analysis.Scaffold_lint.lint_file file)
-          with Sys_error msg -> Error msg
+        try
+          if Filename.check_suffix file ".qasm" then
+            match Qasm.Frontend.parse_file file with
+            | _ -> Ok []
+            | exception Qasm.Frontend.Error (msg, line) ->
+              Ok
+                [
+                  Analysis.Diag.errorf ~rule:"qasm.parse" ~layer:"qasm"
+                    ~loc:(Analysis.Diag.Line line) "%s" msg;
+                ]
+          else Ok (Analysis.Scaffold_lint.lint_file file)
+        with Sys_error msg -> Error msg
       in
       (* Dataflow lints over the program itself (--deep, any input kind). *)
       let* dataflow_diags =

@@ -1,48 +1,49 @@
 module Matrix = Mathkit.Matrix
 module Cplx = Mathkit.Cplx
+module Rng = Mathkit.Rng
 
 type generator = int * bool array * bool array
 
-(* A generator is i^e * prod_q X_q^{x_q} Z_q^{z_q}, X written before Z
-   on each qubit; all phase lives in [e] (mod 4). *)
+(* A row is i^e * prod_q X_q^{x_q} Z_q^{z_q}, X written before Z on each
+   qubit; all phase lives in [e] (mod 4). *)
 type row = { mutable e : int; x : bool array; z : bool array }
 
-type t = { n : int; gens : row array }
+type t = { n : int; destab : row array; stab : row array }
+
+(* The single-qubit Pauli X_q ([~x:true]) or Z_q on [n] qubits. *)
+let unit_row n ~x q =
+  let bits = Array.make n false in
+  bits.(q) <- true;
+  if x then { e = 0; x = bits; z = Array.make n false }
+  else { e = 0; x = Array.make n false; z = bits }
 
 let init n =
   if n < 1 then invalid_arg "Tableau.init: need at least one qubit";
-  {
-    n;
-    gens =
-      Array.init n (fun q ->
-          { e = 0; x = Array.make n false; z = (let z = Array.make n false in z.(q) <- true; z) });
-  }
+  { n; destab = Array.init n (unit_row n ~x:true); stab = Array.init n (unit_row n ~x:false) }
 
 let n_qubits t = t.n
 let copy_row r = { e = r.e; x = Array.copy r.x; z = Array.copy r.z }
-let generators t = Array.to_list (Array.map (fun r -> (r.e, Array.copy r.x, Array.copy r.z)) t.gens)
 
-(* ------------------------------------------------------------------ *)
-(* Local Pauli algebra over the k operand slots of a gate.            *)
-(* ------------------------------------------------------------------ *)
+let copy t =
+  { n = t.n; destab = Array.map copy_row t.destab; stab = Array.map copy_row t.stab }
 
-type local = { le : int; lx : bool array; lz : bool array }
+let to_generator r = (r.e, Array.copy r.x, Array.copy r.z)
+let generators t = Array.to_list (Array.map to_generator t.stab)
 
-let local_id k = { le = 0; lx = Array.make k false; lz = Array.make k false }
+let check_qubit t q =
+  if q < 0 || q >= t.n then invalid_arg "Tableau: qubit out of range"
 
-(* (X^x1 Z^z1)(X^x2 Z^z2): commuting X^x2 left across Z^z1 picks up
-   (-1) per slot where both are set. *)
-let local_mul a b =
-  let k = Array.length a.lx in
-  let e = ref (a.le + b.le) in
-  for j = 0 to k - 1 do
-    if a.lz.(j) && b.lx.(j) then e := !e + 2
+(* a := a * b, exact Pauli product over rows of equal width: commuting
+   b's X factors left across a's Z factors picks up (-1) per overlapping
+   qubit. *)
+let mul_into a b =
+  let extra = ref 0 in
+  for q = 0 to Array.length a.x - 1 do
+    if a.z.(q) && b.x.(q) then incr extra;
+    a.x.(q) <- a.x.(q) <> b.x.(q);
+    a.z.(q) <- a.z.(q) <> b.z.(q)
   done;
-  {
-    le = !e land 3;
-    lx = Array.init k (fun j -> a.lx.(j) <> b.lx.(j));
-    lz = Array.init k (fun j -> a.lz.(j) <> b.lz.(j));
-  }
+  a.e <- (a.e + b.e + (2 * !extra)) land 3
 
 (* ------------------------------------------------------------------ *)
 (* Numeric derivation of a gate's Clifford action.                    *)
@@ -72,9 +73,9 @@ let label_local s =
 
 let eps = 1e-6
 
-(* Match [c] against +/- (sigma_{s_0} (x) ... (x) sigma_{s_{k-1}}). A
-   unitary conjugate of a Hermitian Pauli is Hermitian with eigenvalues
-   +/-1, so the scalar can only be +/-1. *)
+(* Match [c] against +/- (sigma_{s_0} (x) ... (x) sigma_{s_{k-1}}) and
+   return it as a k-wide row. A unitary conjugate of a Hermitian Pauli
+   is Hermitian with eigenvalues +/-1, so the scalar can only be +/-1. *)
 let match_signed_pauli k c =
   let rec labels_of i acc m =
     if i = k then if Matrix.equal ~eps c m || Matrix.equal ~eps c (Matrix.scale (Cplx.re (-1.)) m) then Some (List.rev acc, m) else None
@@ -92,16 +93,16 @@ let match_signed_pauli k c =
   | None -> None
   | Some (labels, m) ->
       let negated = Matrix.equal ~eps c (Matrix.scale (Cplx.re (-1.)) m) in
-      let lx = Array.make k false and lz = Array.make k false in
+      let x = Array.make k false and z = Array.make k false in
       let e = ref (if negated then 2 else 0) in
       List.iteri
         (fun j s ->
           let se, sx, sz = label_local s in
           e := !e + se;
-          lx.(j) <- sx;
-          lz.(j) <- sz)
+          x.(j) <- sx;
+          z.(j) <- sz)
         labels;
-      Some { le = !e land 3; lx; lz }
+      Some { e = !e land 3; x; z }
 
 (* Basis Pauli X_slot / Z_slot as a 2^k x 2^k matrix (slot 0 = high bit,
    matching {!Ir.Matrices}). *)
@@ -112,9 +113,13 @@ let basis_pauli k slot s =
   done;
   !m
 
-(* The derived action: image of X_slot and Z_slot under conjugation, or
-   None when some image is not a signed Pauli (gate is not Clifford). *)
-type action = { img_x : local array; img_z : local array }
+(* The derived action as a dense conjugation table over the 4^k local
+   Pauli patterns: index and result pack slot j's X bit at 2j and Z bit
+   at 2j+1, the result carrying the phase increment above bit 2k. Each
+   entry is the product, in X-before-Z slot order, of the images of the
+   basis factors X_slot and Z_slot; None when some image is not a signed
+   Pauli (the gate is not Clifford). *)
+type action = int array
 
 let derive_action k u =
   let udag = Matrix.adjoint u in
@@ -123,14 +128,26 @@ let derive_action k u =
   try
     let image s slot =
       match match_signed_pauli k (conj (basis_pauli k slot s)) with
-      | Some l -> l
+      | Some r -> r
       | None -> raise Not_clifford
     in
-    Some
-      {
-        img_x = Array.init k (fun slot -> image 1 slot);
-        img_z = Array.init k (fun slot -> image 3 slot);
-      }
+    let img_x = Array.init k (image 1) and img_z = Array.init k (image 3) in
+    let bits = 2 * k in
+    let table =
+      Array.init (1 lsl bits) (fun code ->
+          let acc = { e = 0; x = Array.make k false; z = Array.make k false } in
+          for j = 0 to k - 1 do
+            if (code lsr (2 * j)) land 1 = 1 then mul_into acc img_x.(j);
+            if (code lsr ((2 * j) + 1)) land 1 = 1 then mul_into acc img_z.(j)
+          done;
+          let out = ref (acc.e lsl bits) in
+          for j = 0 to k - 1 do
+            if acc.x.(j) then out := !out lor (1 lsl (2 * j));
+            if acc.z.(j) then out := !out lor (1 lsl ((2 * j) + 1))
+          done;
+          !out)
+    in
+    Some table
   with Not_clifford -> None
 
 (* Memoized per gate shape (operands normalized to slots 0..k-1). Rotation
@@ -162,72 +179,91 @@ let is_clifford_gate g =
   | Ir.Gate.Measure _ -> false
   | _ -> gate_action g <> None
 
-(* Conjugation of one Pauli row, exposed over caller-owned bit arrays so
-   external tableau representations (e.g. the simulator's
-   Aaronson-Gottesman tableau with destabilizers) can reuse the derived
-   actions without going through a [t]. *)
 module Action = struct
   type t = action
 
   let of_gate = gate_action
   let memo_stats () = Action_memo.stats action_memo
-  let arity act = Array.length act.img_x
-
-  (* Restrict the row to the operand qubits (slot order; factors on
-     other qubits commute through), replace each basis factor by its
-     image, in the canonical X-before-Z per-qubit order. Returns the
-     updated phase; [x]/[z] are updated in place. *)
-  let conjugate act qs ~x ~z e =
-    let k = Array.length act.img_x in
-    let acc = ref (local_id k) in
-    for i = 0 to k - 1 do
-      let q = qs.(i) in
-      if x.(q) then acc := local_mul !acc act.img_x.(i);
-      if z.(q) then acc := local_mul !acc act.img_z.(i)
-    done;
-    let a = !acc in
-    for i = 0 to k - 1 do
-      x.(qs.(i)) <- a.lx.(i);
-      z.(qs.(i)) <- a.lz.(i)
-    done;
-    (e + a.le) land 3
-
-  (* Dense lookup table over the 4^k local Pauli patterns, for callers
-     that conjugate rows in bulk (the simulator's tableau backend):
-     index and result pack slot j's X bit at 2j and Z bit at 2j+1, with
-     the phase increment above bit 2k. *)
-  let table act =
-    let k = Array.length act.img_x in
-    let bits = 2 * k in
-    let qs = Array.init k Fun.id in
-    Array.init (1 lsl bits) (fun code ->
-        let x = Array.make k false and z = Array.make k false in
-        for j = 0 to k - 1 do
-          x.(j) <- (code lsr (2 * j)) land 1 = 1;
-          z.(j) <- (code lsr ((2 * j) + 1)) land 1 = 1
-        done;
-        let e = conjugate act qs ~x ~z 0 in
-        let out = ref (e lsl bits) in
-        for j = 0 to k - 1 do
-          if x.(j) then out := !out lor (1 lsl (2 * j));
-          if z.(j) then out := !out lor (1 lsl ((2 * j) + 1))
-        done;
-        !out)
 end
 
-let conj_row row qs act =
-  row.e <- Action.conjugate act qs ~x:row.x ~z:row.z row.e
+(* Compiled gate application: the action's table bound to its operand
+   qubits, so the per-row update is one table read and a few bit writes
+   with no allocation. *)
+type app =
+  | App1 of { tab : int array; q : int }
+  | App2 of { tab : int array; a : int; b : int }
+
+let compile_action tab qs =
+  match qs with
+  | [| q |] -> App1 { tab; q }
+  | [| a; b |] -> App2 { tab; a; b }
+  | _ -> invalid_arg "Tableau.compile_action: 1Q/2Q actions only"
+
+let apply_app t app =
+  match app with
+  | App1 { tab; q } ->
+      let upd r =
+        let code = (if r.x.(q) then 1 else 0) lor (if r.z.(q) then 2 else 0) in
+        let v = tab.(code) in
+        r.x.(q) <- v land 1 <> 0;
+        r.z.(q) <- v land 2 <> 0;
+        r.e <- (r.e + (v lsr 2)) land 3
+      in
+      Array.iter upd t.destab;
+      Array.iter upd t.stab
+  | App2 { tab; a; b } ->
+      let upd r =
+        let code =
+          (if r.x.(a) then 1 else 0)
+          lor (if r.z.(a) then 2 else 0)
+          lor (if r.x.(b) then 4 else 0)
+          lor (if r.z.(b) then 8 else 0)
+        in
+        let v = tab.(code) in
+        r.x.(a) <- v land 1 <> 0;
+        r.z.(a) <- v land 2 <> 0;
+        r.x.(b) <- v land 4 <> 0;
+        r.z.(b) <- v land 8 <> 0;
+        r.e <- (r.e + (v lsr 4)) land 3
+      in
+      Array.iter upd t.destab;
+      Array.iter upd t.stab
+
+(* Conjugate one Pauli, given as qubit-indexed bit masks (bit q = qubit
+   q), by a compiled gate, dropping the phase. This propagates an
+   injected error through the rest of a Clifford circuit as a single
+   row, O(1) per gate. *)
+let conjugate_masks app ~xm ~zm =
+  match app with
+  | App1 { tab; q } ->
+      let code = ((xm lsr q) land 1) lor (((zm lsr q) land 1) lsl 1) in
+      let v = tab.(code) in
+      let bit = 1 lsl q in
+      let xm = if v land 1 <> 0 then xm lor bit else xm land lnot bit in
+      let zm = if v land 2 <> 0 then zm lor bit else zm land lnot bit in
+      (xm, zm)
+  | App2 { tab; a; b } ->
+      let code =
+        ((xm lsr a) land 1)
+        lor (((zm lsr a) land 1) lsl 1)
+        lor (((xm lsr b) land 1) lsl 2)
+        lor (((zm lsr b) land 1) lsl 3)
+      in
+      let v = tab.(code) in
+      let ba = 1 lsl a and bb = 1 lsl b in
+      let xm = if v land 1 <> 0 then xm lor ba else xm land lnot ba in
+      let zm = if v land 2 <> 0 then zm lor ba else zm land lnot ba in
+      let xm = if v land 4 <> 0 then xm lor bb else xm land lnot bb in
+      let zm = if v land 8 <> 0 then zm lor bb else zm land lnot bb in
+      (xm, zm)
 
 let apply t g =
   let qs = Array.of_list (Ir.Gate.qubits g) in
-  Array.iter
-    (fun q ->
-      if q < 0 || q >= t.n then invalid_arg "Tableau.apply: operand out of range")
-    qs;
+  Array.iter (check_qubit t) qs;
   match gate_action g with
   | None -> false
   | Some act ->
-      Array.iter (fun row -> conj_row row qs act) t.gens;
+      apply_app t (compile_action act qs);
       true
 
 let of_circuit c =
@@ -248,65 +284,108 @@ let clifford_prefix c =
   in
   go 0 c.Ir.Circuit.gates
 
-(* ------------------------------------------------------------------ *)
-(* Canonical form and equality.                                        *)
-(* ------------------------------------------------------------------ *)
+type pauli = X | Y | Z
 
-(* Full-width Pauli product with the same phase rule as {!local_mul}. *)
-let row_mul n a b =
-  let e = ref (a.e + b.e) in
-  for q = 0 to n - 1 do
-    if a.z.(q) && b.x.(q) then e := !e + 2
+(* Conjugating by a Pauli flips the sign of exactly the rows that
+   anticommute with it; bit patterns are untouched. *)
+let apply_pauli t q p =
+  check_qubit t q;
+  let anticommutes r =
+    match p with
+    | X -> r.z.(q)
+    | Z -> r.x.(q)
+    | Y -> r.x.(q) <> r.z.(q)
+  in
+  let flip r = if anticommutes r then r.e <- (r.e + 2) land 3 in
+  Array.iter flip t.destab;
+  Array.iter flip t.stab
+
+(* Index of the first row at or after [from] satisfying [pred], or -1. *)
+let find_row rows ~from pred =
+  let rec go i = if i >= Array.length rows then -1 else if pred rows.(i) then i else go (i + 1) in
+  go from
+
+let measure t q rng =
+  check_qubit t q;
+  let p = find_row t.stab ~from:0 (fun r -> r.x.(q)) in
+  if p >= 0 then begin
+    (* Random outcome: some stabilizer anticommutes with Z_q. Multiply
+       every other row that anticommutes by the pivot (products of two
+       anticommuting-with-Z_q rows commute with it), remember the pivot
+       as the new destabilizer, and install +/-Z_q as the new pivot
+       stabilizer with a fair coin deciding the sign. *)
+    let sp = copy_row t.stab.(p) in
+    Array.iter (fun r -> if r.x.(q) then mul_into r sp) t.destab;
+    Array.iteri (fun i r -> if i <> p && r.x.(q) then mul_into r sp) t.stab;
+    let m = Rng.bool rng 0.5 in
+    t.destab.(p) <- sp;
+    t.stab.(p) <- { (unit_row t.n ~x:false q) with e = (if m then 2 else 0) };
+    m
+  end
+  else begin
+    (* Deterministic outcome: +/-Z_q is in the stabilizer group; its
+       expansion multiplies the stabilizers whose destabilizer partners
+       anticommute with Z_q. The product is exactly +/-Z_q, so the
+       phase exponent is 0 or 2. *)
+    let scratch = { e = 0; x = Array.make t.n false; z = Array.make t.n false } in
+    for i = 0 to t.n - 1 do
+      if t.destab.(i).x.(q) then mul_into scratch t.stab.(i)
+    done;
+    scratch.e = 2
+  end
+
+let measure_all t rng =
+  let idx = ref 0 in
+  for q = 0 to t.n - 1 do
+    if measure t q rng then idx := !idx lor (1 lsl (t.n - 1 - q))
   done;
-  {
-    e = !e land 3;
-    x = Array.init n (fun q -> a.x.(q) <> b.x.(q));
-    z = Array.init n (fun q -> a.z.(q) <> b.z.(q));
-  }
+  !idx
 
-(* Gaussian elimination to reduced row-echelon form over the 2n GF(2)
-   columns x_0..x_{n-1}, z_0..z_{n-1}. Row operations are Pauli
-   products, so phases follow the group structure; a group contains each
-   bit pattern with exactly one sign, making the result canonical. *)
-let rref n rows =
-  let rows = Array.map copy_row rows in
+(* ------------------------------------------------------------------ *)
+(* Elimination, canonical form and equality.                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Gauss-Jordan elimination of the Pauli rows [rows.(from..)] in place,
+   pivoting on each GF(2) column of [cols] in turn (column c < n is x_c,
+   otherwise z_{c-n}) and clearing it from every other row at or after
+   [from]. Row operations are Pauli products, so phases follow the group
+   structure. Returns the index one past the last pivot row. *)
+let eliminate rows ~from cols =
   let m = Array.length rows in
-  let bit row col = if col < n then row.x.(col) else row.z.(col - n) in
-  let r = ref 0 in
-  for col = 0 to (2 * n) - 1 do
-    if !r < m then begin
-      let pivot = ref (-1) in
-      (try
-         for i = !r to m - 1 do
-           if bit rows.(i) col then begin
-             pivot := i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !pivot >= 0 then begin
-        let tmp = rows.(!r) in
-        rows.(!r) <- rows.(!pivot);
-        rows.(!pivot) <- tmp;
-        for i = 0 to m - 1 do
-          if i <> !r && bit rows.(i) col then
-            rows.(i) <- row_mul n rows.(i) rows.(!r)
-        done;
-        incr r
-      end
-    end
-  done;
+  let r = ref from in
+  List.iter
+    (fun col ->
+      if !r < m then begin
+        let n = Array.length rows.(0).x in
+        let bit row = if col < n then row.x.(col) else row.z.(col - n) in
+        let pivot = find_row rows ~from:!r bit in
+        if pivot >= 0 then begin
+          let tmp = rows.(!r) in
+          rows.(!r) <- rows.(pivot);
+          rows.(pivot) <- tmp;
+          for i = from to m - 1 do
+            if i <> !r && bit rows.(i) then mul_into rows.(i) rows.(!r)
+          done;
+          incr r
+        end
+      end)
+    cols;
+  !r
+
+(* Reduced row-echelon form over all 2n columns x_0..x_{n-1},
+   z_0..z_{n-1}: a group contains each bit pattern with exactly one
+   sign, making the result canonical. *)
+let canonical_rows t =
+  let rows = Array.map copy_row t.stab in
+  ignore (eliminate rows ~from:0 (List.init (2 * t.n) Fun.id));
   rows
 
-let canonicalize t = { t with gens = rref t.n t.gens }
+let canonicalize t = Array.to_list (Array.map to_generator (canonical_rows t))
 
 let row_equal a b = a.e = b.e && a.x = b.x && a.z = b.z
 
 let equal a b =
-  a.n = b.n
-  &&
-  let ca = canonicalize a and cb = canonicalize b in
-  Array.for_all2 row_equal ca.gens cb.gens
+  a.n = b.n && Array.for_all2 row_equal (canonical_rows a) (canonical_rows b)
 
 (* The subgroup of stabilizers with no X component on any wire of
    [measured], as a canonical basis. Z-basis dephasing on [measured]
@@ -314,42 +393,18 @@ let equal a b =
    complete invariant of the state once those wires are read out: it
    determines the joint outcome distribution and the conditional states
    on the remaining wires. Computed by eliminating the measured X
-   columns (row ops = Pauli products); the rows left X-free span the
-   kernel by rank-nullity. *)
+   columns; the rows left X-free span the kernel by rank-nullity. *)
 let dephased_rows t ~measured =
-  let rows = Array.map copy_row t.gens in
-  let m = Array.length rows in
-  let r = ref 0 in
   List.iter
     (fun w ->
-      if w < 0 || w >= t.n then invalid_arg "Tableau: measured wire out of range";
-      if !r < m then begin
-        let pivot = ref (-1) in
-        (try
-           for i = !r to m - 1 do
-             if rows.(i).x.(w) then begin
-               pivot := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !pivot >= 0 then begin
-          let tmp = rows.(!r) in
-          rows.(!r) <- rows.(!pivot);
-          rows.(!pivot) <- tmp;
-          for i = 0 to m - 1 do
-            if i <> !r && rows.(i).x.(w) then
-              rows.(i) <- row_mul t.n rows.(i) rows.(!r)
-          done;
-          incr r
-        end
-      end)
-    (List.sort_uniq Stdlib.compare measured);
-  rref t.n (Array.sub rows !r (m - !r))
+      if w < 0 || w >= t.n then invalid_arg "Tableau: measured wire out of range")
+    measured;
+  let rows = Array.map copy_row t.stab in
+  let r = eliminate rows ~from:0 (List.sort_uniq Stdlib.compare measured) in
+  ignore (eliminate rows ~from:r (List.init (2 * t.n) Fun.id));
+  Array.sub rows r (t.n - r)
 
-let dephase t ~measured =
-  Array.to_list
-    (Array.map (fun r -> (r.e, Array.copy r.x, Array.copy r.z)) (dephased_rows t ~measured))
+let dephase t ~measured = Array.to_list (Array.map to_generator (dephased_rows t ~measured))
 
 let measurement_equal a b ~measured =
   a.n = b.n
@@ -387,9 +442,9 @@ let first_difference ?(measured = []) a b =
     Some (Printf.sprintf "qubit counts differ (%d vs %d)" a.n b.n)
   else
     let ra =
-      if measured = [] then (canonicalize a).gens else dephased_rows a ~measured
+      if measured = [] then canonical_rows a else dephased_rows a ~measured
     and rb =
-      if measured = [] then (canonicalize b).gens else dephased_rows b ~measured
+      if measured = [] then canonical_rows b else dephased_rows b ~measured
     in
     if Array.length ra <> Array.length rb then
       Some
@@ -402,8 +457,8 @@ let first_difference ?(measured = []) a b =
         else
           Some
             (Printf.sprintf "%s vs %s"
-               (generator_to_string (ra.(i).e, ra.(i).x, ra.(i).z))
-               (generator_to_string (rb.(i).e, rb.(i).x, rb.(i).z)))
+               (generator_to_string (to_generator ra.(i)))
+               (generator_to_string (to_generator rb.(i))))
       in
       find 0
 
@@ -425,13 +480,151 @@ let embed t ~n ~map =
     done;
     { e = row.e; x; z }
   in
-  let fresh =
-    List.filter_map
-      (fun q ->
-        if seen.(q) then None
-        else
-          Some
-            { e = 0; x = Array.make n false; z = (let z = Array.make n false in z.(q) <- true; z) })
-      (List.init n Fun.id)
+  let fresh = List.filter (fun q -> not seen.(q)) (List.init n Fun.id) in
+  let rows old ~x =
+    Array.append (Array.map remap old) (Array.of_list (List.map (unit_row n ~x) fresh))
   in
-  { n; gens = Array.of_list (Array.to_list (Array.map remap t.gens) @ fresh) }
+  { n; destab = rows t.destab ~x:true; stab = rows t.stab ~x:false }
+
+(* ------------------------------------------------------------------ *)
+(* Dense read-out: support enumeration under Pauli sign noise.         *)
+(* ------------------------------------------------------------------ *)
+
+let max_dense = 24
+
+(* Qubit-indexed mask of a bit-vector (bit q = qubit q), and the
+   basis-index mask where qubit q is bit (n-1-q), matching
+   {!Ir.Matrices}. *)
+let qubit_mask bits =
+  let m = ref 0 in
+  Array.iteri (fun q b -> if b then m := !m lor (1 lsl q)) bits;
+  !m
+
+let basis_mask bits =
+  let n = Array.length bits in
+  let m = ref 0 in
+  Array.iteri (fun q b -> if b then m := !m lor (1 lsl (n - 1 - q))) bits;
+  !m
+
+let rec ctz x = if x land 1 = 1 then 0 else 1 + ctz (x lsr 1)
+
+let parity x =
+  let x = ref x and p = ref false in
+  while !x <> 0 do
+    p := not !p;
+    x := !x land (!x - 1)
+  done;
+  !p
+
+(* Conjugating a stabilizer state by a Pauli only flips row signs, so
+   every noisy-Clifford-trajectory output shares one support
+   *structure* with the ideal state: the same pivot-row span, only the
+   affine base point moves. [readout] freezes that structure once (the
+   X-block echelon, then the reduced Z rows); [readout_probabilities]
+   then prices a trajectory at O(m) bit operations plus the 2^s support
+   walk — no tableau evolution, no echelon, no solve. *)
+type readout = {
+  rn : int;
+  pivots : row array;  (* X-pivot rows: the support's linear span *)
+  xmasks : int array;  (* pivot-row X vectors as basis-index masks *)
+  zq : int array;  (* reduced Z rows' Z vectors as qubit-indexed masks *)
+  zcols : int array;  (* each reduced Z row's pivot qubit *)
+  signs : int;  (* bit i set: reduced Z row i is negative in the clean state *)
+}
+
+(* After the X-block echelon the first [s] rows carry X-pivots at
+   distinct qubits and the rest are X-free. Those are +/- pure-Z
+   operators (phase exponent 0 or 2 — an X-free Pauli has no Y factor,
+   and an odd exponent would make it non-Hermitian), so each imposes the
+   parity constraint z . u = e/2 (mod 2) on the support. Reducing them
+   over the Z block is the Gauss-Jordan solve of that system (products
+   of pure-Z rows add their signs); the base point sets each pivot qubit
+   to its row's sign and every free qubit to zero. *)
+let readout t =
+  if t.n > max_dense then invalid_arg "Tableau: too many qubits for dense read-out";
+  let rows = Array.map copy_row t.stab in
+  let s = eliminate rows ~from:0 (List.init t.n Fun.id) in
+  for i = s to t.n - 1 do
+    if rows.(i).e land 1 <> 0 then invalid_arg "Tableau: malformed tableau"
+  done;
+  let rank = eliminate rows ~from:s (List.init t.n (fun q -> t.n + q)) in
+  (* Null reduced rows (products of Z rows that cancel) must be +I; sign
+     flips preserve this because a Pauli commutes with the identity. *)
+  for i = rank to t.n - 1 do
+    if rows.(i).e <> 0 then invalid_arg "Tableau: inconsistent tableau"
+  done;
+  let pivots = Array.sub rows 0 s and zrows = Array.sub rows s (rank - s) in
+  let zq = Array.map (fun r -> qubit_mask r.z) zrows in
+  let signs = ref 0 in
+  Array.iteri (fun i r -> if r.e = 2 then signs := !signs lor (1 lsl i)) zrows;
+  {
+    rn = t.n;
+    pivots;
+    xmasks = Array.map (fun r -> basis_mask r.x) pivots;
+    zq;
+    zcols = Array.map ctz zq;
+    signs = !signs;
+  }
+
+(* A Z row has no X part, so a Pauli P anticommutes with it iff P's X
+   mask overlaps the row's Z support on an odd number of qubits. *)
+let flip_mask r ~xm =
+  let f = ref 0 in
+  for i = 0 to Array.length r.zq - 1 do
+    if parity (xm land r.zq.(i)) then f := !f lor (1 lsl i)
+  done;
+  !f
+
+(* Basis index of the support's base point under [flips]. *)
+let base_index r ~flips =
+  let signs = r.signs lxor flips in
+  let idx = ref 0 in
+  for i = 0 to Array.length r.zcols - 1 do
+    if (signs lsr i) land 1 = 1 then idx := !idx lor (1 lsl (r.rn - 1 - r.zcols.(i)))
+  done;
+  !idx
+
+(* The support is the affine space base + span{x-vectors of the pivot
+   rows} (2^s points, each of probability exactly 2^-s); a reflected
+   Gray code visits it flipping one generator per step. *)
+let readout_probabilities r ~flips =
+  let probs = Array.make (1 lsl r.rn) 0.0 in
+  let s = Array.length r.xmasks in
+  let p = 1.0 /. float_of_int (1 lsl s) in
+  let idx = ref (base_index r ~flips) in
+  probs.(!idx) <- p;
+  for cnt = 1 to (1 lsl s) - 1 do
+    idx := !idx lxor r.xmasks.(ctz cnt);
+    probs.(!idx) <- p
+  done;
+  probs
+
+let probabilities t = readout_probabilities (readout t) ~flips:0
+
+(* Same walk carrying the phase: a pivot row g = i^e X^x Z^z stabilizes
+   the state, so amplitude(u xor x) = i^e * (-1)^(z.u) * amplitude(u);
+   with amplitude(base) fixed real-positive (global phase is free),
+   every amplitude is 2^(-s/2) times a power of i. *)
+let amplitudes t =
+  let r = readout t in
+  let s = Array.length r.pivots in
+  let dim = 1 lsl t.n in
+  let re = Array.make dim 0.0 and im = Array.make dim 0.0 in
+  let amp = 1.0 /. sqrt (float_of_int (1 lsl s)) in
+  let zmasks = Array.map (fun p -> basis_mask p.z) r.pivots in
+  let set idx ph =
+    match ph with
+    | 0 -> re.(idx) <- amp
+    | 1 -> im.(idx) <- amp
+    | 2 -> re.(idx) <- -.amp
+    | _ -> im.(idx) <- -.amp
+  in
+  let idx = ref (base_index r ~flips:0) and ph = ref 0 in
+  set !idx 0;
+  for cnt = 1 to (1 lsl s) - 1 do
+    let j = ctz cnt in
+    ph := (!ph + r.pivots.(j).e + if parity (zmasks.(j) land !idx) then 2 else 0) land 3;
+    idx := !idx lxor r.xmasks.(j);
+    set !idx !ph
+  done;
+  (re, im)

@@ -371,88 +371,85 @@ let check_clifford ~machine ~run_seed c =
     in
     take [] body.Circuit.gates
   in
-  let tab = Sim.Stabilizer.init n in
-  if not (List.for_all (fun g -> Sim.Stabilizer.apply_gate tab g) prefix) then
-    Error "stabilizer rejected a gate the tableau classifies as Clifford"
+  let tab = Dataflow.Tableau.init n in
+  List.iter (fun g -> ignore (Dataflow.Tableau.apply tab g)) prefix;
+  let p_sv =
+    Sim.Statevector.probabilities (Sim.Statevector.run (Circuit.create n prefix))
+  in
+  let p_tab = Dataflow.Tableau.probabilities tab in
+  let p_mat =
+    Sim.Statevector.probabilities (Sim.Statevector.of_tableau tab)
+  in
+  let l1_pt = l1_diff p_sv p_tab and l1_pm = l1_diff p_sv p_mat in
+  if l1_pt > 1e-9 then
+    Error
+      (Printf.sprintf "tableau distribution drifts from dense backend: L1=%g"
+         l1_pt)
+  else if l1_pm > 1e-9 then
+    Error
+      (Printf.sprintf
+         "materialized statevector drifts from dense backend: L1=%g" l1_pm)
   else begin
-    let p_sv =
-      Sim.Statevector.probabilities (Sim.Statevector.run (Circuit.create n prefix))
-    in
-    let p_tab = Sim.Stabilizer.probabilities tab in
-    let p_mat =
-      Sim.Statevector.probabilities (Sim.Stabilizer.to_statevector tab)
-    in
-    let l1_pt = l1_diff p_sv p_tab and l1_pm = l1_diff p_sv p_mat in
-    if l1_pt > 1e-9 then
+    let rng = Mathkit.Rng.create run_seed in
+    let bad = ref None in
+    for _ = 1 to 12 do
+      let idx = Dataflow.Tableau.measure_all (Dataflow.Tableau.copy tab) rng in
+      if p_sv.(idx) < 1e-12 && !bad = None then bad := Some idx
+    done;
+    match !bad with
+    | Some idx ->
       Error
-        (Printf.sprintf "tableau distribution drifts from dense backend: L1=%g"
-           l1_pt)
-    else if l1_pm > 1e-9 then
-      Error
-        (Printf.sprintf
-           "materialized statevector drifts from dense backend: L1=%g" l1_pm)
-    else begin
-      let rng = Mathkit.Rng.create run_seed in
-      let bad = ref None in
-      for _ = 1 to 12 do
-        let idx = Sim.Stabilizer.measure_all (Sim.Stabilizer.copy tab) rng in
-        if p_sv.(idx) < 1e-12 && !bad = None then bad := Some idx
-      done;
-      match !bad with
-      | Some idx ->
-        Error
-          (Printf.sprintf "sampled outcome %d lies outside the dense support"
-             idx)
-      | None ->
-        (* Runner level: [Auto] dispatch (stabilizer for Clifford-only
-           compilations, hybrid for Clifford prefixes) must reproduce the
-           forced dense backend. Fusion off on both sides so error-Pauli
-           draws happen in the same order and the comparison is
-           numerical, not stochastic. *)
-        let measured = Circuit.measured_qubits c in
-        if (not (Device.Machine.fits machine c)) || measured = [] then Ok ()
-        else begin
+        (Printf.sprintf "sampled outcome %d lies outside the dense support"
+           idx)
+    | None ->
+      (* Runner level: [Auto] dispatch (stabilizer for Clifford-only
+         compilations, hybrid for Clifford prefixes) must reproduce the
+         forced dense backend. Fusion off on both sides so error-Pauli
+         draws happen in the same order and the comparison is
+         numerical, not stochastic. *)
+      let measured = Circuit.measured_qubits c in
+      if (not (Device.Machine.fits machine c)) || measured = [] then Ok ()
+      else begin
+        match
+          Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.OneQOptCN
+        with
+        | exception e ->
+          Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
+        | compiled -> (
+          let spec =
+            match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
+            | [] ->
+              Ir.Spec.deterministic measured
+                (String.make (List.length measured) '0')
+            | dist -> Ir.Spec.distribution measured dist
+          in
+          let run backend =
+            Sim.Runner.simulate
+              ~config:
+                (Sim.Runner.Config.make ~seed:run_seed ~trials:512
+                   ~trajectories:60 ~fusion:false ~backend ())
+              compiled spec
+          in
           match
-            Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.OneQOptCN
+            (run Sim.Runner.Config.Auto, run Sim.Runner.Config.Statevector)
           with
           | exception e ->
-            Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
-          | compiled -> (
-            let spec =
-              match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
-              | [] ->
-                Ir.Spec.deterministic measured
-                  (String.make (List.length measured) '0')
-              | dist -> Ir.Spec.distribution measured dist
+            Error (Printf.sprintf "runner raised: %s" (Printexc.to_string e))
+          | auto, dense ->
+            let gap =
+              dist_gap auto.Sim.Runner.distribution
+                dense.Sim.Runner.distribution
             in
-            let run backend =
-              Sim.Runner.simulate
-                ~config:
-                  (Sim.Runner.Config.make ~seed:run_seed ~trials:512
-                     ~trajectories:60 ~fusion:false ~backend ())
-                compiled spec
-            in
-            match
-              (run Sim.Runner.Config.Auto, run Sim.Runner.Config.Statevector)
-            with
-            | exception e ->
-              Error (Printf.sprintf "runner raised: %s" (Printexc.to_string e))
-            | auto, dense ->
-              let gap =
-                dist_gap auto.Sim.Runner.distribution
-                  dense.Sim.Runner.distribution
-              in
-              (* 2e-6 absorbs the 1e-6 report-truncation threshold on
-                 top of float error. *)
-              if gap > 2e-6 then
-                Error
-                  (Printf.sprintf
-                     "auto and statevector backends diverge (machine %s, \
-                      seed %d): max distribution gap %g"
-                     machine.Device.Machine.name run_seed gap)
-              else Ok ())
-        end
-    end
+            (* 2e-6 absorbs the 1e-6 report-truncation threshold on
+               top of float error. *)
+            if gap > 2e-6 then
+              Error
+                (Printf.sprintf
+                   "auto and statevector backends diverge (machine %s, \
+                    seed %d): max distribution gap %g"
+                   machine.Device.Machine.name run_seed gap)
+            else Ok ())
+      end
   end
 
 (* ---------- layout ---------- *)

@@ -1,6 +1,7 @@
 module Rng = Mathkit.Rng
 module Machine = Device.Machine
 module Compiled = Triq.Compiled
+module Tableau = Dataflow.Tableau
 
 type outcome = {
   distribution : (string * float) list;
@@ -176,7 +177,7 @@ let simulate ?(config = Config.default) compiled spec =
      can carry. Explicit T1 relaxation is not a Clifford channel, so it
      pins the dense backend. *)
   let actions =
-    Array.map (fun pg -> Dataflow.Tableau.Action.of_gate pg.cg) prepared
+    Array.map (fun pg -> Tableau.Action.of_gate pg.cg) prepared
   in
   let qs_arr =
     Array.map (fun pg -> Array.of_list (Ir.Gate.qubits pg.cg)) prepared
@@ -236,7 +237,7 @@ let simulate ?(config = Config.default) compiled spec =
     in
     let apps =
       Array.init n_apps (fun i ->
-          Stabilizer.compile_action (Option.get actions.(i)) qs_arr.(i))
+          Tableau.compile_action (Option.get actions.(i)) qs_arr.(i))
     in
     match mode with
     | `Sv when use_fusion && n_gates > 0 ->
@@ -246,7 +247,7 @@ let simulate ?(config = Config.default) compiled spec =
     | _ -> (None, None, apps)
   in
   let pauli = [| Ir.Matrices.one_q X; Ir.Matrices.one_q Y; Ir.Matrices.one_q Z |] in
-  let tab_pauli = [| Stabilizer.X; Stabilizer.Y; Stabilizer.Z |] in
+  let tab_pauli = [| Tableau.X; Tableau.Y; Tableau.Z |] in
   (* A 2Q error draws a non-identity Pauli pair by rejection. *)
   let rec draw_two rng =
     let pa = Rng.int rng 4 and pb = Rng.int rng 4 in
@@ -263,11 +264,11 @@ let simulate ?(config = Config.default) compiled spec =
   in
   let inject_tab tab rng (cg : Ir.Gate.t) =
     match cg with
-    | One (_, q) -> Stabilizer.apply_pauli tab q tab_pauli.(Rng.int rng 3)
+    | One (_, q) -> Tableau.apply_pauli tab q tab_pauli.(Rng.int rng 3)
     | Two (_, a, b) ->
       let pa, pb = draw_two rng in
-      if pa > 0 then Stabilizer.apply_pauli tab a tab_pauli.(pa - 1);
-      if pb > 0 then Stabilizer.apply_pauli tab b tab_pauli.(pb - 1)
+      if pa > 0 then Tableau.apply_pauli tab a tab_pauli.(pa - 1);
+      if pb > 0 then Tableau.apply_pauli tab b tab_pauli.(pb - 1)
     | Measure _ | Ccx _ | Cswap _ -> assert false
   in
   (* Same error-Pauli draws as [inject_tab] (identical RNG consumption),
@@ -354,14 +355,14 @@ let simulate ?(config = Config.default) compiled spec =
      are themselves Clifford, so erred trajectories stay polynomial. *)
   let run_range_tab tab rng flags lo hi =
     for i = lo to hi - 1 do
-      Stabilizer.apply_app tab apps.(i);
+      Tableau.apply_app tab apps.(i);
       if flags.(i) then inject_tab tab rng prepared.(i).cg
     done
   in
   let clean_tab hi =
-    let tab = Stabilizer.init k in
+    let tab = Tableau.init k in
     for i = 0 to hi - 1 do
-      Stabilizer.apply_app tab apps.(i)
+      Tableau.apply_app tab apps.(i)
     done;
     tab
   in
@@ -373,12 +374,12 @@ let simulate ?(config = Config.default) compiled spec =
      common case — the prefix is a minority of the gates). *)
   let stab_readout =
     match mode with
-    | `Stab -> Some (Stabilizer.readout (clean_tab n_gates))
+    | `Stab -> Some (Tableau.readout (clean_tab n_gates))
     | `Hybrid | `Sv -> None
   in
   let prefix_state =
     match mode with
-    | `Hybrid -> Some (Stabilizer.to_statevector (clean_tab prefix_len))
+    | `Hybrid -> Some (Statevector.of_tableau (clean_tab prefix_len))
     | `Stab | `Sv -> None
   in
   let clean_range_sv state lo hi =
@@ -405,14 +406,14 @@ let simulate ?(config = Config.default) compiled spec =
           let xm0, zm0 = err_masks rng prepared.(i).cg in
           let xm = ref xm0 and zm = ref zm0 in
           for j = i + 1 to n_gates - 1 do
-            let x', z' = Stabilizer.conjugate_masks apps.(j) ~xm:!xm ~zm:!zm in
+            let x', z' = Tableau.conjugate_masks apps.(j) ~xm:!xm ~zm:!zm in
             xm := x';
             zm := z'
           done;
-          flips := !flips lxor Stabilizer.flip_mask readout ~xm:!xm
+          flips := !flips lxor Tableau.flip_mask readout ~xm:!xm
         end
       done;
-      Stabilizer.readout_probabilities readout ~flips:!flips
+      Tableau.readout_probabilities readout ~flips:!flips
     | `Hybrid ->
       let prefix_erred =
         let e = ref false in
@@ -423,9 +424,9 @@ let simulate ?(config = Config.default) compiled spec =
       in
       let state =
         if prefix_erred then begin
-          let tab = Stabilizer.init k in
+          let tab = Tableau.init k in
           run_range_tab tab rng flags 0 prefix_len;
-          Stabilizer.to_statevector tab
+          Statevector.of_tableau tab
         end
         else Statevector.copy (Option.get prefix_state)
       in
@@ -445,7 +446,7 @@ let simulate ?(config = Config.default) compiled spec =
   let ideal_probs =
     match mode with
     | `Stab ->
-      Stabilizer.readout_probabilities (Option.get stab_readout) ~flips:0
+      Tableau.readout_probabilities (Option.get stab_readout) ~flips:0
     | `Hybrid ->
       let state = Statevector.copy (Option.get prefix_state) in
       (match tail_plan with

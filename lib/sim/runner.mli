@@ -40,7 +40,7 @@ type outcome = {
 module Config : sig
   (** Simulation backend selection. [Auto] (the default) picks per
       circuit: Clifford-only circuits run entirely on the
-      polynomial-time {!Stabilizer} tableau; circuits with a
+      polynomial-time tableau ({!Dataflow.Tableau}); circuits with a
       substantial Clifford prefix simulate the prefix on the tableau
       and materialize a statevector for the non-Clifford tail; anything
       else (and any [explicit_t1] run — amplitude damping is not a

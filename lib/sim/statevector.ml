@@ -11,15 +11,9 @@ let init n =
 
 let n_qubits t = t.n
 
-let of_arrays ~re ~im =
-  let dim = Array.length re in
-  if dim = 0 || Array.length im <> dim then
-    invalid_arg "Statevector.of_arrays: arrays must be equal non-empty length";
-  let n = ref 0 in
-  while 1 lsl !n < dim do incr n done;
-  if 1 lsl !n <> dim || !n < 1 || !n > 24 then
-    invalid_arg "Statevector.of_arrays: length must be 2^n, 1 <= n <= 24";
-  { n = !n; re; im }
+let of_tableau tab =
+  let re, im = Dataflow.Tableau.amplitudes tab in
+  { n = Dataflow.Tableau.n_qubits tab; re; im }
 
 let copy t = { n = t.n; re = Array.copy t.re; im = Array.copy t.im }
 

@@ -12,11 +12,11 @@ type t
 (** [init n] is |0...0> on [n] qubits (1 <= n <= 24). *)
 val init : int -> t
 
-(** [of_arrays ~re ~im] adopts (does not copy) the amplitude arrays as a
-    state; both must have the same power-of-two length 2^n with
-    1 <= n <= 24. Used by backends that build amplitudes directly (e.g.
-    {!Stabilizer.to_statevector}). *)
-val of_arrays : re:float array -> im:float array -> t
+(** [of_tableau t] is the exact dense state of the stabilizer tableau
+    [t] ({!Dataflow.Tableau.amplitudes}): the Clifford-prefix hand-off
+    from the tableau to this backend. Raises [Invalid_argument] above 24
+    qubits. *)
+val of_tableau : Dataflow.Tableau.t -> t
 
 val n_qubits : t -> int
 

@@ -22,7 +22,7 @@ module Programs = Bench_kit.Programs
 let circ n gates = Circuit.create n gates
 
 let gen_strings t =
-  List.map Tableau.generator_to_string (Tableau.generators (Tableau.canonicalize t))
+  List.map Tableau.generator_to_string (Tableau.canonicalize t)
 
 let rules ds = List.map (fun d -> d.Diag.rule) ds
 

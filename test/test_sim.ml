@@ -401,7 +401,7 @@ let qcheck_cases =
 
 (* ---------- Stabilizer backend & fusion ---------- *)
 
-module Stab = Sim.Stabilizer
+module Tab = Dataflow.Tableau
 module Fusion = Sim.Fusion
 
 (* Seeded random Clifford gate streams (plain list — the proptest
@@ -431,13 +431,13 @@ let test_stab_matches_statevector () =
     let n = 1 + Rng.int rng 4 in
     let gates = random_clifford_gates rng n (Rng.int rng 15) in
     let c = circuit n gates in
-    let t = Stab.init n in
-    List.iter (fun g -> assert (Stab.apply_gate t g)) gates;
+    let t = Tab.init n in
+    List.iter (fun g -> assert (Tab.apply t g)) gates;
     let sv = Sv.run c in
     Alcotest.(check (float 1e-9))
       "probabilities" 0.0
-      (l1 (Stab.probabilities t) (Sv.probabilities sv));
-    let mat = Stab.to_statevector t in
+      (l1 (Tab.probabilities t) (Sv.probabilities sv));
+    let mat = Sv.of_tableau t in
     let overlap = ref Mathkit.Cplx.zero in
     for i = 0 to (1 lsl n) - 1 do
       overlap :=
@@ -450,25 +450,33 @@ let test_stab_matches_statevector () =
       (Mathkit.Cplx.abs !overlap)
   done
 
-let test_stab_compiled_apps_match_apply_gate () =
-  (* The table-compiled fast path must evolve the tableau exactly like
-     the generic action path. *)
-  let rng = Rng.create 17 in
-  for _ = 1 to 40 do
-    let n = 1 + Rng.int rng 4 in
-    let gates = random_clifford_gates rng n (1 + Rng.int rng 12) in
-    let slow = Stab.init n and fast = Stab.init n in
-    List.iter
-      (fun g ->
-        assert (Stab.apply_gate slow g);
-        let act = Option.get (Dataflow.Tableau.Action.of_gate g) in
-        let qs = Array.of_list (G.qubits g) in
-        Stab.apply_app fast (Stab.compile_action act qs))
-      gates;
-    Alcotest.(check (float 1e-12))
-      "same distribution" 0.0
-      (l1 (Stab.probabilities slow) (Stab.probabilities fast))
-  done
+let test_stab_measurement () =
+  (* The measurement contract: a deterministic outcome consumes no
+     randomness, a random outcome collapses the state, and entangled
+     outcomes agree. *)
+  let t = Tab.init 1 in
+  assert (Tab.apply t (G.One (G.X, 0)));
+  let rng = Rng.create 7 in
+  Alcotest.(check bool) "X then measure reads 1" true (Tab.measure t 0 rng);
+  Alcotest.(check int)
+    "deterministic outcome draws nothing"
+    (Rng.int (Rng.create 7) 1_000_000)
+    (Rng.int rng 1_000_000);
+  let seen = Array.make 2 false in
+  for seed = 1 to 20 do
+    let rng = Rng.create seed in
+    let plus = Tab.init 1 in
+    assert (Tab.apply plus (G.One (G.H, 0)));
+    let first = Tab.measure plus 0 rng in
+    seen.(Bool.to_int first) <- true;
+    Alcotest.(check bool) "collapsed outcome repeats" first (Tab.measure plus 0 rng);
+    let bell = Tab.init 2 in
+    assert (Tab.apply bell (G.One (G.H, 0)));
+    assert (Tab.apply bell (G.Two (G.Cnot, 0, 1)));
+    let a = Tab.measure bell 0 rng in
+    Alcotest.(check bool) "bell outcomes agree" a (Tab.measure bell 1 rng)
+  done;
+  Alcotest.(check bool) "|+> yields both outcomes" true (seen.(0) && seen.(1))
 
 let test_stab_readout_sign_flips () =
   (* The frozen-readout sign-flip path — propagate a mid-circuit Pauli
@@ -482,13 +490,13 @@ let test_stab_readout_sign_flips () =
     let apps =
       List.map
         (fun g ->
-          let act = Option.get (Dataflow.Tableau.Action.of_gate g) in
-          Stab.compile_action act (Array.of_list (G.qubits g)))
+          let act = Option.get (Tab.Action.of_gate g) in
+          Tab.compile_action act (Array.of_list (G.qubits g)))
         gates
     in
-    let t = Stab.init n in
-    List.iter2 (fun _ app -> Stab.apply_app t app) gates apps;
-    let r = Stab.readout t in
+    let t = Tab.init n in
+    List.iter2 (fun _ app -> Tab.apply_app t app) gates apps;
+    let r = Tab.readout t in
     (* Inject a random Pauli after gate [pos]. *)
     let pos = Rng.int rng len in
     let q = Rng.int rng n in
@@ -508,18 +516,18 @@ let test_stab_readout_sign_flips () =
     List.iteri
       (fun i app ->
         if i > pos then begin
-          let x, z = Stab.conjugate_masks app ~xm:!xm ~zm:!zm in
+          let x, z = Tab.conjugate_masks app ~xm:!xm ~zm:!zm in
           xm := x;
           zm := z
         end)
       apps;
-    let flips = Stab.flip_mask r ~xm:!xm in
+    let flips = Tab.flip_mask r ~xm:!xm in
     Alcotest.(check (float 1e-9))
       "erred distribution" 0.0
-      (l1 (Stab.readout_probabilities r ~flips) (Sv.probabilities sv));
+      (l1 (Tab.readout_probabilities r ~flips) (Sv.probabilities sv));
     Alcotest.(check (float 1e-12))
       "clean distribution" 0.0
-      (l1 (Stab.readout_probabilities r ~flips:0) (Stab.probabilities t))
+      (l1 (Tab.readout_probabilities r ~flips:0) (Tab.probabilities t))
   done
 
 let test_fusion_matches_unfused () =
@@ -662,8 +670,7 @@ let () =
         [
           Alcotest.test_case "matches statevector" `Quick
             test_stab_matches_statevector;
-          Alcotest.test_case "compiled apps" `Quick
-            test_stab_compiled_apps_match_apply_gate;
+          Alcotest.test_case "measurement" `Quick test_stab_measurement;
           Alcotest.test_case "readout sign flips" `Quick
             test_stab_readout_sign_flips;
         ] );
