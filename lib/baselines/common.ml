@@ -12,9 +12,5 @@ let compile ~name ~day passes machine circuit =
     { Pass.Schedule.name; passes = (Pass.flatten :: passes) @ tail_passes }
 
 let hop_distances topology =
-  let n = Topology.n_qubits topology in
-  Array.init n (fun src ->
-      Array.init n (fun dst ->
-          match Topology.hop_distance topology src dst with
-          | d -> d
-          | exception Not_found -> max_int / 2))
+  Array.init (Topology.n_qubits topology) (fun src ->
+      Array.map (fun d -> if d < 0 then max_int / 2 else d) (Topology.distances topology src))

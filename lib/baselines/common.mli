@@ -17,5 +17,6 @@ val compile :
   Ir.Circuit.t ->
   Triq.Compiled.t
 
-(** [hop_distances topology] is the all-pairs hop-count matrix. *)
+(** [hop_distances topology] is the all-pairs hop-count matrix, one
+    breadth-first search per row; unreachable pairs are [max_int / 2]. *)
 val hop_distances : Device.Topology.t -> int array array

@@ -1,35 +1,20 @@
 module Machine = Device.Machine
 module Topology = Device.Topology
+module Router = Triq.Router
 module Rng = Mathkit.Rng
 
 (* Greedy stochastic routing: while the operands of a 2Q gate are apart,
    apply the swap (adjacent to either operand) that most reduces their hop
    distance, breaking ties at random. *)
-let route machine rng ~placement (c : Ir.Circuit.t) =
-  let topology = machine.Machine.topology in
+let strategy topology rng : Router.strategy =
   let n_hardware = Topology.n_qubits topology in
   let dist = Common.hop_distances topology in
-  let cur = Array.copy placement in
-  let occupant = Array.make n_hardware (-1) in
-  Array.iteri (fun p h -> occupant.(h) <- p) cur;
-  let out = ref [] in
-  let swaps = ref 0 in
-  let emit g = out := g :: !out in
-  let apply_swap u v =
-    emit (Ir.Gate.Two (Ir.Gate.Swap, u, v));
-    incr swaps;
-    let pu = occupant.(u) and pv = occupant.(v) in
-    occupant.(u) <- pv;
-    occupant.(v) <- pu;
-    if pv >= 0 then cur.(pv) <- u;
-    if pu >= 0 then cur.(pu) <- v
-  in
-  let route_two kind a b =
+  fun t ~index:_ kind a b ->
     let guard = ref 0 in
-    while not (Topology.coupled topology cur.(a) cur.(b)) do
+    while not (Router.coupled t a b) do
       incr guard;
       if !guard > 4 * n_hardware then failwith "Qiskit_like: routing diverged";
-      let ha = cur.(a) and hb = cur.(b) in
+      let ha = Router.position t a and hb = Router.position t b in
       let candidates =
         List.map (fun v -> (ha, v)) (Topology.neighbors topology ha)
         @ List.map (fun v -> (hb, v)) (Topology.neighbors topology hb)
@@ -42,29 +27,16 @@ let route machine rng ~placement (c : Ir.Circuit.t) =
       let best = List.fold_left (fun acc sw -> min acc (score sw)) max_int candidates in
       let best_swaps = List.filter (fun sw -> score sw = best) candidates in
       let u, v = Rng.choose rng best_swaps in
-      apply_swap u v
+      Router.swap t u v
     done;
-    emit (Ir.Gate.Two (kind, cur.(a), cur.(b)))
-  in
-  List.iter
-    (fun g ->
-      match (g : Ir.Gate.t) with
-      | One (k, p) -> emit (Ir.Gate.One (k, cur.(p)))
-      | Measure p -> emit (Ir.Gate.Measure cur.(p))
-      | Two (kind, a, b) -> route_two kind a b
-      | Ccx _ | Cswap _ -> invalid_arg "Qiskit_like: circuit not flattened")
-    c.Ir.Circuit.gates;
-  (Ir.Circuit.create n_hardware (List.rev !out), cur, !swaps)
+    Router.gate t kind a b
 
 let compile ?(day = 0) ?(seed = 1) machine circuit =
   Common.compile ~name:"Qiskit" ~day
     [
       Triq.Pass.mapping_trivial;
-      Triq.Pass.make ~name:"routing" ~optional:false (fun s ->
-          let circuit, final_placement, swap_count =
-            route s.Triq.Pass.machine (Rng.create seed)
-              ~placement:s.Triq.Pass.initial_placement s.Triq.Pass.circuit
-          in
-          { s with Triq.Pass.circuit; final_placement; swap_count });
+      Triq.Pass.routing_with "greedy hop-distance SWAPs, random tie-breaks" (fun s ->
+          let topology = s.Triq.Pass.machine.Machine.topology in
+          Router.run (strategy topology (Rng.create seed)) topology);
     ]
     machine circuit

@@ -218,10 +218,7 @@ let routing_with about route =
     optional = false;
     run =
       (fun s ->
-        let routed =
-          route (reliability_exn s) s.machine.Machine.topology
-            ~placement:s.initial_placement s.circuit
-        in
+        let routed = route s ~placement:s.initial_placement s.circuit in
         {
           s with
           circuit = routed.Router.circuit;
@@ -232,11 +229,12 @@ let routing_with about route =
   }
 
 let routing_default =
-  routing_with "reliability-path SWAP insertion (per-gate optimal)" Router.route
+  routing_with "reliability-path SWAP insertion (per-gate optimal)" (fun s ->
+      Router.route (reliability_exn s) s.machine.Machine.topology)
 
 let routing_lookahead =
-  routing_with "reliability-path SWAP insertion with lookahead"
-    (Router_lookahead.route ?lookahead:None)
+  routing_with "reliability-path SWAP insertion with lookahead" (fun s ->
+      Router.route_lookahead (reliability_exn s) s.machine.Machine.topology)
 
 let routing = function
   | Config.Default -> routing_default

@@ -33,7 +33,8 @@ val level_strings : string list
 
 module Config : sig
   (** SWAP-insertion strategy: the paper's per-gate reliability-optimal
-      router or the {!Router_lookahead} extension. *)
+      router ({!Router.route}) or the lookahead extension
+      ({!Router.route_lookahead}). *)
   type router = Default | Lookahead
 
   (** How much the pass-invariant harness checks after every pass.
@@ -163,8 +164,18 @@ val mapping_trivial : t
 val mapping_solver : t
 
 (** ["routing"]: reliability-path SWAP insertion with the given
-    strategy. *)
+    strategy; {!routing_with} on {!Router.route} or
+    {!Router.route_lookahead}. *)
 val routing : Config.router -> t
+
+(** [routing_with about route] is a ["routing"] pass (required, with the
+    routing invariant checks) that routes the working circuit from the
+    initial placement with [route state] and records the routed circuit,
+    final placement and SWAP count. [route] is usually {!Router.run} on a
+    {!Router.strategy}; the baselines build their routing passes this
+    way. *)
+val routing_with :
+  string -> (state -> placement:int array -> Ir.Circuit.t -> Router.result) -> t
 
 (** ["swap-expansion"]: expand routed SWAPs using the machine's native
     basis (a directed-CNOT basis expands to 3 CNOTs + repairs), and

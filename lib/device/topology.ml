@@ -75,11 +75,14 @@ let is_connected t =
   let dist, _ = bfs t 0 in
   Array.for_all (fun d -> d >= 0) dist
 
+let distances t src =
+  check_qubit t src;
+  fst (bfs t src)
+
 let hop_distance t a b =
-  check_qubit t a;
   check_qubit t b;
-  let dist, _ = bfs t a in
-  if dist.(b) < 0 then raise Not_found else dist.(b)
+  let d = (distances t a).(b) in
+  if d < 0 then raise Not_found else d
 
 let shortest_path t a b =
   check_qubit t a;
@@ -151,26 +154,24 @@ let heavy_hex cells =
 let diameter t =
   let best = ref 0 in
   for a = 0 to t.n - 1 do
-    let dist, _ = bfs t a in
     Array.iter
       (fun d ->
         if d < 0 then raise Not_found;
         if d > !best then best := d)
-      dist
+      (distances t a)
   done;
   !best
 
 let average_distance t =
   let total = ref 0 and pairs = ref 0 in
   for a = 0 to t.n - 1 do
-    let dist, _ = bfs t a in
     Array.iteri
       (fun b d ->
         if b <> a && d > 0 then begin
           total := !total + d;
           incr pairs
         end)
-      dist
+      (distances t a)
   done;
   if !pairs = 0 then 0.0 else float_of_int !total /. float_of_int !pairs
 

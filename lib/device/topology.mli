@@ -44,8 +44,13 @@ val degree : t -> int -> int
 (** [is_connected t] checks the coupling graph is one component. *)
 val is_connected : t -> bool
 
-(** [hop_distance t a b] is the minimum number of couplings between [a]
-    and [b] (0 when equal); raises [Not_found] if disconnected. *)
+(** [distances t src] is the hop distance from [src] to every qubit ([0]
+    at [src], [-1] where unreachable), from one breadth-first search. *)
+val distances : t -> int -> int array
+
+(** [hop_distance t a b] is [(distances t a).(b)]: the minimum number of
+    couplings between [a] and [b] (0 when equal); raises [Not_found] if
+    disconnected. *)
 val hop_distance : t -> int -> int -> int
 
 (** [shortest_path t a b] is a minimal-hop qubit path [a; ...; b]. *)

@@ -1,8 +1,11 @@
-(* Regenerates test/layout_golden.ml: a digest of Pipeline.compile_level
-   output for every bundled benchmark x machine x level combination that
-   fits. The digest covers every output-relevant field (hardware gates,
-   placements, readout map, counts, ESP) but not timing or search-effort
-   metadata, so it pins the *compiled artifact* across refactors.
+(* Regenerates test/layout_golden.ml: a digest of the compiled executable
+   for every bundled benchmark x machine x compiler combination that fits.
+   The compilers are the four TriQ levels with the default router, the
+   top level with the lookahead router, and the Qiskit-like (seed 1),
+   Quil-like and Zulehner-like baselines, so every router is pinned. The
+   digest covers every output-relevant field (hardware gates, placements,
+   readout map, counts, ESP) but not timing or search-effort metadata, so
+   it pins the *compiled artifact* across refactors.
 
    Usage: dune exec test/gen_golden/gen_golden.exe > test/layout_golden.ml *)
 
@@ -21,11 +24,28 @@ let digest (r : Triq.Compiled.t) =
   in
   Digest.to_hex (Digest.string (Marshal.to_string payload []))
 
+(* Same table as test_layout's [compile_row]. *)
+let compilers =
+  List.map
+    (fun level ->
+      (Triq.Pass.level_name level, fun m c -> Triq.Pipeline.compile_level m c ~level))
+    Triq.Pipeline.all_levels
+  @ [
+      ( "TriQ-1QOptCN+lookahead",
+        fun m c ->
+          Triq.Pipeline.compile_level
+            ~config:(Triq.Pass.Config.make ~router:Triq.Pass.Config.Lookahead ())
+            m c ~level:Triq.Pass.OneQOptCN );
+      ("Qiskit", fun m c -> Baselines.Qiskit_like.compile ~seed:1 m c);
+      ("Quil", fun m c -> Baselines.Quil_like.compile m c);
+      ("Zulehner", fun m c -> Baselines.Zulehner_like.compile m c);
+    ]
+
 let () =
   print_string
-    "(* Generated by test/gen_golden — digests of Pipeline.compile_level \
-     output\n\
-    \   for bundled benchmarks x machines x levels. Regenerate with:\n\
+    "(* Generated by test/gen_golden — digests of the compiled executable for\n\
+    \   bundled benchmarks x machines x compilers (TriQ levels, lookahead\n\
+    \   router, baselines). Regenerate with:\n\
     \     dune exec test/gen_golden/gen_golden.exe > test/layout_golden.ml *)\n\n\
      let entries =\n\
     \  [\n";
@@ -36,16 +56,11 @@ let () =
           let n = p.Bench_kit.Programs.circuit.Ir.Circuit.n_qubits in
           if n <= Device.Machine.n_qubits m then
             List.iter
-              (fun level ->
-                let r =
-                  Triq.Pipeline.compile_level m p.Bench_kit.Programs.circuit
-                    ~level
-                in
+              (fun (name, compile) ->
+                let r = compile m p.Bench_kit.Programs.circuit in
                 Printf.printf "    (%S, %S, %S, %S);\n" m.Device.Machine.name
-                  p.Bench_kit.Programs.name
-                  (Triq.Pass.level_name level)
-                  (digest r))
-              Triq.Pipeline.all_levels)
+                  p.Bench_kit.Programs.name name (digest r))
+              compilers)
         Bench_kit.Programs.all)
     Device.Machines.all;
   print_string "  ]\n"

@@ -150,6 +150,40 @@ let test_compiler_labels () =
   Alcotest.(check string) "quil" "Quil" u.Triq.Compiled.compiler;
   Alcotest.(check string) "zulehner" "Zulehner" z.Triq.Compiled.compiler
 
+(* ---------- Hop distances ---------- *)
+
+let test_hop_distances_agree () =
+  (* One BFS per row must give the pairwise Topology.hop_distance, with
+     max_int / 2 for unreachable pairs. *)
+  let two_islands = Topology.create 4 [ (0, 1); (2, 3) ] ~directed:false in
+  List.iter
+    (fun (name, topology) ->
+      let dist = Baselines.Common.hop_distances topology in
+      let n = Topology.n_qubits topology in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          let expected =
+            match Topology.hop_distance topology a b with
+            | d -> d
+            | exception Not_found -> max_int / 2
+          in
+          if dist.(a).(b) <> expected then
+            Alcotest.failf "%s: hop_distances.(%d).(%d) = %d, expected %d" name a b
+              dist.(a).(b) expected
+        done
+      done)
+    (("two islands", two_islands)
+    :: List.map (fun m -> (m.Machine.name, m.Machine.topology)) Machines.all)
+
+let test_hop_distances_large_line () =
+  (* 1024 qubits (the machine-file bound) on a line: n BFS, not n^2. *)
+  let topology = Topology.line 1024 in
+  let t0 = Sys.time () in
+  let dist = Baselines.Common.hop_distances topology in
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check int) "end to end" 1023 dist.(0).(1023);
+  Alcotest.(check bool) (Printf.sprintf "computed fast (%.3f s)" dt) true (dt < 1.0)
+
 let () =
   Alcotest.run "baselines"
     [
@@ -175,4 +209,9 @@ let () =
           Alcotest.test_case "correct output" `Quick test_zulehner_correct_output;
         ] );
       ("labels", [ Alcotest.test_case "compiler names" `Quick test_compiler_labels ]);
+      ( "hop_distances",
+        [
+          Alcotest.test_case "agree with hop_distance" `Quick test_hop_distances_agree;
+          Alcotest.test_case "1024-qubit line" `Quick test_hop_distances_large_line;
+        ] );
     ]

@@ -43,13 +43,27 @@ let level_of_string_exn s =
 
 let status (r : Report.t) = Report.cache_status_name r.Report.cache
 
+(* The golden file's compiler column, as test/gen_golden builds it: a
+   TriQ level with the default router, the top level with the lookahead
+   router, or a baseline. *)
+let compile_row m c = function
+  | "TriQ-1QOptCN+lookahead" ->
+    Triq.Pipeline.compile_level
+      ~config:(Triq.Pass.Config.make ~router:Triq.Pass.Config.Lookahead ())
+      m c ~level:Triq.Pass.OneQOptCN
+  | "Qiskit" -> Baselines.Qiskit_like.compile ~seed:1 m c
+  | "Quil" -> Baselines.Quil_like.compile m c
+  | "Zulehner" -> Baselines.Zulehner_like.compile m c
+  | level -> Triq.Pipeline.compile_level m c ~level:(level_of_string_exn level)
+
 let test_golden_bit_identity () =
-  (* Every bundled benchmark x machine x level must compile to exactly the
-     artifact the pre-refactor pipeline produced (digests pinned in
-     layout_golden.ml before the layout engine existed). Each entry
-     compiles twice after clearing the caches: a cold solve, then the
-     cache-hit path, which must reproduce the same placement bit-for-bit
-     after canonical-permutation translation. *)
+  (* Every bundled benchmark x machine x compiler must compile to exactly
+     the artifact pinned in layout_golden.ml (the TriQ-level digests
+     predate the layout engine; the lookahead and baseline digests predate
+     the shared routing walker). Each entry compiles twice after clearing
+     the caches: a cold solve, then the cache-hit path, which must
+     reproduce the same placement bit-for-bit after canonical-permutation
+     translation. *)
   Alcotest.(check bool) "fixture is non-trivial" true
     (List.length Layout_golden.entries > 100);
   List.iter
@@ -59,10 +73,7 @@ let test_golden_bit_identity () =
       Triq.Placement.cache_clear ();
       List.iter
         (fun (round, expected_status) ->
-          let r =
-            Triq.Pipeline.compile_level m p.Programs.circuit
-              ~level:(level_of_string_exn level)
-          in
+          let r = compile_row m p.Programs.circuit level in
           let got = digest r in
           if got <> expected then
             Alcotest.failf "%s: %s/%s/%s: digest %s, expected %s" round machine

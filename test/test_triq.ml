@@ -187,40 +187,56 @@ let line4_reliability () =
   in
   (topo, Reliability.of_calibration ~noise_aware:true topo cal)
 
+(* The walker-level tests run every reliability-driven strategy. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let routers = [ ("route", Router.route); ("route_lookahead", Router.route_lookahead) ]
+
+let for_each_router f = List.iter (fun (name, route) -> f name route) routers
+
 let test_router_adjacent_passthrough () =
   let topo, r = line4_reliability () in
   let c = circuit 4 [ G.Two (G.Cnot, 0, 1) ] in
-  let routed = Router.route r topo ~placement:[| 0; 1; 2; 3 |] c in
-  Alcotest.(check int) "no swaps" 0 routed.Router.swap_count;
-  Alcotest.(check int) "one gate" 1 (Circuit.gate_count routed.Router.circuit)
+  for_each_router (fun name route ->
+      let routed = route r topo ~placement:[| 0; 1; 2; 3 |] c in
+      Alcotest.(check int) (name ^ ": no swaps") 0 routed.Router.swap_count;
+      Alcotest.(check int) (name ^ ": one gate") 1 (Circuit.gate_count routed.Router.circuit))
 
 let test_router_inserts_swaps () =
   let topo, r = line4_reliability () in
   let c = circuit 4 [ G.Two (G.Cnot, 0, 3) ] in
-  let routed = Router.route r topo ~placement:[| 0; 1; 2; 3 |] c in
-  Alcotest.(check int) "two swaps for distance 3" 2 routed.Router.swap_count;
-  (* Final CNOT must be on a coupled pair. *)
-  List.iter
-    (fun g ->
-      match (g : G.t) with
-      | Two (Cnot, a, b) ->
-        Alcotest.(check bool) "coupled" true (Topology.coupled topo a b)
-      | _ -> ())
-    routed.Router.circuit.Circuit.gates
+  for_each_router (fun name route ->
+      let routed = route r topo ~placement:[| 0; 1; 2; 3 |] c in
+      Alcotest.(check int) (name ^ ": two swaps for distance 3") 2 routed.Router.swap_count;
+      (* Final CNOT must be on a coupled pair. *)
+      List.iter
+        (fun g ->
+          match (g : G.t) with
+          | Two (Cnot, a, b) ->
+            Alcotest.(check bool) (name ^ ": coupled") true (Topology.coupled topo a b)
+          | _ -> ())
+        routed.Router.circuit.Circuit.gates)
 
 let test_router_updates_mapping () =
   let topo, r = line4_reliability () in
   let c = circuit 4 [ G.Two (G.Cnot, 0, 3); G.Measure 0; G.Measure 3 ] in
-  let routed = Router.route r topo ~placement:[| 0; 1; 2; 3 |] c in
-  (* Program qubit 0 moved toward 3; the measure must follow it. *)
-  let final = routed.Router.final_placement in
-  Alcotest.(check bool) "q0 moved" true (final.(0) <> 0);
-  let measures =
-    List.filter_map
-      (function G.Measure q -> Some q | _ -> None)
-      routed.Router.circuit.Circuit.gates
-  in
-  Alcotest.(check (list int)) "measures track movement" [ final.(0); final.(3) ] measures
+  for_each_router (fun name route ->
+      let routed = route r topo ~placement:[| 0; 1; 2; 3 |] c in
+      (* Program qubit 0 moved toward 3; the measure must follow it. *)
+      let final = routed.Router.final_placement in
+      Alcotest.(check bool) (name ^ ": q0 moved") true (final.(0) <> 0);
+      let measures =
+        List.filter_map
+          (function G.Measure q -> Some q | _ -> None)
+          routed.Router.circuit.Circuit.gates
+      in
+      Alcotest.(check (list int))
+        (name ^ ": measures track movement")
+        [ final.(0); final.(3) ]
+        measures)
 
 let test_router_semantics_preserved () =
   (* Routed circuit (with swaps expanded) must equal the original circuit
@@ -233,45 +249,53 @@ let test_router_semantics_preserved () =
         G.Two (G.Cnot, 3, 1);
       ]
   in
-  let routed = Router.route r topo ~placement:[| 0; 1; 2; 3 |] program in
-  let expanded = Translate.expand_swaps routed.Router.circuit in
-  (* Build the permutation circuit: program qubit p sits on hardware qubit
-     final.(p); compare U_routed against P . U_program where P moves wire p
-     to wire final.(p) via swap network. We instead check column-by-column
-     action on basis states. *)
   let u_prog = Mat.circuit_unitary program in
-  let u_routed = Mat.circuit_unitary expanded in
   let n = 4 in
   let dim = 1 lsl n in
-  let final = routed.Router.final_placement in
-  (* The routed unitary reads program qubit p on its initial wire (the
-     identity placement here) and leaves it on wire final.(p): so
-     u_routed[out_idx(row), col] = u_prog[row, col] where out_idx moves
-     bit p to position final.(p). *)
-  let out_idx idx =
-    let bit p = (idx lsr (n - 1 - p)) land 1 in
-    let out = ref 0 in
-    for p = 0 to n - 1 do
-      if bit p = 1 then out := !out lor (1 lsl (n - 1 - final.(p)))
-    done;
-    !out
-  in
-  let ok = ref true in
-  for col = 0 to dim - 1 do
-    for row = 0 to dim - 1 do
-      let a = M.get u_prog row col in
-      let b = M.get u_routed (out_idx row) col in
-      if not (Mathkit.Cplx.approx ~eps:1e-8 a b) then ok := false
-    done
-  done;
-  Alcotest.(check bool) "routing is a permutation conjugation" true !ok
+  for_each_router (fun name route ->
+      let routed = route r topo ~placement:[| 0; 1; 2; 3 |] program in
+      let expanded = Translate.expand_swaps routed.Router.circuit in
+      let u_routed = Mat.circuit_unitary expanded in
+      let final = routed.Router.final_placement in
+      (* The routed unitary reads program qubit p on its initial wire (the
+         identity placement here) and leaves it on wire final.(p): so
+         u_routed[out_idx(row), col] = u_prog[row, col] where out_idx moves
+         bit p to position final.(p). *)
+      let out_idx idx =
+        let bit p = (idx lsr (n - 1 - p)) land 1 in
+        let out = ref 0 in
+        for p = 0 to n - 1 do
+          if bit p = 1 then out := !out lor (1 lsl (n - 1 - final.(p)))
+        done;
+        !out
+      in
+      let ok = ref true in
+      for col = 0 to dim - 1 do
+        for row = 0 to dim - 1 do
+          let a = M.get u_prog row col in
+          let b = M.get u_routed (out_idx row) col in
+          if not (Mathkit.Cplx.approx ~eps:1e-8 a b) then ok := false
+        done
+      done;
+      Alcotest.(check bool) (name ^ ": routing is a permutation conjugation") true !ok)
 
 let test_router_rejects_bad_placement () =
+  (* Every strategy runs behind the walker's placement check: a duplicate
+     and an out-of-range hardware qubit are both [exec.placement]. *)
   let topo, r = line4_reliability () in
   let c = circuit 2 [ G.Two (G.Cnot, 0, 1) ] in
-  Alcotest.(check bool) "duplicate" true
-    (try ignore (Router.route r topo ~placement:[| 1; 1 |] c); false
-     with Invalid_argument _ -> true)
+  for_each_router (fun name route ->
+      List.iter
+        (fun (what, placement) ->
+          let rule =
+            match route r topo ~placement c with
+            | _ -> "accepted"
+            | exception Invalid_argument msg ->
+              if contains msg "exec.placement" then "exec.placement" else msg
+            | exception e -> Printexc.to_string e
+          in
+          Alcotest.(check string) (name ^ ": " ^ what) "exec.placement" rule)
+        [ ("duplicate", [| 1; 1 |]); ("out of range", [| 0; 7 |]) ])
 
 (* ---------- Direction ---------- *)
 
