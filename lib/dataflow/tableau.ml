@@ -230,9 +230,7 @@ let apply_app t app =
       Array.iter upd t.stab
 
 (* Conjugate one Pauli, given as qubit-indexed bit masks (bit q = qubit
-   q), by a compiled gate, dropping the phase. This propagates an
-   injected error through the rest of a Clifford circuit as a single
-   row, O(1) per gate. *)
+   q), by a compiled gate, dropping the phase. *)
 let conjugate_masks app ~xm ~zm =
   match app with
   | App1 { tab; q } ->
@@ -283,22 +281,6 @@ let clifford_prefix c =
     | g :: rest -> if apply t g then go (count + 1) rest else count
   in
   go 0 c.Ir.Circuit.gates
-
-type pauli = X | Y | Z
-
-(* Conjugating by a Pauli flips the sign of exactly the rows that
-   anticommute with it; bit patterns are untouched. *)
-let apply_pauli t q p =
-  check_qubit t q;
-  let anticommutes r =
-    match p with
-    | X -> r.z.(q)
-    | Z -> r.x.(q)
-    | Y -> r.x.(q) <> r.z.(q)
-  in
-  let flip r = if anticommutes r then r.e <- (r.e + 2) land 3 in
-  Array.iter flip t.destab;
-  Array.iter flip t.stab
 
 (* Index of the first row at or after [from] satisfying [pred], or -1. *)
 let find_row rows ~from pred =
@@ -587,16 +569,21 @@ let base_index r ~flips =
 (* The support is the affine space base + span{x-vectors of the pivot
    rows} (2^s points, each of probability exactly 2^-s); a reflected
    Gray code visits it flipping one generator per step. *)
-let readout_probabilities r ~flips =
-  let probs = Array.make (1 lsl r.rn) 0.0 in
+let add_readout_probabilities r ~flips acc =
+  if Array.length acc <> 1 lsl r.rn then
+    invalid_arg "Tableau.add_readout_probabilities: length must be 2^n";
   let s = Array.length r.xmasks in
   let p = 1.0 /. float_of_int (1 lsl s) in
   let idx = ref (base_index r ~flips) in
-  probs.(!idx) <- p;
+  acc.(!idx) <- acc.(!idx) +. p;
   for cnt = 1 to (1 lsl s) - 1 do
     idx := !idx lxor r.xmasks.(ctz cnt);
-    probs.(!idx) <- p
-  done;
+    acc.(!idx) <- acc.(!idx) +. p
+  done
+
+let readout_probabilities r ~flips =
+  let probs = Array.make (1 lsl r.rn) 0.0 in
+  add_readout_probabilities r ~flips probs;
   probs
 
 let probabilities t = readout_probabilities (readout t) ~flips:0

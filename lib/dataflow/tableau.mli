@@ -80,9 +80,10 @@ val apply_app : t -> app -> unit
 
 (** [conjugate_masks app ~xm ~zm] conjugates a single Pauli — given as
     qubit-indexed bit masks, bit [q] = qubit [q] — by the compiled gate,
-    dropping the (globally irrelevant) phase. Used to propagate an
-    injected error Pauli through the remainder of a Clifford circuit as
-    one row, O(1) per gate. *)
+    dropping the (globally irrelevant) phase. The map is linear over
+    GF(2), so the simulator builds a Pauli frame from it: one backward
+    pass records where X and Z on each gate's operands end up at the end
+    of a Clifford span. *)
 val conjugate_masks : app -> xm:int -> zm:int -> int * int
 
 (** [apply t g] conjugates every row by [g] in place and returns
@@ -141,13 +142,6 @@ val first_difference : ?measured:int list -> t -> t -> string option
 (** ["+XIZ"]-style rendering of a generator. *)
 val generator_to_string : generator -> string
 
-type pauli = X | Y | Z
-
-(** [apply_pauli t q p] applies the Pauli error [p] to qubit [q] — an
-    O(n) sign update, since conjugation by a Pauli only flips the rows
-    that anticommute with it. *)
-val apply_pauli : t -> int -> pauli -> unit
-
 (** [measure t q rng] measures qubit [q] in the Z basis, collapsing the
     state in place, and returns the outcome. Draws one fair coin from
     [rng] iff the outcome is random (some stabilizer anticommutes with
@@ -182,6 +176,11 @@ val flip_mask : readout -> xm:int -> int
     of the tableau with the given sign-flip pattern applied: uniform
     mass 2^-s on the 2^s-point support. *)
 val readout_probabilities : readout -> flips:int -> float array
+
+(** [add_readout_probabilities r ~flips acc] adds
+    [readout_probabilities r ~flips] into [acc] (length 2^n) without
+    allocating: only the 2^s support entries are touched. *)
+val add_readout_probabilities : readout -> flips:int -> float array -> unit
 
 (** [probabilities t] is [readout_probabilities (readout t) ~flips:0].
     Raises [Invalid_argument] above 24 qubits. *)

@@ -1,25 +1,37 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte buffer rather than a mutable
+   [int64] field: reading and writing it through the bytes primitives
+   keeps the arithmetic unboxed, so a draw allocates nothing once
+   [next] is inlined into the sampler. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy = Bytes.copy
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t = { state = int64 t }
+let int64 t = next t
 
-let float t =
+let split t = of_state (next t)
+
+let[@inline] float t =
   (* 53 high-quality bits mapped to [0, 1). *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
 let int t bound =

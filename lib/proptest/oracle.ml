@@ -357,6 +357,55 @@ let dist_gap a b =
   Hashtbl.iter (fun _ v -> gap := Float.max !gap (Float.abs v)) tbl;
   !gap
 
+(* Runner level: [Auto] dispatch (stabilizer for Clifford-only
+   compilations, hybrid for Clifford prefixes) must reproduce the forced
+   dense backend. Fusion off on both sides so error-Pauli draws happen
+   in the same order and the comparison is numerical, not stochastic. *)
+let auto_matches_dense ~machine ~run_seed c =
+  let measured = Circuit.measured_qubits c in
+  if (not (Device.Machine.fits machine c)) || measured = [] then Ok ()
+  else begin
+    match
+      Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.OneQOptCN
+    with
+    | exception e ->
+      Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
+    | compiled -> (
+      let spec =
+        match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
+        | [] ->
+          Ir.Spec.deterministic measured
+            (String.make (List.length measured) '0')
+        | dist -> Ir.Spec.distribution measured dist
+      in
+      let run backend =
+        Sim.Runner.simulate
+          ~config:
+            (Sim.Runner.Config.make ~seed:run_seed ~trials:512
+               ~trajectories:60 ~fusion:false ~backend ())
+          compiled spec
+      in
+      match
+        (run Sim.Runner.Config.Auto, run Sim.Runner.Config.Statevector)
+      with
+      | exception e ->
+        Error (Printf.sprintf "runner raised: %s" (Printexc.to_string e))
+      | auto, dense ->
+        let gap =
+          dist_gap auto.Sim.Runner.distribution
+            dense.Sim.Runner.distribution
+        in
+        (* 2e-6 absorbs the 1e-6 report-truncation threshold on
+           top of float error. *)
+        if gap > 2e-6 then
+          Error
+            (Printf.sprintf
+               "auto and statevector backends diverge (machine %s, \
+                seed %d): max distribution gap %g"
+               machine.Device.Machine.name run_seed gap)
+        else Ok ())
+  end
+
 let check_clifford ~machine ~run_seed c =
   (* IR level: the tableau must agree exactly with the dense backend on
      the Clifford prefix of [c]'s body — full distribution, the
@@ -401,55 +450,18 @@ let check_clifford ~machine ~run_seed c =
       Error
         (Printf.sprintf "sampled outcome %d lies outside the dense support"
            idx)
-    | None ->
-      (* Runner level: [Auto] dispatch (stabilizer for Clifford-only
-         compilations, hybrid for Clifford prefixes) must reproduce the
-         forced dense backend. Fusion off on both sides so error-Pauli
-         draws happen in the same order and the comparison is
-         numerical, not stochastic. *)
-      let measured = Circuit.measured_qubits c in
-      if (not (Device.Machine.fits machine c)) || measured = [] then Ok ()
-      else begin
-        match
-          Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.OneQOptCN
-        with
-        | exception e ->
-          Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
-        | compiled -> (
-          let spec =
-            match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
-            | [] ->
-              Ir.Spec.deterministic measured
-                (String.make (List.length measured) '0')
-            | dist -> Ir.Spec.distribution measured dist
-          in
-          let run backend =
-            Sim.Runner.simulate
-              ~config:
-                (Sim.Runner.Config.make ~seed:run_seed ~trials:512
-                   ~trajectories:60 ~fusion:false ~backend ())
-              compiled spec
-          in
-          match
-            (run Sim.Runner.Config.Auto, run Sim.Runner.Config.Statevector)
-          with
-          | exception e ->
-            Error (Printf.sprintf "runner raised: %s" (Printexc.to_string e))
-          | auto, dense ->
-            let gap =
-              dist_gap auto.Sim.Runner.distribution
-                dense.Sim.Runner.distribution
-            in
-            (* 2e-6 absorbs the 1e-6 report-truncation threshold on
-               top of float error. *)
-            if gap > 2e-6 then
-              Error
-                (Printf.sprintf
-                   "auto and statevector backends diverge (machine %s, \
-                    seed %d): max distribution gap %g"
-                   machine.Device.Machine.name run_seed gap)
-            else Ok ())
-      end
+    | None -> (
+      (* The same check with one [T] before the readout: the whole
+         Clifford body becomes a tableau prefix, so erred prefixes take
+         the Pauli-frame hand-off to the dense tail. *)
+      match auto_matches_dense ~machine ~run_seed c with
+      | Error _ as e -> e
+      | Ok () ->
+        let with_t =
+          Circuit.append body
+            (G.One (G.T, 0) :: List.map (fun q -> G.Measure q) (Circuit.measured_qubits c))
+        in
+        auto_matches_dense ~machine ~run_seed with_t)
   end
 
 (* ---------- layout ---------- *)

@@ -217,5 +217,3 @@ let apply_step sv st =
   | Iswap { a; b; _ } -> Statevector.apply_iswap sv a b
   | Two2 { m; a; b; _ } -> Statevector.apply_two sv m a b
   | DiagBatch { qs; fr; fi; _ } -> Statevector.apply_diag_table sv ~qs ~fr ~fi
-
-let run_clean sv t = Array.iter (apply_step sv) t.steps

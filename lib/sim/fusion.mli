@@ -48,6 +48,3 @@ val apply_step : Statevector.t -> step -> unit
     (diagonal / permutation / generic) — the unfused fallback for steps
     containing erred gates. *)
 val apply_member : Statevector.t -> member -> unit
-
-(** Run the whole plan (the clean, error-free path). *)
-val run_clean : Statevector.t -> t -> unit

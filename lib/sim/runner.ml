@@ -76,6 +76,7 @@ end
 
 let m_trajectories = Obs.Metrics.counter "sim.trajectories"
 let m_blocks = Obs.Metrics.counter "sim.blocks"
+let m_erred = Obs.Metrics.counter "sim.trajectories.erred"
 
 (* One prepared (compacted) gate: operands are compact simulator
    indices, matrices/error probabilities precomputed. *)
@@ -90,6 +91,10 @@ type pgate = {
    gates run the prefix on the stabilizer tableau before materializing
    amplitudes for the dense tail. *)
 let hybrid_threshold = 4
+
+(* Clean-state checkpoints of a fused plan hold at most this many floats
+   (512 KiB) per simulation; past it they are taken every few steps. *)
+let checkpoint_floats = 1 lsl 16
 
 let simulate ?(config = Config.default) compiled spec =
   let {
@@ -206,6 +211,9 @@ let simulate ?(config = Config.default) compiled spec =
       else if prefix_len >= hybrid_threshold then `Hybrid
       else `Sv
   in
+  (* The tableau-borne span [0, span): the whole circuit under [`Stab],
+     the prefix under [`Hybrid]. *)
+  let span = match mode with `Stab -> n_gates | `Hybrid -> prefix_len | `Sv -> 0 in
   let mode_name =
     match mode with `Stab -> "stabilizer" | `Hybrid -> "hybrid" | `Sv -> "statevector"
   in
@@ -219,7 +227,9 @@ let simulate ?(config = Config.default) compiled spec =
         let pg = prepared.(lo + j) in
         { Fusion.idx = lo + j; gate = pg.cg; matrix = pg.matrix })
   in
-  let full_plan, tail_plan, apps =
+  (* [plan] fuses the dense part: the whole circuit under [`Sv], the
+     tail under [`Hybrid]. *)
+  let plan, apps =
     Obs.Span.with_span
       ~attrs:
         [
@@ -230,66 +240,98 @@ let simulate ?(config = Config.default) compiled spec =
         ]
       "sim.prepare"
     @@ fun () ->
-    (* Tableau-borne gates (the whole circuit under [`Stab], the prefix
-       under [`Hybrid]) compile to dense per-gate lookup tables. *)
-    let n_apps =
-      match mode with `Stab -> n_gates | `Hybrid -> prefix_len | `Sv -> 0
-    in
+    (* Tableau-borne gates compile to dense per-gate lookup tables. *)
     let apps =
-      Array.init n_apps (fun i ->
+      Array.init span (fun i ->
           Tableau.compile_action (Option.get actions.(i)) qs_arr.(i))
     in
     match mode with
     | `Sv when use_fusion && n_gates > 0 ->
-      (Some (Fusion.plan ~n:k (members_of 0 n_gates)), None, apps)
+      (Some (Fusion.plan ~n:k (members_of 0 n_gates)), apps)
     | `Hybrid when use_fusion && prefix_len < n_gates ->
-      (None, Some (Fusion.plan ~n:k (members_of prefix_len n_gates)), apps)
-    | _ -> (None, None, apps)
+      (Some (Fusion.plan ~n:k (members_of prefix_len n_gates)), apps)
+    | _ -> (None, apps)
   in
   let pauli = [| Ir.Matrices.one_q X; Ir.Matrices.one_q Y; Ir.Matrices.one_q Z |] in
-  let tab_pauli = [| Tableau.X; Tableau.Y; Tableau.Z |] in
-  (* A 2Q error draws a non-identity Pauli pair by rejection. *)
+  (* A 2Q error draws a non-identity Pauli pair by rejection, returned
+     as [4 * pa + pb] (0 = I, then X, Y, Z). *)
   let rec draw_two rng =
     let pa = Rng.int rng 4 and pb = Rng.int rng 4 in
-    if pa = 0 && pb = 0 then draw_two rng else (pa, pb)
+    if pa = 0 && pb = 0 then draw_two rng else (4 * pa) + pb
   in
   let inject_sv state rng (cg : Ir.Gate.t) =
     match cg with
     | One (_, q) -> Statevector.apply_one state pauli.(Rng.int rng 3) q
     | Two (_, a, b) ->
-      let pa, pb = draw_two rng in
+      let code = draw_two rng in
+      let pa = code lsr 2 and pb = code land 3 in
       if pa > 0 then Statevector.apply_one state pauli.(pa - 1) a;
       if pb > 0 then Statevector.apply_one state pauli.(pb - 1) b
     | Measure _ | Ccx _ | Cswap _ -> assert false
   in
-  let inject_tab tab rng (cg : Ir.Gate.t) =
-    match cg with
-    | One (_, q) -> Tableau.apply_pauli tab q tab_pauli.(Rng.int rng 3)
-    | Two (_, a, b) ->
-      let pa, pb = draw_two rng in
-      if pa > 0 then Tableau.apply_pauli tab a tab_pauli.(pa - 1);
-      if pb > 0 then Tableau.apply_pauli tab b tab_pauli.(pb - 1)
-    | Measure _ | Ccx _ | Cswap _ -> assert false
+  (* Pauli frame over the tableau-borne span: an error Pauli injected
+     after gate [i] is not replayed but looked up. Entry
+     [4 * i + 2 * slot + c] is where X (c = 0) or Z (c = 1) on operand
+     [slot] of gate [i] lands at the end of the span, packed as
+     [xm lor (zm lsl frame_shift)]. Conjugation is linear over GF(2) up
+     to phase, so a trajectory's frame is the xor of its errors'
+     entries, Y being X xor Z. One backward pass builds the table:
+     [img_x]/[img_z] hold the images of X_q and Z_q from the current
+     gate to the end of the span, and stepping back across gate [i]
+     re-images only its operands. [k <= 20] keeps both masks apart. *)
+  let frame_shift = 30 in
+  let frame =
+    let table = Array.make (4 * span) 0 in
+    let img_x = Array.init k (fun q -> 1 lsl q) in
+    let img_z = Array.init k (fun q -> 1 lsl (q + frame_shift)) in
+    for i = span - 1 downto 0 do
+      let qs = qs_arr.(i) in
+      Array.iteri
+        (fun slot q ->
+          table.((4 * i) + (2 * slot)) <- img_x.(q);
+          table.((4 * i) + (2 * slot) + 1) <- img_z.(q))
+        qs;
+      let image ~xm ~zm =
+        let xm, zm = Tableau.conjugate_masks apps.(i) ~xm ~zm in
+        Array.fold_left
+          (fun acc q ->
+            let acc = if (xm lsr q) land 1 = 1 then acc lxor img_x.(q) else acc in
+            if (zm lsr q) land 1 = 1 then acc lxor img_z.(q) else acc)
+          0 qs
+      in
+      let nx = Array.map (fun q -> image ~xm:(1 lsl q) ~zm:0) qs in
+      let nz = Array.map (fun q -> image ~xm:0 ~zm:(1 lsl q)) qs in
+      Array.iteri
+        (fun slot q ->
+          img_x.(q) <- nx.(slot);
+          img_z.(q) <- nz.(slot))
+        qs
+    done;
+    table
   in
-  (* Same error-Pauli draws as [inject_tab] (identical RNG consumption),
-     but as qubit-indexed bit masks for single-row propagation. Pauli
-     index order matches [tab_pauli]: 0 = X, 1 = Y, 2 = Z. *)
-  let mask_of p q =
-    match p with
-    | 0 -> (1 lsl q, 0)
-    | 1 -> (1 lsl q, 1 lsl q)
-    | _ -> (0, 1 lsl q)
+  (* Pauli [p] (0 = X, 1 = Y, 2 = Z) on the operand whose X entry is at
+     [e]. *)
+  let frame_term e p =
+    (if p <> 2 then frame.(e) else 0) lxor if p <> 0 then frame.(e + 1) else 0
   in
-  let err_masks rng (cg : Ir.Gate.t) =
-    match cg with
-    | One (_, q) -> mask_of (Rng.int rng 3) q
-    | Two (_, a, b) ->
-      let pa, pb = draw_two rng in
-      let xa, za = if pa > 0 then mask_of (pa - 1) a else (0, 0) in
-      let xb, zb = if pb > 0 then mask_of (pb - 1) b else (0, 0) in
-      (xa lor xb, za lor zb)
-    | Measure _ | Ccx _ | Cswap _ -> assert false
+  (* Draws the span's error Paulis in gate order, exactly as replaying
+     them would, and returns the packed frame at the end of the span. *)
+  let draw_frame rng flags =
+    let acc = ref 0 in
+    for i = 0 to span - 1 do
+      if flags.(i) then
+        match prepared.(i).cg with
+        | One _ -> acc := !acc lxor frame_term (4 * i) (Rng.int rng 3)
+        | Two _ ->
+          let code = draw_two rng in
+          let pa = code lsr 2 and pb = code land 3 in
+          if pa > 0 then acc := !acc lxor frame_term (4 * i) (pa - 1);
+          if pb > 0 then acc := !acc lxor frame_term ((4 * i) + 2) (pb - 1)
+        | Measure _ | Ccx _ | Cswap _ -> assert false
+    done;
+    !acc
   in
+  let frame_x f = f land ((1 lsl frame_shift) - 1) and frame_z f = f lsr frame_shift in
   (* Every trajectory draws from its own stream, split off the master in
      trajectory order; the remaining master stream serves shot sampling.
      Splitting decouples a trajectory's randomness from whichever domain
@@ -302,16 +344,15 @@ let simulate ?(config = Config.default) compiled spec =
   let counts_rng = Rng.split master in
   (* Sample the error pattern first: clean trajectories (the common case on
      good mappings) reuse the cached ideal output without re-simulating. *)
-  let sample_error_flags rng =
+  let sample_error_flags rng flags =
     let any = ref false in
-    let flags = Array.make n_gates false in
     for i = 0 to n_gates - 1 do
       let p = prepared.(i).p_err in
       let e = p > 0.0 && Rng.bool rng p in
       if e then any := true;
       flags.(i) <- e
     done;
-    (flags, !any)
+    !any
   in
   (* Unfused statevector execution of gates [lo, hi) with error
      injection — the fusion-off and explicit-T1 path. *)
@@ -332,33 +373,6 @@ let simulate ?(config = Config.default) compiled spec =
         | Measure _ | Ccx _ | Cswap _ -> assert false
     done
   in
-  (* Fused execution: a step whose gates are all clean applies as one
-     kernel pass; a step containing an erred gate falls back to its
-     member gates one by one, injecting the Pauli right after the erred
-     gate (per-wire order is preserved by construction, so this is
-     exact). *)
-  let run_plan state rng flags plan =
-    Array.iter
-      (fun step ->
-        let ms = Fusion.step_members step in
-        let erred = Array.exists (fun (m : Fusion.member) -> flags.(m.idx)) ms in
-        if erred then
-          Array.iter
-            (fun (m : Fusion.member) ->
-              Fusion.apply_member state m;
-              if flags.(m.idx) then inject_sv state rng m.gate)
-            ms
-        else Fusion.apply_step state step)
-      (Fusion.steps plan)
-  in
-  (* Tableau execution of the (Clifford) gates [lo, hi): Pauli errors
-     are themselves Clifford, so erred trajectories stay polynomial. *)
-  let run_range_tab tab rng flags lo hi =
-    for i = lo to hi - 1 do
-      Tableau.apply_app tab apps.(i);
-      if flags.(i) then inject_tab tab rng prepared.(i).cg
-    done
-  in
   let clean_tab hi =
     let tab = Tableau.init k in
     for i = 0 to hi - 1 do
@@ -366,117 +380,172 @@ let simulate ?(config = Config.default) compiled spec =
     done;
     tab
   in
-  (* Per-mode shared precomputation. [`Stab]: the ideal end-state's
-     frozen read-out — error trajectories never touch a tableau, they
-     only propagate each error Pauli to the circuit end (one row, O(1)
-     per gate) and re-price the support's base point. [`Hybrid]: the
-     clean prefix state, copied whenever no prefix gate erred (the
-     common case — the prefix is a minority of the gates). *)
+  (* [`Stab]: the ideal end-state's frozen read-out — an erred
+     trajectory is its frame's sign flips on it (a Pauli only flips the
+     signs of the stabilizer rows it anticommutes with). The dense modes
+     start from [start]: |0...0> under [`Sv], the clean prefix state
+     under [`Hybrid]. *)
   let stab_readout =
     match mode with
     | `Stab -> Some (Tableau.readout (clean_tab n_gates))
     | `Hybrid | `Sv -> None
   in
-  let prefix_state =
+  let start =
     match mode with
     | `Hybrid -> Some (Statevector.of_tableau (clean_tab prefix_len))
-    | `Stab | `Sv -> None
+    | `Sv -> Some (Statevector.init k)
+    | `Stab -> None
   in
-  let clean_range_sv state lo hi =
-    for i = lo to hi - 1 do
-      let pg = prepared.(i) in
-      match pg.cg with
-      | One (_, q) -> Statevector.apply_one state pg.matrix q
-      | Two (_, a, b) -> Statevector.apply_two state pg.matrix a b
-      | Measure _ | Ccx _ | Cswap _ -> assert false
+  let dense_lo = match mode with `Hybrid -> prefix_len | `Stab | `Sv -> 0 in
+  let steps = match plan with Some p -> Fusion.steps p | None -> [||] in
+  let n_steps = Array.length steps in
+  (* Gate -> fused step, so a trajectory finds its first erred step and
+     marks the steps that must replay member by member. *)
+  let step_of = Array.make n_gates (-1) in
+  Array.iteri
+    (fun s st ->
+      Array.iter (fun (m : Fusion.member) -> step_of.(m.idx) <- s) (Fusion.step_members st))
+    steps;
+  (* The clean run of the dense part, done once; it ends in the ideal
+     state. Along a fused plan it keeps checkpoints: [checkpoints.(c)]
+     is the clean state before step [c * stride], only read by the
+     trajectories, and [stride] keeps them within [checkpoint_floats]. *)
+  let stride, checkpoints, ideal_state =
+    match start with
+    | None -> (1, [||], None)
+    | Some start -> (
+      let state = Statevector.copy start in
+      match plan with
+      | None ->
+        for i = dense_lo to n_gates - 1 do
+          let pg = prepared.(i) in
+          match pg.cg with
+          | One (_, q) -> Statevector.apply_one state pg.matrix q
+          | Two (_, a, b) -> Statevector.apply_two state pg.matrix a b
+          | Measure _ | Ccx _ | Cswap _ -> assert false
+        done;
+        (1, [||], Some state)
+      | Some _ ->
+        let per = max 1 (checkpoint_floats / (2 * (1 lsl k))) in
+        let stride = max 1 ((n_steps + per - 1) / per) in
+        let checkpoints = Array.make (max 1 ((n_steps + stride - 1) / stride)) start in
+        Array.iteri
+          (fun s st ->
+            if s > 0 && s mod stride = 0 then
+              checkpoints.(s / stride) <- Statevector.copy state;
+            Fusion.apply_step state st)
+          steps;
+        (stride, checkpoints, Some state))
+  in
+  (* Fused execution from step [from]: a step whose gates are all clean
+     applies as one kernel pass; a step marked erred for trajectory [t]
+     falls back to its member gates one by one, injecting the Pauli
+     right after the erred gate (per-wire order is preserved by
+     construction, so this is exact). *)
+  let run_steps state rng flags mark t from =
+    for s = from to n_steps - 1 do
+      let st = steps.(s) in
+      if mark.(s) = t then begin
+        let ms = Fusion.step_members st in
+        for j = 0 to Array.length ms - 1 do
+          let m = ms.(j) in
+          Fusion.apply_member state m;
+          if flags.(m.idx) then inject_sv state rng m.gate
+        done
+      end
+      else Fusion.apply_step state st
     done
   in
-  let run_trajectory rng flags =
+  (* Marks trajectory [t]'s erred steps and returns the first one
+     ([n_steps] when the dense part is clean). *)
+  let mark_steps flags mark t =
+    let first = ref n_steps in
+    for i = dense_lo to n_gates - 1 do
+      if flags.(i) then begin
+        let s = step_of.(i) in
+        mark.(s) <- t;
+        if s < !first then first := s
+      end
+    done;
+    !first
+  in
+  (* The dense part of an erred trajectory. [state] already holds the
+     state before gate [dense_lo] when [seeded]; otherwise the dense part
+     starts clean, so it resumes from the last checkpoint before its
+     first erred step. *)
+  let run_dense state rng flags mark t ~seeded =
+    match plan with
+    | Some _ ->
+      let first = mark_steps flags mark t in
+      let from =
+        if seeded then 0
+        else begin
+          let c = first / stride in
+          Statevector.blit ~src:checkpoints.(c) ~dst:state;
+          c * stride
+        end
+      in
+      run_steps state rng flags mark t from
+    | None ->
+      if not seeded then Statevector.blit ~src:(Option.get start) ~dst:state;
+      run_range_sv state rng flags dense_lo n_gates
+  in
+  (* Adds erred trajectory [t]'s output distribution into [partial]. *)
+  let run_trajectory partial scratch rng flags mark t =
     match mode with
     | `Stab ->
-      (* Sign-flip trick: the end-state of an erred trajectory is
-         P' |ideal> for some Pauli P' (each injected error conjugated
-         through the remaining gates), and a Pauli only flips the signs
-         of the stabilizer rows it anticommutes with. Flips from
-         successive errors xor, so order is irrelevant. *)
       let readout = Option.get stab_readout in
-      let flips = ref 0 in
-      for i = 0 to n_gates - 1 do
-        if flags.(i) then begin
-          let xm0, zm0 = err_masks rng prepared.(i).cg in
-          let xm = ref xm0 and zm = ref zm0 in
-          for j = i + 1 to n_gates - 1 do
-            let x', z' = Tableau.conjugate_masks apps.(j) ~xm:!xm ~zm:!zm in
-            xm := x';
-            zm := z'
-          done;
-          flips := !flips lxor Tableau.flip_mask readout ~xm:!xm
-        end
-      done;
-      Tableau.readout_probabilities readout ~flips:!flips
-    | `Hybrid ->
+      let flips = Tableau.flip_mask readout ~xm:(frame_x (draw_frame rng flags)) in
+      Tableau.add_readout_probabilities readout ~flips partial
+    | `Hybrid | `Sv ->
+      let scratch = Option.get scratch in
       let prefix_erred =
         let e = ref false in
-        for i = 0 to prefix_len - 1 do
+        for i = 0 to span - 1 do
           if flags.(i) then e := true
         done;
         !e
       in
-      let state =
-        if prefix_erred then begin
-          let tab = Tableau.init k in
-          run_range_tab tab rng flags 0 prefix_len;
-          Statevector.of_tableau tab
-        end
-        else Statevector.copy (Option.get prefix_state)
-      in
-      (match tail_plan with
-      | Some plan -> run_plan state rng flags plan
-      | None -> run_range_sv state rng flags prefix_len n_gates);
-      Statevector.probabilities state
-    | `Sv ->
-      let state = Statevector.init k in
-      (match full_plan with
-      | Some plan -> run_plan state rng flags plan
-      | None -> run_range_sv state rng flags 0 n_gates);
-      Statevector.probabilities state
+      if prefix_erred then begin
+        let f = draw_frame rng flags in
+        Statevector.blit ~src:(Option.get start) ~dst:scratch;
+        Statevector.apply_pauli scratch ~x:(frame_x f) ~z:(frame_z f)
+      end;
+      run_dense scratch rng flags mark t ~seeded:prefix_erred;
+      Statevector.add_probabilities scratch partial
   in
   (* Clean trajectories all coincide: compute the ideal output once and
      reuse it whenever the sampled error pattern is empty. *)
   let ideal_probs =
-    match mode with
-    | `Stab ->
-      Tableau.readout_probabilities (Option.get stab_readout) ~flips:0
-    | `Hybrid ->
-      let state = Statevector.copy (Option.get prefix_state) in
-      (match tail_plan with
-      | Some plan -> Fusion.run_clean state plan
-      | None -> clean_range_sv state prefix_len n_gates);
-      Statevector.probabilities state
-    | `Sv ->
-      let state = Statevector.init k in
-      (match full_plan with
-      | Some plan -> Fusion.run_clean state plan
-      | None -> clean_range_sv state 0 n_gates);
-      Statevector.probabilities state
+    match (stab_readout, ideal_state) with
+    | Some readout, _ -> Tableau.readout_probabilities readout ~flips:0
+    | None, Some state -> Statevector.probabilities state
+    | None, None -> assert false
   in
   let dim = 1 lsl k in
+  (* Each block reuses one flags buffer, one scratch state and one step
+     mark array across its trajectories. *)
   let run_block b =
     let partial = Array.make dim 0.0 in
+    let flags = Array.make n_gates false in
+    let scratch = Option.map Statevector.copy start in
+    let mark = Array.make n_steps (-1) in
+    let erred = ref 0 in
     let last = min trajectories ((b + 1) * traj_block) - 1 in
     for t = b * traj_block to last do
       let rng = traj_rng.(t) in
-      let probs =
-        let flags, any = sample_error_flags rng in
-        (* Explicit relaxation is stochastic in every trajectory, so the
-           clean-trajectory shortcut only applies without it. *)
-        if (not any) && not explicit_t1 then ideal_probs
-        else run_trajectory rng flags
-      in
-      for i = 0 to dim - 1 do
-        partial.(i) <- partial.(i) +. probs.(i)
-      done
+      (* Explicit relaxation is stochastic in every trajectory, so the
+         clean-trajectory shortcut only applies without it. *)
+      if sample_error_flags rng flags || explicit_t1 then begin
+        incr erred;
+        run_trajectory partial scratch rng flags mark t
+      end
+      else
+        for i = 0 to dim - 1 do
+          partial.(i) <- partial.(i) +. ideal_probs.(i)
+        done
     done;
+    Obs.Metrics.incr m_erred ~by:!erred;
     partial
   in
   let n_blocks = (trajectories + traj_block - 1) / traj_block in

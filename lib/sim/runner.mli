@@ -109,7 +109,9 @@ end
     Observability: the whole run executes inside an [Obs.Span] named
     ["sim.run"], each trajectory block in a child ["sim.block"] span on
     whichever pool domain executed it, and the ["sim.trajectories"] /
-    ["sim.blocks"] counters accumulate volume. None of it perturbs the
+    ["sim.blocks"] counters accumulate volume. ["sim.trajectories.erred"]
+    counts the trajectories that were simulated rather than served from
+    the cached ideal output. None of it perturbs the
     simulation: results stay bit-identical with tracing on or off.
 
     Raises [Invalid_argument] if [trials] or [trajectories] is below 1

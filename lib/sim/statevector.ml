@@ -17,11 +17,25 @@ let of_tableau tab =
 
 let copy t = { n = t.n; re = Array.copy t.re; im = Array.copy t.im }
 
+let blit ~src ~dst =
+  if src.n <> dst.n then invalid_arg "Statevector.blit: size mismatch";
+  let dim = 1 lsl src.n in
+  Array.blit src.re 0 dst.re 0 dim;
+  Array.blit src.im 0 dst.im 0 dim
+
 let amplitude t i = Mathkit.Cplx.make t.re.(i) t.im.(i)
 
 let probability t i = (t.re.(i) *. t.re.(i)) +. (t.im.(i) *. t.im.(i))
 
 let probabilities t = Array.init (1 lsl t.n) (probability t)
+
+let add_probabilities t acc =
+  if Array.length acc <> 1 lsl t.n then
+    invalid_arg "Statevector.add_probabilities: length must be 2^n";
+  let re = t.re and im = t.im in
+  for i = 0 to (1 lsl t.n) - 1 do
+    acc.(i) <- acc.(i) +. ((re.(i) *. re.(i)) +. (im.(i) *. im.(i)))
+  done
 
 let norm2 t =
   let acc = ref 0.0 in
@@ -230,6 +244,40 @@ let apply_iswap t a b =
       m := !m + (2 * sl)
     done;
     h := !h + (2 * sh)
+  done
+
+(* A Pauli string X^x Z^z as one pass: amplitude [j] moves to [j xor x]
+   and is negated when [j] has odd overlap with [z] (Z acts first). Each
+   pair [(j, j xor x)] is visited once, from its lower index. *)
+let apply_pauli t ~x ~z =
+  let basis mask =
+    let b = ref 0 in
+    for q = 0 to t.n - 1 do
+      if (mask lsr q) land 1 = 1 then b := !b lor (1 lsl (t.n - 1 - q))
+    done;
+    !b
+  in
+  if x lsr t.n <> 0 || z lsr t.n <> 0 then invalid_arg "Statevector.apply_pauli: qubit out of range";
+  let bx = basis x and bz = basis z in
+  let odd j =
+    let v = ref (j land bz) and p = ref false in
+    while !v <> 0 do
+      p := not !p;
+      v := !v land (!v - 1)
+    done;
+    !p
+  in
+  let re = t.re and im = t.im in
+  for j = 0 to (1 lsl t.n) - 1 do
+    let j' = j lxor bx in
+    if j' >= j then begin
+      let r = re.(j) and i = im.(j) and r' = re.(j') and i' = im.(j') in
+      let nj = odd j and nj' = odd j' in
+      re.(j') <- (if nj then -.r else r);
+      im.(j') <- (if nj then -.i else i);
+      re.(j) <- (if nj' then -.r' else r');
+      im.(j) <- (if nj' then -.i' else i')
+    end
   done
 
 let apply_diag_one t ~d0 ~d1 q =

@@ -23,6 +23,10 @@ val n_qubits : t -> int
 (** [copy t] is an independent snapshot. *)
 val copy : t -> t
 
+(** [blit ~src ~dst] overwrites [dst]'s amplitudes with [src]'s; both
+    must have the same qubit count. *)
+val blit : src:t -> dst:t -> unit
+
 (** [amplitude t i] is the amplitude of basis state [i]. *)
 val amplitude : t -> int -> Mathkit.Cplx.t
 
@@ -31,6 +35,11 @@ val probability : t -> int -> float
 
 (** [probabilities t] is the full probability vector (length 2^n). *)
 val probabilities : t -> float array
+
+(** [add_probabilities t acc] adds [probability t i] to [acc.(i)] for
+    every basis state, with the same arithmetic as {!probabilities}; [acc]
+    must have length 2^n. *)
+val add_probabilities : t -> float array -> unit
 
 (** [norm2 t] is the total probability (1 up to rounding). *)
 val norm2 : t -> float
@@ -55,6 +64,14 @@ val apply_swap : t -> int -> int -> unit
 (** [apply_iswap t a b] swaps the |01>/|10> amplitudes and multiplies
     each by i. *)
 val apply_iswap : t -> int -> int -> unit
+
+(** [apply_pauli t ~x ~z] applies the Pauli string [X^x Z^z] (qubit-indexed
+    bit masks, bit [q] = qubit [q]; Z first) as one permute-and-negate
+    pass. A [Y] on qubit [q] is [x] and [z] both set, which differs from
+    [Y] by the global phase [i]: the result equals the exact Pauli's up
+    to a global phase in {±1, ±i}, which every kernel here carries
+    through exactly. *)
+val apply_pauli : t -> x:int -> z:int -> unit
 
 (** [apply_diag_one t ~d0 ~d1 q] applies [diag (d0, d1)] (each a
     [(re, im)] pair) to qubit [q]: one complex multiply per

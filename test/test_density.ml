@@ -127,6 +127,39 @@ let test_runner_cross_validation_ibm () =
 let test_runner_cross_validation_rigetti () =
   cross_validate "hs2/agave" Machines.agave (Bench_kit.Programs.hidden_shift 2)
 
+(* A stale executable: compiled against its day, run under a later
+   day's calibration. The sampler and the exact backend must agree on
+   the drifted machine too. *)
+let test_stale_day_cross_validation () =
+  List.iter
+    (fun (name, machine, (p : Bench_kit.Programs.t)) ->
+      let compiled =
+        Pipeline.compile_level machine p.Bench_kit.Programs.circuit
+          ~level:Pipeline.OneQOptCN
+      in
+      let day = compiled.Triq.Compiled.day + 7 in
+      let spec = p.Bench_kit.Programs.spec in
+      let exact = Sim.Density_runner.run ~day compiled spec in
+      let fresh = Sim.Density_runner.run compiled spec in
+      if exact.Sim.Density_runner.distribution = fresh.Sim.Density_runner.distribution then
+        Alcotest.failf "%s: day %d does not change the exact outcome" name day;
+      let sampled =
+        Sim.Runner.simulate
+          ~config:(Sim.Runner.Config.make ~trajectories:3000 ~day ())
+          compiled spec
+      in
+      let diff =
+        Float.abs
+          (exact.Sim.Density_runner.success_rate -. sampled.Sim.Runner.success_rate)
+      in
+      if diff > 0.03 then
+        Alcotest.failf "%s at day %d: exact %.4f vs sampled %.4f (diff %.4f)" name day
+          exact.Sim.Density_runner.success_rate sampled.Sim.Runner.success_rate diff)
+    [
+      ("peres/ibmq5", Machines.ibmq5, Bench_kit.Programs.peres);
+      ("toffoli/agave", Machines.agave, Bench_kit.Programs.toffoli);
+    ]
+
 let test_dist_metrics () =
   let a = [ ("00", 0.5); ("11", 0.5) ] in
   Alcotest.(check (float 1e-12)) "identical tvd" 0.0 (Sim.Dist.total_variation a a);
@@ -279,6 +312,7 @@ let () =
           Alcotest.test_case "umd" `Slow test_runner_cross_validation_umd;
           Alcotest.test_case "ibm" `Slow test_runner_cross_validation_ibm;
           Alcotest.test_case "rigetti" `Slow test_runner_cross_validation_rigetti;
+          Alcotest.test_case "stale day" `Slow test_stale_day_cross_validation;
           Alcotest.test_case "dist metrics" `Quick test_dist_metrics;
           Alcotest.test_case "full distribution" `Slow test_full_distribution_cross_validation;
           Alcotest.test_case "normalization" `Quick test_exact_distribution_sums_to_one;

@@ -91,6 +91,44 @@ let test_rng_choose () =
   Alcotest.check_raises "empty" (Invalid_argument "Rng.choose: empty list") (fun () ->
       ignore (Rng.choose t []))
 
+(* The SplitMix64 stream is part of every pinned simulation outcome:
+   pin its first draws, a split child, and the derived samplers. *)
+let test_rng_pinned_stream () =
+  let t = Rng.create 0xC0FFEE in
+  Alcotest.(check (list int64))
+    "first 8"
+    [
+      -3854493065656348422L; -1376874792606038919L; -8665326297722227765L;
+      6517201831895305540L; -4375855199308403592L; -1982160898279456109L;
+      633520066235728437L; -2331647910880897857L;
+    ]
+    (List.init 8 (fun _ -> Rng.int64 t));
+  let c = Rng.split t in
+  Alcotest.(check (list int64))
+    "split child"
+    [
+      -5403577129699878028L; 9051438248967682303L; -227761578285850220L;
+      -8236066607406719803L;
+    ]
+    (List.init 4 (fun _ -> Rng.int64 c));
+  Alcotest.(check string) "float" "0x1.46291a15a15a5p-1" (Printf.sprintf "%h" (Rng.float t));
+  Alcotest.(check int) "int" 386 (Rng.int t 1000);
+  Alcotest.(check bool) "bool" true (Rng.bool t 0.5);
+  Alcotest.(check bool) "child bool" false (Rng.bool c 0.25)
+
+(* Error-flag sampling draws one [bool] per gate per trajectory; it must
+   not allocate. *)
+let test_rng_bool_allocation_free () =
+  let t = Rng.create 7 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    if Rng.bool t 0.01 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 100.0 then Alcotest.failf "10^5 Rng.bool draws allocated %.0f minor words" words;
+  Alcotest.(check bool) "some hits" true (!hits > 0)
+
 (* ---------- Cplx ---------- *)
 
 let test_cplx_arith () =
@@ -355,6 +393,8 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "choose" `Quick test_rng_choose;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "bool allocation-free" `Quick test_rng_bool_allocation_free;
         ] );
       ( "cplx",
         [

@@ -568,7 +568,7 @@ let test_fusion_matches_unfused () =
            gates)
     in
     let fused = Sv.init n in
-    Fusion.run_clean fused (Fusion.plan ~n members);
+    Array.iter (Fusion.apply_step fused) (Fusion.steps (Fusion.plan ~n members));
     let plain = Sv.run (circuit n gates) in
     for i = 0 to (1 lsl n) - 1 do
       if
@@ -619,6 +619,70 @@ let test_runner_backends_agree () =
   Alcotest.(check (float 2e-6))
     "success rates" sv.Runner.success_rate auto.Runner.success_rate
 
+(* Outcomes pinned bit for bit: [%h] of the success rate and an MD5 of
+   the [%h] rendering of the full distribution, one cell per execution
+   path of the trajectory sampler (stabilizer, Clifford-prefix hybrid,
+   fused and unfused statevector, explicit T1, a stale calibration day,
+   sampled counts and a two-domain pool). Any change to the error
+   draws, their order, or the arithmetic of a kernel shows up here. *)
+let pinned_cells =
+  let module P = Bench_kit.Programs in
+  let cfg = Runner.Config.make ~pool:(Parallel.Pool.create ~jobs:1) in
+  let open Runner.Config in
+  [
+    ("stab", Machines.ibmq14, P.bv 6, fun () -> cfg ());
+    ("stab-forced", Machines.agave, P.hidden_shift 4, fun () -> cfg ~backend:Stabilizer ());
+    ("hybrid", Machines.ibmq14, P.toffoli, fun () -> cfg ());
+    ("hybrid-long-prefix", Machines.agave, P.peres, fun () -> cfg ());
+    ("hybrid-unfused", Machines.ibmq14, P.adder, fun () -> cfg ~fusion:false ());
+    ("sv-fused", Machines.ibmq14, P.qft 4, fun () -> cfg ());
+    ("sv-forced-clifford", Machines.ibmq5, P.hidden_shift 4, fun () -> cfg ~backend:Statevector ());
+    ("sv-unfused", Machines.ibmq5, P.toffoli, fun () -> cfg ~fusion:false ());
+    ("explicit-t1", Machines.ibmq5, P.peres, fun () -> cfg ~explicit_t1:true ());
+    ("stale-day", Machines.umdti, P.fredkin, fun () -> cfg ~day:3 ());
+    ("sampled", Machines.umdti, P.adder, fun () -> cfg ~sample_counts:true ());
+    ("j2", Machines.agave, P.adder, fun () -> make ~pool:(Parallel.Pool.create ~jobs:2) ());
+  ]
+
+let pinned_expected =
+  [
+    ("stab", "0x1.3eep-2 84d0ef8fcd7afe442afa2f1e28afb8d1");
+    ("stab-forced", "0x1.1ap-2 06f837eda428c4bc80c1d14195461f69");
+    ("hybrid", "0x1.5e2p-2 f21d6a380a0b256011c9aaca39f6d1f2");
+    ("hybrid-long-prefix", "0x1.f5p-4 239bbeedd2ba2dbd631593e80b66d44c");
+    ("hybrid-unfused", "0x1.124p-3 9fe33f47f7f1bbcd53bf45ef3c2c2f92");
+    ("sv-fused", "0x1.1ep-2 07170cb8c8ff81ef4b4f7dfae822b4ca");
+    ("sv-forced-clifford", "0x1.7dap-1 32c0f9cf8580d04ef85b1708e3ee6215");
+    ("sv-unfused", "0x1.5eap-1 0b21ee214568490eadadfb317ae4665b");
+    ("explicit-t1", "0x1.442p-1 ca511aaf732eb590a9f1c6d3a3829d21");
+    ("stale-day", "0x1.cf5p-1 7d04bd75c61731fe4ba490b1655c23b5");
+    ("sampled", "0x1.94p-1 f6db413eacf09a07fcead9af54b5a377");
+    ("j2", "0x1.1ep-4 4a7e8d65f9da616a629ce89140b55010");
+  ]
+
+let test_runner_pinned_outcomes () =
+  let digest (o : Runner.outcome) =
+    let dist =
+      List.map (fun (bits, p) -> Printf.sprintf "%s:%h" bits p) o.Runner.distribution
+    in
+    Printf.sprintf "%h %s" o.Runner.success_rate
+      (Digest.to_hex (Digest.string (String.concat ";" dist)))
+  in
+  let actual =
+    List.map
+      (fun (name, machine, (p : Bench_kit.Programs.t), config) ->
+        let compiled =
+          Pipeline.compile_level machine p.Bench_kit.Programs.circuit
+            ~level:Pipeline.OneQOptCN
+        in
+        let config = config () in
+        let o = Runner.simulate ~config compiled p.Bench_kit.Programs.spec in
+        Option.iter Parallel.Pool.shutdown config.Runner.Config.pool;
+        (name, digest o))
+      pinned_cells
+  in
+  Alcotest.(check (list (pair string string))) "outcomes" pinned_expected actual
+
 let () =
   Alcotest.run "sim"
     [
@@ -665,6 +729,7 @@ let () =
           Alcotest.test_case "readout order" `Quick test_runner_readout_order;
           Alcotest.test_case "esp ordering" `Quick test_runner_better_esp_better_success;
           Alcotest.test_case "sampled counts" `Quick test_runner_sampled_counts;
+          Alcotest.test_case "pinned outcomes" `Quick test_runner_pinned_outcomes;
         ] );
       ( "stabilizer",
         [
