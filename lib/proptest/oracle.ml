@@ -451,12 +451,12 @@ let check_clifford ~machine ~run_seed c =
         (Printf.sprintf "sampled outcome %d lies outside the dense support"
            idx)
     | None -> (
-      (* The same check with one [T] before the readout: the whole
-         Clifford body becomes a tableau prefix, so erred prefixes take
-         the Pauli-frame hand-off to the dense tail. *)
       match auto_matches_dense ~machine ~run_seed c with
       | Error _ as e -> e
       | Ok () ->
+        (* The same check with one [T] before the readout: the whole
+           Clifford body becomes a tableau prefix, so erred prefixes take
+           the Pauli-frame hand-off to the dense tail. *)
         let with_t =
           Circuit.append body
             (G.One (G.T, 0) :: List.map (fun q -> G.Measure q) (Circuit.measured_qubits c))

@@ -84,7 +84,10 @@ val check_determinism :
     [machine] and measures something — compiles [c] at TriQ-1QOptCN and
     requires the noisy runner's [Auto] dispatch (stabilizer or hybrid)
     to reproduce the forced [Statevector] backend with fusion off
-    (identical error-Pauli draw order; max per-outcome gap 2e-6). *)
+    (identical error-Pauli draw order; max per-outcome gap 2e-6). It
+    repeats that comparison with one [T] appended before the readout, so
+    erred Clifford prefixes take the hybrid backend's Pauli-frame
+    hand-off. *)
 val check_clifford :
   machine:Device.Machine.t ->
   run_seed:int ->

@@ -7,15 +7,14 @@ type outcome = {
   purity : float;
 }
 
-let run ?(explicit_t1 = false) ?day (compiled : Compiled.t) spec =
+let run ?(explicit_t1 = false) (compiled : Compiled.t) spec =
   Obs.Span.with_span
     ~attrs:[ ("machine", Obs.Span.Str compiled.Compiled.machine.Machine.name) ]
     "sim.density"
   @@ fun () ->
   let hardware = compiled.Compiled.hardware in
   let machine = compiled.Compiled.machine in
-  let day = Option.value ~default:compiled.Compiled.day day in
-  let calibration = Machine.calibration machine ~day in
+  let calibration = Machine.calibration machine ~day:compiled.Compiled.day in
   let noise = Noise.create machine calibration in
   let used = Ir.Circuit.used_qubits hardware in
   let k = List.length used in

@@ -14,13 +14,10 @@ type outcome = {
   purity : float;  (** Tr(rho^2) of the final state, before readout *)
 }
 
-(** [run ?explicit_t1 ?day compiled spec] executes exactly; [explicit_t1]
-    replaces the decoherence fold with amplitude-damping channels. [day]
-    is the calibration day the run happens under, as in
-    {!Runner.Config.t}: by default the day [compiled] was compiled
-    against, a later one models a stale executable. Raises
+(** [run ?explicit_t1 compiled spec] executes exactly; [explicit_t1]
+    replaces the decoherence fold with amplitude-damping channels. Raises
     [Invalid_argument] when the circuit touches more than 8 qubits. *)
-val run : ?explicit_t1:bool -> ?day:int -> Triq.Compiled.t -> Ir.Spec.t -> outcome
+val run : ?explicit_t1:bool -> Triq.Compiled.t -> Ir.Spec.t -> outcome
 
 (** [run_batch pairs] evaluates many (executable, spec) pairs across the
     domain pool (default {!Parallel.Pool.default}), returning outcomes in

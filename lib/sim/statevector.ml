@@ -25,17 +25,21 @@ let blit ~src ~dst =
 
 let amplitude t i = Mathkit.Cplx.make t.re.(i) t.im.(i)
 
-let probability t i = (t.re.(i) *. t.re.(i)) +. (t.im.(i) *. t.im.(i))
-
-let probabilities t = Array.init (1 lsl t.n) (probability t)
+let[@inline] probability t i = (t.re.(i) *. t.re.(i)) +. (t.im.(i) *. t.im.(i))
 
 let add_probabilities t acc =
   if Array.length acc <> 1 lsl t.n then
     invalid_arg "Statevector.add_probabilities: length must be 2^n";
-  let re = t.re and im = t.im in
   for i = 0 to (1 lsl t.n) - 1 do
-    acc.(i) <- acc.(i) +. ((re.(i) *. re.(i)) +. (im.(i) *. im.(i)))
+    acc.(i) <- acc.(i) +. probability t i
   done
+
+(* Every probability is non-negative and 0.0 +. p = p, so this is
+   bit-identical to evaluating [probability] per index. *)
+let probabilities t =
+  let p = Array.make (1 lsl t.n) 0.0 in
+  add_probabilities t p;
+  p
 
 let norm2 t =
   let acc = ref 0.0 in

@@ -37,8 +37,8 @@ val probability : t -> int -> float
 val probabilities : t -> float array
 
 (** [add_probabilities t acc] adds [probability t i] to [acc.(i)] for
-    every basis state, with the same arithmetic as {!probabilities}; [acc]
-    must have length 2^n. *)
+    every basis state; [acc] must have length 2^n. {!probabilities} is
+    this sum into zeros. *)
 val add_probabilities : t -> float array -> unit
 
 (** [norm2 t] is the total probability (1 up to rounding). *)

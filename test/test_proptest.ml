@@ -202,6 +202,43 @@ let test_oracle_smoke () =
             f.Oracle.case_index f.Oracle.message f.Oracle.repro))
     Oracle.catalog
 
+(* The clifford oracle appends one [T] to each body so that an erred
+   Clifford prefix is handed to the dense tail as a Pauli frame. The
+   bodies here are Clifford-only, so they alone run on the stabilizer
+   backend: every hybrid dispatch comes from the [T]-appended check.
+   Enough of them must reach it for the oracle to cover the hand-off. *)
+let test_clifford_oracle_reaches_hybrid () =
+  let rng = Rng.create 42 in
+  let cases = 40 in
+  let hybrid = ref 0 in
+  for _ = 1 to cases do
+    let machine = Gen.one_of Device.Machines.all rng in
+    let max_qubits = min 4 (Device.Machine.n_qubits machine) in
+    let body = Gen.clifford_body ~max_qubits ~max_gates:14 rng in
+    let n = body.Circuit.n_qubits in
+    let c = Circuit.append body (List.init n (fun q -> Ir.Gate.Measure q)) in
+    let run_seed = Gen.int_range 0 1_000_000 rng in
+    Obs.Span.enable ();
+    Obs.Span.reset ();
+    let result =
+      Fun.protect
+        ~finally:Obs.Span.disable
+        (fun () -> Oracle.check_clifford ~machine ~run_seed c)
+    in
+    (match result with Ok () -> () | Error msg -> Alcotest.fail msg);
+    if
+      List.exists
+        (fun (s : Obs.Span.t) ->
+          s.Obs.Span.name = "sim.prepare"
+          && List.assoc_opt "backend" s.Obs.Span.attrs = Some (Obs.Span.Str "hybrid"))
+        (Obs.Span.collected ())
+    then incr hybrid
+  done;
+  Obs.Span.reset ();
+  if !hybrid * 4 < cases then
+    Alcotest.failf "only %d of %d clifford cases reached the hybrid backend" !hybrid
+      cases
+
 let () =
   Alcotest.run "proptest"
     [
@@ -227,5 +264,10 @@ let () =
           Alcotest.test_case "makes progress" `Quick test_shrink_makes_progress;
         ] );
       ("harness", [ Alcotest.test_case "replay stable" `Quick test_harness_replay_stable ]);
-      ("smoke", [ Alcotest.test_case "oracle catalog" `Quick test_oracle_smoke ]);
+      ( "smoke",
+        [
+          Alcotest.test_case "oracle catalog" `Quick test_oracle_smoke;
+          Alcotest.test_case "clifford reaches hybrid" `Quick
+            test_clifford_oracle_reaches_hybrid;
+        ] );
     ]

@@ -622,7 +622,8 @@ let test_runner_backends_agree () =
 (* Outcomes pinned bit for bit: [%h] of the success rate and an MD5 of
    the [%h] rendering of the full distribution, one cell per execution
    path of the trajectory sampler (stabilizer, Clifford-prefix hybrid,
-   fused and unfused statevector, explicit T1, a stale calibration day,
+   fused statevector with dense and with spaced-out checkpoints,
+   unfused statevector, explicit T1, a stale calibration day,
    sampled counts and a two-domain pool). Any change to the error
    draws, their order, or the arithmetic of a kernel shows up here. *)
 let pinned_cells =
@@ -638,6 +639,13 @@ let pinned_cells =
     ("sv-fused", Machines.ibmq14, P.qft 4, fun () -> cfg ());
     ("sv-forced-clifford", Machines.ibmq5, P.hidden_shift 4, fun () -> cfg ~backend:Statevector ());
     ("sv-unfused", Machines.ibmq5, P.toffoli, fun () -> cfg ~fusion:false ());
+    (* Twelve touched qubits leave room for 8 checkpoints over 30 fused
+       steps, so erred trajectories resume from spaced-out checkpoints
+       (stride 4) and replay clean steps up to their first error. *)
+    ( "sv-strided",
+      Machines.ibmq16,
+      P.ghz 12,
+      fun () -> cfg ~backend:Statevector ~trajectories:100 () );
     ("explicit-t1", Machines.ibmq5, P.peres, fun () -> cfg ~explicit_t1:true ());
     ("stale-day", Machines.umdti, P.fredkin, fun () -> cfg ~day:3 ());
     ("sampled", Machines.umdti, P.adder, fun () -> cfg ~sample_counts:true ());
@@ -654,6 +662,7 @@ let pinned_expected =
     ("sv-fused", "0x1.1ep-2 07170cb8c8ff81ef4b4f7dfae822b4ca");
     ("sv-forced-clifford", "0x1.7dap-1 32c0f9cf8580d04ef85b1708e3ee6215");
     ("sv-unfused", "0x1.5eap-1 0b21ee214568490eadadfb317ae4665b");
+    ("sv-strided", "0x1.538p-2 b493e30c9ba574d7b02fb2faf2e02fca");
     ("explicit-t1", "0x1.442p-1 ca511aaf732eb590a9f1c6d3a3829d21");
     ("stale-day", "0x1.cf5p-1 7d04bd75c61731fe4ba490b1655c23b5");
     ("sampled", "0x1.94p-1 f6db413eacf09a07fcead9af54b5a377");
