@@ -7,9 +7,7 @@ module Pass = Triq.Pass
 let tail_passes =
   Pass.[ swap_expansion_generic; orientation; translation; oneq_coalesce; readout ]
 
-let compile ~name ~day passes machine circuit =
-  Triq.Pipeline.compile_schedule ~config:(Pass.Config.make ~day ()) machine circuit
-    { Pass.Schedule.name; passes = (Pass.flatten :: passes) @ tail_passes }
+let schedule ~name passes = { Pass.Schedule.name; passes = (Pass.flatten :: passes) @ tail_passes }
 
 let hop_distances topology =
   Array.init (Topology.n_qubits topology) (fun src ->

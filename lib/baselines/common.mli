@@ -5,17 +5,9 @@
     (generic SWAP expansion, CNOT orientation repair, translation to the
     software-visible gate set, 1Q coalescing, readout map). *)
 
-(** [compile ~name ~day passes machine circuit] compiles [circuit] at
-    calibration day [day] with the schedule [name]: [flatten], [passes],
-    then the shared stages. Raises [Invalid_argument] (rule
-    [circuit.bounds]) if the program does not fit the machine. *)
-val compile :
-  name:string ->
-  day:int ->
-  Triq.Pass.t list ->
-  Device.Machine.t ->
-  Ir.Circuit.t ->
-  Triq.Compiled.t
+(** [schedule ~name passes] is the schedule [name]: [flatten], [passes],
+    then the shared stages. *)
+val schedule : name:string -> Triq.Pass.t list -> Triq.Pass.Schedule.t
 
 (** [hop_distances topology] is the all-pairs hop-count matrix, one
     breadth-first search per row; unreachable pairs are [max_int / 2]. *)

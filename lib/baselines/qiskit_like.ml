@@ -31,12 +31,15 @@ let strategy topology rng : Router.strategy =
     done;
     Router.gate t kind a b
 
-let compile ?(day = 0) ?(seed = 1) machine circuit =
-  Common.compile ~name:"Qiskit" ~day
+let schedule ?(seed = 1) () =
+  Common.schedule ~name:"Qiskit"
     [
       Triq.Pass.mapping_trivial;
       Triq.Pass.routing_with "greedy hop-distance SWAPs, random tie-breaks" (fun s ->
           let topology = s.Triq.Pass.machine.Machine.topology in
           Router.run (strategy topology (Rng.create seed)) topology);
     ]
-    machine circuit
+
+let compile ?(day = 0) ?seed machine circuit =
+  Triq.Pipeline.compile_schedule ~config:(Triq.Pass.Config.make ~day ()) machine circuit
+    (schedule ?seed ())

@@ -6,7 +6,13 @@
     tie-breaking. One-qubit gates are merged into U gates as Qiskit did.
     Entirely noise-unaware. *)
 
-(** [compile ?day ?seed machine circuit] compiles a program circuit.
-    [seed] drives the stochastic tie-breaking (default 1). *)
+(** The Qiskit schedule. [seed] drives the stochastic tie-breaking
+    (default 1); each run of the routing pass starts a fresh generator
+    from it, so the schedule can be run any number of times. *)
+val schedule : ?seed:int -> unit -> Triq.Pass.Schedule.t
+
+(** [compile ?day ?seed machine circuit] is
+    {!Triq.Pipeline.compile_schedule} on [schedule ?seed ()] at
+    calibration day [day] (default 0). *)
 val compile :
   ?day:int -> ?seed:int -> Device.Machine.t -> Ir.Circuit.t -> Triq.Compiled.t

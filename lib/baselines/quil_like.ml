@@ -17,8 +17,8 @@ let strategy topology : Router.strategy =
   Router.gate t kind a b;
   List.iter (fun (u, v) -> Router.swap t u v) (List.rev hops)
 
-let compile ?(day = 0) machine circuit =
-  Common.compile ~name:"Quil" ~day
+let schedule =
+  Common.schedule ~name:"Quil"
     [
       Triq.Pass.mapping_trivial;
       Triq.Pass.routing_with "shortest-hop SWAPs in and back out around each gate"
@@ -26,4 +26,7 @@ let compile ?(day = 0) machine circuit =
           let topology = s.Triq.Pass.machine.Machine.topology in
           Router.run (strategy topology) topology);
     ]
-    machine circuit
+
+let compile ?(day = 0) machine circuit =
+  Triq.Pipeline.compile_schedule ~config:(Triq.Pass.Config.make ~day ()) machine circuit
+    schedule

@@ -6,4 +6,8 @@
     repeated interactions pay the full routing cost every time. One-qubit
     gates are compressed into the Rz/Rx basis as quilc did. *)
 
+val schedule : Triq.Pass.Schedule.t
+
+(** [compile ?day machine circuit] is {!Triq.Pipeline.compile_schedule}
+    on {!schedule} at calibration day [day] (default 0). *)
 val compile : ?day:int -> Device.Machine.t -> Ir.Circuit.t -> Triq.Compiled.t

@@ -58,8 +58,8 @@ let greedy_placement machine (flat : Ir.Circuit.t) =
 
 (* Hop-count routing = the noise-unaware reliability matrix under the
    TriQ router. *)
-let compile ?(day = 0) machine circuit =
-  Common.compile ~name:"Zulehner" ~day
+let schedule =
+  Common.schedule ~name:"Zulehner"
     [
       Triq.Pass.reliability ~noise_aware:false;
       Triq.Pass.make ~name:"mapping" (fun s ->
@@ -67,4 +67,7 @@ let compile ?(day = 0) machine circuit =
           { s with Triq.Pass.initial_placement = placement });
       Triq.Pass.routing Triq.Pass.Config.Default;
     ]
-    machine circuit
+
+let compile ?(day = 0) machine circuit =
+  Triq.Pipeline.compile_schedule ~config:(Triq.Pass.Config.make ~day ()) machine circuit
+    schedule

@@ -4,4 +4,8 @@
     minimizing total hop distance to its already-placed partners) followed
     by persistent shortest-hop routing. Noise-unaware by construction. *)
 
+val schedule : Triq.Pass.Schedule.t
+
+(** [compile ?day machine circuit] is {!Triq.Pipeline.compile_schedule}
+    on {!schedule} at calibration day [day] (default 0). *)
 val compile : ?day:int -> Device.Machine.t -> Ir.Circuit.t -> Triq.Compiled.t

@@ -8,100 +8,51 @@ module Config = Triq.Pass.Config
 module Schedule = Triq.Pass.Schedule
 module Stats = Mathkit.Stats
 
-type 'a row = { bench : string; values : (string * 'a option) list }
-
-(* Grid rows (compile + simulate per benchmark/machine/level/day) are
-   independent, so they fan out across the process-wide domain pool.
-   Each row's work is self-contained — Runner.simulate seeds its own RNG —
-   so every grid below is bit-for-bit identical for any pool size; the
-   [-j] flags of bench/main and triqc resize the pool via
-   [Parallel.Pool.set_default_jobs]. *)
-let pmap f xs = Parallel.Pool.map (Parallel.Pool.default ()) f xs
-let pfilter_map f xs = List.filter_map Fun.id (pmap f xs)
-let pmap_range n f = pmap f (List.init n Fun.id)
+type 'a row = 'a Cell.row = { bench : string; values : (string * 'a option) list }
 
 let benches () = Programs.all
 
-(* ---------- sweep-level sharding ---------- *)
+(* Every figure that compiles is a grid of [Cell.t]s run by
+   [Cell.run_cells]. A column is a function from a row's program to its
+   cell; [cell] and [triq] build the usual ones. *)
+let cell ?(config = Config.default) ?sim machine compiler program =
+  { Cell.machine; program; compiler; config; sim }
 
-let rec split_at n l =
-  if n = 0 then ([], l)
-  else
-    match l with
-    | x :: tl ->
-      let a, b = split_at (n - 1) tl in
-      (x :: a, b)
-    | [] -> invalid_arg "Experiments.split_at"
+let triq ?(config = Config.default) ?sim machine level =
+  cell ~config ?sim machine (Schedule.of_level ~config level)
 
-(* Fan a whole (row x column) grid out across the pool as individual
-   cells instead of per-row closures: with R rows of C columns the pool
-   sees R*C units of work, so a handful of slow cells (a deep benchmark
-   on a slow machine) no longer serializes the columns behind its row.
-   Cells are enumerated in a deterministic order and regrouped
-   row-major, and each cell seeds its own simulation RNG, so the result
-   is identical to the nested spelling for every pool size. *)
-let grid_rows items ~bench_of ~cols ~cell =
-  let cells =
-    List.concat_map (fun it -> List.map (fun (_, c) -> (it, c)) cols) items
-  in
-  let vals = pmap (fun (it, c) -> cell it c) cells in
-  let ncols = List.length cols in
-  let rec regroup vals = function
-    | [] -> []
-    | it :: rest ->
-      let row_vals, tail = split_at ncols vals in
-      {
-        bench = bench_of it;
-        values = List.map2 (fun (name, _) v -> (name, v)) cols row_vals;
-      }
-      :: regroup tail rest
-  in
-  regroup vals items
+let on_day day = { Config.default with Config.day }
 
-(* The common machine-major shape: every (machine, benchmark, column)
-   cell of a multi-machine figure fans out at once; rows regroup under
-   their machine's name afterwards. *)
-let machine_grid machines ~cols ~cell =
-  let bs = benches () in
-  let items = List.concat_map (fun m -> List.map (fun p -> (m, p)) bs) machines in
-  let rows =
-    grid_rows items
-      ~bench_of:(fun (_, p) -> p.Programs.name)
-      ~cols
-      ~cell:(fun (m, p) c -> cell m c p)
-  in
-  let nb = List.length bs in
-  let rec chunk rows = function
-    | [] -> []
-    | (m : Machine.t) :: rest ->
-      let mine, tail = split_at nb rows in
-      (m.Machine.name, mine) :: chunk tail rest
-  in
-  chunk rows machines
+(* Columns for TriQ levels, named after the level. *)
+let levels ?sim machine ls = List.map (fun l -> (Triq.Pass.level_name l, triq ?sim machine l)) ls
 
-(* Every grid below compiles through the pass driver: a [Config.t] plus
-   the level's named schedule, so ablations (peephole, lookahead) are
-   config/schedule edits rather than option tuples. *)
-let compile_level ?(config = Config.default) ?day machine level circuit =
-  let config =
-    match day with None -> config | Some day -> { config with Config.day }
-  in
-  Pipeline.compile_schedule ~config machine circuit (Schedule.of_level ~config level)
+(* One row per program, one cell per column. *)
+let rows programs cols =
+  List.map
+    (fun (p : Programs.t) -> (p.Programs.name, List.map (fun (name, col) -> (name, col p)) cols))
+    programs
 
-(* Compile [p] on [machine] at [level]; None when it does not fit. *)
-let try_compile ?config ?day machine level (p : Programs.t) =
-  if Machine.fits machine p.Programs.circuit then
-    Some (compile_level ?config ?day machine level p.Programs.circuit)
-  else None
+(* One group per machine, one row per benchmark. *)
+let per_machine machines cols =
+  List.map (fun m -> (m.Machine.name, rows (benches ()) (cols m))) machines
 
-let try_success ?config ?day ?trajectories machine level p =
-  Option.map
-    (fun compiled ->
-      let outcome =
-        Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled p.Programs.spec
-      in
-      outcome.Sim.Runner.success_rate)
-    (try_compile ?config ?day machine level p)
+let run_rows project rows = snd (List.hd (Cell.run_cells project [ ("", rows) ]))
+
+(* The fitting cells of one named batch, with their names. *)
+let run_named project cells =
+  List.filter_map
+    (fun (name, v) -> Option.map (fun v -> (name, v)) v)
+    (List.hd (run_rows project [ ("", cells) ])).values
+
+(* The two values of a two-column row when both cells fit. *)
+let pair r = match r.values with [ (_, Some a); (_, Some b) ] -> Some (a, b) | _ -> None
+
+(* (row name, first, second) for every two-column row whose cells fit. *)
+let pairs rows = List.filter_map (fun r -> Option.map (fun (a, b) -> (r.bench, a, b)) (pair r)) rows
+
+let success _ outcome = (Option.get outcome).Sim.Runner.success_rate
+let two_q (c : Triq.Compiled.t) _ = c.Triq.Compiled.two_q_count
+let two_q_success c outcome = (two_q c outcome, success c outcome)
 
 (* ---------- Figure 1 ---------- *)
 
@@ -241,10 +192,9 @@ let print_fig7 () =
 let fig8_machines () = [ Machines.ibmq14; Machines.agave; Machines.umdti ]
 
 let fig8_data () =
-  machine_grid (fig8_machines ())
-    ~cols:[ ("TriQ-N", Pipeline.N); ("TriQ-1QOpt", Pipeline.OneQOpt) ]
-    ~cell:(fun machine level p ->
-      Option.map (fun r -> r.Triq.Compiled.pulse_count) (try_compile machine level p))
+  Cell.run_cells
+    (fun c _ -> c.Triq.Compiled.pulse_count)
+    (per_machine (fig8_machines ()) (fun m -> levels m Pipeline.[ N; OneQOpt ]))
 
 let row_table (to_string : 'a option -> string) rows =
   match rows with
@@ -290,10 +240,10 @@ let geomean_improvement ?(invert = false) rows ~better ~baseline to_float =
 (* ---------- Figure 9 ---------- *)
 
 let fig9_data ?trajectories () =
-  machine_grid
-    [ Machines.ibmq14; Machines.umdti ]
-    ~cols:[ ("TriQ-N", Pipeline.N); ("TriQ-1QOpt", Pipeline.OneQOpt) ]
-    ~cell:(fun machine level p -> try_success ?trajectories machine level p)
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  Cell.run_cells success
+    (per_machine [ Machines.ibmq14; Machines.umdti ] (fun m ->
+         levels ~sim m Pipeline.[ N; OneQOpt ]))
 
 let print_fig9 ?trajectories () =
   List.iter
@@ -310,18 +260,13 @@ let print_fig9 ?trajectories () =
 (* ---------- Figure 10 ---------- *)
 
 let fig10_counts () =
-  machine_grid
-    [ Machines.ibmq14; Machines.agave ]
-    ~cols:[ ("TriQ-1QOpt", Pipeline.OneQOpt); ("TriQ-1QOptC", Pipeline.OneQOptC) ]
-    ~cell:(fun machine level p ->
-      Option.map (fun r -> r.Triq.Compiled.two_q_count) (try_compile machine level p))
+  Cell.run_cells two_q
+    (per_machine [ Machines.ibmq14; Machines.agave ] (fun m ->
+         levels m Pipeline.[ OneQOpt; OneQOptC ]))
 
 let fig10_success ?trajectories () =
-  let machine = Machines.ibmq14 in
-  grid_rows (benches ())
-    ~bench_of:(fun (p : Programs.t) -> p.Programs.name)
-    ~cols:[ ("TriQ-1QOpt", Pipeline.OneQOpt); ("TriQ-1QOptC", Pipeline.OneQOptC) ]
-    ~cell:(fun p level -> try_success ?trajectories machine level p)
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  run_rows success (rows (benches ()) (levels ~sim Machines.ibmq14 Pipeline.[ OneQOpt; OneQOptC ]))
 
 let print_fig10 ?trajectories () =
   List.iter
@@ -340,76 +285,32 @@ let print_fig10 ?trajectories () =
 
 (* ---------- Figure 11 ---------- *)
 
-let compile_with_baseline ?day machine which (p : Programs.t) =
-  if not (Machine.fits machine p.Programs.circuit) then None
-  else
-    Some
-      (match which with
-      | `Qiskit -> Baselines.Qiskit_like.compile ?day machine p.Programs.circuit
-      | `Quil -> Baselines.Quil_like.compile ?day machine p.Programs.circuit
-      | `Zulehner -> Baselines.Zulehner_like.compile ?day machine p.Programs.circuit)
+let fig11_ibm_cols ?sim () =
+  let m = Machines.ibmq14 in
+  ("Qiskit", cell ?sim m (Baselines.Qiskit_like.schedule ()))
+  :: levels ?sim m Pipeline.[ OneQOptC; OneQOptCN ]
 
-let baseline_success ?day ?trajectories machine which p =
-  Option.map
-    (fun compiled ->
-      (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled p.Programs.spec).Sim.Runner.success_rate)
-    (compile_with_baseline ?day machine which p)
-
-let fig11_counts () =
-  let machine = Machines.ibmq14 in
-  grid_rows (benches ())
-    ~bench_of:(fun (p : Programs.t) -> p.Programs.name)
-    ~cols:
-      [
-        ("Qiskit", `Qiskit);
-        ("TriQ-1QOptC", `Level Pipeline.OneQOptC);
-        ("TriQ-1QOptCN", `Level Pipeline.OneQOptCN);
-      ]
-    ~cell:(fun p -> function
-      | `Qiskit ->
-        Option.map
-          (fun c -> c.Triq.Compiled.two_q_count)
-          (compile_with_baseline machine `Qiskit p)
-      | `Level level ->
-        Option.map (fun r -> r.Triq.Compiled.two_q_count) (try_compile machine level p))
+let fig11_counts () = run_rows two_q (rows (benches ()) (fig11_ibm_cols ()))
 
 let fig11_ibm_success ?trajectories () =
-  let machine = Machines.ibmq14 in
-  grid_rows (benches ())
-    ~bench_of:(fun (p : Programs.t) -> p.Programs.name)
-    ~cols:
-      [
-        ("Qiskit", `Qiskit);
-        ("TriQ-1QOptC", `Level Pipeline.OneQOptC);
-        ("TriQ-1QOptCN", `Level Pipeline.OneQOptCN);
-      ]
-    ~cell:(fun p -> function
-      | `Qiskit -> baseline_success ?trajectories machine `Qiskit p
-      | `Level level -> try_success ?trajectories machine level p)
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  run_rows success (rows (benches ()) (fig11_ibm_cols ~sim ()))
 
 let fig11_rigetti_success ?trajectories () =
-  machine_grid
-    [ Machines.agave; Machines.aspen1 ]
-    ~cols:[ ("Quil", `Quil); ("TriQ-1QOptCN", `Level Pipeline.OneQOptCN) ]
-    ~cell:(fun machine col p ->
-      match col with
-      | `Quil -> baseline_success ?trajectories machine `Quil p
-      | `Level level -> try_success ?trajectories machine level p)
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  Cell.run_cells success
+    (per_machine [ Machines.agave; Machines.aspen1 ] (fun m ->
+         ("Quil", cell ~sim m Baselines.Quil_like.schedule)
+         :: levels ~sim m Pipeline.[ OneQOptCN ]))
 
 let fig11_sequences ?trajectories () =
-  let machine = Machines.umdti in
-  let series name programs =
-    ( name,
-      grid_rows programs
-        ~bench_of:(fun (p : Programs.t) -> p.Programs.name)
-        ~cols:
-          [ ("TriQ-1QOptC", Pipeline.OneQOptC); ("TriQ-1QOptCN", Pipeline.OneQOptCN) ]
-        ~cell:(fun p level -> try_success ?trajectories machine level p) )
-  in
-  [
-    series "Toffoli sequence" (List.init 8 (fun i -> Sequences.toffoli (i + 1)));
-    series "Fredkin sequence" (List.init 7 (fun i -> Sequences.fredkin (i + 1)));
-  ]
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  let cols = levels ~sim Machines.umdti Pipeline.[ OneQOptC; OneQOptCN ] in
+  Cell.run_cells success
+    [
+      ("Toffoli sequence", rows (List.init 8 (fun i -> Sequences.toffoli (i + 1))) cols);
+      ("Fredkin sequence", rows (List.init 7 (fun i -> Sequences.fredkin (i + 1))) cols);
+    ]
 
 let print_fig11 ?trajectories () =
   let counts = fig11_counts () in
@@ -441,10 +342,10 @@ let print_fig11 ?trajectories () =
 (* ---------- Figure 12 ---------- *)
 
 let fig12_data ?trajectories () =
-  grid_rows (benches ())
-    ~bench_of:(fun (p : Programs.t) -> p.Programs.name)
-    ~cols:(List.map (fun m -> (m.Machine.name, m)) Machines.all)
-    ~cell:(fun p machine -> try_success ?trajectories machine Pipeline.OneQOptCN p)
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  run_rows success
+    (rows (benches ())
+       (List.map (fun m -> (m.Machine.name, triq ~sim m Pipeline.OneQOptCN)) Machines.all))
 
 let print_fig12 ?trajectories () =
   let rows = fig12_data ?trajectories () in
@@ -462,14 +363,16 @@ let scaling_grids depth =
     (6, 12, 128);
   ]
 
+(* Not a cell: a supremacy circuit has no spec to score, and this study
+   reads only the compile. *)
 let scaling_data ?(node_budget = 20_000) ?(depth = 16) () =
-  pmap
+  Parallel.Pool.map (Parallel.Pool.default ())
     (fun (rows, cols, depth) ->
       let n = rows * cols in
       let machine = Machines.bristlecone rows cols in
       let circuit = Supremacy.circuit ~seed:(1000 + n) ~rows ~cols ~depth in
       let config = Config.make ~node_budget () in
-      let compiled = compile_level ~config machine Pipeline.OneQOptCN circuit in
+      let compiled = Pipeline.compile_level ~config machine circuit ~level:Pipeline.OneQOptCN in
       ( Printf.sprintf "%dx%d d%d" rows cols depth,
         n,
         compiled.Triq.Compiled.two_q_count,
@@ -490,24 +393,10 @@ let print_scaling ?node_budget ?depth () =
 (* ---------- Related work (Section 8) ---------- *)
 
 let related_data () =
-  let machine = Machines.ibmq16 in
-  pmap
-    (fun (p : Programs.t) ->
-      let zulehner =
-        Option.map
-          (fun c -> c.Triq.Compiled.two_q_count)
-          (compile_with_baseline machine `Zulehner p)
-      in
-      let triq =
-        Option.map
-          (fun r -> r.Triq.Compiled.two_q_count)
-          (try_compile machine Pipeline.OneQOptC p)
-      in
-      {
-        bench = p.Programs.name;
-        values = [ ("Zulehner", zulehner); ("TriQ-1QOptC", triq) ];
-      })
-    (benches ())
+  let m = Machines.ibmq16 in
+  run_rows two_q
+    (rows (benches ())
+       (("Zulehner", cell m Baselines.Zulehner_like.schedule) :: levels m Pipeline.[ OneQOptC ]))
 
 let print_related () =
   let rows = related_data () in
@@ -527,7 +416,8 @@ let ablation_mapper_data ?(node_budget = 200_000) () =
   let machine = Machines.ibmq16 in
   let calibration = Machine.calibration machine ~day:0 in
   let reliability = Triq.Reliability.compute ~noise_aware:true machine calibration in
-  pfilter_map
+  List.filter_map Fun.id
+  @@ Parallel.Pool.map (Parallel.Pool.default ())
     (fun (p : Programs.t) ->
       if not (Machine.fits machine p.Programs.circuit) then None
       else begin
@@ -563,21 +453,14 @@ let print_ablation_mapper () =
 
 (* Peephole ablation: adjacent self-inverse 2Q pairs produced by routing. *)
 let ablation_peephole_data () =
-  let machine = Machines.ibmq14 in
-  pfilter_map
-    (fun (p : Programs.t) ->
-      if not (Machine.fits machine p.Programs.circuit) then None
-      else begin
-        let two_q config =
-          (compile_level ~config machine Pipeline.OneQOptCN p.Programs.circuit)
-            .Triq.Compiled.two_q_count
-        in
-        Some
-          ( p.Programs.name,
-            two_q Config.default,
-            two_q { Config.default with Config.peephole = true } )
-      end)
-    (benches ())
+  let m = Machines.ibmq14 and peephole = { Config.default with Config.peephole = true } in
+  run_rows two_q
+    (rows (benches ())
+       [
+         ("without", triq m Pipeline.OneQOptCN);
+         ("with", triq ~config:peephole m Pipeline.OneQOptCN);
+       ])
+  |> pairs
 
 let print_ablation_peephole () =
   let data = ablation_peephole_data () in
@@ -604,18 +487,10 @@ let iontrap_programs () =
   ]
 
 let iontrap_data ?trajectories ?(ions = 13) () =
-  let machine = Machines.ion_trap_chain ions in
-  pmap
-    (fun (p : Programs.t) ->
-      {
-        bench = p.Programs.name;
-        values =
-          [
-            ("TriQ-1QOptC", try_success ?trajectories machine Pipeline.OneQOptC p);
-            ("TriQ-1QOptCN", try_success ?trajectories machine Pipeline.OneQOptCN p);
-          ];
-      })
-    (iontrap_programs ())
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  run_rows success
+    (rows (iontrap_programs ())
+       (levels ~sim (Machines.ion_trap_chain ions) Pipeline.[ OneQOptC; OneQOptCN ]))
 
 let print_iontrap ?trajectories () =
   let rows = iontrap_data ?trajectories () in
@@ -631,14 +506,23 @@ let print_iontrap ?trajectories () =
    system across six days of differing error conditions. The paper reports
    [65]'s 0.23 vs TriQ's 0.43-0.51 (average 0.47). *)
 let tannu_data ?trajectories () =
-  let machine = Machines.ibmq5 in
-  let p = Programs.bv 4 in
-  pmap
-    (fun day ->
-      let triq = try_success ~day ?trajectories machine Pipeline.OneQOptCN p in
-      let qiskit = baseline_success ~day ?trajectories machine `Qiskit p in
-      (day, Option.value ~default:0.0 triq, Option.value ~default:0.0 qiskit))
-    [ 0; 1; 2; 3; 4; 5 ]
+  let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq5 in
+  let p = Programs.bv 4 and days = [ 0; 1; 2; 3; 4; 5 ] in
+  run_rows success
+    (List.map
+       (fun day ->
+         let config = on_day day in
+         ( string_of_int day,
+           [
+             ("TriQ-1QOptCN", triq ~config ~sim m Pipeline.OneQOptCN p);
+             ("Qiskit", cell ~config ~sim m (Baselines.Qiskit_like.schedule ()) p);
+           ] ))
+       days)
+  |> List.map2
+       (fun day r ->
+         let triq, qiskit = Option.value ~default:(0.0, 0.0) (pair r) in
+         (day, triq, qiskit))
+       days
 
 let print_tannu ?trajectories () =
   let data = tannu_data ?trajectories () in
@@ -659,22 +543,23 @@ let print_tannu ?trajectories () =
    only a small fraction of the coherence window, supporting the paper's
    observation that gate errors, not coherence, limit NISQ programs. *)
 let coherence_data () =
-  let p = Programs.toffoli in
-  pmap
-    (fun machine ->
-      let compiled =
-        compile_level machine Pipeline.OneQOptCN p.Programs.circuit
-      in
+  run_named
+    (fun compiled _ ->
       let schedule = Pulse.Lower.of_compiled compiled in
       let duration_us = Pulse.Schedule.duration_ns schedule /. 1000.0 in
-      let coherence_us = machine.Machine.profile.Calibration.coherence_us in
-      ( machine.Machine.name,
-        Pulse.Schedule.play_count schedule,
+      let coherence_us =
+        compiled.Triq.Compiled.machine.Machine.profile.Calibration.coherence_us
+      in
+      ( Pulse.Schedule.play_count schedule,
         Pulse.Schedule.frame_change_count schedule,
         duration_us,
         duration_us /. coherence_us,
         1.0 -. compiled.Triq.Compiled.esp ))
-    Machines.all
+    (List.map
+       (fun m -> (m.Machine.name, triq m Pipeline.OneQOptCN Programs.toffoli))
+       Machines.all)
+  |> List.map (fun (name, (plays, fcs, duration, fraction, err)) ->
+         (name, plays, fcs, duration, fraction, err))
 
 let print_coherence () =
   let rows =
@@ -701,7 +586,7 @@ let print_coherence () =
 (* Characterization closure: randomized-benchmarking the simulated devices
    recovers the calibration error rates the compiler consumes. *)
 let characterize_data () =
-  pmap
+  Parallel.Pool.map (Parallel.Pool.default ())
     (fun (machine, a, b) ->
       let calibration = Machine.calibration machine ~day:0 in
       let noise = Sim.Noise.create machine calibration in
@@ -741,8 +626,8 @@ let print_characterize () =
    the contribution of reliability-path SWAP insertion (Section 4.4). The
    second reliability pass swaps in the device-average matrix, so the
    router follows hop counts while the placement stays noise-aware. *)
-let hybrid_routing_compile ?(day = 0) machine (p : Programs.t) =
-  Baselines.Common.compile ~name:"TriQ-hybrid" ~day
+let hybrid_routing =
+  Baselines.Common.schedule ~name:"TriQ-hybrid"
     Triq.Pass.
       [
         reliability ~noise_aware:true;
@@ -750,26 +635,16 @@ let hybrid_routing_compile ?(day = 0) machine (p : Programs.t) =
         reliability ~noise_aware:false;
         routing Config.Default;
       ]
-    machine p.Programs.circuit
 
 let ablation_routing_data ?trajectories () =
-  let machine = Machines.ibmq14 in
-  pfilter_map
-    (fun (p : Programs.t) ->
-      if not (Machine.fits machine p.Programs.circuit) then None
-      else begin
-        let full = try_success ?trajectories machine Pipeline.OneQOptCN p in
-        let hybrid =
-          (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (hybrid_routing_compile machine p)
-             p.Programs.spec).Sim.Runner.success_rate
-        in
-        Some
-          {
-            bench = p.Programs.name;
-            values = [ ("hop routing", Some hybrid); ("reliability routing", full) ];
-          }
-      end)
-    (benches ())
+  let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
+  run_rows success
+    (rows (benches ())
+       [
+         ("hop routing", cell ~sim m hybrid_routing);
+         ("reliability routing", triq ~sim m Pipeline.OneQOptCN);
+       ])
+  |> List.filter (fun r -> pair r <> None)
 
 let print_ablation_routing ?trajectories () =
   let rows = ablation_routing_data ?trajectories () in
@@ -785,23 +660,18 @@ let print_ablation_routing ?trajectories () =
    account for up-to-date noise data"): an executable compiled against day
    0's calibration, run on later days, vs recompiling each day. *)
 let staleness_data ?trajectories ?(days = 8) () =
-  let machine = Machines.ibmq14 in
+  let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
   let p = Programs.bv 6 in
-  let stale_exe =
-    compile_level ~day:0 machine Pipeline.OneQOptCN p.Programs.circuit
-  in
-  pmap_range days (fun day ->
-      let stale =
-        (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ~day ()) stale_exe p.Programs.spec)
-          .Sim.Runner.success_rate
-      in
-      let fresh =
-        (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ())
-           (compile_level ~day machine Pipeline.OneQOptCN p.Programs.circuit)
-           p.Programs.spec)
-          .Sim.Runner.success_rate
-      in
-      (day, stale, fresh))
+  run_rows success
+    (List.init days (fun day ->
+         let stale = { sim with Sim.Runner.Config.day = Some day } in
+         ( string_of_int day,
+           [
+             ("stale", triq ~sim:stale m Pipeline.OneQOptCN p);
+             ("fresh", triq ~config:(on_day day) ~sim m Pipeline.OneQOptCN p);
+           ] )))
+  |> pairs
+  |> List.map (fun (day, stale, fresh) -> (int_of_string day, stale, fresh))
 
 let print_staleness ?trajectories () =
   let data = staleness_data ?trajectories () in
@@ -825,24 +695,18 @@ let print_staleness ?trajectories () =
    decisions must correlate strongly with measured success across the
    whole study grid — otherwise optimizing it would be pointless. *)
 let esp_correlation_data ?trajectories () =
-  (* One flat (machine x benchmark) cell list: the whole study grid
-     fans out across the pool at once. *)
-  pfilter_map
-    (fun (machine, (p : Programs.t)) ->
-      Option.map
-        (fun compiled ->
-          let success =
-            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
-               p.Programs.spec)
-              .Sim.Runner.success_rate
-          in
-          ( Printf.sprintf "%s/%s" machine.Machine.name p.Programs.name,
-            compiled.Triq.Compiled.esp,
-            success ))
-        (try_compile machine Pipeline.OneQOptCN p))
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  run_named
+    (fun c o -> (c.Triq.Compiled.esp, success c o))
     (List.concat_map
-       (fun machine -> List.map (fun p -> (machine, p)) (benches ()))
+       (fun m ->
+         List.map
+           (fun (p : Programs.t) ->
+             ( Printf.sprintf "%s/%s" m.Machine.name p.Programs.name,
+               triq ~sim m Pipeline.OneQOptCN p ))
+           (benches ()))
        Machines.all)
+  |> List.map (fun (label, (esp, success)) -> (label, esp, success))
 
 let print_esp_correlation ?trajectories () =
   let data = esp_correlation_data ?trajectories () in
@@ -859,26 +723,16 @@ let print_esp_correlation ?trajectories () =
 (* Lookahead-routing ablation: score swap paths by the next few 2Q gates
    too, not just the current one. *)
 let ablation_lookahead_data ?trajectories () =
-  let machine = Machines.ibmq14 in
-  pfilter_map
-    (fun (p : Programs.t) ->
-      if not (Machine.fits machine p.Programs.circuit) then None
-      else begin
-        let run router =
-          let config = { Config.default with Config.router } in
-          let compiled =
-            compile_level ~config machine Pipeline.OneQOptCN p.Programs.circuit
-          in
-          ( compiled.Triq.Compiled.two_q_count,
-            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
-               p.Programs.spec)
-              .Sim.Runner.success_rate )
-        in
-        let d2, ds = run Config.Default in
-        let l2, ls = run Config.Lookahead in
-        Some (p.Programs.name, d2, ds, l2, ls)
-      end)
-    (benches ())
+  let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
+  let lookahead = { Config.default with Config.router = Config.Lookahead } in
+  run_rows two_q_success
+    (rows (benches ())
+       [
+         ("default", triq ~sim m Pipeline.OneQOptCN);
+         ("lookahead", triq ~config:lookahead ~sim m Pipeline.OneQOptCN);
+       ])
+  |> pairs
+  |> List.map (fun (bench, (d2, ds), (l2, ls)) -> (bench, d2, ds, l2, ls))
 
 let print_ablation_lookahead ?trajectories () =
   let data = ablation_lookahead_data ?trajectories () in
@@ -948,22 +802,21 @@ let print_summary ?trajectories () =
 (* Per-benchmark compiled-executable properties on one machine: the
    quantities Figures 8-11 are built from, in one table. *)
 let properties_rows machine =
-  List.filter_map
-    (fun (p : Programs.t) ->
-      Option.map
-        (fun r ->
-          let dag = Ir.Dag.of_circuit r.Triq.Compiled.hardware in
-          [
-            p.Programs.name;
-            string_of_int r.Triq.Compiled.two_q_count;
-            string_of_int r.Triq.Compiled.pulse_count;
-            string_of_int r.Triq.Compiled.swap_count;
-            string_of_int (Ir.Dag.depth dag);
-            Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Triq.Compiled.hardware));
-            Table.f3 r.Triq.Compiled.esp;
-          ])
-        (try_compile machine Pipeline.OneQOptCN p))
-    (benches ())
+  run_named
+    (fun r _ ->
+      let dag = Ir.Dag.of_circuit r.Triq.Compiled.hardware in
+      [
+        string_of_int r.Triq.Compiled.two_q_count;
+        string_of_int r.Triq.Compiled.pulse_count;
+        string_of_int r.Triq.Compiled.swap_count;
+        string_of_int (Ir.Dag.depth dag);
+        Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Triq.Compiled.hardware));
+        Table.f3 r.Triq.Compiled.esp;
+      ])
+    (List.map
+       (fun (p : Programs.t) -> (p.Programs.name, triq machine Pipeline.OneQOptCN p))
+       (benches ()))
+  |> List.map (fun (bench, cols) -> bench :: cols)
 
 let print_properties machine =
   Table.print
@@ -983,14 +836,14 @@ let heavyhex_data ?trajectories () =
     Machine.create ~name:"HeavyHex14" ~basis:Gateset.Ibm_visible
       ~topology:(Topology.heavy_hex 3) ~profile ~seed:1401
   in
-  pfilter_map
-    (fun (p : Programs.t) ->
-      match (try_success ?trajectories Machines.ibmq14 Pipeline.OneQOptCN p,
-             try_success ?trajectories heavy Pipeline.OneQOptCN p) with
-      | Some lattice, Some hex ->
-        Some { bench = p.Programs.name; values = [ ("lattice", Some lattice); ("heavy-hex", Some hex) ] }
-      | _ -> None)
-    (benches ())
+  let sim = Sim.Runner.Config.make ?trajectories () in
+  run_rows success
+    (rows (benches ())
+       [
+         ("lattice", triq ~sim Machines.ibmq14 Pipeline.OneQOptCN);
+         ("heavy-hex", triq ~sim heavy Pipeline.OneQOptCN);
+       ])
+  |> List.filter (fun r -> pair r <> None)
 
 let print_heavyhex ?trajectories () =
   let rows = heavyhex_data ?trajectories () in
@@ -1004,25 +857,20 @@ let print_heavyhex ?trajectories () =
 (* Variability panel: BV4 success across ten calibration days on each IBM
    machine — the benchmark-level consequence of Figure 3's error drift. *)
 let variability_data ?trajectories ?(days = 10) () =
-  let machines = [ Machines.ibmq5; Machines.ibmq14; Machines.ibmq16 ] in
-  let p = Programs.bv 4 in
-  (* Shard the full (machine x day) grid, then regroup per machine. *)
-  let vals =
-    pmap
-      (fun (machine, day) ->
-        Option.value ~default:0.0
-          (try_success ~day ?trajectories machine Pipeline.OneQOptCN p))
-      (List.concat_map
-         (fun m -> List.init days (fun day -> (m, day)))
-         machines)
-  in
-  let rec chunk vals = function
-    | [] -> []
-    | (m : Machine.t) :: rest ->
-      let mine, tail = split_at days vals in
-      (m.Machine.name, mine) :: chunk tail rest
-  in
-  chunk vals machines
+  let sim = Sim.Runner.Config.make ?trajectories () and p = Programs.bv 4 in
+  Cell.run_cells success
+    (List.map
+       (fun m ->
+         ( m.Machine.name,
+           List.init days (fun day ->
+               (string_of_int day, [ ("", triq ~config:(on_day day) ~sim m Pipeline.OneQOptCN p) ]))
+         ))
+       [ Machines.ibmq5; Machines.ibmq14; Machines.ibmq16 ])
+  |> List.map (fun (name, rows) ->
+         ( name,
+           List.concat_map
+             (fun r -> List.map (fun (_, v) -> Option.value ~default:0.0 v) r.values)
+             rows ))
 
 let print_variability ?trajectories () =
   let data = variability_data ?trajectories () in
@@ -1045,27 +893,15 @@ let print_variability ?trajectories () =
    SWAPs cost two interactions instead of three, so swap-heavy
    benchmarks gain. *)
 let parametric_data ?trajectories () =
-  List.concat_map
-    (fun (plain, parametric) ->
-      pfilter_map
-        (fun (p : Programs.t) ->
-          if not (Machine.fits plain p.Programs.circuit) then None
-          else begin
-            let run machine =
-              let compiled =
-                compile_level machine Pipeline.OneQOptCN p.Programs.circuit
-              in
-              ( compiled.Triq.Compiled.two_q_count,
-                (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
-                   p.Programs.spec)
-                  .Sim.Runner.success_rate )
-            in
-            let c2, cs = run plain in
-            let p2, ps = run parametric in
-            Some (plain.Machine.name, p.Programs.name, c2, cs, p2, ps)
-          end)
-        (benches ()))
-    [ (Machines.aspen1, Machines.aspen1_parametric) ]
+  let sim = Sim.Runner.Config.make ?trajectories () and plain = Machines.aspen1 in
+  run_rows two_q_success
+    (rows (benches ())
+       [
+         ("CZ only", triq ~sim plain Pipeline.OneQOptCN);
+         ("+iSWAP", triq ~sim Machines.aspen1_parametric Pipeline.OneQOptCN);
+       ])
+  |> pairs
+  |> List.map (fun (bench, (c2, cs), (p2, ps)) -> (plain.Machine.name, bench, c2, cs, p2, ps))
 
 let print_parametric ?trajectories () =
   let data = parametric_data ?trajectories () in
@@ -1088,24 +924,15 @@ let print_parametric ?trajectories () =
    the study's conclusions were sensitive to this choice the substitution
    would be fragile. *)
 let noise_model_data ?trajectories () =
-  let machine = Machines.ibmq14 in
-  pfilter_map
-    (fun (p : Programs.t) ->
-      if not (Machine.fits machine p.Programs.circuit) then None
-      else begin
-        let compiled =
-          compile_level machine Pipeline.OneQOptCN p.Programs.circuit
-        in
-        let folded =
-          (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled p.Programs.spec).Sim.Runner.success_rate
-        in
-        let explicit =
-          (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ~explicit_t1:true ()) compiled p.Programs.spec)
-            .Sim.Runner.success_rate
-        in
-        Some (p.Programs.name, folded, explicit)
-      end)
-    (benches ())
+  let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
+  run_rows success
+    (rows (benches ())
+       [
+         ("folded", triq ~sim m Pipeline.OneQOptCN);
+         ( "explicit T1",
+           triq ~sim:{ sim with Sim.Runner.Config.explicit_t1 = true } m Pipeline.OneQOptCN );
+       ])
+  |> pairs
 
 let print_noise_model ?trajectories () =
   let data = noise_model_data ?trajectories () in
@@ -1125,59 +952,53 @@ let print_noise_model ?trajectories () =
    entanglement witness: F = (P_00..0 + P_11..1)/2 + C/2 where C is the
    amplitude of <parity> under a phase rotation applied to every qubit.
    F > 0.5 certifies genuine n-qubit entanglement. *)
-let ghz_fidelity ?trajectories machine n =
+let ghz_data ?trajectories ?(n = 3) () =
   let open Ir.Gate in
-  if not (Machine.fits machine (Ir.Circuit.empty n)) then None
-  else begin
-    let prep = One (H, 0) :: List.init (n - 1) (fun i -> Two (Cnot, i, i + 1)) in
-    let measured = List.init n (fun q -> q) in
-    let run gates =
-      let circuit = Ir.Circuit.measure_all (Ir.Circuit.create n gates) measured in
-      let compiled =
-        compile_level machine Pipeline.OneQOptCN circuit
-      in
-      let spec =
-        Ir.Spec.distribution measured
-          (Sim.Runner.ideal_distribution (Ir.Circuit.create n gates) ~measured)
-      in
-      (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled spec).Sim.Runner.distribution
-    in
+  let sim = Sim.Runner.Config.make ?trajectories () and measured = List.init n Fun.id in
+  let prep = One (H, 0) :: List.init (n - 1) (fun i -> Two (Cnot, i, i + 1)) in
+  let program name gates =
+    Programs.custom_distribution ~name ~description:"" ~n gates ~measured
+  in
+  (* Parity oscillation: rotate every qubit by phi about an equatorial
+     axis, measure <X^n parity>; the coherence is the amplitude of the
+     cos(n phi) component. *)
+  let steps = 2 * n in
+  let phis = List.init steps (fun k -> Float.pi *. float_of_int k /. float_of_int steps) in
+  let programs =
+    program (Printf.sprintf "GHZ%d" n) prep
+    :: List.mapi
+         (fun k phi ->
+           program
+             (Printf.sprintf "GHZ%d-parity%d" n k)
+             (prep @ List.init n (fun q -> One (Rz phi, q)) @ List.init n (fun q -> One (H, q))))
+         phis
+  in
+  let fidelity z_dist parity_dists =
     (* Populations from the computational-basis run. *)
-    let z_dist = run prep in
     let prob bits = Option.value ~default:0.0 (List.assoc_opt bits z_dist) in
     let populations = prob (String.make n '0') +. prob (String.make n '1') in
-    (* Parity oscillation: rotate every qubit by phi about an equatorial
-       axis, measure <X^n parity>; the coherence is the amplitude of the
-       cos(n phi) component. *)
-    let steps = 2 * n in
-    let coherence_samples =
-      pmap_range steps (fun k ->
-          let phi = Float.pi *. float_of_int k /. float_of_int steps in
-          let rotate =
-            List.init n (fun q -> One (Rz phi, q))
-            @ List.init n (fun q -> One (H, q))
-          in
-          let dist = run (prep @ rotate) in
-          let parity = Sim.Dist.parity_expectation dist measured in
-          (phi, parity))
-    in
     (* Amplitude of the cos(n phi) Fourier component. *)
     let coherence =
       2.0
       /. float_of_int steps
       *. Float.abs
-           (List.fold_left
-              (fun acc (phi, p) -> acc +. (p *. cos (float_of_int n *. phi)))
-              0.0 coherence_samples)
+           (List.fold_left2
+              (fun acc phi dist ->
+                acc +. (Sim.Dist.parity_expectation dist measured *. cos (float_of_int n *. phi)))
+              0.0 phis parity_dists)
     in
-    Some ((populations /. 2.0) +. (coherence /. 2.0))
-  end
-
-let ghz_data ?trajectories ?(n = 3) () =
-  List.filter_map
-    (fun machine ->
-      Option.map (fun f -> (machine.Machine.name, f)) (ghz_fidelity ?trajectories machine n))
-    Machines.all
+    (populations /. 2.0) +. (coherence /. 2.0)
+  in
+  Cell.run_cells
+    (fun _ o -> (Option.get o).Sim.Runner.distribution)
+    (List.map
+       (fun m -> (m.Machine.name, rows programs (levels ~sim m Pipeline.[ OneQOptCN ])))
+       Machines.all)
+  |> List.filter_map (fun (name, rows) ->
+         (* A machine's cells all fit or none do. *)
+         match List.concat_map (fun r -> List.filter_map snd r.values) rows with
+         | z_dist :: parity_dists -> Some (name, fidelity z_dist parity_dists)
+         | [] -> None)
 
 let print_ghz ?trajectories () =
   let data = ghz_data ?trajectories () in

@@ -7,15 +7,21 @@
     [?trajectories] to trade precision for speed (tests use small values;
     the bench harness uses the default).
 
-    Grid rows fan out across {!Parallel.Pool.default} (resize it with
+    Every data function that compiles builds its grid of {!Cell.t}s —
+    machine, program, compiler schedule, compile config, optional
+    simulation — and runs it with {!Cell.run_cells}, which fans the cells
+    out across {!Parallel.Pool.default} (resize it with
     [Parallel.Pool.set_default_jobs], i.e. the [-j] flags of bench/main
-    and triqc). Every row seeds its own RNG, so all data functions return
-    identical values for every pool size — parallelism changes only
-    wall-clock time. *)
+    and triqc). Every simulation seeds its own RNG, so all data functions
+    return identical values for every pool size — parallelism changes
+    only wall-clock time. Two exceptions keep their own code:
+    {!scaling_data} (its supremacy circuits have no spec, and it reads
+    only the compile) and {!ablation_mapper_data} (it runs the layout
+    engines directly). *)
 
 (** A per-benchmark row: benchmark name and one value per series, [None]
     when the benchmark does not fit the machine (the paper's "X"). *)
-type 'a row = { bench : string; values : (string * 'a option) list }
+type 'a row = 'a Cell.row = { bench : string; values : (string * 'a option) list }
 
 (* -- Device and toolflow descriptions -- *)
 

@@ -298,6 +298,54 @@ let test_geomean_improvement_helper () =
   Alcotest.(check (float 1e-9)) "rates" 2.0
     (Experiments.geomean_improvement ~invert:true rows ~better:"y" ~baseline:"x" Fun.id)
 
+(* Every cell of a figure runs inside one [bench_kit.cell] span naming
+   its coordinates, whether or not the program fits the machine. *)
+let cell_spans f =
+  let module Span = Obs.Span in
+  Span.enable ();
+  Span.reset ();
+  Fun.protect
+    ~finally:(fun () -> Span.disable (); Span.reset ())
+    (fun () ->
+      ignore (f ());
+      List.filter (fun (s : Span.t) -> s.Span.name = "bench_kit.cell") (Span.collected ()))
+
+let str_attr (s : Obs.Span.t) key =
+  match List.assoc_opt key s.Obs.Span.attrs with
+  | Some (Obs.Span.Str v) -> v
+  | _ -> Alcotest.failf "cell span lacks string attribute %S" key
+
+let test_cell_spans () =
+  let spans = cell_spans (fun () -> Experiments.fig9_data ~trajectories:5 ()) in
+  let expected =
+    List.concat_map
+      (fun machine ->
+        List.concat_map
+          (fun (p : Programs.t) ->
+            List.map (fun level -> (machine, level, p.Programs.name)) [ "TriQ-N"; "TriQ-1QOpt" ])
+          Programs.all)
+      [ "IBMQ14"; "UMDTI" ]
+  in
+  let seen =
+    List.map
+      (fun s ->
+        Alcotest.(check bool) "day 0" true
+          (List.assoc_opt "day" s.Obs.Span.attrs = Some (Obs.Span.Int 0));
+        Alcotest.(check bool) "5 trajectories" true
+          (List.assoc_opt "trajectories" s.Obs.Span.attrs = Some (Obs.Span.Int 5));
+        (str_attr s "machine", str_attr s "compiler", str_attr s "benchmark"))
+      spans
+  in
+  Alcotest.(check int) "one span per cell" (List.length expected) (List.length spans);
+  Alcotest.(check (list (triple string string string)))
+    "every cell once" (List.sort compare expected) (List.sort compare seen);
+  (* A compile-only figure says so instead of giving a trajectory count. *)
+  let spans = cell_spans Experiments.related_data in
+  Alcotest.(check int) "related cells" 24 (List.length spans);
+  List.iter
+    (fun s -> Alcotest.(check string) "compile-only" "compile-only" (str_attr s "trajectories"))
+    spans
+
 (* ---------- Report generator ---------- *)
 
 let test_report_sections () =
@@ -360,5 +408,6 @@ let () =
           Alcotest.test_case "scaling fast" `Quick test_scaling_fast;
           Alcotest.test_case "related improvement" `Quick test_related_improvement;
           Alcotest.test_case "geomean helper" `Quick test_geomean_improvement_helper;
+          Alcotest.test_case "cell spans" `Quick test_cell_spans;
         ] );
     ]
