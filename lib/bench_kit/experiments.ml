@@ -507,22 +507,17 @@ let print_iontrap ?trajectories () =
    [65]'s 0.23 vs TriQ's 0.43-0.51 (average 0.47). *)
 let tannu_data ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq5 in
-  let p = Programs.bv 4 and days = [ 0; 1; 2; 3; 4; 5 ] in
+  let p = Programs.bv 4 in
   run_rows success
-    (List.map
-       (fun day ->
+    (List.init 6 (fun day ->
          let config = on_day day in
          ( string_of_int day,
            [
              ("TriQ-1QOptCN", triq ~config ~sim m Pipeline.OneQOptCN p);
              ("Qiskit", cell ~config ~sim m (Baselines.Qiskit_like.schedule ()) p);
-           ] ))
-       days)
-  |> List.map2
-       (fun day r ->
-         let triq, qiskit = Option.value ~default:(0.0, 0.0) (pair r) in
-         (day, triq, qiskit))
-       days
+           ] )))
+  |> pairs
+  |> List.map (fun (day, triq, qiskit) -> (int_of_string day, triq, qiskit))
 
 let print_tannu ?trajectories () =
   let data = tannu_data ?trajectories () in
