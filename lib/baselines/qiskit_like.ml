@@ -40,6 +40,5 @@ let schedule ?(seed = 1) () =
           Router.run (strategy topology (Rng.create seed)) topology);
     ]
 
-let compile ?(day = 0) ?seed machine circuit =
-  Triq.Pipeline.compile_schedule ~config:(Triq.Pass.Config.make ~day ()) machine circuit
-    (schedule ?seed ())
+let compile ?seed machine circuit =
+  Triq.Pipeline.compile_schedule machine circuit (schedule ?seed ())

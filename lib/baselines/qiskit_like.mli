@@ -11,8 +11,6 @@
     from it, so the schedule can be run any number of times. *)
 val schedule : ?seed:int -> unit -> Triq.Pass.Schedule.t
 
-(** [compile ?day ?seed machine circuit] is
-    {!Triq.Pipeline.compile_schedule} on [schedule ?seed ()] at
-    calibration day [day] (default 0). *)
-val compile :
-  ?day:int -> ?seed:int -> Device.Machine.t -> Ir.Circuit.t -> Triq.Compiled.t
+(** [compile ?seed machine circuit] is {!Triq.Pipeline.compile_schedule}
+    on [schedule ?seed ()] at {!Triq.Pass.Config.default}. *)
+val compile : ?seed:int -> Device.Machine.t -> Ir.Circuit.t -> Triq.Compiled.t

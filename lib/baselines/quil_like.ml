@@ -27,6 +27,4 @@ let schedule =
           Router.run (strategy topology) topology);
     ]
 
-let compile ?(day = 0) machine circuit =
-  Triq.Pipeline.compile_schedule ~config:(Triq.Pass.Config.make ~day ()) machine circuit
-    schedule
+let compile machine circuit = Triq.Pipeline.compile_schedule machine circuit schedule

@@ -68,6 +68,4 @@ let schedule =
       Triq.Pass.routing Triq.Pass.Config.Default;
     ]
 
-let compile ?(day = 0) machine circuit =
-  Triq.Pipeline.compile_schedule ~config:(Triq.Pass.Config.make ~day ()) machine circuit
-    schedule
+let compile machine circuit = Triq.Pipeline.compile_schedule machine circuit schedule

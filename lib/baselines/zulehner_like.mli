@@ -6,6 +6,6 @@
 
 val schedule : Triq.Pass.Schedule.t
 
-(** [compile ?day machine circuit] is {!Triq.Pipeline.compile_schedule}
-    on {!schedule} at calibration day [day] (default 0). *)
-val compile : ?day:int -> Device.Machine.t -> Ir.Circuit.t -> Triq.Compiled.t
+(** [compile machine circuit] is {!Triq.Pipeline.compile_schedule} on
+    {!schedule} at {!Triq.Pass.Config.default}. *)
+val compile : Device.Machine.t -> Ir.Circuit.t -> Triq.Compiled.t

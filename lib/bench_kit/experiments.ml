@@ -47,8 +47,12 @@ let run_named project cells =
 (* The two values of a two-column row when both cells fit. *)
 let pair r = match r.values with [ (_, Some a); (_, Some b) ] -> Some (a, b) | _ -> None
 
+(* (key, first, second) for every keyed two-column row whose cells fit. *)
+let keyed_pairs keyed =
+  List.filter_map (fun (k, r) -> Option.map (fun (a, b) -> (k, a, b)) (pair r)) keyed
+
 (* (row name, first, second) for every two-column row whose cells fit. *)
-let pairs rows = List.filter_map (fun r -> Option.map (fun (a, b) -> (r.bench, a, b)) (pair r)) rows
+let pairs rows = keyed_pairs (List.map (fun r -> (r.bench, r)) rows)
 
 let success _ outcome = (Option.get outcome).Sim.Runner.success_rate
 let two_q (c : Triq.Compiled.t) _ = c.Triq.Compiled.two_q_count
@@ -507,17 +511,19 @@ let print_iontrap ?trajectories () =
    [65]'s 0.23 vs TriQ's 0.43-0.51 (average 0.47). *)
 let tannu_data ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq5 in
-  let p = Programs.bv 4 in
+  let p = Programs.bv 4 and days = List.init 6 Fun.id in
   run_rows success
-    (List.init 6 (fun day ->
+    (List.map
+       (fun day ->
          let config = on_day day in
-         ( string_of_int day,
+         ( Printf.sprintf "day %d" day,
            [
              ("TriQ-1QOptCN", triq ~config ~sim m Pipeline.OneQOptCN p);
              ("Qiskit", cell ~config ~sim m (Baselines.Qiskit_like.schedule ()) p);
-           ] )))
-  |> pairs
-  |> List.map (fun (day, triq, qiskit) -> (int_of_string day, triq, qiskit))
+           ] ))
+       days)
+  |> List.combine days
+  |> keyed_pairs
 
 let print_tannu ?trajectories () =
   let data = tannu_data ?trajectories () in
@@ -656,17 +662,19 @@ let print_ablation_routing ?trajectories () =
    0's calibration, run on later days, vs recompiling each day. *)
 let staleness_data ?trajectories ?(days = 8) () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
-  let p = Programs.bv 6 in
+  let p = Programs.bv 6 and days = List.init days Fun.id in
   run_rows success
-    (List.init days (fun day ->
+    (List.map
+       (fun day ->
          let stale = { sim with Sim.Runner.Config.day = Some day } in
-         ( string_of_int day,
+         ( Printf.sprintf "day %d" day,
            [
              ("stale", triq ~sim:stale m Pipeline.OneQOptCN p);
              ("fresh", triq ~config:(on_day day) ~sim m Pipeline.OneQOptCN p);
-           ] )))
-  |> pairs
-  |> List.map (fun (day, stale, fresh) -> (int_of_string day, stale, fresh))
+           ] ))
+       days)
+  |> List.combine days
+  |> keyed_pairs
 
 let print_staleness ?trajectories () =
   let data = staleness_data ?trajectories () in
