@@ -9,47 +9,30 @@
    traffic hits, while any structurally different model — including a
    same-named machine loaded from a different JSON file — misses. The
    scope names everything else that changes the answer (strategy,
-   objective, budget, machine, day). Equality checks the full canonical
-   form, so canonicalization incompleteness can only cost a hit. Stored
-   placements are in canonical labels, so a hit from a relabeled circuit
-   is translated through its own permutation. *)
+   objective, budget, machine, day). The rest of the key is the problem's
+   own program side, compared structurally, so a hit is always the exact
+   problem that was solved and its stored report is already its own. *)
 
-type layout_key = { token : Reliability.t; scope : string; canon : Layout.Canon.t }
+type layout_key = {
+  token : Reliability.t;
+  scope : string;
+  n_program : int;
+  pairs : ((int * int) * int) list;
+  measured : int list;
+}
 
 module Layout_memo = Parallel.Memo.Make (struct
   type t = layout_key
 
   let equal a b =
-    a.token == b.token && a.scope = b.scope
-    && Layout.Canon.equal_form a.canon.Layout.Canon.form b.canon.Layout.Canon.form
+    a.token == b.token && a.scope = b.scope && a.n_program = b.n_program
+    && a.pairs = b.pairs && a.measured = b.measured
 
-  let hash k = Hashtbl.hash (k.scope, k.canon.Layout.Canon.hash)
+  let hash k = Hashtbl.hash (k.scope, k.n_program, k.pairs, k.measured)
 end)
 
 let cache : Layout.Report.t Layout_memo.t =
   Layout_memo.create ~name:"layout.cache" ~capacity:512
-
-(* Canonicalization dominates the cost of a cache hit: WL refinement with
-   individualization spends its full budget on symmetric interaction
-   graphs (stars, cycles). Memoize it on the raw interaction structure so
-   repeated compiles of the same circuit — the sweep drivers' common
-   case — skip straight to the cached form, while relabeled circuits miss
-   here and fall through to the full canonization. Keyed structurally, so
-   this can never alias two different placement problems. *)
-module Canon_memo = Parallel.Memo.Make (struct
-  type t = int * ((int * int) * int) list * int list
-
-  let equal a b = compare a b = 0
-  let hash = Hashtbl.hash
-end)
-
-let canon_memo : Layout.Canon.t Canon_memo.t =
-  Canon_memo.create ~name:"layout.canon" ~capacity:512
-
-let canon_of_problem (pr : Layout.Problem.t) =
-  Canon_memo.find_or_add canon_memo
-    (pr.Layout.Problem.n_program, pr.Layout.Problem.pairs, pr.Layout.Problem.measured)
-    (fun () -> Layout.Canon.of_problem pr)
 
 let interactions (c : Ir.Circuit.t) =
   let table = Hashtbl.create 16 in
@@ -130,36 +113,36 @@ let solve ?(config = Layout.Config.default) ~reliability ~machine_name ~day
   in
   let report, _dt =
     Obs.Span.timed ~attrs "layout.solve" (fun () ->
-        let canon = canon_of_problem pr in
-        let perm = canon.Layout.Canon.perm in
-        let scope = scope ~config ~machine_name ~day pr.Layout.Problem.objective in
+        let key =
+          {
+            token = reliability;
+            scope = scope ~config ~machine_name ~day pr.Layout.Problem.objective;
+            n_program = pr.Layout.Problem.n_program;
+            pairs = pr.Layout.Problem.pairs;
+            measured = pr.Layout.Problem.measured;
+          }
+        in
         let solved = ref None in
+        (* The cache keeps its own copy of the placement and a hit hands
+           out a fresh one, so no caller shares an array with the cache. *)
         let stored =
-          Layout_memo.find_or_add cache { token = reliability; scope; canon } (fun () ->
+          Layout_memo.find_or_add cache key (fun () ->
               let r = run_strategy ~config pr in
               solved := Some r;
-              let canonical = Array.make (Array.length perm) (-1) in
-              Array.iteri (fun p h -> canonical.(perm.(p)) <- h) r.Layout.Report.placement;
-              { r with Layout.Report.placement = canonical })
+              { r with Layout.Report.placement = Array.copy r.Layout.Report.placement })
         in
         match !solved with
         | Some r -> { r with Layout.Report.cache = Layout.Report.Miss }
         | None ->
-          let placement = Array.map (fun l -> stored.Layout.Report.placement.(l)) perm in
-          let objective, log_product = Layout.Problem.evaluate pr placement in
           {
             stored with
-            Layout.Report.placement;
-            objective;
-            log_product;
+            Layout.Report.placement = Array.copy stored.Layout.Report.placement;
             work = Layout.Report.no_work;
             cache = Layout.Report.Hit;
           })
   in
   report
 
-let cache_clear () =
-  Layout_memo.clear cache;
-  Canon_memo.clear canon_memo
+let cache_clear () = Layout_memo.clear cache
 
 let cache_stats () = Layout_memo.stats cache

@@ -1,14 +1,14 @@
 (** The pipeline's entry to the layout engine: lowers a circuit plus
     reliability matrix to a {!Layout.Problem.t}, dispatches on the
     configured strategy (B&B or SMT), and fronts the process-wide layout
-    cache keyed on (reliability token, canonical interaction-graph form,
-    machine, day, objective, strategy, budget).
+    cache keyed on the exact placement problem: (reliability token,
+    machine, day, objective, strategy, budget, program qubit count,
+    interaction pairs, measured qubits). A hit returns the stored report
+    of that same problem, with a private copy of its placement.
 
     Every solve runs inside a [layout.solve] span, each engine run inside
     a [layout.strategy.<name>] span. The layout cache (capacity 512,
-    counters [layout.cache.*]) and the canonical-form memo in front of it
-    (capacity 512, counters [layout.canon.*]) are {!Parallel.Memo}
-    instances. *)
+    counters [layout.cache.*]) is a {!Parallel.Memo} instance. *)
 
 (** [interactions c] aggregates the program's 2Q operations as
     [((a, b), count)] pairs over program qubits, with (a, b) in first-seen
@@ -37,8 +37,8 @@ val solve :
   Ir.Circuit.t ->
   Layout.Report.t
 
-(** [cache_clear ()] empties the layout cache and the canonical-form memo
-    (mirrors [Reliability.cache_clear]); a solve after it is cold. *)
+(** [cache_clear ()] empties the layout cache (mirrors
+    [Reliability.cache_clear]); a solve after it is cold. *)
 val cache_clear : unit -> unit
 
 (** The layout cache's stats since the last {!cache_clear}. *)

@@ -503,8 +503,7 @@ let check_layout ~machine ~day c =
       else Ok ()
     in
     (* Cache round-trip: a repeat solve through the process-wide cache
-       must score exactly like the first (hit placements are stored in
-       canonical labels and translated back per query). *)
+       must hit and return the first solve's placement and score. *)
     let solve () =
       Triq.Placement.solve ~reliability
         ~machine_name:machine.Device.Machine.name ~day flat
