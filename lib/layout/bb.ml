@@ -1,7 +1,7 @@
 (* Branch-and-bound placement search.
 
-   The paper's max-min search over Problem.t, with three *sound* pruning
-   devices on top of the incumbent rule:
+   The paper's max-min search over Problem.t, with four pruning devices
+   on top of the incumbent rule:
 
    - a memoized partial-assignment bound: per-qubit optimistic caps
      (precomputed once from row maxima of the score model) folded into
@@ -19,15 +19,33 @@
    - dominance pruning over symmetric hardware qubits: hardware qubits
      with bitwise-identical score/readout profiles are interchangeable, so
      at each node only the first unused member of each symmetry class is
-     branched on.
+     branched on;
 
-   All three only discard subtrees that provably cannot change the
-   recorded incumbent chain, so the returned placement (and objective) is
-   bit-identical to the un-pruned search. The argument relies on
-   reliability values that are either bitwise equal or separated by much
-   more than the 1e-12 tie tolerance — true of every calibration model in
-   the tree, and pinned by the compiled-artifact digests in
-   test/layout_golden.ml.
+   - twin program qubits: adjacent qubits of the placement order with the
+     same measured flag and the same partner/orientation/count sequences
+     (BV's data qubits) are interchangeable. At a twin depth the search
+     branches only on a hardware qubit h that the previous depth branches
+     on after [prev], the previous twin's qubit, or on a class-mate of
+     [prev]. So a run of k twins tries each set of hardware qubits in one
+     order, not k! orders. The costs at the two depths are bitwise the
+     same function of h, so for every set given to a twin run, the first
+     ordering the un-pruned search reaches obeys this rule at every step.
+     The class-mate exception is needed because dominance branches on the
+     *lowest* unused member of a class while [before] puts equal-cost
+     qubits *higher* index first: without it, the two rules together
+     would drop whole orbits.
+
+   The first three only discard subtrees that provably cannot change the
+   recorded incumbent chain. The twin rule drops the other orderings of a
+   set: they have bitwise-equal minima and log-products that differ only
+   by the rounding of a float sum taken in another order. So the returned
+   objective is bitwise identical to the un-pruned search's, and the
+   placement is the first ordering of each twin run in branching order
+   (the un-pruned search may keep a later ordering whose log-product
+   rounds an ulp or two higher). The argument relies on reliability values
+   that are either bitwise equal or separated by much more than the 1e-12
+   tie tolerance — true of every calibration model in the tree, and
+   pinned by the compiled-artifact digests in test/layout_golden.ml.
 
    Each node is flat and allocation-free: the problem's closures are
    tabulated once per solve (scores and their logs, readouts and their
@@ -197,6 +215,21 @@ let before objective cmin clog a b =
   in
   if c <> 0 then c > 0 else a > b
 
+(* Twin program qubits: twin.(d) when order.(d) and order.(d-1) have the
+   same measured flag and equal partner/orientation/count sequences. Equal
+   partner sequences also mean neither is a partner of the other (no
+   qubit partners itself), so placing order.(d-1) does not touch
+   order.(d)'s costs. *)
+let twins t order =
+  Array.init (Array.length order) (fun d ->
+      d > 0
+      &&
+      let p = order.(d) and q = order.(d - 1) in
+      t.measured.(p) = t.measured.(q)
+      && t.partner.(p) = t.partner.(q)
+      && t.oriented.(p) = t.oriented.(q)
+      && t.count.(p) = t.count.(q))
+
 (* Heapsort of buf.(0 .. k-1) into branching order: a heap whose root is
    the candidate branched on last. *)
 let rec sift objective cmin clog buf i k =
@@ -230,6 +263,7 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   let t = tabulate pr in
   let order = Problem.order pr in
   let rep = symmetry_reps t in
+  let twin = twins t order in
   let { suffix_min; suffix_log } = compute_bounds pr t order in
   let placement = Array.make n_program (-1) in
   let used = Array.make n_hardware false in
@@ -311,16 +345,28 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
       let cmin = cost_min.(depth) and clog = cost_log.(depth) in
       let buf = candidates.(depth) in
       (* Candidate hardware qubits. Dominance: only the first unused
-         member of each hardware symmetry class is branched on — its class
-         twins root isomorphic subtrees explored no earlier, which can
-         never improve on it. *)
+         member of each hardware symmetry class is branched on — its
+         class-mates root isomorphic subtrees explored no earlier, which can
+         never improve on it. At a twin depth, only a class-mate of the
+         previous twin's qubit [prev] or a qubit the previous depth
+         branches on after [prev]: its costs are the previous depth's, so
+         [prev]'s are copied rather than recomputed. *)
+      let is_twin = twin.(depth) in
+      let prev = if is_twin then placement.(order.(depth - 1)) else -1 in
+      if is_twin then begin
+        cmin.(prev) <- cost_min.(depth - 1).(prev);
+        clog.(prev) <- cost_log.(depth - 1).(prev)
+      end;
       Array.fill class_seen 0 n_hardware false;
       let k = ref 0 in
       for h = 0 to n_hardware - 1 do
         if (not used.(h)) && not class_seen.(rep.(h)) then begin
           class_seen.(rep.(h)) <- true;
           placement_cost depth p h;
-          if viable depth h then begin
+          if
+            ((not is_twin) || rep.(h) = rep.(prev) || before objective cmin clog prev h)
+            && viable depth h
+          then begin
             buf.(!k) <- h;
             incr k
           end

@@ -1,7 +1,8 @@
 (* Layout-engine tests: golden bit-identity of the compiled artifact
    against the Pipeline.compile_level digests in layout_golden.ml,
-   layout-cache semantics, B&B/SMT objective agreement, and the
-   structured-report contract. *)
+   layout-cache semantics, B&B/SMT objective agreement, B&B against
+   enumeration (tied scores, planted twins), B&B search size on BV8, and
+   the structured-report contract. *)
 
 module Machine = Device.Machine
 module Machines = Device.Machines
@@ -229,7 +230,8 @@ let problem_of_tie_case c =
     ()
 
 (* Best (min, log-product) over every injective placement, recorded with
-   B&B's Max_min rule starting from the same trivial incumbent. *)
+   B&B's rule for the problem's objective, starting from the same trivial
+   incumbent. *)
 let brute_force (pr : Layout.Problem.t) =
   let best = ref (Layout.Problem.evaluate pr (Layout.Problem.trivial pr)) in
   let placement = Array.make pr.Layout.Problem.n_program (-1) in
@@ -238,8 +240,14 @@ let brute_force (pr : Layout.Problem.t) =
     if p = pr.Layout.Problem.n_program then begin
       let m, lp = Layout.Problem.evaluate pr placement in
       let best_min, best_log = !best in
-      if m > best_min +. 1e-12 || (m > best_min -. 1e-12 && lp > best_log) then
-        best := (m, lp)
+      let better =
+        match pr.Layout.Problem.objective with
+        | Layout.Problem.Max_min ->
+          m > best_min +. 1e-12 || (m > best_min -. 1e-12 && lp > best_log)
+        | Layout.Problem.Product ->
+          lp > best_log || (lp = best_log && m > best_min +. 1e-12)
+      in
+      if better then best := (m, lp)
     end
     else
       for h = 0 to pr.Layout.Problem.n_hardware - 1 do
@@ -262,6 +270,98 @@ let prop_tie_bound_exact =
       let best_min, best_log = brute_force pr in
       r.Report.proven_optimal && r.Report.objective = best_min
       && Float.abs (r.Report.log_product -. best_log) <= 1e-9)
+
+(* Twin soundness: a hub with 1..k identical leaves (same orientation,
+   count and measured flag, so Problem.order places them as a run of
+   twins) plus random extra pairs among the other qubits, under both
+   objectives. B&B searches each set of leaf qubits in one order only, and
+   must still reach the enumerated objective, and report a placement that
+   evaluates to it. *)
+let twin_case_gen =
+  let open QCheck.Gen in
+  let value = oneofl [ 0.5; 0.8; 0.9; 0.95 ] in
+  int_range 2 6 >>= fun n_program ->
+  int_range n_program 7 >>= fun n_hardware ->
+  int_range 1 (n_program - 1) >>= fun leaves ->
+  bool >>= fun hub_first ->
+  int_range 1 3 >>= fun leaf_count ->
+  bool >>= fun leaf_measured ->
+  let others = List.init (n_program - leaves - 1) (fun i -> leaves + 1 + i) in
+  let extra_pairs =
+    List.concat_map
+      (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) others)
+      (0 :: others)
+  in
+  flatten_l
+    (List.map
+       (fun (a, b) ->
+         map2
+           (fun kind count ->
+             match kind with 0 -> [] | 1 -> [ ((a, b), count) ] | _ -> [ ((b, a), count) ])
+           (int_bound 2) (int_range 1 3))
+       extra_pairs)
+  >>= fun extra ->
+  list_repeat (List.length others + 1) bool >>= fun other_measured ->
+  array_repeat (n_hardware * n_hardware) value >>= fun score ->
+  array_repeat n_hardware value >|= fun readout ->
+  let leaf_pairs =
+    List.init leaves (fun i ->
+        let leaf = i + 1 in
+        ((if hub_first then (0, leaf) else (leaf, 0)), leaf_count))
+  in
+  {
+    n_program;
+    n_hardware;
+    pairs = leaf_pairs @ List.concat extra;
+    measured =
+      (if leaf_measured then List.init leaves (fun i -> i + 1) else [])
+      @ List.concat
+          (List.map2 (fun q m -> if m then [ q ] else []) (0 :: others) other_measured);
+    score;
+    readout;
+  }
+
+let prop_twins_exact =
+  QCheck.Test.make ~count:300 ~name:"b&b matches enumeration with planted twins"
+    (QCheck.make twin_case_gen) (fun c ->
+      List.for_all
+        (fun objective ->
+          let pr = { (problem_of_tie_case c) with Layout.Problem.objective } in
+          let r = Layout.Bb.solve pr in
+          let best_min, best_log = brute_force pr in
+          let eval_min, eval_log = Layout.Problem.evaluate pr r.Report.placement in
+          r.Report.proven_optimal && r.Report.objective = best_min
+          && Float.abs (r.Report.log_product -. best_log) <= 1e-9
+          && eval_min = r.Report.objective
+          && Float.abs (eval_log -. r.Report.log_product) <= 1e-9)
+        [ Layout.Problem.Max_min; Layout.Problem.Product ])
+
+let test_bv8_search_size () =
+  (* BV8's seven data qubits are twins: each hardware set is searched in
+     one order. Walking all 7! orders of each set takes up to 90,147
+     Max_min nodes here, and six of the eight Product solves then stop at
+     the 200,000-node budget. *)
+  List.iter
+    (fun (machine : Machine.t) ->
+      let flat = Ir.Decompose.flatten (Programs.bv 8).Programs.circuit in
+      List.iter
+        (fun noise_aware ->
+          let reliability =
+            Triq.Reliability.compute ~noise_aware machine
+              (Machine.calibration machine ~day:0)
+          in
+          List.iter
+            (fun (objective, budget) ->
+              let r = Layout.Bb.solve (Triq.Placement.problem ~objective reliability flat) in
+              let nodes = r.Report.work.Report.search_nodes in
+              if nodes > budget || not r.Report.proven_optimal then
+                Alcotest.failf "%s noise_aware=%b %s: %d nodes, proven %b"
+                  machine.Machine.name noise_aware
+                  (Layout.Problem.objective_name objective)
+                  nodes r.Report.proven_optimal)
+            [ (Layout.Problem.Max_min, 2_000); (Layout.Problem.Product, 10_000) ])
+        [ true; false ])
+    [ Machines.ibmq14; Machines.ibmq16; Machines.aspen1; Machines.aspen3 ]
 
 (* ---------- Reports ---------- *)
 
@@ -314,6 +414,8 @@ let () =
         [
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;
           QCheck_alcotest.to_alcotest prop_tie_bound_exact;
+          QCheck_alcotest.to_alcotest prop_twins_exact;
+          Alcotest.test_case "bv8 search size" `Quick test_bv8_search_size;
         ] );
       ( "reports",
         [
