@@ -55,44 +55,34 @@ let relaxation_gamma t (g : Ir.Gate.t) =
 
 let readout_flip_prob t q = Calibration.readout_err t.calibration q
 
-let random_pauli_one rng : Ir.Gate.one_q =
-  match Rng.int rng 3 with 0 -> X | 1 -> Y | _ -> Z
+(* A 2Q error draws a non-identity Pauli pair by rejection, returned
+   as [4 * pa + pb] (0 = I, then X, Y, Z). *)
+let rec draw_two rng =
+  let pa = Rng.int rng 4 and pb = Rng.int rng 4 in
+  if pa = 0 && pb = 0 then draw_two rng else (4 * pa) + pb
 
-let apply_pauli state rng q =
-  Statevector.apply_one state (Ir.Matrices.one_q (random_pauli_one rng)) q
+let draw_error rng (g : Ir.Gate.t) =
+  match g with
+  | One _ -> 4 * (1 + Rng.int rng 3)
+  | Two _ -> draw_two rng
+  | Measure _ | Ccx _ | Cswap _ -> invalid_arg "Noise.draw_error: not a 1Q or 2Q gate"
+
+let pauli = [| Ir.Matrices.one_q X; Ir.Matrices.one_q Y; Ir.Matrices.one_q Z |]
+
+let apply_error state code qs =
+  let pa = code lsr 2 and pb = code land 3 in
+  if pa > 0 then Statevector.apply_one state pauli.(pa - 1) qs.(0);
+  if pb > 0 then Statevector.apply_one state pauli.(pb - 1) qs.(1)
 
 let inject t rng (g : Ir.Gate.t) state ~qubit_of =
   match g with
   | Measure _ -> false
-  | One (k, q) ->
-    let sq = qubit_of q in
-    Statevector.apply_one state (Ir.Matrices.one_q k) sq;
-    let p = gate_error_prob t g in
-    if p > 0.0 && Rng.bool rng p then begin
-      apply_pauli state rng sq;
-      true
-    end
-    else false
-  | Two (k, a, b) ->
-    let sa = qubit_of a and sb = qubit_of b in
-    Statevector.apply_two state (Ir.Matrices.two_q k) sa sb;
-    let p = gate_error_prob t g in
-    if p > 0.0 && Rng.bool rng p then begin
-      (* Uniform non-identity two-qubit Pauli: draw until not (I, I). *)
-      let rec draw () =
-        let pa = Rng.int rng 4 and pb = Rng.int rng 4 in
-        if pa = 0 && pb = 0 then draw () else (pa, pb)
-      in
-      let pa, pb = draw () in
-      let pauli = function
-        | 1 -> Some Ir.Gate.X
-        | 2 -> Some Ir.Gate.Y
-        | 3 -> Some Ir.Gate.Z
-        | _ -> None
-      in
-      Option.iter (fun p -> Statevector.apply_one state (Ir.Matrices.one_q p) sa) (pauli pa);
-      Option.iter (fun p -> Statevector.apply_one state (Ir.Matrices.one_q p) sb) (pauli pb);
-      true
-    end
-    else false
   | Ccx _ | Cswap _ -> invalid_arg "Noise.inject: not hardware-level"
+  | One _ | Two _ ->
+    let cg = Ir.Gate.map_qubits qubit_of g in
+    Statevector.apply_gate state cg;
+    let p = gate_error_prob t g in
+    let erred = p > 0.0 && Rng.bool rng p in
+    if erred then
+      apply_error state (draw_error rng cg) (Array.of_list (Ir.Gate.qubits cg));
+    erred

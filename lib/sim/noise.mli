@@ -30,8 +30,18 @@ val relaxation_gamma : t -> Ir.Gate.t -> float
     [q] returns the wrong bit. *)
 val readout_flip_prob : t -> int -> float
 
-(** [random_pauli_one rng] picks X, Y or Z uniformly. *)
-val random_pauli_one : Mathkit.Rng.t -> Ir.Gate.one_q
+(** [draw_error rng g] draws the Pauli error of a failed 1Q or 2Q gate
+    [g], packed as [4 * pa + pb]: the Pauli on [g]'s first and on its
+    second operand (0 = I, then X, Y, Z). A 1Q error is a uniform X, Y
+    or Z; a 2Q error a uniform non-identity pair, drawn by rejection.
+    This is the simulator's one error draw: the runner's replayed
+    errors and its Pauli frame both consume a trajectory's stream
+    through it. Raises [Invalid_argument] on other gates. *)
+val draw_error : Mathkit.Rng.t -> Ir.Gate.t -> int
+
+(** [apply_error state code qs] applies the error [code] of
+    {!draw_error} to the state indices [qs] of the gate's operands. *)
+val apply_error : Statevector.t -> int -> int array -> unit
 
 (** [inject t rng g state ~qubit_of] applies the ideal gate [g] to [state]
     and, with probability [gate_error_prob t g], follows it with a random

@@ -106,16 +106,31 @@ end
     [spec.measured] must list exactly the program qubits the compiled
     circuit reads out.
 
-    Observability: the whole run executes inside an [Obs.Span] named
-    ["sim.run"], each trajectory block in a child ["sim.block"] span on
-    whichever pool domain executed it, and the ["sim.trajectories"] /
-    ["sim.blocks"] counters accumulate volume. ["sim.trajectories.erred"]
-    counts the trajectories that were simulated rather than served from
-    the cached ideal output. None of it perturbs the
-    simulation: results stay bit-identical with tracing on or off.
+    A run is five stages, each a child span of ["sim.run"], in order:
+    ["sim.prepare"] (validation, calibration and noise, used-qubit
+    compaction, per-gate records), ["sim.plan"] (backend choice, tableau
+    apps, Pauli-frame table, fusion plan, clean run and checkpoints;
+    attributes [backend] — ["stabilizer"], ["hybrid"] or
+    ["statevector"] — [fusion], [gates] and [clifford_prefix]),
+    ["sim.execute"] (trajectory streams, blocks, in-order fold),
+    ["sim.readout"] (projection and readout corruption) and
+    ["sim.score"] (counts and the spec score).
 
-    Raises [Invalid_argument] if [trials] or [trajectories] is below 1
-    (zero trajectories would yield all-NaN outcomes). *)
+    Observability: each trajectory block runs in a ["sim.block"] span on
+    whichever pool domain executed it (nested in ["sim.execute"] on the
+    calling domain), and the ["sim.trajectories"] / ["sim.blocks"]
+    counters accumulate volume. ["sim.trajectories.erred"] counts the
+    trajectories that were simulated rather than served from the cached
+    ideal output. None of it perturbs the simulation: results stay
+    bit-identical with tracing on or off.
+
+    Raises [Invalid_argument], before any trajectory runs, if
+    - [trials] or [trajectories] is below 1 (zero trajectories would
+      yield all-NaN outcomes);
+    - the hardware circuit touches no qubit, or more than 20;
+    - a qubit of [spec.measured] is not read out by [compiled];
+    - [backend] is [Stabilizer] and [explicit_t1] is set, or the circuit
+      is not Clifford-only. *)
 val simulate : ?config:Config.t -> Triq.Compiled.t -> Ir.Spec.t -> outcome
 
 (** [ideal_distribution circuit ~measured] is the noiseless output

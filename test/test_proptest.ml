@@ -229,7 +229,7 @@ let test_clifford_oracle_reaches_hybrid () =
     if
       List.exists
         (fun (s : Obs.Span.t) ->
-          s.Obs.Span.name = "sim.prepare"
+          s.Obs.Span.name = "sim.plan"
           && List.assoc_opt "backend" s.Obs.Span.attrs = Some (Obs.Span.Str "hybrid"))
         (Obs.Span.collected ())
     then incr hybrid

@@ -199,12 +199,47 @@ let test_runner_rejects_degenerate_params () =
     Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN
   in
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let trajectories () =
+    match List.assoc_opt "sim.trajectories" (Obs.Metrics.dump ()) with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "sim.trajectories is not a registered counter"
+  in
+  (* Every rejection happens before any trajectory runs: no [sim.block]
+     span is recorded and [sim.trajectories] does not move. *)
+  let rejected name compiled spec config =
+    let before = trajectories () in
+    Obs.Span.enable ();
+    Obs.Span.reset ();
+    let raised =
+      Fun.protect ~finally:Obs.Span.disable (fun () ->
+          raises (fun () -> Runner.simulate ~config compiled spec))
+    in
+    let blocks =
+      List.filter
+        (fun (s : Obs.Span.t) -> s.Obs.Span.name = "sim.block")
+        (Obs.Span.collected ())
+    in
+    Obs.Span.reset ();
+    Alcotest.(check bool) (name ^ " rejected") true raised;
+    Alcotest.(check int) (name ^ ": no block ran") 0 (List.length blocks);
+    Alcotest.(check int) (name ^ ": no trajectory counted") before (trajectories ())
+  in
+  let open Runner.Config in
   (* trajectories=0 used to divide the averaged distribution by zero and
      return all-NaN outcomes. *)
-  Alcotest.(check bool) "trajectories=0 rejected" true
-    (raises (fun () -> Runner.simulate ~config:(Runner.Config.make ~trajectories:0 ()) compiled bell_spec));
-  Alcotest.(check bool) "trials=0 rejected" true
-    (raises (fun () -> Runner.simulate ~config:(Runner.Config.make ~trials:0 ()) compiled bell_spec))
+  rejected "trajectories=0" compiled bell_spec (make ~trajectories:0 ());
+  rejected "trials=0" compiled bell_spec (make ~trials:0 ());
+  (* The bell executable reads out program qubits 0 and 1 only. *)
+  rejected "unmeasured spec qubit" compiled
+    (Ir.Spec.distribution [ 0; 2 ] [ ("00", 1.0) ])
+    (make ());
+  rejected "stabilizer with explicit T1" compiled bell_spec
+    (make ~backend:Stabilizer ~explicit_t1:true ());
+  let toffoli = Bench_kit.Programs.toffoli in
+  rejected "stabilizer on a non-Clifford circuit"
+    (Pipeline.compile_level Machines.ibmq5 toffoli.Bench_kit.Programs.circuit
+       ~level:Pipeline.OneQOptCN)
+    toffoli.Bench_kit.Programs.spec (make ~backend:Stabilizer ())
 
 let test_runner_bell_on_umd () =
   let compiled = Pipeline.compile_level Machines.umdti bell_program ~level:Pipeline.OneQOptCN in
@@ -692,6 +727,46 @@ let test_runner_pinned_outcomes () =
   in
   Alcotest.(check (list (pair string string))) "outcomes" pinned_expected actual
 
+(* A simulate run is five stage spans under [sim.run], once each and in
+   order, and [sim.plan] names the backend the dispatch picked. *)
+let test_runner_stage_spans () =
+  let stages = [ "sim.prepare"; "sim.plan"; "sim.execute"; "sim.readout"; "sim.score" ] in
+  List.iter
+    (fun (cell, backend) ->
+      let _, machine, (p : Bench_kit.Programs.t), config =
+        List.find (fun (name, _, _, _) -> name = cell) pinned_cells
+      in
+      let compiled =
+        Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN
+      in
+      let config = config () in
+      Obs.Span.enable ();
+      Obs.Span.reset ();
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Span.disable ();
+          Option.iter Parallel.Pool.shutdown config.Runner.Config.pool)
+        (fun () -> ignore (Runner.simulate ~config compiled p.Bench_kit.Programs.spec));
+      let spans = Obs.Span.collected () in
+      Obs.Span.reset ();
+      let run =
+        match List.filter (fun (s : Obs.Span.t) -> s.Obs.Span.name = "sim.run") spans with
+        | [ run ] -> run
+        | runs -> Alcotest.failf "%s: %d sim.run spans" cell (List.length runs)
+      in
+      let children =
+        List.filter (fun (s : Obs.Span.t) -> s.Obs.Span.parent = Some run.Obs.Span.id) spans
+      in
+      Alcotest.(check (list string))
+        (cell ^ " stages") stages
+        (List.map (fun (s : Obs.Span.t) -> s.Obs.Span.name) children);
+      let plan = List.find (fun (s : Obs.Span.t) -> s.Obs.Span.name = "sim.plan") children in
+      Alcotest.(check bool)
+        (cell ^ " backend " ^ backend)
+        true
+        (List.assoc_opt "backend" plan.Obs.Span.attrs = Some (Obs.Span.Str backend)))
+    [ ("stab", "stabilizer"); ("hybrid", "hybrid"); ("sv-fused", "statevector") ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -739,6 +814,7 @@ let () =
           Alcotest.test_case "esp ordering" `Quick test_runner_better_esp_better_success;
           Alcotest.test_case "sampled counts" `Quick test_runner_sampled_counts;
           Alcotest.test_case "pinned outcomes" `Quick test_runner_pinned_outcomes;
+          Alcotest.test_case "stage spans" `Quick test_runner_stage_spans;
         ] );
       ( "stabilizer",
         [
