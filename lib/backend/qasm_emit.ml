@@ -1,108 +1,70 @@
-let angle fmt_buf a = Buffer.add_string fmt_buf (Printf.sprintf "%.17g" a)
+module W = Writer
 
-let render buf ~n_qubits ~header (gates : Ir.Gate.t list) =
-  Buffer.add_string buf "OPENQASM 2.0;\n";
-  Buffer.add_string buf "include \"qelib1.inc\";\n";
-  Buffer.add_string buf header;
-  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" n_qubits);
-  let n_measures = List.length (List.filter Ir.Gate.is_measure gates) in
-  if n_measures > 0 then Buffer.add_string buf (Printf.sprintf "creg c[%d];\n" n_measures);
-  let next_cbit = ref 0 in
-  List.iter
-    (fun g ->
-      (match (g : Ir.Gate.t) with
-      | One (U1 l, q) ->
-        Buffer.add_string buf "u1(";
-        angle buf l;
-        Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
-      | One (U2 (p, l), q) ->
-        Buffer.add_string buf "u2(";
-        angle buf p;
-        Buffer.add_string buf ",";
-        angle buf l;
-        Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
-      | One (U3 (t, p, l), q) ->
-        Buffer.add_string buf "u3(";
-        angle buf t;
-        Buffer.add_string buf ",";
-        angle buf p;
-        Buffer.add_string buf ",";
-        angle buf l;
-        Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
-      | Two (Cnot, a, b) -> Buffer.add_string buf (Printf.sprintf "cx q[%d],q[%d];" a b)
-      | Measure q ->
-        Buffer.add_string buf (Printf.sprintf "measure q[%d] -> c[%d];" q !next_cbit);
-        incr next_cbit
-      | other ->
-        invalid_arg
-          (Printf.sprintf "Qasm_emit: gate %s is not IBM software-visible"
-             (Ir.Gate.to_string other)));
-      Buffer.add_char buf '\n')
-    gates
+(* [op w name angles qs] writes "name(a,b) q[i],q[j];". *)
+let op w name angles qs =
+  W.str w name;
+  List.iteri (fun i a -> W.str w (if i = 0 then "(" else ","); W.angle w a) angles;
+  if angles <> [] then W.str w ")";
+  List.iteri (fun i q -> W.str w (if i = 0 then " q[" else ",q["); W.int w q; W.str w "]") qs;
+  W.str w ";\n"
 
-let emit_circuit ~n_qubits ~name (c : Ir.Circuit.t) =
-  let buf = Buffer.create 1024 in
-  render buf ~n_qubits ~header:(Printf.sprintf "// %s\n" name) c.Ir.Circuit.gates;
-  Buffer.contents buf
+(* An executable uses IBM's software-visible set (u1/u2/u3/cx + measure);
+   a [portable] program also uses the rest of qelib1 and decomposes the
+   gates qelib1 lacks into it. *)
+let rec gate w ~portable cbit (g : Ir.Gate.t) =
+  let op = op w and gate = gate w ~portable cbit in
+  match g with
+  | One (U1 l, a) -> op "u1" [ l ] [ a ]
+  | One (U2 (p, l), a) -> op "u2" [ p; l ] [ a ]
+  | One (U3 (t, p, l), a) -> op "u3" [ t; p; l ] [ a ]
+  | Two (Cnot, a, b) -> op "cx" [] [ a; b ]
+  | Measure a ->
+    W.str w "measure q["; W.int w a; W.str w "] -> c["; W.int w !cbit; W.str w "];\n";
+    incr cbit
+  | _ when not portable ->
+    invalid_arg
+      (Printf.sprintf "Qasm_emit: gate %s is not IBM software-visible" (Ir.Gate.to_string g))
+  | One (X, a) -> op "x" [] [ a ]
+  | One (Y, a) -> op "y" [] [ a ]
+  | One (Z, a) -> op "z" [] [ a ]
+  | One (H, a) -> op "h" [] [ a ]
+  | One (S, a) -> op "s" [] [ a ]
+  | One (Sdg, a) -> op "sdg" [] [ a ]
+  | One (T, a) -> op "t" [] [ a ]
+  | One (Tdg, a) -> op "tdg" [] [ a ]
+  | One (Rx t, a) -> op "rx" [ t ] [ a ]
+  | One (Ry t, a) -> op "ry" [ t ] [ a ]
+  | One (Rz t, a) -> op "rz" [ t ] [ a ]
+  | One (Rxy (t, p), a) ->
+    (* Rxy(t, p) = Rz(p) . Rx(t) . Rz(-p) as a matrix product: apply
+       Rz(-p) first in circuit order. *)
+    gate (One (Rz (-.p), a));
+    gate (One (Rx t, a));
+    gate (One (Rz p, a))
+  | Two (Cz, a, b) -> op "cz" [] [ a; b ]
+  | Two (Swap, a, b) -> op "swap" [] [ a; b ]
+  | Two (Xx chi, a, b) -> List.iter gate (Ir.Decompose.xx_gates chi a b)
+  | Two (Iswap, a, b) -> List.iter gate (Ir.Decompose.iswap a b)
+  | Ccx (a, b, t) -> op "ccx" [] [ a; b; t ]
+  | Cswap (c, a, b) -> op "cswap" [] [ c; a; b ]
+
+let render ~portable ~n_qubits name (c : Ir.Circuit.t) =
+  let w = W.start "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n// " name in
+  W.str w "qreg q["; W.int w n_qubits; W.str w "];\n";
+  let n = Ir.Circuit.measure_count c in
+  if n > 0 then (W.str w "creg c["; W.int w n; W.str w "];\n");
+  let cbit = ref 0 in
+  List.iter (gate w ~portable cbit) c.Ir.Circuit.gates;
+  W.contents w
+
+let emit_circuit ~n_qubits ~name c = render ~portable:false ~n_qubits name c
 
 let emit (compiled : Triq.Compiled.t) =
-  if compiled.Triq.Compiled.machine.Device.Machine.basis <> Device.Gateset.Ibm_visible
+  let machine = compiled.Triq.Compiled.machine in
+  if machine.Device.Machine.basis <> Device.Gateset.Ibm_visible
   then invalid_arg "Qasm_emit.emit: executable is not in IBM form";
-  let header =
-    Printf.sprintf "// target: %s, compiler: %s, calibration day %d\n"
-      compiled.Triq.Compiled.machine.Device.Machine.name
-      compiled.Triq.Compiled.compiler compiled.Triq.Compiled.day
-  in
-  let buf = Buffer.create 1024 in
-  render buf
-    ~n_qubits:(Device.Machine.n_qubits compiled.Triq.Compiled.machine)
-    ~header compiled.Triq.Compiled.hardware.Ir.Circuit.gates;
-  Buffer.contents buf
+  render ~portable:false ~n_qubits:(Device.Machine.n_qubits machine) (W.target compiled)
+    compiled.Triq.Compiled.hardware
 
 let emit_program ~name (c : Ir.Circuit.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
-  Buffer.add_string buf (Printf.sprintf "// %s\n" name);
-  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" c.Ir.Circuit.n_qubits);
-  let n_measures = Ir.Circuit.measure_count c in
-  if n_measures > 0 then
-    Buffer.add_string buf (Printf.sprintf "creg c[%d];\n" n_measures);
-  let next_cbit = ref 0 in
-  let q i = Printf.sprintf "q[%d]" i in
-  let line s = Buffer.add_string buf (s ^ ";\n") in
-  let rec emit_gate (g : Ir.Gate.t) =
-    match g with
-    | One (X, a) -> line (Printf.sprintf "x %s" (q a))
-    | One (Y, a) -> line (Printf.sprintf "y %s" (q a))
-    | One (Z, a) -> line (Printf.sprintf "z %s" (q a))
-    | One (H, a) -> line (Printf.sprintf "h %s" (q a))
-    | One (S, a) -> line (Printf.sprintf "s %s" (q a))
-    | One (Sdg, a) -> line (Printf.sprintf "sdg %s" (q a))
-    | One (T, a) -> line (Printf.sprintf "t %s" (q a))
-    | One (Tdg, a) -> line (Printf.sprintf "tdg %s" (q a))
-    | One (Rx t, a) -> line (Printf.sprintf "rx(%.17g) %s" t (q a))
-    | One (Ry t, a) -> line (Printf.sprintf "ry(%.17g) %s" t (q a))
-    | One (Rz t, a) -> line (Printf.sprintf "rz(%.17g) %s" t (q a))
-    | One (U1 l, a) -> line (Printf.sprintf "u1(%.17g) %s" l (q a))
-    | One (U2 (p, l), a) -> line (Printf.sprintf "u2(%.17g,%.17g) %s" p l (q a))
-    | One (U3 (t, p, l), a) ->
-      line (Printf.sprintf "u3(%.17g,%.17g,%.17g) %s" t p l (q a))
-    | One (Rxy (t, p), a) ->
-      (* Rxy(t, p) = Rz(p) . Rx(t) . Rz(-p) as a matrix product: apply
-         Rz(-p) first in circuit order. *)
-      emit_gate (Ir.Gate.One (Ir.Gate.Rz (-.p), a));
-      emit_gate (Ir.Gate.One (Ir.Gate.Rx t, a));
-      emit_gate (Ir.Gate.One (Ir.Gate.Rz p, a))
-    | Two (Cnot, a, b) -> line (Printf.sprintf "cx %s,%s" (q a) (q b))
-    | Two (Cz, a, b) -> line (Printf.sprintf "cz %s,%s" (q a) (q b))
-    | Two (Swap, a, b) -> line (Printf.sprintf "swap %s,%s" (q a) (q b))
-    | Two (Xx chi, a, b) -> List.iter emit_gate (Ir.Decompose.xx_gates chi a b)
-    | Two (Iswap, a, b) -> List.iter emit_gate (Ir.Decompose.iswap a b)
-    | Ccx (a, b, t) -> line (Printf.sprintf "ccx %s,%s,%s" (q a) (q b) (q t))
-    | Cswap (cc, a, b) -> line (Printf.sprintf "cswap %s,%s,%s" (q cc) (q a) (q b))
-    | Measure a ->
-      line (Printf.sprintf "measure %s -> c[%d]" (q a) !next_cbit);
-      incr next_cbit
-  in
-  List.iter emit_gate c.Ir.Circuit.gates;
-  Buffer.contents buf
+  render ~portable:true ~n_qubits:c.Ir.Circuit.n_qubits name c

@@ -3,7 +3,9 @@
     Emits the software-visible IBM gate set only (u1/u2/u3/cx + measure);
     the compiled circuit must therefore be in [Ibm_visible] form. Classical
     bits follow the readout map's order, so bit [i] of the result register
-    is measured program qubit number [i]. *)
+    is measured program qubit number [i]. Every angle is printed as
+    [%.17g], which parses back to the same float; signed zero and NaN are
+    printed as the bits say ("-0", "nan" or "-nan"). *)
 
 (** [emit compiled] renders an OpenQASM 2.0 program. Raises
     [Invalid_argument] when the executable is not IBM-form. *)

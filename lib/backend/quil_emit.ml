@@ -1,37 +1,30 @@
-let render ~name (gates : Ir.Gate.t list) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "# %s\n" name);
-  let measures = List.filter Ir.Gate.is_measure gates in
-  if measures <> [] then
-    Buffer.add_string buf (Printf.sprintf "DECLARE ro BIT[%d]\n" (List.length measures));
-  let next_cbit = ref 0 in
+module W = Writer
+
+let emit_circuit ~name (c : Ir.Circuit.t) =
+  let w = W.start "# " name in
+  let n = Ir.Circuit.measure_count c in
+  if n > 0 then (W.str w "DECLARE ro BIT["; W.int w n; W.str w "]\n");
+  let cbit = ref 0 in
   List.iter
-    (fun g ->
-      (match (g : Ir.Gate.t) with
-      | One (Rz theta, q) -> Buffer.add_string buf (Printf.sprintf "RZ(%.17g) %d" theta q)
-      | One (Rx theta, q) -> Buffer.add_string buf (Printf.sprintf "RX(%.17g) %d" theta q)
-      | Two (Cz, a, b) -> Buffer.add_string buf (Printf.sprintf "CZ %d %d" a b)
-      | Two (Iswap, a, b) -> Buffer.add_string buf (Printf.sprintf "ISWAP %d %d" a b)
+    (fun (g : Ir.Gate.t) ->
+      (match g with
+      | One (Rz t, q) -> W.str w "RZ("; W.angle w t; W.str w ")"; W.ints w [ q ]
+      | One (Rx t, q) -> W.str w "RX("; W.angle w t; W.str w ")"; W.ints w [ q ]
+      | Two (Cz, a, b) -> W.str w "CZ"; W.ints w [ a; b ]
+      | Two (Iswap, a, b) -> W.str w "ISWAP"; W.ints w [ a; b ]
       | Measure q ->
-        Buffer.add_string buf (Printf.sprintf "MEASURE %d ro[%d]" q !next_cbit);
-        incr next_cbit
+        W.str w "MEASURE"; W.ints w [ q ]; W.str w " ro["; W.int w !cbit; W.str w "]";
+        incr cbit
       | other ->
         invalid_arg
           (Printf.sprintf "Quil_emit: gate %s is not Rigetti software-visible"
              (Ir.Gate.to_string other)));
-      Buffer.add_char buf '\n')
-    gates;
-  Buffer.contents buf
-
-let emit_circuit ~name (c : Ir.Circuit.t) = render ~name c.Ir.Circuit.gates
+      W.str w "\n")
+    c.Ir.Circuit.gates;
+  W.contents w
 
 let emit (compiled : Triq.Compiled.t) =
   (match compiled.Triq.Compiled.machine.Device.Machine.basis with
   | Device.Gateset.Rigetti_visible | Device.Gateset.Rigetti_parametric_visible -> ()
   | _ -> invalid_arg "Quil_emit.emit: executable is not in Rigetti form");
-  render
-    ~name:
-      (Printf.sprintf "target: %s, compiler: %s, calibration day %d"
-         compiled.Triq.Compiled.machine.Device.Machine.name
-         compiled.Triq.Compiled.compiler compiled.Triq.Compiled.day)
-    compiled.Triq.Compiled.hardware.Ir.Circuit.gates
+  emit_circuit ~name:(W.target compiled) compiled.Triq.Compiled.hardware

@@ -1,31 +1,24 @@
-let render ~name (gates : Ir.Gate.t list) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "; %s\n" name);
+module W = Writer
+
+(* Mnemonics are padded to four columns, less the space before operands. *)
+let emit_circuit ~name (c : Ir.Circuit.t) =
+  let w = W.start "; " name in
   List.iter
-    (fun g ->
-      (match (g : Ir.Gate.t) with
-      | One (Rxy (theta, phi), q) ->
-        Buffer.add_string buf (Printf.sprintf "R   %d %.17g %.17g" q theta phi)
-      | One (Rz lambda, q) -> Buffer.add_string buf (Printf.sprintf "RZ  %d %.17g" q lambda)
-      | Two (Xx chi, a, b) ->
-        Buffer.add_string buf (Printf.sprintf "XX  %d %d %.17g" a b chi)
-      | Measure q -> Buffer.add_string buf (Printf.sprintf "MEAS %d" q)
+    (fun (g : Ir.Gate.t) ->
+      (match g with
+      | One (Rxy (theta, phi), q) -> W.str w "R  "; W.ints w [ q ]; W.angles w [ theta; phi ]
+      | One (Rz lambda, q) -> W.str w "RZ "; W.ints w [ q ]; W.angles w [ lambda ]
+      | Two (Xx chi, a, b) -> W.str w "XX "; W.ints w [ a; b ]; W.angles w [ chi ]
+      | Measure q -> W.str w "MEAS"; W.ints w [ q ]
       | other ->
         invalid_arg
           (Printf.sprintf "Ti_emit: gate %s is not UMD software-visible"
              (Ir.Gate.to_string other)));
-      Buffer.add_char buf '\n')
-    gates;
-  Buffer.contents buf
-
-let emit_circuit ~name (c : Ir.Circuit.t) = render ~name c.Ir.Circuit.gates
+      W.str w "\n")
+    c.Ir.Circuit.gates;
+  W.contents w
 
 let emit (compiled : Triq.Compiled.t) =
   if compiled.Triq.Compiled.machine.Device.Machine.basis <> Device.Gateset.Umd_visible
   then invalid_arg "Ti_emit.emit: executable is not in UMD form";
-  render
-    ~name:
-      (Printf.sprintf "target: %s, compiler: %s, calibration day %d"
-         compiled.Triq.Compiled.machine.Device.Machine.name
-         compiled.Triq.Compiled.compiler compiled.Triq.Compiled.day)
-    compiled.Triq.Compiled.hardware.Ir.Circuit.gates
+  emit_circuit ~name:(W.target compiled) compiled.Triq.Compiled.hardware

@@ -244,6 +244,257 @@ let test_ti_whitespace_dialects () =
       check_gates label expected (Backend.Ti_parse.parse src).Backend.Ti_parse.circuit)
     table
 
+(* ---------- Differential: the emitters against Printf references ---------- *)
+
+(* The emitters as they were written with one [Printf.sprintf] per gate and
+   per angle. They are the byte-for-byte reference the Buffer writer must
+   reproduce. *)
+module Reference = struct
+  let target (compiled : Triq.Compiled.t) =
+    Printf.sprintf "target: %s, compiler: %s, calibration day %d"
+      compiled.Triq.Compiled.machine.Device.Machine.name
+      compiled.Triq.Compiled.compiler compiled.Triq.Compiled.day
+
+  let qasm_render buf ~n_qubits ~header (gates : G.t list) =
+    let angle a = Buffer.add_string buf (Printf.sprintf "%.17g" a) in
+    Buffer.add_string buf "OPENQASM 2.0;\n";
+    Buffer.add_string buf "include \"qelib1.inc\";\n";
+    Buffer.add_string buf header;
+    Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" n_qubits);
+    let n_measures = List.length (List.filter G.is_measure gates) in
+    if n_measures > 0 then Buffer.add_string buf (Printf.sprintf "creg c[%d];\n" n_measures);
+    let next_cbit = ref 0 in
+    List.iter
+      (fun g ->
+        (match (g : G.t) with
+        | One (U1 l, q) ->
+          Buffer.add_string buf "u1(";
+          angle l;
+          Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
+        | One (U2 (p, l), q) ->
+          Buffer.add_string buf "u2(";
+          angle p;
+          Buffer.add_string buf ",";
+          angle l;
+          Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
+        | One (U3 (t, p, l), q) ->
+          Buffer.add_string buf "u3(";
+          angle t;
+          Buffer.add_string buf ",";
+          angle p;
+          Buffer.add_string buf ",";
+          angle l;
+          Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
+        | Two (Cnot, a, b) -> Buffer.add_string buf (Printf.sprintf "cx q[%d],q[%d];" a b)
+        | Measure q ->
+          Buffer.add_string buf (Printf.sprintf "measure q[%d] -> c[%d];" q !next_cbit);
+          incr next_cbit
+        | _ -> invalid_arg "reference qasm");
+        Buffer.add_char buf '\n')
+      gates
+
+  let qasm_circuit ~n_qubits ~name (c : Circuit.t) =
+    let buf = Buffer.create 1024 in
+    qasm_render buf ~n_qubits ~header:(Printf.sprintf "// %s\n" name) c.Circuit.gates;
+    Buffer.contents buf
+
+  let qasm (compiled : Triq.Compiled.t) =
+    let buf = Buffer.create 1024 in
+    qasm_render buf
+      ~n_qubits:(Device.Machine.n_qubits compiled.Triq.Compiled.machine)
+      ~header:(Printf.sprintf "// %s\n" (target compiled))
+      compiled.Triq.Compiled.hardware.Circuit.gates;
+    Buffer.contents buf
+
+  let qasm_program ~name (c : Circuit.t) =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+    Buffer.add_string buf (Printf.sprintf "// %s\n" name);
+    Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" c.Circuit.n_qubits);
+    let n_measures = Circuit.measure_count c in
+    if n_measures > 0 then Buffer.add_string buf (Printf.sprintf "creg c[%d];\n" n_measures);
+    let next_cbit = ref 0 in
+    let q i = Printf.sprintf "q[%d]" i in
+    let line s = Buffer.add_string buf (s ^ ";\n") in
+    let rec emit_gate (g : G.t) =
+      match g with
+      | One (X, a) -> line (Printf.sprintf "x %s" (q a))
+      | One (Y, a) -> line (Printf.sprintf "y %s" (q a))
+      | One (Z, a) -> line (Printf.sprintf "z %s" (q a))
+      | One (H, a) -> line (Printf.sprintf "h %s" (q a))
+      | One (S, a) -> line (Printf.sprintf "s %s" (q a))
+      | One (Sdg, a) -> line (Printf.sprintf "sdg %s" (q a))
+      | One (T, a) -> line (Printf.sprintf "t %s" (q a))
+      | One (Tdg, a) -> line (Printf.sprintf "tdg %s" (q a))
+      | One (Rx t, a) -> line (Printf.sprintf "rx(%.17g) %s" t (q a))
+      | One (Ry t, a) -> line (Printf.sprintf "ry(%.17g) %s" t (q a))
+      | One (Rz t, a) -> line (Printf.sprintf "rz(%.17g) %s" t (q a))
+      | One (U1 l, a) -> line (Printf.sprintf "u1(%.17g) %s" l (q a))
+      | One (U2 (p, l), a) -> line (Printf.sprintf "u2(%.17g,%.17g) %s" p l (q a))
+      | One (U3 (t, p, l), a) -> line (Printf.sprintf "u3(%.17g,%.17g,%.17g) %s" t p l (q a))
+      | One (Rxy (t, p), a) ->
+        emit_gate (G.One (G.Rz (-.p), a));
+        emit_gate (G.One (G.Rx t, a));
+        emit_gate (G.One (G.Rz p, a))
+      | Two (Cnot, a, b) -> line (Printf.sprintf "cx %s,%s" (q a) (q b))
+      | Two (Cz, a, b) -> line (Printf.sprintf "cz %s,%s" (q a) (q b))
+      | Two (Swap, a, b) -> line (Printf.sprintf "swap %s,%s" (q a) (q b))
+      | Two (Xx chi, a, b) -> List.iter emit_gate (Ir.Decompose.xx_gates chi a b)
+      | Two (Iswap, a, b) -> List.iter emit_gate (Ir.Decompose.iswap a b)
+      | Ccx (a, b, t) -> line (Printf.sprintf "ccx %s,%s,%s" (q a) (q b) (q t))
+      | Cswap (cc, a, b) -> line (Printf.sprintf "cswap %s,%s,%s" (q cc) (q a) (q b))
+      | Measure a ->
+        line (Printf.sprintf "measure %s -> c[%d]" (q a) !next_cbit);
+        incr next_cbit
+    in
+    List.iter emit_gate c.Circuit.gates;
+    Buffer.contents buf
+
+  let quil_render ~name (gates : G.t list) =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf (Printf.sprintf "# %s\n" name);
+    let measures = List.filter G.is_measure gates in
+    if measures <> [] then
+      Buffer.add_string buf (Printf.sprintf "DECLARE ro BIT[%d]\n" (List.length measures));
+    let next_cbit = ref 0 in
+    List.iter
+      (fun g ->
+        (match (g : G.t) with
+        | One (Rz theta, q) -> Buffer.add_string buf (Printf.sprintf "RZ(%.17g) %d" theta q)
+        | One (Rx theta, q) -> Buffer.add_string buf (Printf.sprintf "RX(%.17g) %d" theta q)
+        | Two (Cz, a, b) -> Buffer.add_string buf (Printf.sprintf "CZ %d %d" a b)
+        | Two (Iswap, a, b) -> Buffer.add_string buf (Printf.sprintf "ISWAP %d %d" a b)
+        | Measure q ->
+          Buffer.add_string buf (Printf.sprintf "MEASURE %d ro[%d]" q !next_cbit);
+          incr next_cbit
+        | _ -> invalid_arg "reference quil");
+        Buffer.add_char buf '\n')
+      gates;
+    Buffer.contents buf
+
+  let ti_render ~name (gates : G.t list) =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf (Printf.sprintf "; %s\n" name);
+    List.iter
+      (fun g ->
+        (match (g : G.t) with
+        | One (Rxy (theta, phi), q) ->
+          Buffer.add_string buf (Printf.sprintf "R   %d %.17g %.17g" q theta phi)
+        | One (Rz lambda, q) -> Buffer.add_string buf (Printf.sprintf "RZ  %d %.17g" q lambda)
+        | Two (Xx chi, a, b) -> Buffer.add_string buf (Printf.sprintf "XX  %d %d %.17g" a b chi)
+        | Measure q -> Buffer.add_string buf (Printf.sprintf "MEAS %d" q)
+        | _ -> invalid_arg "reference ti");
+        Buffer.add_char buf '\n')
+      gates;
+    Buffer.contents buf
+
+  let executable (compiled : Triq.Compiled.t) =
+    let gates = compiled.Triq.Compiled.hardware.Circuit.gates in
+    match compiled.Triq.Compiled.machine.Device.Machine.basis with
+    | Device.Gateset.Ibm_visible -> qasm compiled
+    | Device.Gateset.Rigetti_visible | Device.Gateset.Rigetti_parametric_visible ->
+      quil_render ~name:(target compiled) gates
+    | Device.Gateset.Umd_visible -> ti_render ~name:(target compiled) gates
+end
+
+let check_text label expected actual =
+  if expected <> actual then
+    Alcotest.failf "%s: emitted text differs from the reference\n--- reference\n%s\n--- emitted\n%s"
+      label expected actual
+
+let test_diff_executables () =
+  let n = ref 0 in
+  List.iter
+    (fun (p : Bench_kit.Programs.t) ->
+      let circuit = p.Bench_kit.Programs.circuit in
+      let name = p.Bench_kit.Programs.name in
+      check_text (name ^ " program") (Reference.qasm_program ~name circuit)
+        (Backend.Qasm_emit.emit_program ~name circuit);
+      List.iter
+        (fun machine ->
+          if Device.Machine.fits machine circuit then
+            List.iter
+              (fun level ->
+                let compiled = Pipeline.compile_level machine circuit ~level in
+                incr n;
+                check_text
+                  (Printf.sprintf "%s on %s at %s" name machine.Device.Machine.name
+                     compiled.Triq.Compiled.compiler)
+                  (Reference.executable compiled) (Backend.Emit.executable compiled))
+              Triq.Pass.all_levels)
+        Machines.all)
+    (Bench_kit.Programs.all @ Bench_kit.Programs.extras);
+  Alcotest.(check bool) "every vendor covered" true (!n > 200)
+
+let test_diff_fuzz () =
+  let rng = Mathkit.Rng.create 2019 in
+  let gen g = g ~max_qubits:8 ~max_gates:40 rng in
+  for i = 1 to 300 do
+    let name = Printf.sprintf "fuzz %d" i in
+    let c = gen Proptest.Gen.ibm_visible_circuit in
+    check_text (name ^ " qasm")
+      (Reference.qasm_circuit ~n_qubits:c.Circuit.n_qubits ~name c)
+      (Backend.Qasm_emit.emit_circuit ~n_qubits:c.Circuit.n_qubits ~name c);
+    let c = gen Proptest.Gen.rigetti_visible_circuit in
+    check_text (name ^ " quil") (Reference.quil_render ~name c.Circuit.gates)
+      (Backend.Quil_emit.emit_circuit ~name c);
+    let c = gen Proptest.Gen.umd_visible_circuit in
+    check_text (name ^ " ti") (Reference.ti_render ~name c.Circuit.gates)
+      (Backend.Ti_emit.emit_circuit ~name c);
+    let c = gen Proptest.Gen.circuit in
+    check_text (name ^ " program") (Reference.qasm_program ~name c)
+      (Backend.Qasm_emit.emit_program ~name c)
+  done
+
+(* Angles whose text is easy to get wrong: a signed zero next to an
+   unsigned one (a float-keyed cache would print both as "0"), the
+   smallest subnormal, exponent forms, +-pi/2 repeated, and both NaN
+   signs. *)
+let tricky_angles =
+  [ 0.0; -0.0; 5e-324; 1e-05; 1e300; Float.pi /. 2.0; -.(Float.pi /. 2.0);
+    Float.pi /. 2.0; nan; -.nan; 0.0; -0.0 ]
+
+let test_diff_tricky_angles () =
+  let angles = tricky_angles in
+  let on_qubit f = List.mapi (fun i a -> f a (i mod 3)) angles in
+  let ibm =
+    Circuit.create 3
+      (on_qubit (fun a q -> G.One (G.U1 a, q))
+      @ on_qubit (fun a q -> G.One (G.U3 (a, -.a, a), q))
+      @ [ G.Two (G.Cnot, 0, 2); G.Measure 1 ])
+  in
+  check_text "qasm" (Reference.qasm_circuit ~n_qubits:3 ~name:"t" ibm)
+    (Backend.Qasm_emit.emit_circuit ~n_qubits:3 ~name:"t" ibm);
+  let rigetti =
+    Circuit.create 3
+      (on_qubit (fun a q -> G.One (G.Rz a, q))
+      @ on_qubit (fun a q -> G.One (G.Rx a, q))
+      @ [ G.Two (G.Cz, 0, 2); G.Measure 1 ])
+  in
+  check_text "quil" (Reference.quil_render ~name:"t" rigetti.Circuit.gates)
+    (Backend.Quil_emit.emit_circuit ~name:"t" rigetti);
+  let umd =
+    Circuit.create 3
+      (on_qubit (fun a q -> G.One (G.Rxy (a, -.a), q))
+      @ on_qubit (fun a q -> G.Two (G.Xx a, q, (q + 1) mod 3))
+      @ [ G.Measure 1 ])
+  in
+  check_text "ti" (Reference.ti_render ~name:"t" umd.Circuit.gates)
+    (Backend.Ti_emit.emit_circuit ~name:"t" umd);
+  let program =
+    Circuit.create 3
+      (on_qubit (fun a q -> G.One (G.Rxy (a, a), q))
+      @ on_qubit (fun a q -> G.Two (G.Xx a, q, (q + 1) mod 3)))
+  in
+  check_text "program" (Reference.qasm_program ~name:"t" program)
+    (Backend.Qasm_emit.emit_program ~name:"t" program);
+  (* The reference itself tells the signed zeros and NaNs apart. *)
+  let text = Backend.Quil_emit.emit_circuit ~name:"t" rigetti in
+  List.iter
+    (fun s -> Alcotest.(check bool) s true (contains text s))
+    [ "RZ(0) 0"; "RZ(-0) 1"; "RZ(4.9406564584124654e-324) 2"; "RZ(1.0000000000000001e-05) 0";
+      "RZ(1.5707963267948966) 2"; "RZ(-1.5707963267948966) 0" ]
+
 (* ---------- Dispatch ---------- *)
 
 let test_emit_dispatch () =
@@ -298,4 +549,10 @@ let () =
             test_ti_whitespace_dialects;
         ] );
       ("dispatch", [ Alcotest.test_case "all machines" `Quick test_emit_dispatch ]);
+      ( "differential",
+        [
+          Alcotest.test_case "every executable" `Quick test_diff_executables;
+          Alcotest.test_case "fuzz circuits" `Quick test_diff_fuzz;
+          Alcotest.test_case "tricky angles" `Quick test_diff_tricky_angles;
+        ] );
     ]
