@@ -62,3 +62,33 @@ let choose t l =
   match l with
   | [] -> invalid_arg "Rng.choose: empty list"
   | _ -> List.nth l (int t (List.length l))
+
+(* [float t < p] compares [bits * 2^-53] with [p], where [bits < 2^53]
+   is an integer and both scalings by a power of two are exact, so it
+   holds exactly when [bits < p * 2^53], that is when
+   [bits < ceil (p * 2^53)]. A threshold of 0 stands for [p <= 0] or
+   NaN: no draw. *)
+let threshold p =
+  if p > 0.0 then
+    if p >= 1.0 then 1 lsl 53 else int_of_float (Float.ceil (p *. 9007199254740992.0))
+  else 0
+
+(* The state stays in a local [int64] across the loop, which ocamlopt
+   keeps unboxed, and is written back once. *)
+let bernoulli_flags t thresholds flags =
+  let n = Array.length thresholds in
+  if Array.length flags <> n then invalid_arg "Rng.bernoulli_flags: length mismatch";
+  let s = ref (Bytes.get_int64_ne t 0) in
+  let any = ref false in
+  for i = 0 to n - 1 do
+    let thr = thresholds.(i) in
+    if thr > 0 then begin
+      s := Int64.add !s golden_gamma;
+      let e = Int64.to_int (Int64.shift_right_logical (mix !s) 11) < thr in
+      if e then any := true;
+      flags.(i) <- e
+    end
+    else flags.(i) <- false
+  done;
+  Bytes.set_int64_ne t 0 !s;
+  !any

@@ -29,6 +29,21 @@ val int : t -> int -> int
 (** [bool t p] is [true] with probability [p]. *)
 val bool : t -> float -> bool
 
+(** [threshold p] is the integer form of the probability [p] that
+    {!bernoulli_flags} compares against: [ceil (p * 2^53)] for [p] in
+    (0, 1), [2^53] for [p >= 1], and 0 for [p <= 0] or NaN. *)
+val threshold : float -> int
+
+(** [bernoulli_flags t thresholds flags] sets [flags.(i)] to an
+    independent draw that is [true] with probability [thresholds.(i)]
+    / 2^53 and returns whether any flag is set. A zero threshold sets
+    the flag to [false] without drawing. For [thresholds.(i) =
+    threshold p] each flag, and the stream state after it, is exactly
+    that of [p > 0.0 && bool t p], draw for draw. Allocates nothing.
+    Raises [Invalid_argument] unless both arrays have the same
+    length. *)
+val bernoulli_flags : t -> int array -> bool array -> bool
+
 (** [gaussian t] is a standard normal deviate (Box-Muller). *)
 val gaussian : t -> float
 

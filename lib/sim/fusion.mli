@@ -11,8 +11,7 @@
       under products, so Rz/U1/S/T runs qualify) use the one-multiply
       diagonal kernel;
     - consecutive diagonal steps (diagonal 1Q runs and CZ) over up to 8
-      distinct wires merge into one {!Statevector.apply_diag_table}
-      sweep;
+      distinct wires merge into one [Diag_table] sweep;
     - CNOT/CZ/SWAP/iSWAP route to permutation/sign kernels instead of
       the generic 4x4 multiply.
 
@@ -20,9 +19,24 @@
     position in the prepared stream), so trajectory simulation with
     per-gate Pauli error injection can execute a step unfused exactly
     when one of its gates drew an error, preserving the per-wire
-    operation order the error model depends on. *)
+    operation order the error model depends on.
 
-type member = { idx : int; gate : Ir.Gate.t; matrix : Mathkit.Matrix.t }
+    Every step and every member holds its compiled
+    {!Statevector.Kernel.t}, chosen once when the plan is built, so a
+    trajectory only runs kernels. *)
+
+type member = {
+  idx : int;
+  gate : Ir.Gate.t;
+  matrix : Mathkit.Matrix.t;  (** [gate]'s unitary, for 1Q products *)
+  kernel : Statevector.Kernel.t;  (** replays [gate] alone *)
+}
+
+(** [member ~idx g] is the member for gate [g] at stream position [idx]:
+    its {!Ir.Matrices} unitary and its {!Statevector.Kernel.of_gate}
+    kernel.
+    Raises [Invalid_argument] on [Measure]/[Ccx]/[Cswap]. *)
+val member : idx:int -> Ir.Gate.t -> member
 
 type step
 
@@ -41,10 +55,9 @@ val steps : t -> step array
 (** The original gates folded into a step, in program order. *)
 val step_members : step -> member array
 
-(** Apply a fused step to the state. *)
+(** Apply a fused step's kernel to the state. *)
 val apply_step : Statevector.t -> step -> unit
 
-(** Apply one original gate through the cheapest kernel for its kind
-    (diagonal / permutation / generic) — the unfused fallback for steps
-    containing erred gates. *)
+(** Apply one original gate's kernel (diagonal / permutation / generic)
+    — the unfused fallback for steps containing erred gates. *)
 val apply_member : Statevector.t -> member -> unit

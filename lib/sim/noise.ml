@@ -67,12 +67,19 @@ let draw_error rng (g : Ir.Gate.t) =
   | Two _ -> draw_two rng
   | Measure _ | Ccx _ | Cswap _ -> invalid_arg "Noise.draw_error: not a 1Q or 2Q gate"
 
-let pauli = [| Ir.Matrices.one_q X; Ir.Matrices.one_q Y; Ir.Matrices.one_q Z |]
+(* [pauli.(p).(q)] is the dense kernel of X, Y or Z on qubit [q], built
+   once for every qubit a statevector can hold. *)
+let pauli =
+  Array.map
+    (fun kind ->
+      let m = Ir.Matrices.one_q kind in
+      Array.init Statevector.max_qubits (fun q -> Statevector.Kernel.dense_one m q))
+    [| Ir.Gate.X; Ir.Gate.Y; Ir.Gate.Z |]
 
 let apply_error state code qs =
   let pa = code lsr 2 and pb = code land 3 in
-  if pa > 0 then Statevector.apply_one state pauli.(pa - 1) qs.(0);
-  if pb > 0 then Statevector.apply_one state pauli.(pb - 1) qs.(1)
+  if pa > 0 then Statevector.apply state pauli.(pa - 1).(qs.(0));
+  if pb > 0 then Statevector.apply state pauli.(pb - 1).(qs.(1))
 
 let inject t rng (g : Ir.Gate.t) state ~qubit_of =
   match g with

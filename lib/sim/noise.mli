@@ -40,7 +40,8 @@ val readout_flip_prob : t -> int -> float
 val draw_error : Mathkit.Rng.t -> Ir.Gate.t -> int
 
 (** [apply_error state code qs] applies the error [code] of
-    {!draw_error} to the state indices [qs] of the gate's operands. *)
+    {!draw_error} to the state indices [qs] of the gate's operands,
+    through dense Pauli kernels built once per qubit. *)
 val apply_error : Statevector.t -> int -> int array -> unit
 
 (** [inject t rng g state ~qubit_of] applies the ideal gate [g] to [state]

@@ -79,23 +79,22 @@ let m_blocks = Obs.Metrics.counter "sim.blocks"
 let m_erred = Obs.Metrics.counter "sim.trajectories.erred"
 
 (* One prepared (compacted) gate: operands are compact simulator
-   indices, matrices/error probabilities and the Clifford action
-   precomputed. *)
+   indices, the Clifford action precomputed. *)
 type pgate = {
   cg : Ir.Gate.t;
   qs : int array;  (* [cg]'s operands, in order *)
-  matrix : Mathkit.Matrix.t;
-  p_err : float;
   gamma : float;
   action : Tableau.Action.t option;
 }
 
 (* The executable as the simulator sees it: [k] touched qubits, the
-   prepared gates, and each measured bit's compact position and
+   prepared gates with each one's error probability as a
+   {!Rng.threshold}, and each measured bit's compact position and
    readout-flip probability, in spec order. *)
 type prepared = {
   k : int;
   gates : pgate array;
+  thresholds : int array;
   positions : int list;
   flips : float array;
 }
@@ -146,32 +145,32 @@ let prepare config compiled spec =
             (Printf.sprintf "Runner.simulate: program qubit %d is not measured" p))
       spec.Ir.Spec.measured
   in
+  let hw_gates =
+    Array.of_list (List.filter (fun g -> not (Ir.Gate.is_measure g)) hardware.Ir.Circuit.gates)
+  in
   let prepare_gate (g : Ir.Gate.t) =
-    let cg, matrix =
+    let cg : Ir.Gate.t =
       match g with
-      | One (kind, q) -> (Ir.Gate.One (kind, qubit_of q), Ir.Matrices.one_q kind)
-      | Two (kind, a, b) ->
-        (Ir.Gate.Two (kind, qubit_of a, qubit_of b), Ir.Matrices.two_q kind)
+      | One (kind, q) -> One (kind, qubit_of q)
+      | Two (kind, a, b) -> Two (kind, qubit_of a, qubit_of b)
       | Measure _ | Ccx _ | Cswap _ -> assert false
     in
-    (* With explicit T1 the decoherence contribution is modelled as a
-       relaxation channel rather than folded into the Pauli error. *)
     {
       cg;
       qs = Array.of_list (Ir.Gate.qubits cg);
-      matrix;
-      p_err =
-        (if explicit_t1 then Noise.gate_error_prob_raw noise g
-         else Noise.gate_error_prob noise g);
       gamma = (if explicit_t1 then Noise.relaxation_gamma noise g else 0.0);
       action = Tableau.Action.of_gate cg;
     }
   in
+  (* With explicit T1 the decoherence contribution is modelled as a
+     relaxation channel rather than folded into the Pauli error. *)
+  let error_prob g =
+    if explicit_t1 then Noise.gate_error_prob_raw noise g else Noise.gate_error_prob noise g
+  in
   {
     k;
-    gates =
-      List.filter (fun g -> not (Ir.Gate.is_measure g)) hardware.Ir.Circuit.gates
-      |> List.map prepare_gate |> Array.of_list;
+    gates = Array.map prepare_gate hw_gates;
+    thresholds = Array.map (fun g -> Rng.threshold (error_prob g)) hw_gates;
     positions = List.map qubit_of readout_hw;
     flips = Array.of_list (List.map (Noise.readout_flip_prob noise) readout_hw);
   }
@@ -183,7 +182,8 @@ let prepare config compiled spec =
    statevector carries gates [prefix, n) from [start] — |0...0> when
    [prefix = 0], else the clean state after the tableau-borne Clifford
    prefix, whose errors fold into a Pauli frame — either [Fused] or
-   gate by gate ([Gates]). [frame] covers the tableau-borne gates. *)
+   gate by gate ([Gates], each gate of [prefix, n) a fusion member
+   with its kernel). [frame] covers the tableau-borne gates. *)
 type path =
   | Clifford of { frame : int array; readout : Tableau.readout }
   | Dense of { prefix : int; frame : int array; start : Statevector.t; body : body }
@@ -196,7 +196,7 @@ and body =
       checkpoints : Statevector.t array;
           (* [checkpoints.(c)] is the clean state before step [c * stride] *)
     }
-  | Gates
+  | Gates of Fusion.member array
 
 type plan = {
   path : path;
@@ -272,16 +272,14 @@ let draw_frame rng gates frame flags =
 
 let inject_sv state rng pg = Noise.apply_error state (Noise.draw_error rng pg.cg) pg.qs
 
-(* Gate-by-gate statevector execution of gates [lo, hi), injecting the
+(* Gate-by-gate statevector execution of [members], injecting the
    flagged errors and, under explicit T1, relaxing after every gate. *)
-let run_gates gates state rng flags lo hi =
-  for i = lo to hi - 1 do
-    let pg = gates.(i) in
-    (match pg.cg with
-    | One (_, q) -> Statevector.apply_one state pg.matrix q
-    | Two (_, a, b) -> Statevector.apply_two state pg.matrix a b
-    | Measure _ | Ccx _ | Cswap _ -> assert false);
-    if flags.(i) then inject_sv state rng pg;
+let run_gates gates (members : Fusion.member array) state rng flags =
+  for j = 0 to Array.length members - 1 do
+    let m = members.(j) in
+    let pg = gates.(m.idx) in
+    Statevector.apply state m.kernel;
+    if flags.(m.idx) then inject_sv state rng pg;
     if pg.gamma > 0.0 then
       for j = 0 to Array.length pg.qs - 1 do
         ignore (Statevector.relax state pg.qs.(j) ~gamma:pg.gamma rng)
@@ -305,12 +303,10 @@ let dense_plan config p ~prefix apps frame =
     else Statevector.init p.k
   in
   let n = Array.length gates in
+  let members =
+    Array.init (n - prefix) (fun j -> Fusion.member ~idx:(prefix + j) gates.(prefix + j).cg)
+  in
   if config.Config.fusion && (not config.Config.explicit_t1) && prefix < n then begin
-    let members =
-      Array.init (n - prefix) (fun j ->
-          let pg = gates.(prefix + j) in
-          { Fusion.idx = prefix + j; gate = pg.cg; matrix = pg.matrix })
-    in
     let steps = Fusion.steps (Fusion.plan ~n:p.k members) in
     let n_steps = Array.length steps in
     let step_of = Array.make n (-1) in
@@ -339,11 +335,11 @@ let dense_plan config p ~prefix apps frame =
       if config.Config.explicit_t1 then None
       else begin
         let state = Statevector.copy start in
-        run_gates gates state (Rng.create 0) (Array.make n false) prefix n;
+        run_gates gates members state (Rng.create 0) (Array.make n false);
         Some (Statevector.probabilities state)
       end
     in
-    { path = Dense { prefix; frame; start; body = Gates }; ideal }
+    { path = Dense { prefix; frame; start; body = Gates members }; ideal }
   end
 
 (* Backend dispatch: derived Clifford actions (memoized per gate shape)
@@ -409,18 +405,6 @@ let plan config p =
     else if n_clifford >= hybrid_threshold then dense n_clifford
     else dense 0
 
-(* Sample the error pattern first: clean trajectories (the common case on
-   good mappings) reuse the cached ideal output without re-simulating. *)
-let sample_error_flags gates rng flags =
-  let any = ref false in
-  for i = 0 to Array.length gates - 1 do
-    let p = gates.(i).p_err in
-    let e = p > 0.0 && Rng.bool rng p in
-    if e then any := true;
-    flags.(i) <- e
-  done;
-  !any
-
 (* Fused execution from step [from]: a step whose gates are all clean
    applies as one kernel pass; a step marked erred for trajectory [t]
    falls back to its member gates one by one, injecting the Pauli
@@ -470,11 +454,11 @@ let erred_runner p plan =
   | Dense { prefix; frame; start; body } -> (
     let scratch = Statevector.copy start in
     match body with
-    | Gates ->
+    | Gates members ->
       fun partial rng flags _t ->
         if not (seed_prefix gates frame start scratch rng flags) then
           Statevector.blit ~src:start ~dst:scratch;
-        run_gates gates scratch rng flags prefix (Array.length gates);
+        run_gates gates members scratch rng flags;
         Statevector.add_probabilities scratch partial
     | Fused { steps; step_of; stride; checkpoints } ->
       let mark = Array.make (Array.length steps) (-1) in
@@ -529,7 +513,10 @@ let execute config p plan =
     let last = min trajectories ((b + 1) * traj_block) - 1 in
     for t = b * traj_block to last do
       let rng = traj_rng.(t) in
-      let clean = not (sample_error_flags p.gates rng flags) in
+      (* Sample the error pattern first: clean trajectories (the common
+         case on good mappings) reuse the cached ideal output without
+         re-simulating. *)
+      let clean = not (Rng.bernoulli_flags rng p.thresholds flags) in
       match plan.ideal with
       | Some ideal when clean ->
         for i = 0 to dim - 1 do

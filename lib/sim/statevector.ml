@@ -2,8 +2,10 @@ module M = Mathkit.Matrix
 
 type t = { n : int; re : float array; im : float array }
 
+let max_qubits = 24
+
 let init n =
-  if n < 1 || n > 24 then invalid_arg "Statevector.init: n out of range";
+  if n < 1 || n > max_qubits then invalid_arg "Statevector.init: n out of range";
   let dim = 1 lsl n in
   let re = Array.make dim 0.0 and im = Array.make dim 0.0 in
   re.(0) <- 1.0;
@@ -51,13 +53,21 @@ let norm2 t =
 let check_qubit t q =
   if q < 0 || q >= t.n then invalid_arg "Statevector: qubit out of range"
 
-let apply_one t m q =
+let check_pair t a b =
+  check_qubit t a;
+  check_qubit t b;
+  if a = b then invalid_arg "Statevector: identical qubits"
+
+(* ------------------------------------------------------------------ *)
+(* Kernel loops. Each reads its coefficients from a flat float array   *)
+(* once per call and allocates nothing.                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [m] = [| re a00; re a01; re a10; re a11; im a00; im a01; im a10; im a11 |]. *)
+let dense_one t (m : float array) q =
   check_qubit t q;
-  if M.rows m <> 2 || M.cols m <> 2 then invalid_arg "Statevector.apply_one: not 2x2";
-  let g r c = M.get m r c in
-  let a00 = g 0 0 and a01 = g 0 1 and a10 = g 1 0 and a11 = g 1 1 in
-  let r00 = a00.re and i00 = a00.im and r01 = a01.re and i01 = a01.im in
-  let r10 = a10.re and i10 = a10.im and r11 = a11.re and i11 = a11.im in
+  let r00 = m.(0) and r01 = m.(1) and r10 = m.(2) and r11 = m.(3) in
+  let i00 = m.(4) and i01 = m.(5) and i10 = m.(6) and i11 = m.(7) in
   let dim = 1 lsl t.n in
   let stride = 1 lsl (t.n - 1 - q) in
   let re = t.re and im = t.im in
@@ -78,18 +88,15 @@ let apply_one t m q =
     idx := !idx + stride
   done
 
-let apply_two t m a b =
-  check_qubit t a;
-  check_qubit t b;
-  if a = b then invalid_arg "Statevector.apply_two: identical qubits";
-  if M.rows m <> 4 || M.cols m <> 4 then invalid_arg "Statevector.apply_two: not 4x4";
-  let mr = Array.init 16 (fun k -> (M.get m (k / 4) (k mod 4)).re) in
-  let mi = Array.init 16 (fun k -> (M.get m (k / 4) (k mod 4)).im) in
+(* [m.(4r + c)] and [m.(16 + 4r + c)] are the real and imaginary parts
+   of entry [(r, c)]. Row [r] accumulates from 0.0 in column order,
+   [acc + re * xr - im * xi], so the sum rounds as a plain 4x4 product
+   does. *)
+let dense_two t (m : float array) a b =
+  check_pair t a b;
   let dim = 1 lsl t.n in
   let sa = 1 lsl (t.n - 1 - a) and sb = 1 lsl (t.n - 1 - b) in
   let re = t.re and im = t.im in
-  let xr = Array.make 4 0.0 and xi = Array.make 4 0.0 in
-  let indices = Array.make 4 0 in
   (* Enumerate the dim/4 group representatives (both bits 0) directly:
      split the index into the runs of bits above, between and below the
      two strides, skipping the set-bit halves block-wise. *)
@@ -103,23 +110,28 @@ let apply_two t m a b =
       let base = ref !m_ in
       let low_end = !m_ + sl in
       while !base < low_end do
-        indices.(0) <- !base;
-        indices.(1) <- !base lor sb;
-        indices.(2) <- !base lor sa;
-        indices.(3) <- !base lor sa lor sb;
-        for k = 0 to 3 do
-          xr.(k) <- re.(indices.(k));
-          xi.(k) <- im.(indices.(k))
-        done;
+        let j0 = !base in
+        let j1 = j0 lor sb and j2 = j0 lor sa in
+        let j3 = j2 lor sb in
+        let x0r = re.(j0) and x0i = im.(j0) and x1r = re.(j1) and x1i = im.(j1) in
+        let x2r = re.(j2) and x2i = im.(j2) and x3r = re.(j3) and x3i = im.(j3) in
         for r = 0 to 3 do
-          let accr = ref 0.0 and acci = ref 0.0 in
-          for c = 0 to 3 do
-            let k = (r * 4) + c in
-            accr := !accr +. (mr.(k) *. xr.(c)) -. (mi.(k) *. xi.(c));
-            acci := !acci +. (mr.(k) *. xi.(c)) +. (mi.(k) *. xr.(c))
-          done;
-          re.(indices.(r)) <- !accr;
-          im.(indices.(r)) <- !acci
+          let k = 4 * r in
+          let accr =
+            0.0 +. (m.(k) *. x0r) -. (m.(k + 16) *. x0i)
+            +. (m.(k + 1) *. x1r) -. (m.(k + 17) *. x1i)
+            +. (m.(k + 2) *. x2r) -. (m.(k + 18) *. x2i)
+            +. (m.(k + 3) *. x3r) -. (m.(k + 19) *. x3i)
+          in
+          let acci =
+            0.0 +. (m.(k) *. x0i) +. (m.(k + 16) *. x0r)
+            +. (m.(k + 1) *. x1i) +. (m.(k + 17) *. x1r)
+            +. (m.(k + 2) *. x2i) +. (m.(k + 18) *. x2r)
+            +. (m.(k + 3) *. x3i) +. (m.(k + 19) *. x3r)
+          in
+          let j = if r = 0 then j0 else if r = 1 then j1 else if r = 2 then j2 else j3 in
+          re.(j) <- accr;
+          im.(j) <- acci
         done;
         incr base
       done;
@@ -128,17 +140,10 @@ let apply_two t m a b =
     h := !h + (2 * sh)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Specialized kernels: permutation and diagonal gates touch (or move) *)
-(* each amplitude once, with no 4x4 product.                           *)
-(* ------------------------------------------------------------------ *)
+(* Permutation and sign kernels touch (or move) each amplitude once,
+   with no 4x4 product. *)
 
-let check_pair t a b =
-  check_qubit t a;
-  check_qubit t b;
-  if a = b then invalid_arg "Statevector: identical qubits"
-
-let apply_cnot t c x =
+let cnot t c x =
   check_pair t c x;
   let dim = 1 lsl t.n in
   let sc = 1 lsl (t.n - 1 - c) and sx = 1 lsl (t.n - 1 - x) in
@@ -167,7 +172,7 @@ let apply_cnot t c x =
     h := !h + (2 * sh)
   done
 
-let apply_cz t a b =
+let cz t a b =
   check_pair t a b;
   let dim = 1 lsl t.n in
   let sa = 1 lsl (t.n - 1 - a) and sb = 1 lsl (t.n - 1 - b) in
@@ -192,7 +197,7 @@ let apply_cz t a b =
     h := !h + (2 * sh)
   done
 
-let apply_swap t a b =
+let swap t a b =
   check_pair t a b;
   let dim = 1 lsl t.n in
   let sa = 1 lsl (t.n - 1 - a) and sb = 1 lsl (t.n - 1 - b) in
@@ -220,7 +225,7 @@ let apply_swap t a b =
     h := !h + (2 * sh)
   done
 
-let apply_iswap t a b =
+let iswap t a b =
   check_pair t a b;
   let dim = 1 lsl t.n in
   let sa = 1 lsl (t.n - 1 - a) and sb = 1 lsl (t.n - 1 - b) in
@@ -284,9 +289,10 @@ let apply_pauli t ~x ~z =
     end
   done
 
-let apply_diag_one t ~d0 ~d1 q =
+(* [d] = [| re d0; re d1; im d0; im d1 |]. *)
+let diag_one t (d : float array) q =
   check_qubit t q;
-  let d0r, d0i = d0 and d1r, d1i = d1 in
+  let d0r = d.(0) and d1r = d.(1) and d0i = d.(2) and d1i = d.(3) in
   let dim = 1 lsl t.n in
   let stride = 1 lsl (t.n - 1 - q) in
   let re = t.re and im = t.im in
@@ -307,13 +313,9 @@ let apply_diag_one t ~d0 ~d1 q =
     idx := !idx + stride
   done
 
-let apply_diag_table t ~qs ~fr ~fi =
-  let k = Array.length qs in
-  if k < 1 || k > 16 then invalid_arg "Statevector.apply_diag_table: 1-16 wires";
-  if Array.length fr <> 1 lsl k || Array.length fi <> 1 lsl k then
-    invalid_arg "Statevector.apply_diag_table: table length must be 2^wires";
-  Array.iter (check_qubit t) qs;
-  let shifts = Array.map (fun q -> t.n - 1 - q) qs in
+let diag_table t ~n ~shifts ~(fr : float array) ~(fi : float array) =
+  if t.n <> n then invalid_arg "Statevector.apply: diagonal table built for another size";
+  let k = Array.length shifts in
   let dim = 1 lsl t.n in
   let re = t.re and im = t.im in
   for idx = 0 to dim - 1 do
@@ -326,6 +328,95 @@ let apply_diag_table t ~qs ~fr ~fi =
     re.(idx) <- (cr *. r) -. (ci *. x);
     im.(idx) <- (cr *. x) +. (ci *. r)
   done
+
+module Kernel = struct
+  type t =
+    | Dense1 of { q : int; m : float array }
+    | Diag1 of { q : int; d : float array }
+    | Cnot of { c : int; x : int }
+    | Cz of { a : int; b : int }
+    | Swap of { a : int; b : int }
+    | Iswap of { a : int; b : int }
+    | Dense2 of { a : int; b : int; m : float array }
+    | Diag_table of { n : int; shifts : int array; fr : float array; fi : float array }
+
+  let check_wire q = if q < 0 then invalid_arg "Statevector.Kernel: negative qubit"
+
+  let check_wires a b =
+    check_wire a;
+    check_wire b;
+    if a = b then invalid_arg "Statevector.Kernel: identical qubits"
+
+  (* Real parts in row-major order, then the imaginary parts. *)
+  let coeffs size (m : M.t) =
+    if M.rows m <> size || M.cols m <> size then
+      invalid_arg (Printf.sprintf "Statevector.Kernel: not %dx%d" size size);
+    let cells = size * size in
+    let a = Array.make (2 * cells) 0.0 in
+    for r = 0 to size - 1 do
+      for c = 0 to size - 1 do
+        let z = M.get m r c in
+        a.((r * size) + c) <- z.re;
+        a.(cells + (r * size) + c) <- z.im
+      done
+    done;
+    a
+
+  let dense_one m q =
+    check_wire q;
+    Dense1 { q; m = coeffs 2 m }
+
+  (* Structural diagonality: the off-diagonal entries must be exactly
+     zero. Products of exactly-diagonal matrices stay exactly diagonal,
+     so Rz/U1/S/T runs qualify. *)
+  let one_q m q =
+    match dense_one m q with
+    | Dense1 { m; _ } when m.(1) = 0.0 && m.(2) = 0.0 && m.(5) = 0.0 && m.(6) = 0.0 ->
+      Diag1 { q; d = [| m.(0); m.(3); m.(4); m.(7) |] }
+    | k -> k
+
+  let dense_two m a b =
+    check_wires a b;
+    Dense2 { a; b; m = coeffs 4 m }
+
+  let of_gate (g : Ir.Gate.t) m =
+    match g with
+    | One (_, q) -> one_q m q
+    | Two (kind, a, b) -> (
+      check_wires a b;
+      match kind with
+      | Cnot -> Cnot { c = a; x = b }
+      | Cz -> Cz { a; b }
+      | Swap -> Swap { a; b }
+      | Iswap -> Iswap { a; b }
+      | Xx _ -> dense_two m a b)
+    | Measure _ | Ccx _ | Cswap _ -> invalid_arg "Statevector.Kernel.of_gate: not a 1Q or 2Q gate"
+
+  let diag_table ~n ~qs ~fr ~fi =
+    let k = Array.length qs in
+    if k < 1 || k > 16 then invalid_arg "Statevector.Kernel.diag_table: 1-16 wires";
+    if Array.length fr <> 1 lsl k || Array.length fi <> 1 lsl k then
+      invalid_arg "Statevector.Kernel.diag_table: table length must be 2^wires";
+    Array.iter
+      (fun q ->
+        if q < 0 || q >= n then invalid_arg "Statevector.Kernel.diag_table: qubit out of range")
+      qs;
+    Diag_table { n; shifts = Array.map (fun q -> n - 1 - q) qs; fr; fi }
+end
+
+let apply t (k : Kernel.t) =
+  match k with
+  | Dense1 { q; m } -> dense_one t m q
+  | Diag1 { q; d } -> diag_one t d q
+  | Cnot { c; x } -> cnot t c x
+  | Cz { a; b } -> cz t a b
+  | Swap { a; b } -> swap t a b
+  | Iswap { a; b } -> iswap t a b
+  | Dense2 { a; b; m } -> dense_two t m a b
+  | Diag_table { n; shifts; fr; fi } -> diag_table t ~n ~shifts ~fr ~fi
+
+let apply_one t m q = dense_one t (Kernel.coeffs 2 m) q
+let apply_two t m a b = dense_two t (Kernel.coeffs 4 m) a b
 
 let rec apply_gate t (g : Ir.Gate.t) =
   match g with

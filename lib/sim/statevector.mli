@@ -9,7 +9,10 @@
 
 type t
 
-(** [init n] is |0...0> on [n] qubits (1 <= n <= 24). *)
+(** The most qubits a state holds: 24. *)
+val max_qubits : int
+
+(** [init n] is |0...0> on [n] qubits (1 <= n <= {!max_qubits}). *)
 val init : int -> t
 
 (** [of_tableau t] is the exact dense state of the stabilizer tableau
@@ -44,26 +47,71 @@ val add_probabilities : t -> float array -> unit
 (** [norm2 t] is the total probability (1 up to rounding). *)
 val norm2 : t -> float
 
-(** [apply_one t m q] applies the 2x2 unitary [m] to qubit [q] in place. *)
+(** A gate compiled for the statevector: its kernel kind chosen once
+    and its coefficients unpacked into flat float arrays, so {!apply}
+    reads no {!Mathkit.Matrix}, calls no closure and allocates nothing.
+    Qubits are state indices ([0] = high bit); the 1Q and 2Q kernels
+    fit any state that holds their qubits, a diagonal table only the
+    size it was built for. Build kernels with the functions below. *)
+module Kernel : sig
+  type t = private
+    | Dense1 of { q : int; m : float array }
+        (** A 2x2 unitary: real parts in row-major order, then the
+            imaginary parts (8 floats). *)
+    | Diag1 of { q : int; d : float array }
+        (** [diag (d0, d1)] as [[| re d0; re d1; im d0; im d1 |]]: one
+            complex multiply per amplitude. *)
+    | Cnot of { c : int; x : int }  (** Flips [x] where [c] is 1. *)
+    | Cz of { a : int; b : int }  (** Negates the amplitudes with both 1. *)
+    | Swap of { a : int; b : int }
+    | Iswap of { a : int; b : int }
+        (** Swaps the |01>/|10> amplitudes and multiplies each by i. *)
+    | Dense2 of { a : int; b : int; m : float array }
+        (** A 4x4 unitary on [(a, b)] ([a] = high bit of the matrix
+            index): 16 real parts in row-major order, then 16
+            imaginary parts. *)
+    | Diag_table of { n : int; shifts : int array; fr : float array; fi : float array }
+        (** A diagonal operator over some wires of an [n]-qubit state,
+            [shifts] their bit positions in a basis index (the first
+            wire's = high bit of the table key): amplitude [idx] is
+            multiplied by [(fr.(key), fi.(key))] where [key] collects
+            those bits of [idx]. *)
+
+  (** [dense_one m q] is the 2x2 unitary [m] on qubit [q], always
+      through the dense kernel. *)
+  val dense_one : Mathkit.Matrix.t -> int -> t
+
+  (** [one_q m q] is [Diag1] when [m]'s off-diagonal entries are
+      exactly zero (closed under products, so Rz/U1/S/T runs qualify),
+      else {!dense_one}. *)
+  val one_q : Mathkit.Matrix.t -> int -> t
+
+  (** [of_gate g m] is the cheapest kernel for the 1Q or 2Q gate [g]
+      whose unitary is [m] ({!Ir.Matrices}): {!one_q}, a permutation or
+      sign kernel for CNOT, CZ, SWAP and iSWAP, [Dense2] for XX.
+      Raises [Invalid_argument] on other gates. *)
+  val of_gate : Ir.Gate.t -> Mathkit.Matrix.t -> t
+
+  (** [diag_table ~n ~qs ~fr ~fi] is the diagonal table over the wires
+      [qs] (1 to 16 qubits below [n], [qs.(0)] = high bit of the key)
+      with [2^wires] factors. *)
+  val diag_table :
+    n:int -> qs:int array -> fr:float array -> fi:float array -> t
+end
+
+(** [apply t k] applies the kernel [k] in place. Raises
+    [Invalid_argument] when a qubit of [k] is out of range for [t]. *)
+val apply : t -> Kernel.t -> unit
+
+(** [apply_one t m q] applies the 2x2 unitary [m] to qubit [q] in place,
+    through the [Dense1] kernel: its one allocation is the coefficient
+    array. *)
 val apply_one : t -> Mathkit.Matrix.t -> int -> unit
 
 (** [apply_two t m a b] applies the 4x4 unitary [m] to qubits [(a, b)]
-    ([a] = high bit of the matrix index) in place. *)
+    ([a] = high bit of the matrix index) in place, through the [Dense2]
+    kernel: its one allocation is the coefficient array. *)
 val apply_two : t -> Mathkit.Matrix.t -> int -> int -> unit
-
-(** [apply_cnot t c x] flips qubit [x] where qubit [c] is 1 — a pure
-    amplitude permutation, no 4x4 product. *)
-val apply_cnot : t -> int -> int -> unit
-
-(** [apply_cz t a b] negates the amplitudes with both qubits 1. *)
-val apply_cz : t -> int -> int -> unit
-
-(** [apply_swap t a b] exchanges the two qubits' amplitudes. *)
-val apply_swap : t -> int -> int -> unit
-
-(** [apply_iswap t a b] swaps the |01>/|10> amplitudes and multiplies
-    each by i. *)
-val apply_iswap : t -> int -> int -> unit
 
 (** [apply_pauli t ~x ~z] applies the Pauli string [X^x Z^z] (qubit-indexed
     bit masks, bit [q] = qubit [q]; Z first) as one permute-and-negate
@@ -72,20 +120,6 @@ val apply_iswap : t -> int -> int -> unit
     to a global phase in {±1, ±i}, which every kernel here carries
     through exactly. *)
 val apply_pauli : t -> x:int -> z:int -> unit
-
-(** [apply_diag_one t ~d0 ~d1 q] applies [diag (d0, d1)] (each a
-    [(re, im)] pair) to qubit [q]: one complex multiply per
-    amplitude. *)
-val apply_diag_one : t -> d0:float * float -> d1:float * float -> int -> unit
-
-(** [apply_diag_table t ~qs ~fr ~fi] applies a diagonal operator over
-    the wires [qs] (1 to 16 distinct qubits, [qs.(0)] = high bit of the
-    table key): amplitude [idx] is multiplied by the complex factor
-    [(fr.(key), fi.(key))] where [key] collects the [qs] bits of [idx].
-    One table lookup and complex multiply per amplitude regardless of
-    how many batched diagonal gates the table folds together. *)
-val apply_diag_table :
-  t -> qs:int array -> fr:float array -> fi:float array -> unit
 
 (** [apply_gate t g] dispatches a non-measure IR gate; raises
     [Invalid_argument] on [Measure]. *)

@@ -589,19 +589,7 @@ let test_fusion_matches_unfused () =
             in
             G.One (k, Rng.int rng n))
     in
-    let members =
-      Array.of_list
-        (List.mapi
-           (fun i g ->
-             let m =
-               match g with
-               | G.One (k, _) -> Mat.one_q k
-               | G.Two (k, _, _) -> Mat.two_q k
-               | _ -> assert false
-             in
-             { Fusion.idx = i; gate = g; matrix = m })
-           gates)
-    in
+    let members = Array.of_list (List.mapi (fun i g -> Fusion.member ~idx:i g) gates) in
     let fused = Sv.init n in
     Array.iter (Fusion.apply_step fused) (Fusion.steps (Fusion.plan ~n members));
     let plain = Sv.run (circuit n gates) in
@@ -613,6 +601,175 @@ let test_fusion_matches_unfused () =
       then Alcotest.fail "fused amplitudes diverge from unfused"
     done
   done
+
+(* The kernels as they read matrices before compilation, on plain
+   arrays: the 2x2 and 4x4 products take their entries through
+   [Matrix.get], and the diagonal table derives its shifts per call. *)
+module Reference = struct
+  let apply_one n (re : float array) (im : float array) m q =
+    let g r c = M.get m r c in
+    let a00 = g 0 0 and a01 = g 0 1 and a10 = g 1 0 and a11 = g 1 1 in
+    let stride = 1 lsl (n - 1 - q) in
+    for i0 = 0 to (1 lsl n) - 1 do
+      if i0 land stride = 0 then begin
+        let i1 = i0 + stride in
+        let xr = re.(i0) and xi = im.(i0) and yr = re.(i1) and yi = im.(i1) in
+        re.(i0) <- (a00.re *. xr) -. (a00.im *. xi) +. (a01.re *. yr) -. (a01.im *. yi);
+        im.(i0) <- (a00.re *. xi) +. (a00.im *. xr) +. (a01.re *. yi) +. (a01.im *. yr);
+        re.(i1) <- (a10.re *. xr) -. (a10.im *. xi) +. (a11.re *. yr) -. (a11.im *. yi);
+        im.(i1) <- (a10.re *. xi) +. (a10.im *. xr) +. (a11.re *. yi) +. (a11.im *. yr)
+      end
+    done
+
+  let apply_two n (re : float array) (im : float array) m a b =
+    let sa = 1 lsl (n - 1 - a) and sb = 1 lsl (n - 1 - b) in
+    for base = 0 to (1 lsl n) - 1 do
+      if base land sa = 0 && base land sb = 0 then begin
+        let idx = [| base; base lor sb; base lor sa; base lor sa lor sb |] in
+        let xr = Array.map (fun i -> re.(i)) idx and xi = Array.map (fun i -> im.(i)) idx in
+        for r = 0 to 3 do
+          let accr = ref 0.0 and acci = ref 0.0 in
+          for c = 0 to 3 do
+            let z = M.get m r c in
+            accr := !accr +. (z.re *. xr.(c)) -. (z.im *. xi.(c));
+            acci := !acci +. (z.re *. xi.(c)) +. (z.im *. xr.(c))
+          done;
+          re.(idx.(r)) <- !accr;
+          im.(idx.(r)) <- !acci
+        done
+      end
+    done
+
+  let apply_diag_table n (re : float array) (im : float array) qs fr fi =
+    let shifts = Array.map (fun q -> n - 1 - q) qs in
+    for idx = 0 to (1 lsl n) - 1 do
+      let key = ref 0 in
+      Array.iter (fun s -> key := (!key lsl 1) lor ((idx lsr s) land 1)) shifts;
+      let cr = fr.(!key) and ci = fi.(!key) in
+      let r = re.(idx) and x = im.(idx) in
+      re.(idx) <- (cr *. r) -. (ci *. x);
+      im.(idx) <- (cr *. x) +. (ci *. r)
+    done
+end
+
+(* A state with no zero amplitude: random U3 on every wire, then a
+   chain of random XX couplings. *)
+let random_state rng n =
+  let s = Sv.init n in
+  let angle () = (Rng.float rng -. 0.5) *. 6.0 in
+  for q = 0 to n - 1 do
+    Sv.apply_one s (Mat.one_q (G.U3 (angle (), angle (), angle ()))) q
+  done;
+  for q = 0 to n - 2 do
+    Sv.apply_two s (Mat.two_q (G.Xx (angle ()))) q (q + 1)
+  done;
+  s
+
+let same_bits what s re im =
+  Array.iteri
+    (fun i r ->
+      let a = Sv.amplitude s i in
+      if
+        Int64.bits_of_float a.re <> Int64.bits_of_float r
+        || Int64.bits_of_float a.im <> Int64.bits_of_float im.(i)
+      then Alcotest.failf "%s: amplitude %d is %h%+hi, reference %h%+hi" what i a.re a.im r im.(i))
+    re
+
+let kernel_kind (k : Sv.Kernel.t) =
+  match k with
+  | Dense1 _ -> "dense1"
+  | Diag1 _ -> "diag1"
+  | Cnot _ -> "cnot"
+  | Cz _ -> "cz"
+  | Swap _ -> "swap"
+  | Iswap _ -> "iswap"
+  | Dense2 _ -> "dense2"
+  | Diag_table _ -> "diag_table"
+
+let test_kernels_match_reference () =
+  (* Every compiled kernel, against the matrix-reading reference, bit
+     for bit, on random states of 1 to 8 qubits. *)
+  let rng = Rng.create 61 in
+  let seen = Hashtbl.create 8 in
+  let angle () = (Rng.float rng -. 0.5) *. 6.0 in
+  for _ = 1 to 400 do
+    let n = 1 + Rng.int rng 8 in
+    let s = random_state rng n in
+    let re = Array.init (1 lsl n) (fun i -> (Sv.amplitude s i).re) in
+    let im = Array.init (1 lsl n) (fun i -> (Sv.amplitude s i).im) in
+    let q = Rng.int rng n in
+    let what =
+      match Rng.int rng (if n >= 2 then 5 else 3) with
+      | 0 ->
+        let kind =
+          Rng.choose rng
+            [ G.H; G.X; G.Y; G.Rx (angle ()); G.Ry (angle ()); G.U3 (angle (), angle (), angle ());
+              G.Z; G.S; G.T; G.Tdg; G.Rz (angle ()); G.U1 (angle ()) ]
+        in
+        let g = G.One (kind, q) in
+        let k = (Fusion.member ~idx:0 g).kernel in
+        Sv.apply s k;
+        Reference.apply_one n re im (Mat.one_q kind) q;
+        kernel_kind k
+      | 1 ->
+        (* Error Paulis go through the dense 2x2 kernel. *)
+        let p = 1 + Rng.int rng 3 in
+        Noise.apply_error s (4 * p) [| q |];
+        Reference.apply_one n re im (Mat.one_q [| G.X; G.Y; G.Z |].(p - 1)) q;
+        "error pauli"
+      | 2 ->
+        let k = 1 + Rng.int rng n in
+        let wires = Array.init n Fun.id in
+        Rng.shuffle rng wires;
+        let qs = Array.sub wires 0 k in
+        let fr = Array.init (1 lsl k) (fun _ -> angle ()) in
+        let fi = Array.init (1 lsl k) (fun _ -> angle ()) in
+        let kernel = Sv.Kernel.diag_table ~n ~qs ~fr ~fi in
+        Sv.apply s kernel;
+        Reference.apply_diag_table n re im qs fr fi;
+        kernel_kind kernel
+      | 3 ->
+        let a = q and b = (q + 1 + Rng.int rng (n - 1)) mod n in
+        let kind = Rng.choose rng [ G.Cnot; G.Cz; G.Swap; G.Iswap; G.Xx (angle ()) ] in
+        let k = (Fusion.member ~idx:0 (G.Two (kind, a, b))).kernel in
+        Sv.apply s k;
+        Reference.apply_two n re im (Mat.two_q kind) a b;
+        kernel_kind k
+      | _ ->
+        (* The matrix entry points run the same kernels. *)
+        let a = q and b = (q + 1 + Rng.int rng (n - 1)) mod n in
+        let m = Mat.two_q (G.Xx (angle ())) in
+        Sv.apply_two s m a b;
+        Reference.apply_two n re im m a b;
+        "apply_two"
+    in
+    Hashtbl.replace seen what ();
+    same_bits what s re im
+  done;
+  List.iter
+    (fun k -> if not (Hashtbl.mem seen k) then Alcotest.failf "kernel %s never exercised" k)
+    [ "dense1"; "diag1"; "cnot"; "cz"; "swap"; "iswap"; "dense2"; "diag_table"; "error pauli"; "apply_two" ]
+
+let test_kernels_allocation_free () =
+  let n = 4 in
+  let s = random_state (Rng.create 3) n in
+  let kernels =
+    List.map
+      (fun g -> (Fusion.member ~idx:0 g).kernel)
+      [ G.One (G.H, 1); G.One (G.T, 2); G.Two (G.Cnot, 0, 3); G.Two (G.Cz, 1, 2);
+        G.Two (G.Swap, 3, 0); G.Two (G.Iswap, 2, 1); G.Two (G.Xx 0.3, 0, 2) ]
+    @ [ Sv.Kernel.diag_table ~n ~qs:[| 2; 0 |] ~fr:[| 1.0; 0.0; -1.0; 0.0 |] ~fi:[| 0.0; 1.0; 0.0; -1.0 |] ]
+  in
+  let kernels = Array.of_list kernels and qs = [| 0; 3 |] in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    for i = 0 to Array.length kernels - 1 do
+      Sv.apply s kernels.(i)
+    done;
+    Noise.apply_error s 6 qs
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 100.0 then Alcotest.failf "9000 kernel applications allocated %.0f minor words" words
 
 let test_runner_backends_agree () =
   (* End to end: forcing each backend on a compiled Clifford benchmark
@@ -827,6 +984,8 @@ let () =
       ( "fusion",
         [
           Alcotest.test_case "matches unfused" `Quick test_fusion_matches_unfused;
+          Alcotest.test_case "kernels match reference" `Quick test_kernels_match_reference;
+          Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
         ] );
       ( "backends",
         [
