@@ -17,9 +17,46 @@ type t = {
   one_q : float array;
   two_q : ((int * int) * float) list;
   readout : float array;
+  row_start : int array;
+  neighbours : int array;
+  neighbour_err : float array;
 }
 
 let normalize (a, b) = if a <= b then (a, b) else (b, a)
+
+(* Neighbour rows in CSR form: qubit [a]'s couplings are the entries
+   [row_start.(a) .. row_start.(a + 1) - 1] of [neighbours] and
+   [neighbour_err]. Each pair of [two_q] enters both endpoints' rows in
+   list order, so a row's first entry for a neighbour is the list's
+   first entry for that pair. Pairs must be distinct non-negative
+   qubits. *)
+let make ~day ~one_q ~two_q ~readout =
+  let rows =
+    List.fold_left (fun acc ((a, b), _) -> max acc (1 + max a b)) (Array.length one_q) two_q
+  in
+  let row_start = Array.make (rows + 1) 0 in
+  List.iter
+    (fun ((a, b), _) ->
+      row_start.(a + 1) <- row_start.(a + 1) + 1;
+      row_start.(b + 1) <- row_start.(b + 1) + 1)
+    two_q;
+  for q = 1 to rows do
+    row_start.(q) <- row_start.(q) + row_start.(q - 1)
+  done;
+  let fill = Array.sub row_start 0 rows in
+  let neighbours = Array.make row_start.(rows) 0 in
+  let neighbour_err = Array.make row_start.(rows) 0.0 in
+  let add a b e =
+    neighbours.(fill.(a)) <- b;
+    neighbour_err.(fill.(a)) <- e;
+    fill.(a) <- fill.(a) + 1
+  in
+  List.iter
+    (fun ((a, b), e) ->
+      add a b e;
+      add b a e)
+    two_q;
+  { day; one_q; two_q; readout; row_start; neighbours; neighbour_err }
 
 (* Deterministic per-entity generator: every (seed, entity, day) triple gets
    its own stream, so querying day 5 never depends on whether day 4 was
@@ -67,7 +104,7 @@ let generate ~seed ~day topology profile =
             ~avg:(profile.avg_two_q_err *. scale) ~profile ))
       (Topology.edges topology)
   in
-  { day; one_q; two_q; readout }
+  make ~day ~one_q ~two_q ~readout
 
 let series ~seed ~days topology profile =
   List.init days (fun day -> generate ~seed ~day topology profile)
@@ -75,18 +112,33 @@ let series ~seed ~days topology profile =
 let check_error name x =
   if x < 0.0 || x > 1.0 then invalid_arg (Printf.sprintf "Calibration: %s out of [0,1]" name)
 
+let check_pair (a, b) =
+  if a < 0 || b < 0 || a = b then
+    invalid_arg (Printf.sprintf "Calibration: two_q pair (%d, %d) is not two distinct qubits" a b)
+
 let explicit ~day ~one_q ~two_q ~readout =
   Array.iter (check_error "one_q") one_q;
   Array.iter (check_error "readout") readout;
-  let two_q = List.map (fun (pair, e) -> check_error "two_q" e; (normalize pair, e)) two_q in
-  { day; one_q; two_q; readout }
+  let two_q =
+    List.map
+      (fun (pair, e) ->
+        check_pair pair;
+        check_error "two_q" e;
+        (normalize pair, e))
+      two_q
+  in
+  make ~day ~one_q ~two_q ~readout
 
 let one_q_err t q = t.one_q.(q)
 
 let two_q_err t a b =
-  match List.assoc_opt (normalize (a, b)) t.two_q with
-  | Some e -> e
-  | None -> raise Not_found
+  if a < 0 || a >= Array.length t.row_start - 1 then raise Not_found;
+  let rec scan j stop =
+    if j = stop then raise Not_found
+    else if t.neighbours.(j) = b then t.neighbour_err.(j)
+    else scan (j + 1) stop
+  in
+  scan t.row_start.(a) t.row_start.(a + 1)
 
 let readout_err t q = t.readout.(q)
 

@@ -31,6 +31,12 @@ type t = private {
   one_q : float array;  (** per-qubit 1Q gate error *)
   two_q : ((int * int) * float) list;  (** per-coupling 2Q error, normalized pairs *)
   readout : float array;  (** per-qubit readout error *)
+  row_start : int array;
+      (** [two_q] as per-qubit neighbour rows: qubit [a]'s couplings are
+          entries [row_start.(a)] to [row_start.(a + 1) - 1] of the two
+          arrays below, in [two_q]'s order *)
+  neighbours : int array;  (** the other end of each row entry *)
+  neighbour_err : float array;  (** each row entry's 2Q error *)
 }
 
 (** [generate ~seed ~day topology profile] is the snapshot published on
@@ -44,7 +50,8 @@ val series : seed:int -> days:int -> Topology.t -> profile -> t list
 
 (** [explicit ~day ~one_q ~two_q ~readout] builds a snapshot directly —
     used for the paper's worked example (Figure 6) and for tests. Error
-    values must be in [0, 1]. *)
+    values must be in [0, 1] and each coupling two distinct non-negative
+    qubits; raises [Invalid_argument] otherwise. *)
 val explicit :
   day:int ->
   one_q:float array ->
@@ -55,7 +62,8 @@ val explicit :
 (** [one_q_err t q] is the 1Q error of qubit [q]. *)
 val one_q_err : t -> int -> float
 
-(** [two_q_err t a b] is the 2Q error of coupling [{a,b}]; raises
+(** [two_q_err t a b] is the 2Q error of coupling [{a,b}] (the first
+    entry of [two_q] for it), found in O(degree of [a]); raises
     [Not_found] for uncoupled pairs. *)
 val two_q_err : t -> int -> int -> float
 

@@ -73,22 +73,24 @@ let threshold p =
     if p >= 1.0 then 1 lsl 53 else int_of_float (Float.ceil (p *. 9007199254740992.0))
   else 0
 
-(* The state stays in a local [int64] across the loop, which ocamlopt
-   keeps unboxed, and is written back once. *)
-let bernoulli_flags t thresholds flags =
-  let n = Array.length thresholds in
-  if Array.length flags <> n then invalid_arg "Rng.bernoulli_flags: length mismatch";
+(* One draw per entry of [ids], in order. Over the gates whose
+   threshold is positive, listed ascending, that is the stream of
+   [p > 0.0 && bool t p] over every gate, draw for draw: a gate with
+   threshold 0 draws nothing in either form. The state stays in a local
+   [int64] across the loop, which ocamlopt keeps unboxed, and is
+   written back once. *)
+let bernoulli_hits t ids thresholds hits =
+  let n = Array.length ids in
+  if Array.length thresholds <> n || Array.length hits < n then
+    invalid_arg "Rng.bernoulli_hits: length mismatch";
   let s = ref (Bytes.get_int64_ne t 0) in
-  let any = ref false in
-  for i = 0 to n - 1 do
-    let thr = thresholds.(i) in
-    if thr > 0 then begin
-      s := Int64.add !s golden_gamma;
-      let e = Int64.to_int (Int64.shift_right_logical (mix !s) 11) < thr in
-      if e then any := true;
-      flags.(i) <- e
+  let count = ref 0 in
+  for j = 0 to n - 1 do
+    s := Int64.add !s golden_gamma;
+    if Int64.to_int (Int64.shift_right_logical (mix !s) 11) < thresholds.(j) then begin
+      hits.(!count) <- ids.(j);
+      incr count
     end
-    else flags.(i) <- false
   done;
   Bytes.set_int64_ne t 0 !s;
-  !any
+  !count

@@ -30,19 +30,20 @@ val int : t -> int -> int
 val bool : t -> float -> bool
 
 (** [threshold p] is the integer form of the probability [p] that
-    {!bernoulli_flags} compares against: [ceil (p * 2^53)] for [p] in
+    {!bernoulli_hits} compares against: [ceil (p * 2^53)] for [p] in
     (0, 1), [2^53] for [p >= 1], and 0 for [p <= 0] or NaN. *)
 val threshold : float -> int
 
-(** [bernoulli_flags t thresholds flags] sets [flags.(i)] to an
-    independent draw that is [true] with probability [thresholds.(i)]
-    / 2^53 and returns whether any flag is set. A zero threshold sets
-    the flag to [false] without drawing. For [thresholds.(i) =
-    threshold p] each flag, and the stream state after it, is exactly
-    that of [p > 0.0 && bool t p], draw for draw. Allocates nothing.
-    Raises [Invalid_argument] unless both arrays have the same
-    length. *)
-val bernoulli_flags : t -> int array -> bool array -> bool
+(** [bernoulli_hits t ids thresholds hits] makes one independent draw
+    per entry [j], in order, that hits with probability
+    [thresholds.(j)] / 2^53; it writes the [ids.(j)] of the hits, in
+    order, to the front of [hits] and returns their count. When [ids]
+    lists, ascending, the gates whose [threshold p] is positive, the
+    hits and the stream state after them are exactly those of [p > 0.0
+    && bool t p] over all the gates, draw for draw. Allocates nothing.
+    Raises [Invalid_argument] unless [thresholds] is as long as [ids]
+    and [hits] at least as long. *)
+val bernoulli_hits : t -> int array -> int array -> int array -> int
 
 (** [gaussian t] is a standard normal deviate (Box-Muller). *)
 val gaussian : t -> float

@@ -9,27 +9,22 @@ let init n =
 
 let n_qubits t = t.n
 
-let conj_matrix m =
-  let out = M.create (M.rows m) (M.cols m) in
-  for r = 0 to M.rows m - 1 do
-    for c = 0 to M.cols m - 1 do
-      M.set out r c (C.conj (M.get m r c))
-    done
-  done;
-  out
-
 let check t q = if q < 0 || q >= t.n then invalid_arg "Density: qubit out of range"
+
+(* U rho U+ on the vectorized rho: [k] on the row qubits, its conjugate
+   on the column qubits [t.n] above them, from one coefficient array. *)
+let apply_sandwich vec n k =
+  Statevector.apply vec k;
+  Statevector.apply vec (Statevector.Kernel.conj k ~offset:n)
 
 let apply_one t m q =
   check t q;
-  Statevector.apply_one t.vec m q;
-  Statevector.apply_one t.vec (conj_matrix m) (t.n + q)
+  apply_sandwich t.vec t.n (Statevector.Kernel.dense_one m q)
 
 let apply_two t m a b =
   check t a;
   check t b;
-  Statevector.apply_two t.vec m a b;
-  Statevector.apply_two t.vec (conj_matrix m) (t.n + a) (t.n + b)
+  apply_sandwich t.vec t.n (Statevector.Kernel.dense_two m a b)
 
 let rec apply_gate t (g : Ir.Gate.t) =
   match g with
@@ -96,10 +91,9 @@ let amplitude_damp t gamma q =
   in
   let k1 = M.of_rows [ [ C.zero; C.re (sqrt gamma) ]; [ C.zero; C.zero ] ] in
   let branch m =
-    let copy = { t with vec = Statevector.copy t.vec } in
-    Statevector.apply_one copy.vec m q;
-    Statevector.apply_one copy.vec (conj_matrix m) (t.n + q);
-    copy.vec
+    let vec = Statevector.copy t.vec in
+    apply_sandwich vec t.n (Statevector.Kernel.dense_one m q);
+    vec
   in
   let b0 = branch k0 and b1 = branch k1 in
   Statevector.scale t.vec 0.0;

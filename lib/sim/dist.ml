@@ -14,22 +14,40 @@ let project probs k positions =
     probs;
   out
 
+(* Outcome [y0] moves [p0 * f_0 * ... * f_(m-1)] to [y], left to right,
+   where [f_i] is [1 - flip.(i)] when bit [i] (MSB first) of [y] equals
+   [y0]'s and [flip.(i)] otherwise. The products are built a bit at a
+   time: after step [i], [w.(j)] is [p0] times the first [i + 1]
+   factors of every [y] whose top bits are [j], each product formed
+   once and shared by all the [y] below it. That is the same chain of
+   roundings as a per-[y] product, in 2^(m+1) multiplies per [y0]
+   instead of m * 2^m, and [out] still adds the [y0] terms in order. *)
 let corrupt_readout q flip =
   let m = Array.length flip in
-  let out = Array.make (Array.length q) 0.0 in
-  Array.iteri
-    (fun y0 p0 ->
-      if p0 > 0.0 then
-        for y = 0 to Array.length q - 1 do
-          let w = ref p0 in
-          for i = 0 to m - 1 do
-            let b0 = (y0 lsr (m - 1 - i)) land 1 in
-            let b = (y lsr (m - 1 - i)) land 1 in
-            w := !w *. (if b = b0 then 1.0 -. flip.(i) else flip.(i))
-          done;
-          out.(y) <- out.(y) +. !w
-        done)
-    q;
+  let n = Array.length q in
+  let mask = (1 lsl m) - 1 in
+  let keep = Array.map (fun f -> 1.0 -. f) flip in
+  let out = Array.make n 0.0 in
+  let w = Array.make (1 lsl m) 0.0 in
+  for y0 = 0 to n - 1 do
+    let p0 = q.(y0) in
+    if p0 > 0.0 then begin
+      w.(0) <- p0;
+      for i = 0 to m - 1 do
+        let same = (y0 lsr (m - 1 - i)) land 1 = 0 in
+        let f0 = if same then keep.(i) else flip.(i) in
+        let f1 = if same then flip.(i) else keep.(i) in
+        for j = (1 lsl i) - 1 downto 0 do
+          let x = w.(j) in
+          w.((2 * j) + 1) <- x *. f1;
+          w.(2 * j) <- x *. f0
+        done
+      done;
+      for y = 0 to n - 1 do
+        out.(y) <- out.(y) +. w.(y land mask)
+      done
+    end
+  done;
   out
 
 let bits_to_string m y =

@@ -80,16 +80,3 @@ let apply_error state code qs =
   let pa = code lsr 2 and pb = code land 3 in
   if pa > 0 then Statevector.apply state pauli.(pa - 1).(qs.(0));
   if pb > 0 then Statevector.apply state pauli.(pb - 1).(qs.(1))
-
-let inject t rng (g : Ir.Gate.t) state ~qubit_of =
-  match g with
-  | Measure _ -> false
-  | Ccx _ | Cswap _ -> invalid_arg "Noise.inject: not hardware-level"
-  | One _ | Two _ ->
-    let cg = Ir.Gate.map_qubits qubit_of g in
-    Statevector.apply_gate state cg;
-    let p = gate_error_prob t g in
-    let erred = p > 0.0 && Rng.bool rng p in
-    if erred then
-      apply_error state (draw_error rng cg) (Array.of_list (Ir.Gate.qubits cg));
-    erred

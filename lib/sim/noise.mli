@@ -43,11 +43,3 @@ val draw_error : Mathkit.Rng.t -> Ir.Gate.t -> int
     {!draw_error} to the state indices [qs] of the gate's operands,
     through dense Pauli kernels built once per qubit. *)
 val apply_error : Statevector.t -> int -> int array -> unit
-
-(** [inject t rng g state ~qubit_of] applies the ideal gate [g] to [state]
-    and, with probability [gate_error_prob t g], follows it with a random
-    Pauli error. [qubit_of] maps the gate's hardware qubit numbers to
-    state indices (the runner simulates compacted circuits). Measures are
-    ignored. Returns [true] when an error was injected. *)
-val inject :
-  t -> Mathkit.Rng.t -> Ir.Gate.t -> Statevector.t -> qubit_of:(int -> int) -> bool

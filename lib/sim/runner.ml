@@ -88,13 +88,15 @@ type pgate = {
 }
 
 (* The executable as the simulator sees it: [k] touched qubits, the
-   prepared gates with each one's error probability as a
-   {!Rng.threshold}, and each measured bit's compact position and
-   readout-flip probability, in spec order. *)
+   prepared gates, the ones that can err ([drawn], ascending: error
+   probability above 0) with their probabilities as {!Rng.threshold}s
+   alongside, and each measured bit's compact position and readout-flip
+   probability, in spec order. *)
 type prepared = {
   k : int;
   gates : pgate array;
-  thresholds : int array;
+  drawn : int array;
+  drawn_thresholds : int array;
   positions : int list;
   flips : float array;
 }
@@ -167,10 +169,21 @@ let prepare config compiled spec =
   let error_prob g =
     if explicit_t1 then Noise.gate_error_prob_raw noise g else Noise.gate_error_prob noise g
   in
+  let thresholds = Array.map (fun g -> Rng.threshold (error_prob g)) hw_gates in
+  let drawn = Array.make (Array.fold_left (fun c t -> if t > 0 then c + 1 else c) 0 thresholds) 0 in
+  let j = ref 0 in
+  Array.iteri
+    (fun i t ->
+      if t > 0 then begin
+        drawn.(!j) <- i;
+        incr j
+      end)
+    thresholds;
   {
     k;
     gates = Array.map prepare_gate hw_gates;
-    thresholds = Array.map (fun g -> Rng.threshold (error_prob g)) hw_gates;
+    drawn;
+    drawn_thresholds = Array.map (fun i -> thresholds.(i)) drawn;
     positions = List.map qubit_of readout_hw;
     flips = Array.of_list (List.map (Noise.readout_flip_prob noise) readout_hw);
   }
@@ -255,18 +268,26 @@ let frame_z f = f lsr frame_shift
 let frame_term frame e p =
   (if p <> 2 then frame.(e) else 0) lxor if p <> 0 then frame.(e + 1) else 0
 
+(* One trajectory's drawn errors, reused across a block:
+   [hits.(0 .. count - 1)] are its erred gates, ascending, and [flags]
+   holds a nonzero byte at exactly those gates while the trajectory
+   runs (a byte, not a [bool] word, per gate). *)
+type errors = { hits : int array; mutable count : int; flags : Bytes.t }
+
 (* Draws the span's error Paulis in gate order through the one error
    draw, exactly as replaying them would, and returns the packed frame
    at the end of the span. *)
-let draw_frame rng gates frame flags =
+let draw_frame rng gates frame e =
+  let span = Array.length frame / 4 in
   let acc = ref 0 in
-  for i = 0 to (Array.length frame / 4) - 1 do
-    if flags.(i) then begin
-      let code = Noise.draw_error rng gates.(i).cg in
-      let pa = code lsr 2 and pb = code land 3 in
-      if pa > 0 then acc := !acc lxor frame_term frame (4 * i) (pa - 1);
-      if pb > 0 then acc := !acc lxor frame_term frame ((4 * i) + 2) (pb - 1)
-    end
+  let j = ref 0 in
+  while !j < e.count && e.hits.(!j) < span do
+    let i = e.hits.(!j) in
+    let code = Noise.draw_error rng gates.(i).cg in
+    let pa = code lsr 2 and pb = code land 3 in
+    if pa > 0 then acc := !acc lxor frame_term frame (4 * i) (pa - 1);
+    if pb > 0 then acc := !acc lxor frame_term frame ((4 * i) + 2) (pb - 1);
+    incr j
   done;
   !acc
 
@@ -279,7 +300,7 @@ let run_gates gates (members : Fusion.member array) state rng flags =
     let m = members.(j) in
     let pg = gates.(m.idx) in
     Statevector.apply state m.kernel;
-    if flags.(m.idx) then inject_sv state rng pg;
+    if Bytes.get flags m.idx <> '\000' then inject_sv state rng pg;
     if pg.gamma > 0.0 then
       for j = 0 to Array.length pg.qs - 1 do
         ignore (Statevector.relax state pg.qs.(j) ~gamma:pg.gamma rng)
@@ -335,7 +356,7 @@ let dense_plan config p ~prefix apps frame =
       if config.Config.explicit_t1 then None
       else begin
         let state = Statevector.copy start in
-        run_gates gates members state (Rng.create 0) (Array.make n false);
+        run_gates gates members state (Rng.create 0) (Bytes.make n '\000');
         Some (Statevector.probabilities state)
       end
     in
@@ -418,7 +439,7 @@ let run_steps gates steps state rng flags mark t from =
       for j = 0 to Array.length ms - 1 do
         let m = ms.(j) in
         Fusion.apply_member state m;
-        if flags.(m.idx) then inject_sv state rng gates.(m.idx)
+        if Bytes.get flags m.idx <> '\000' then inject_sv state rng gates.(m.idx)
       done
     end
     else Fusion.apply_step state st
@@ -427,17 +448,14 @@ let run_steps gates steps state rng flags mark t from =
 (* When the tableau-borne prefix of an erred dense trajectory erred,
    [scratch] becomes the clean prefix state under the prefix's Pauli
    frame and the result is [true]; otherwise [scratch] is untouched. *)
-let seed_prefix gates frame start scratch rng flags =
-  let erred = ref false in
-  for i = 0 to (Array.length frame / 4) - 1 do
-    if flags.(i) then erred := true
-  done;
-  if !erred then begin
-    let f = draw_frame rng gates frame flags in
+let seed_prefix gates frame start scratch rng e =
+  let erred = e.count > 0 && e.hits.(0) < Array.length frame / 4 in
+  if erred then begin
+    let f = draw_frame rng gates frame e in
     Statevector.blit ~src:start ~dst:scratch;
     Statevector.apply_pauli scratch ~x:(frame_x f) ~z:(frame_z f)
   end;
-  !erred
+  erred
 
 (* The one dispatch on the plan: one block's runner of erred
    trajectories, adding trajectory [t]'s output distribution into
@@ -447,29 +465,30 @@ let erred_runner p plan =
   let gates = p.gates in
   match plan.path with
   | Clifford { frame; readout } ->
-    fun partial rng flags _t ->
-      let xm = frame_x (draw_frame rng gates frame flags) in
+    fun partial rng e _t ->
+      let xm = frame_x (draw_frame rng gates frame e) in
       let flips = Tableau.flip_mask readout ~xm in
       Tableau.add_readout_probabilities readout ~flips partial
   | Dense { prefix; frame; start; body } -> (
     let scratch = Statevector.copy start in
     match body with
     | Gates members ->
-      fun partial rng flags _t ->
-        if not (seed_prefix gates frame start scratch rng flags) then
+      fun partial rng e _t ->
+        if not (seed_prefix gates frame start scratch rng e) then
           Statevector.blit ~src:start ~dst:scratch;
-        run_gates gates members scratch rng flags;
+        run_gates gates members scratch rng e.flags;
         Statevector.add_probabilities scratch partial
     | Fused { steps; step_of; stride; checkpoints } ->
       let mark = Array.make (Array.length steps) (-1) in
-      fun partial rng flags t ->
-        let seeded = seed_prefix gates frame start scratch rng flags in
+      fun partial rng e t ->
+        let seeded = seed_prefix gates frame start scratch rng e in
         (* Marks the erred steps that replay member by member; a
            clean-prefix trajectory resumes from the last checkpoint
            before the first of them. *)
         let first = ref (Array.length steps) in
-        for i = prefix to Array.length flags - 1 do
-          if flags.(i) then begin
+        for j = 0 to e.count - 1 do
+          let i = e.hits.(j) in
+          if i >= prefix then begin
             let s = step_of.(i) in
             mark.(s) <- t;
             if s < !first then first := s
@@ -483,7 +502,7 @@ let erred_runner p plan =
             c * stride
           end
         in
-        run_steps gates steps scratch rng flags mark t from;
+        run_steps gates steps scratch rng e.flags mark t from;
         Statevector.add_probabilities scratch partial)
 
 (* Returns the trajectory-averaged distribution over the [k] touched
@@ -503,11 +522,17 @@ let execute config p plan =
   done;
   let counts_rng = Rng.split master in
   let dim = 1 lsl p.k in
-  (* Each block reuses one flags buffer and one erred-trajectory runner
+  (* Each block reuses one error buffer and one erred-trajectory runner
      across its trajectories. *)
   let run_block b =
     let partial = Array.make dim 0.0 in
-    let flags = Array.make (Array.length p.gates) false in
+    let e =
+      {
+        hits = Array.make (Array.length p.drawn) 0;
+        count = 0;
+        flags = Bytes.make (Array.length p.gates) '\000';
+      }
+    in
     let run_erred = erred_runner p plan in
     let erred = ref 0 in
     let last = min trajectories ((b + 1) * traj_block) - 1 in
@@ -516,15 +541,21 @@ let execute config p plan =
       (* Sample the error pattern first: clean trajectories (the common
          case on good mappings) reuse the cached ideal output without
          re-simulating. *)
-      let clean = not (Rng.bernoulli_flags rng p.thresholds flags) in
+      e.count <- Rng.bernoulli_hits rng p.drawn p.drawn_thresholds e.hits;
       match plan.ideal with
-      | Some ideal when clean ->
+      | Some ideal when e.count = 0 ->
         for i = 0 to dim - 1 do
           partial.(i) <- partial.(i) +. ideal.(i)
         done
       | Some _ | None ->
         incr erred;
-        run_erred partial rng flags t
+        for j = 0 to e.count - 1 do
+          Bytes.set e.flags e.hits.(j) '\001'
+        done;
+        run_erred partial rng e t;
+        for j = 0 to e.count - 1 do
+          Bytes.set e.flags e.hits.(j) '\000'
+        done
     done;
     Obs.Metrics.incr m_erred ~by:!erred;
     partial

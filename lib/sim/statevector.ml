@@ -379,6 +379,22 @@ module Kernel = struct
     check_wires a b;
     Dense2 { a; b; m = coeffs 4 m }
 
+  (* Negating the imaginary half gives the floats [Cplx.conj] would. *)
+  let conj k ~offset =
+    let conj_coeffs m =
+      let half = Array.length m / 2 in
+      Array.mapi (fun i x -> if i < half then x else -.x) m
+    in
+    match k with
+    | Dense1 { q; m } ->
+      check_wire (q + offset);
+      Dense1 { q = q + offset; m = conj_coeffs m }
+    | Dense2 { a; b; m } ->
+      check_wires (a + offset) (b + offset);
+      Dense2 { a = a + offset; b = b + offset; m = conj_coeffs m }
+    | Diag1 _ | Cnot _ | Cz _ | Swap _ | Iswap _ | Diag_table _ ->
+      invalid_arg "Statevector.Kernel.conj: not a dense kernel"
+
   let of_gate (g : Ir.Gate.t) m =
     match g with
     | One (_, q) -> one_q m q

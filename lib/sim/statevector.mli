@@ -81,6 +81,10 @@ module Kernel : sig
       through the dense kernel. *)
   val dense_one : Mathkit.Matrix.t -> int -> t
 
+  (** [dense_two m a b] is the 4x4 unitary [m] on [(a, b)], always
+      through the [Dense2] kernel. *)
+  val dense_two : Mathkit.Matrix.t -> int -> int -> t
+
   (** [one_q m q] is [Diag1] when [m]'s off-diagonal entries are
       exactly zero (closed under products, so Rz/U1/S/T runs qualify),
       else {!dense_one}. *)
@@ -91,6 +95,14 @@ module Kernel : sig
       sign kernel for CNOT, CZ, SWAP and iSWAP, [Dense2] for XX.
       Raises [Invalid_argument] on other gates. *)
   val of_gate : Ir.Gate.t -> Mathkit.Matrix.t -> t
+
+  (** [conj k ~offset] is the complex conjugate of the dense kernel [k]
+      ([Dense1] or [Dense2]) on its qubits moved up by [offset]: the
+      same real coefficients and the imaginary ones negated, exactly
+      the floats of the conjugated matrix. The density backend applies
+      [k] to a row qubit and this to its column qubit. Raises
+      [Invalid_argument] on other kernels. *)
+  val conj : t -> offset:int -> t
 
   (** [diag_table ~n ~qs ~fr ~fi] is the diagonal table over the wires
       [qs] (1 to 16 qubits below [n], [qs.(0)] = high bit of the key)

@@ -209,7 +209,71 @@ let test_calibration_explicit_validation () =
        ignore
          (Calibration.explicit ~day:0 ~one_q:[| 1.5 |] ~two_q:[] ~readout:[| 0.0 |]);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A coupling must join two distinct non-negative qubits. *)
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pair (%d, %d) rejected" a b)
+        true
+        (try
+           ignore
+             (Calibration.explicit ~day:0 ~one_q:(Array.make 3 0.01)
+                ~two_q:[ ((0, 1), 0.05); ((a, b), 0.05) ]
+                ~readout:(Array.make 3 0.01));
+           false
+         with Invalid_argument _ -> true))
+    [ (-1, 0); (0, -1); (-2, -3); (1, 1); (0, 0); (7, 7) ]
+
+(* The neighbour-row lookup against a first-match search of the
+   normalized pair list, on random calibrations with duplicate and
+   reversed pairs, pairs past [one_q]'s length, and queries on
+   uncoupled, negative and out-of-range qubits; then every coupling of
+   every machine's generated calibration. *)
+let test_calibration_lookup_matches_list () =
+  let normalize (a, b) = if a <= b then (a, b) else (b, a) in
+  let same cal a b =
+    let want = List.assoc_opt (normalize (a, b)) cal.Calibration.two_q in
+    let got = try Some (Calibration.two_q_err cal a b) with Not_found -> None in
+    match (want, got) with
+    | None, None -> ()
+    | Some w, Some g when Int64.bits_of_float w = Int64.bits_of_float g -> ()
+    | _ -> Alcotest.failf "two_q_err %d %d differs from the first list entry" a b
+  in
+  let module Rng = Mathkit.Rng in
+  let rng = Rng.create 41 in
+  for _ = 1 to 300 do
+    let n = 1 + Rng.int rng 10 in
+    let span = n + Rng.int rng 3 in
+    let pairs =
+      List.init (Rng.int rng 25) (fun _ ->
+          let a = Rng.int rng span in
+          let b = (a + 1 + Rng.int rng (span + 1)) mod (span + 2) in
+          ((a, b), Rng.float rng))
+    in
+    (* The first pair again, reversed and with another error: the
+       first entry must still win. *)
+    let pairs =
+      match pairs with [] -> [] | ((a, b), e) :: _ -> pairs @ [ ((b, a), 1.0 -. e) ]
+    in
+    let cal =
+      Calibration.explicit ~day:0 ~one_q:(Array.make n 0.01) ~two_q:pairs
+        ~readout:(Array.make n 0.01)
+    in
+    for a = -2 to span + 3 do
+      for b = -2 to span + 3 do
+        same cal a b
+      done
+    done
+  done;
+  List.iter
+    (fun m ->
+      List.iter
+        (fun day ->
+          let cal = Machine.calibration m ~day in
+          List.iter (fun ((a, b), _) -> same cal a b; same cal b a) cal.Calibration.two_q)
+        [ 0; 3 ])
+    Machines.all
 
 let test_calibration_missing_edge () =
   let cal =
@@ -557,6 +621,8 @@ let () =
           Alcotest.test_case "explicit validation" `Quick
             test_calibration_explicit_validation;
           Alcotest.test_case "edge lookup" `Quick test_calibration_missing_edge;
+          Alcotest.test_case "edge lookup matches list" `Quick
+            test_calibration_lookup_matches_list;
         ] );
       ( "json",
         [

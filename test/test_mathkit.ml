@@ -129,12 +129,13 @@ let test_rng_bool_allocation_free () =
   if words >= 100.0 then Alcotest.failf "10^5 Rng.bool draws allocated %.0f minor words" words;
   Alcotest.(check bool) "some hits" true (!hits > 0)
 
-(* The integer-threshold sampler must reproduce [p > 0.0 && Rng.bool rng p]
-   flag for flag and leave the same stream state. Besides fixed edge
-   probabilities (0, -0, negative, subnormal, 1e-300, 0.5, 1, > 1,
-   infinity, NaN), a third of the gates get a probability placed on the
-   reference draw itself: the draw's own float and its two neighbours,
-   where [<] versus [<=] would differ. *)
+(* The compacted sampler, over the gates whose threshold is positive,
+   must hit exactly the gates where [p > 0.0 && Rng.bool rng p] holds
+   and leave the same stream state. Besides fixed edge probabilities
+   (0, -0, negative, subnormal, 1e-300, 0.5, 1, > 1, infinity, NaN), a
+   third of the gates get a probability placed on the reference draw
+   itself: the draw's own float and its two neighbours, where [<]
+   versus [<=] would differ. *)
 let test_rng_threshold_flags () =
   let edges =
     [| 0.0; -0.0; -0.25; 5e-324; 2.2e-308; 1e-300; 1e-17; 0.5; 1.0; 1.5; infinity; nan |]
@@ -144,7 +145,7 @@ let test_rng_threshold_flags () =
     let n = 1 + Rng.int gen 40 in
     let reference = Rng.create seed in
     let ps = Array.make n 0.0 in
-    let expected = Array.make n false in
+    let expected = ref [] in
     for i = 0 to n - 1 do
       let p =
         match Rng.int gen 3 with
@@ -155,13 +156,16 @@ let test_rng_threshold_flags () =
           (match Rng.int gen 3 with 0 -> u | 1 -> Float.succ u | _ -> Float.pred u)
       in
       ps.(i) <- p;
-      expected.(i) <- p > 0.0 && Rng.bool reference p
+      if p > 0.0 && Rng.bool reference p then expected := i :: !expected
     done;
+    let thresholds = Array.map Rng.threshold ps in
+    let ids = List.filter (fun i -> thresholds.(i) > 0) (List.init n Fun.id) in
+    let ids = Array.of_list ids in
     let t = Rng.create seed in
-    let flags = Array.make n true in
-    let any = Rng.bernoulli_flags t (Array.map Rng.threshold ps) flags in
-    Alcotest.(check (array bool)) "flags" expected flags;
-    Alcotest.(check bool) "any" (Array.exists Fun.id expected) any;
+    let hits = Array.make n (-1) in
+    let count = Rng.bernoulli_hits t ids (Array.map (fun i -> thresholds.(i)) ids) hits in
+    Alcotest.(check (list int)) "hits" (List.rev !expected)
+      (Array.to_list (Array.sub hits 0 count));
     Alcotest.(check int64) "stream state" (Rng.int64 reference) (Rng.int64 t)
   done;
   let two53 = 1 lsl 53 in
@@ -169,23 +173,26 @@ let test_rng_threshold_flags () =
     "thresholds"
     [ 0; 0; 0; 1; 1; 1 lsl 52; two53; two53; two53; 0 ]
     (List.map Rng.threshold [ 0.0; -1.0; -0.0; 5e-324; 1e-300; 0.5; 1.0; 3.0; infinity; nan ]);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Rng.bernoulli_flags: length mismatch") (fun () ->
-      ignore (Rng.bernoulli_flags (Rng.create 1) [| 1 |] [||]))
+  let mismatch = Invalid_argument "Rng.bernoulli_hits: length mismatch" in
+  Alcotest.check_raises "thresholds shorter than ids" mismatch (fun () ->
+      ignore (Rng.bernoulli_hits (Rng.create 1) [| 0; 1 |] [| 1 |] [| 0; 0 |]));
+  Alcotest.check_raises "hits shorter than ids" mismatch (fun () ->
+      ignore (Rng.bernoulli_hits (Rng.create 1) [| 0; 1 |] [| 1; 1 |] [| 0 |]))
 
 let test_rng_threshold_flags_allocation_free () =
   let t = Rng.create 7 in
-  let thresholds = Array.init 100 (fun i -> Rng.threshold (if i mod 3 = 0 then 0.0 else 0.01)) in
-  let flags = Array.make 100 false in
-  let hits = ref 0 in
+  let ids = Array.init 67 (fun j -> 3 * j / 2) in
+  let thresholds = Array.make 67 (Rng.threshold 0.01) in
+  let hits = Array.make 67 0 in
+  let total = ref 0 in
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    if Rng.bernoulli_flags t thresholds flags then incr hits
+    total := !total + Rng.bernoulli_hits t ids thresholds hits
   done;
   let words = Gc.minor_words () -. before in
   if words >= 100.0 then
-    Alcotest.failf "10^5 threshold draws allocated %.0f minor words" words;
-  Alcotest.(check bool) "some hits" true (!hits > 0)
+    Alcotest.failf "67000 threshold draws allocated %.0f minor words" words;
+  Alcotest.(check bool) "some hits" true (!total > 0)
 
 (* ---------- Cplx ---------- *)
 

@@ -173,16 +173,22 @@ let test_noise_umd_low () =
   Alcotest.(check bool) "ion trap lower 2q error" true (ion_2q < sc_2q)
 
 let test_noise_inject_flips_state () =
-  (* With error probability forced high via a machine with bad gates, the
-     injection path must report errors and keep the state normalized. *)
+  (* On a machine with bad gates, 200 CZs drawn at their error
+     probability must err sometimes, and the drawn Pauli errors must
+     keep the state normalized. *)
   let machine = Machines.agave in
   let n = noise_for machine in
   let rng = Rng.create 3 in
   let state = Sv.init 2 in
+  let cz = G.Two (G.Cz, 0, 1) in
+  let p = Noise.gate_error_prob n cz in
   let injected = ref 0 in
   for _ = 1 to 200 do
-    if Noise.inject n rng (G.Two (G.Cz, 0, 1)) state ~qubit_of:(fun q -> q) then
+    Sv.apply_gate state cz;
+    if Rng.bool rng p then begin
+      Noise.apply_error state (Noise.draw_error rng cz) [| 0; 1 |];
       incr injected
+    end
   done;
   Alcotest.(check bool) "some errors injected" true (!injected > 0);
   Alcotest.(check (float 1e-6)) "still normalized" 1.0 (Sv.norm2 state)
@@ -378,6 +384,59 @@ let test_parity_expectation () =
   let dist2 = [ ("01", 1.0) ] in
   Alcotest.(check (float 1e-12)) "odd parity" (-1.0)
     (Sim.Dist.parity_expectation dist2 [ 0; 1 ])
+
+(* The readout channel as a per-term loop: every (y0, y) pair
+   multiplies its m factors onto [p0] from scratch. *)
+let reference_corrupt_readout q flip =
+  let m = Array.length flip in
+  let out = Array.make (Array.length q) 0.0 in
+  Array.iteri
+    (fun y0 p0 ->
+      if p0 > 0.0 then
+        for y = 0 to Array.length q - 1 do
+          let w = ref p0 in
+          for i = 0 to m - 1 do
+            let b0 = (y0 lsr (m - 1 - i)) land 1 in
+            let b = (y lsr (m - 1 - i)) land 1 in
+            w := !w *. (if b = b0 then 1.0 -. flip.(i) else flip.(i))
+          done;
+          out.(y) <- out.(y) +. !w
+        done)
+    q;
+  out
+
+let test_readout_channel_matches_reference () =
+  (* Bit for bit, on 1 to 8 measured bits, with zero entries and flips
+     of exactly 0, 0.5 and 1 among random ones; a third of these carry a
+     full mantissa, so [1 - flip] rounds. *)
+  let rng = Rng.create 97 in
+  let cases = ref 0 in
+  for m = 1 to 8 do
+    for _ = 1 to if m <= 6 then 400 else 150 do
+      let q =
+        Array.init (1 lsl m) (fun _ ->
+            match Rng.int rng 4 with 0 -> 0.0 | 1 -> -0.0 | _ -> Rng.float rng)
+      in
+      let flip =
+        Array.init m (fun _ ->
+            match Rng.int rng 5 with
+            | 0 -> 0.0
+            | 1 -> 0.5
+            | 2 -> 1.0
+            | 3 -> Rng.float rng
+            | _ -> 0.2 *. Rng.float rng /. 3.0)
+      in
+      let got = Sim.Dist.corrupt_readout q flip in
+      let want = reference_corrupt_readout q flip in
+      Array.iteri
+        (fun y w ->
+          if Int64.bits_of_float got.(y) <> Int64.bits_of_float w then
+            Alcotest.failf "m = %d, outcome %d: %h, reference %h" m y got.(y) w)
+        want;
+      incr cases
+    done
+  done;
+  Alcotest.(check int) "cases" 2700 !cases
 
 (* ---------- qcheck ---------- *)
 
@@ -957,6 +1016,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_mitigation_validation;
           Alcotest.test_case "improves success" `Quick test_mitigation_improves_success;
           Alcotest.test_case "parity expectation" `Quick test_parity_expectation;
+          Alcotest.test_case "readout channel matches reference" `Quick
+            test_readout_channel_matches_reference;
         ] );
       ("properties", qcheck_cases);
       ( "runner",
