@@ -9,6 +9,7 @@ module Schedule = Triq.Pass.Schedule
 module Stats = Mathkit.Stats
 
 type 'a row = 'a Cell.row = { bench : string; values : (string * 'a option) list }
+type run = Report.run
 
 let benches () = Programs.all
 
@@ -58,6 +59,16 @@ let success _ outcome = (Option.get outcome).Sim.Runner.success_rate
 let two_q (c : Triq.Compiled.t) _ = c.Triq.Compiled.two_q_count
 let two_q_success c outcome = (two_q c outcome, success c outcome)
 
+let map_row f r = { bench = r.bench; values = List.map (fun (k, v) -> (k, Option.map f v)) r.values }
+
+(* A per-benchmark text table. *)
+let print_rows ~title to_string rows =
+  let header, body = Table.row_table to_string rows in
+  Table.print ~title ~header body
+
+(* The success rate of a (2Q count, success) or (ESP, success) cell. *)
+let snd_f2 v = Table.opt_f2 (Option.map snd v)
+
 (* ---------- Figure 1 ---------- *)
 
 let topology_blurb machine =
@@ -87,17 +98,19 @@ let fig1_rows () =
       ])
     Machines.all
 
-let print_fig1 () =
+let print_fig1 (r : run) =
   Table.print ~title:"Figure 1: device characteristics"
     ~header:
       [ "Machine"; "Qubits"; "2Q couplings"; "T (us)"; "1Q err %"; "2Q err %";
         "RO err %"; "Topology" ]
-    (fig1_rows ())
+    (Lazy.force r.fig1)
 
 (* ---------- Figure 2 ---------- *)
 
-let fig2_rows () =
-  List.map
+let print_fig2 (_ : run) =
+  Table.print ~title:"Figure 2: native and software-visible gates"
+    ~header:[ "Vendor"; "Native gates"; "Software-visible gates" ]
+  @@ List.map
     (fun basis ->
       [
         Gateset.vendor_name (Gateset.vendor_of_basis basis);
@@ -105,11 +118,6 @@ let fig2_rows () =
         Gateset.visible_description basis;
       ])
     [ Gateset.Umd_visible; Gateset.Ibm_visible; Gateset.Rigetti_visible ]
-
-let print_fig2 () =
-  Table.print ~title:"Figure 2: native and software-visible gates"
-    ~header:[ "Vendor"; "Native gates"; "Software-visible gates" ]
-    (fig2_rows ())
 
 (* ---------- Figure 3 ---------- *)
 
@@ -126,8 +134,8 @@ let fig3_series () =
       ((a, b), values))
     fig3_edges
 
-let print_fig3 () =
-  let series = fig3_series () in
+let print_fig3 (r : run) =
+  let series = Lazy.force r.fig3 in
   let header = "Day" :: List.map (fun ((a, b), _) -> Printf.sprintf "CNOT %d,%d" a b) series in
   let rows =
     List.init 26 (fun day ->
@@ -144,28 +152,26 @@ let print_fig3 () =
 
 (* ---------- Table 1 ---------- *)
 
-let tab1_rows () =
-  [
-    [ "TriQ-N"; "TriQ. No optimization. Default qubit mapping" ];
-    [ "TriQ-1QOpt"; "TriQ, 1Q gate optimization. Default qubit mapping" ];
-    [ "TriQ-1QOptC"; "TriQ. 1Q opt. Communication-optimized mapping" ];
-    [ "TriQ-1QOptCN"; "TriQ. 1Q opt. Comm- and noise-optimized mapping" ];
-    [ "Qiskit"; "IBM Qiskit 0.6-style baseline (reimplementation)" ];
-    [ "Quil"; "Rigetti Quil 1.9-style baseline (reimplementation)" ];
-  ]
-
-let print_tab1 () =
+let print_tab1 (_ : run) =
   Table.print ~title:"Table 1: compilers and optimization levels"
-    ~header:[ "Compiler"; "Description" ] (tab1_rows ())
+    ~header:[ "Compiler"; "Description" ]
+    [
+      [ "TriQ-N"; "TriQ. No optimization. Default qubit mapping" ];
+      [ "TriQ-1QOpt"; "TriQ, 1Q gate optimization. Default qubit mapping" ];
+      [ "TriQ-1QOptC"; "TriQ. 1Q opt. Communication-optimized mapping" ];
+      [ "TriQ-1QOptCN"; "TriQ. 1Q opt. Comm- and noise-optimized mapping" ];
+      [ "Qiskit"; "IBM Qiskit 0.6-style baseline (reimplementation)" ];
+      [ "Quil"; "Rigetti Quil 1.9-style baseline (reimplementation)" ];
+    ]
 
 (* ---------- Figures 5, 6, 7 ---------- *)
 
-let print_fig5 () =
+let print_fig5 (_ : run) =
   let bv4 = Programs.bv 4 in
   Printf.printf "\n== Figure 5: IR for Bernstein-Vazirani (BV4) ==\n%s"
     (Ir.Draw.render bv4.Programs.circuit)
 
-let print_fig6 () =
+let print_fig6 (_ : run) =
   let reliability =
     Triq.Reliability.of_calibration ~noise_aware:true
       Machines.example_8q.Machine.topology Machines.example_8q_calibration
@@ -173,8 +179,10 @@ let print_fig6 () =
   Format.printf "\n== Figure 6: 2Q reliability matrix (example 8-qubit device) ==@\n%a"
     Triq.Reliability.pp reliability
 
-let fig7_rows () =
-  List.map
+let print_fig7 (_ : run) =
+  Table.print ~title:"Figure 7: benchmarks"
+    ~header:[ "Benchmark"; "Qubits"; "1Q (IR)"; "2Q (IR)"; "Description" ]
+  @@ List.map
     (fun (p : Programs.t) ->
       let flat = Ir.Decompose.flatten p.Programs.circuit in
       [
@@ -186,11 +194,6 @@ let fig7_rows () =
       ])
     (benches ())
 
-let print_fig7 () =
-  Table.print ~title:"Figure 7: benchmarks"
-    ~header:[ "Benchmark"; "Qubits"; "1Q (IR)"; "2Q (IR)"; "Description" ]
-    (fig7_rows ())
-
 (* ---------- Figure 8 ---------- *)
 
 let fig8_machines () = [ Machines.ibmq14; Machines.agave; Machines.umdti ]
@@ -200,24 +203,12 @@ let fig8_data () =
     (fun c _ -> c.Triq.Compiled.pulse_count)
     (per_machine (fig8_machines ()) (fun m -> levels m Pipeline.[ N; OneQOpt ]))
 
-let row_table (to_string : 'a option -> string) rows =
-  match rows with
-  | [] -> ([], [])
-  | first :: _ ->
-    let header = "Benchmark" :: List.map fst first.values in
-    let body =
-      List.map (fun r -> r.bench :: List.map (fun (_, v) -> to_string v) r.values) rows
-    in
-    (header, body)
-
-let print_fig8 () =
+let print_fig8 (r : run) =
   List.iter
     (fun (name, rows) ->
-      let header, body = row_table Table.opt_int rows in
-      Table.print
-        ~title:(Printf.sprintf "Figure 8 (%s): native 1Q pulse counts" name)
-        ~header body)
-    (fig8_data ())
+      print_rows ~title:(Printf.sprintf "Figure 8 (%s): native 1Q pulse counts" name)
+        Table.opt_int rows)
+    (Lazy.force r.fig8)
 
 (* ---------- geomean helper ---------- *)
 
@@ -249,17 +240,16 @@ let fig9_data ?trajectories () =
     (per_machine [ Machines.ibmq14; Machines.umdti ] (fun m ->
          levels ~sim m Pipeline.[ N; OneQOpt ]))
 
-let print_fig9 ?trajectories () =
+let print_fig9 (r : run) =
   List.iter
     (fun (name, rows) ->
-      let header, body = row_table Table.opt_f2 rows in
-      Table.print
+      print_rows
         ~title:(Printf.sprintf "Figure 9 (%s): success rate, TriQ-N vs TriQ-1QOpt" name)
-        ~header body;
+        Table.opt_f2 rows;
       Printf.printf "geomean improvement (1QOpt over N): %.2fx\n"
         (geomean_improvement ~invert:true rows ~better:"TriQ-1QOpt" ~baseline:"TriQ-N"
            Fun.id))
-    (fig9_data ?trajectories ())
+    (Lazy.force r.fig9)
 
 (* ---------- Figure 10 ---------- *)
 
@@ -272,33 +262,29 @@ let fig10_success ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
   run_rows success (rows (benches ()) (levels ~sim Machines.ibmq14 Pipeline.[ OneQOpt; OneQOptC ]))
 
-let print_fig10 ?trajectories () =
+let print_fig10 (r : run) =
   List.iter
     (fun (name, rows) ->
-      let header, body = row_table Table.opt_int rows in
-      Table.print
-        ~title:(Printf.sprintf "Figure 10 (%s): 2Q gate count, +-comm. opt" name)
-        ~header body;
+      print_rows ~title:(Printf.sprintf "Figure 10 (%s): 2Q gate count, +-comm. opt" name)
+        Table.opt_int rows;
       Printf.printf "geomean 2Q reduction: %.2fx\n"
         (geomean_improvement rows ~better:"TriQ-1QOptC" ~baseline:"TriQ-1QOpt"
            float_of_int))
-    (fig10_counts ());
-  let rows = fig10_success ?trajectories () in
-  let header, body = row_table Table.opt_f2 rows in
-  Table.print ~title:"Figure 10c (IBMQ14): success rate, +-comm. opt" ~header body
+    (Lazy.force r.fig10_counts);
+  print_rows ~title:"Figure 10c (IBMQ14): success rate, +-comm. opt" Table.opt_f2
+    (Lazy.force r.fig10_success)
 
 (* ---------- Figure 11 ---------- *)
 
-let fig11_ibm_cols ?sim () =
-  let m = Machines.ibmq14 in
-  ("Qiskit", cell ?sim m (Baselines.Qiskit_like.schedule ()))
-  :: levels ?sim m Pipeline.[ OneQOptC; OneQOptCN ]
+(* Figure 11a's 2Q counts and 11b's success rates come off one grid. *)
+let fig11_ibm ?trajectories () =
+  let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
+  run_rows two_q_success
+    (rows (benches ())
+       (("Qiskit", cell ~sim m (Baselines.Qiskit_like.schedule ()))
+       :: levels ~sim m Pipeline.[ OneQOptC; OneQOptCN ]))
 
-let fig11_counts () = run_rows two_q (rows (benches ()) (fig11_ibm_cols ()))
-
-let fig11_ibm_success ?trajectories () =
-  let sim = Sim.Runner.Config.make ?trajectories () in
-  run_rows success (rows (benches ()) (fig11_ibm_cols ~sim ()))
+let fig11_ibm_success ?trajectories () = List.map (map_row snd) (fig11_ibm ?trajectories ())
 
 let fig11_rigetti_success ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
@@ -316,46 +302,43 @@ let fig11_sequences ?trajectories () =
       ("Fredkin sequence", rows (List.init 7 (fun i -> Sequences.fredkin (i + 1))) cols);
     ]
 
-let print_fig11 ?trajectories () =
-  let counts = fig11_counts () in
-  let header, body = row_table Table.opt_int counts in
-  Table.print ~title:"Figure 11a (IBMQ14): 2Q gate count vs Qiskit" ~header body;
-  let ibm = fig11_ibm_success ?trajectories () in
-  let header, body = row_table Table.opt_f2 ibm in
-  Table.print ~title:"Figure 11b (IBMQ14): success rate vs Qiskit" ~header body;
+let print_fig11 (r : run) =
+  let ibm = Lazy.force r.fig11_ibm in
+  print_rows ~title:"Figure 11a (IBMQ14): 2Q gate count vs Qiskit"
+    (fun v -> Table.opt_int (Option.map fst v))
+    ibm;
+  print_rows ~title:"Figure 11b (IBMQ14): success rate vs Qiskit" snd_f2 ibm;
   Printf.printf "geomean improvement over Qiskit: %.2fx\n"
-    (geomean_improvement ~invert:true ibm ~better:"TriQ-1QOptCN" ~baseline:"Qiskit" Fun.id);
+    (geomean_improvement ~invert:true ibm ~better:"TriQ-1QOptCN" ~baseline:"Qiskit" snd);
   List.iter
     (fun (name, rows) ->
-      let header, body = row_table Table.opt_f2 rows in
-      Table.print
-        ~title:(Printf.sprintf "Figure 11c/d (%s): success rate vs Quil" name)
-        ~header body;
+      print_rows ~title:(Printf.sprintf "Figure 11c/d (%s): success rate vs Quil" name)
+        Table.opt_f2 rows;
       Printf.printf "geomean improvement over Quil: %.2fx\n"
         (geomean_improvement ~invert:true rows ~better:"TriQ-1QOptCN" ~baseline:"Quil"
            Fun.id))
-    (fig11_rigetti_success ?trajectories ());
+    (Lazy.force r.fig11_rigetti);
   List.iter
     (fun (name, rows) ->
-      let header, body = row_table Table.opt_f2 rows in
-      Table.print
-        ~title:(Printf.sprintf "Figure 11e/f (UMDTI): %s, +-noise adaptivity" name)
-        ~header body)
-    (fig11_sequences ?trajectories ())
+      print_rows ~title:(Printf.sprintf "Figure 11e/f (UMDTI): %s, +-noise adaptivity" name)
+        Table.opt_f2 rows)
+    (Lazy.force r.fig11_sequences)
 
 (* ---------- Figure 12 ---------- *)
 
-let fig12_data ?trajectories () =
+(* (ESP, success) per cell: the [esp] section reads the same grid. *)
+let fig12_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
-  run_rows success
+  run_rows
+    (fun c o -> (c.Triq.Compiled.esp, success c o))
     (rows (benches ())
        (List.map (fun m -> (m.Machine.name, triq ~sim m Pipeline.OneQOptCN)) Machines.all))
 
-let print_fig12 ?trajectories () =
-  let rows = fig12_data ?trajectories () in
-  let header, body = row_table Table.opt_f2 rows in
-  Table.print ~title:"Figure 12: success rate, 12 benchmarks x 7 systems (TriQ-1QOptCN)"
-    ~header body
+let fig12_data ?trajectories () = List.map (map_row snd) (fig12_grid ?trajectories ())
+
+let print_fig12 (r : run) =
+  print_rows ~title:"Figure 12: success rate, 12 benchmarks x 7 systems (TriQ-1QOptCN)" snd_f2
+    (Lazy.force r.fig12)
 
 (* ---------- Scaling (Section 6.5) ---------- *)
 
@@ -383,16 +366,17 @@ let scaling_data ?(node_budget = 20_000) ?(depth = 16) () =
         compiled.Triq.Compiled.compile_time_s ))
     (scaling_grids depth)
 
-let print_scaling ?node_budget ?depth () =
-  let rows =
-    List.map
-      (fun (label, n, twoq, secs) ->
-        [ label; string_of_int n; string_of_int twoq; Printf.sprintf "%.2f" secs ])
-      (scaling_data ?node_budget ?depth ())
-  in
+(* The rows of the text table and of the report's. *)
+let scaling_rows () =
+  List.map
+    (fun (label, n, twoq, secs) ->
+      [ label; string_of_int n; string_of_int twoq; Printf.sprintf "%.2f" secs ])
+    (scaling_data ())
+
+let print_scaling (r : run) =
   Table.print ~title:"Section 6.5: compile-time scaling on supremacy circuits"
     ~header:[ "Grid"; "Qubits"; "2Q gates (mapped)"; "Compile time (s)" ]
-    rows
+    (Lazy.force r.scaling)
 
 (* ---------- Related work (Section 8) ---------- *)
 
@@ -402,11 +386,10 @@ let related_data () =
     (rows (benches ())
        (("Zulehner", cell m Baselines.Zulehner_like.schedule) :: levels m Pipeline.[ OneQOptC ]))
 
-let print_related () =
-  let rows = related_data () in
-  let header, body = row_table Table.opt_int rows in
-  Table.print ~title:"Section 8: 2Q count, hop-minimizing mapper vs TriQ (IBMQ16)"
-    ~header body;
+let print_related (r : run) =
+  let rows = Lazy.force r.related in
+  print_rows ~title:"Section 8: 2Q count, hop-minimizing mapper vs TriQ (IBMQ16)" Table.opt_int
+    rows;
   Printf.printf "geomean 2Q reduction over Zulehner-style mapper: %.2fx\n"
     (geomean_improvement rows ~better:"TriQ-1QOptC" ~baseline:"Zulehner" float_of_int)
 
@@ -435,7 +418,7 @@ let ablation_mapper_data ?(node_budget = 200_000) () =
       end)
     (benches ())
 
-let print_ablation_mapper () =
+let print_ablation_mapper (r : run) =
   let cells (r : Layout.Report.t) =
     [
       string_of_int (Layout.Report.work_total r.Layout.Report.work);
@@ -445,7 +428,7 @@ let print_ablation_mapper () =
   let rows =
     List.map
       (fun (bench, mm, pr, smt) -> (bench :: cells mm) @ cells pr @ cells smt)
-      (ablation_mapper_data ())
+      (Lazy.force r.mapper)
   in
   Table.print
     ~title:
@@ -466,8 +449,8 @@ let ablation_peephole_data () =
        ])
   |> pairs
 
-let print_ablation_peephole () =
-  let data = ablation_peephole_data () in
+let print_ablation_peephole (r : run) =
+  let data = Lazy.force r.peephole in
   let rows =
     List.map
       (fun (bench, without, with_) ->
@@ -490,18 +473,16 @@ let iontrap_programs () =
     Sequences.toffoli 4; Sequences.fredkin 4;
   ]
 
-let iontrap_data ?trajectories ?(ions = 13) () =
+let iontrap_data ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
   run_rows success
     (rows (iontrap_programs ())
-       (levels ~sim (Machines.ion_trap_chain ions) Pipeline.[ OneQOptC; OneQOptCN ]))
+       (levels ~sim (Machines.ion_trap_chain 13) Pipeline.[ OneQOptC; OneQOptCN ]))
 
-let print_iontrap ?trajectories () =
-  let rows = iontrap_data ?trajectories () in
-  let header, body = row_table Table.opt_f2 rows in
-  Table.print
-    ~title:"Extension: 13-ion trap with distance-dependent 2Q error (Sec 6.3)"
-    ~header body;
+let print_iontrap (r : run) =
+  let rows = Lazy.force r.iontrap in
+  print_rows ~title:"Extension: 13-ion trap with distance-dependent 2Q error (Sec 6.3)"
+    Table.opt_f2 rows;
   Printf.printf "geomean noise-adaptivity gain on the large trap: %.2fx\n"
     (geomean_improvement ~invert:true rows ~better:"TriQ-1QOptCN"
        ~baseline:"TriQ-1QOptC" Fun.id)
@@ -525,8 +506,8 @@ let tannu_data ?trajectories () =
   |> List.combine days
   |> keyed_pairs
 
-let print_tannu ?trajectories () =
-  let data = tannu_data ?trajectories () in
+let print_tannu (r : run) =
+  let data = Lazy.force r.tannu in
   let rows =
     List.map
       (fun (day, triq, qiskit) ->
@@ -559,19 +540,17 @@ let coherence_data () =
     (List.map
        (fun m -> (m.Machine.name, triq m Pipeline.OneQOptCN Programs.toffoli))
        Machines.all)
-  |> List.map (fun (name, (plays, fcs, duration, fraction, err)) ->
-         (name, plays, fcs, duration, fraction, err))
 
-let print_coherence () =
+let print_coherence (r : run) =
   let rows =
     List.map
-      (fun (name, plays, fcs, duration, fraction, gate_err) ->
+      (fun (name, (plays, fcs, duration, fraction, gate_err)) ->
         [
           name; string_of_int plays; string_of_int fcs;
           Printf.sprintf "%.1f" duration; Printf.sprintf "%.4f" fraction;
           Table.f2 gate_err;
         ])
-      (coherence_data ())
+      (Lazy.force r.coherence)
   in
   Table.print
     ~title:"Extension: pulse-level duration vs coherence (Toffoli, TriQ-1QOptCN)"
@@ -585,8 +564,10 @@ let print_coherence () =
      coherence-limited."
 
 (* Characterization closure: randomized-benchmarking the simulated devices
-   recovers the calibration error rates the compiler consumes. *)
-let characterize_data () =
+   recovers the calibration error rates the compiler consumes. Rows of
+   (machine, injected 1Q, recovered 1Q, injected 2Q, recovered 2Q). *)
+let characterize_rows () =
+  let f4 = Printf.sprintf "%.4f" in
   Parallel.Pool.map (Parallel.Pool.default ())
     (fun (machine, a, b) ->
       let calibration = Machine.calibration machine ~day:0 in
@@ -597,31 +578,23 @@ let characterize_data () =
       in
       let rb1 = Characterize.Benchmarking.one_qubit machine ~day:0 ~qubit:a in
       let rb2 = Characterize.Benchmarking.two_qubit machine ~day:0 ~a ~b in
-      ( machine.Machine.name,
-        injected_1q,
-        rb1.Characterize.Benchmarking.error_per_gate,
-        injected_2q,
-        rb2.Characterize.Benchmarking.error_per_gate ))
+      [
+        machine.Machine.name;
+        f4 injected_1q;
+        f4 rb1.Characterize.Benchmarking.error_per_gate;
+        f4 injected_2q;
+        f4 rb2.Characterize.Benchmarking.error_per_gate;
+      ])
     [
       (Machines.ibmq5, 1, 0); (Machines.ibmq14, 1, 0); (Machines.agave, 0, 1);
       (Machines.aspen1, 0, 1); (Machines.umdti, 0, 1);
     ]
 
-let print_characterize () =
-  let rows =
-    List.map
-      (fun (name, i1, r1, i2, r2) ->
-        [
-          name;
-          Printf.sprintf "%.4f" i1; Printf.sprintf "%.4f" r1;
-          Printf.sprintf "%.4f" i2; Printf.sprintf "%.4f" r2;
-        ])
-      (characterize_data ())
-  in
+let print_characterize (r : run) =
   Table.print
     ~title:"Extension: randomized benchmarking recovers calibration inputs"
     ~header:[ "Machine"; "1Q inj"; "1Q recovered"; "2Q inj"; "2Q recovered" ]
-    rows
+    (Lazy.force r.characterize)
 
 (* Routing ablation: noise-aware mapping with hop-count routing isolates
    the contribution of reliability-path SWAP insertion (Section 4.4). The
@@ -647,12 +620,10 @@ let ablation_routing_data ?trajectories () =
        ])
   |> List.filter (fun r -> pair r <> None)
 
-let print_ablation_routing ?trajectories () =
-  let rows = ablation_routing_data ?trajectories () in
-  let header, body = row_table Table.opt_f2 rows in
-  Table.print
-    ~title:"Ablation: hop-count vs reliability-path routing (IBMQ14, noise-aware mapping)"
-    ~header body;
+let print_ablation_routing (r : run) =
+  let rows = Lazy.force r.routing in
+  print_rows ~title:"Ablation: hop-count vs reliability-path routing (IBMQ14, noise-aware mapping)"
+    Table.opt_f2 rows;
   Printf.printf "geomean gain from reliability-path routing: %.2fx\n"
     (geomean_improvement ~invert:true rows ~better:"reliability routing"
        ~baseline:"hop routing" Fun.id)
@@ -676,8 +647,8 @@ let staleness_data ?trajectories ?(days = 8) () =
   |> List.combine days
   |> keyed_pairs
 
-let print_staleness ?trajectories () =
-  let data = staleness_data ?trajectories () in
+let print_staleness (r : run) =
+  let data = Lazy.force r.staleness in
   let rows =
     List.map
       (fun (day, stale, fresh) ->
@@ -696,23 +667,22 @@ let print_staleness ?trajectories () =
 
 (* ESP validation: the estimated success probability that drives mapping
    decisions must correlate strongly with measured success across the
-   whole study grid — otherwise optimizing it would be pointless. *)
-let esp_correlation_data ?trajectories () =
-  let sim = Sim.Runner.Config.make ?trajectories () in
-  run_named
-    (fun c o -> (c.Triq.Compiled.esp, success c o))
-    (List.concat_map
-       (fun m ->
-         List.map
-           (fun (p : Programs.t) ->
-             ( Printf.sprintf "%s/%s" m.Machine.name p.Programs.name,
-               triq ~sim m Pipeline.OneQOptCN p ))
-           (benches ()))
-       Machines.all)
-  |> List.map (fun (label, (esp, success)) -> (label, esp, success))
-
-let print_esp_correlation ?trajectories () =
-  let data = esp_correlation_data ?trajectories () in
+   whole study grid — otherwise optimizing it would be pointless. Reads
+   Figure 12's grid, machine by machine. *)
+let print_esp_correlation (r : run) =
+  let grid = Lazy.force r.fig12 in
+  let data =
+    List.concat_map
+      (fun m ->
+        let name = m.Machine.name in
+        List.filter_map
+          (fun row ->
+            Option.map
+              (fun (esp, success) -> (Printf.sprintf "%s/%s" name row.bench, esp, success))
+              (List.assoc name row.values))
+          grid)
+      Machines.all
+  in
   let rows =
     List.map (fun (label, esp, success) -> [ label; Table.f3 esp; Table.f3 success ]) data
   in
@@ -735,13 +705,12 @@ let ablation_lookahead_data ?trajectories () =
          ("lookahead", triq ~config:lookahead ~sim m Pipeline.OneQOptCN);
        ])
   |> pairs
-  |> List.map (fun (bench, (d2, ds), (l2, ls)) -> (bench, d2, ds, l2, ls))
 
-let print_ablation_lookahead ?trajectories () =
-  let data = ablation_lookahead_data ?trajectories () in
+let print_ablation_lookahead (r : run) =
+  let data = Lazy.force r.lookahead in
   let rows =
     List.map
-      (fun (bench, d2, ds, l2, ls) ->
+      (fun (bench, (d2, ds), (l2, ls)) ->
         [ bench; string_of_int d2; Table.f2 ds; string_of_int l2; Table.f2 ls ])
       data
   in
@@ -749,85 +718,76 @@ let print_ablation_lookahead ?trajectories () =
     ~title:"Ablation: default vs lookahead routing (IBMQ14, TriQ-1QOptCN)"
     ~header:[ "Benchmark"; "2Q (default)"; "success"; "2Q (lookahead)"; "success" ]
     rows;
-  let pairs = List.map (fun (_, _, ds, _, ls) -> (ls, ds)) data in
+  let pairs = List.map (fun (_, (_, ds), (_, ls)) -> (ls, ds)) data in
   Printf.printf "geomean success ratio (lookahead / default): %.3fx\n"
     (Stats.geomean_ratio pairs)
 
-(* Headline summary: the paper's reported numbers next to ours, computed
-   live — the quantitative core of EXPERIMENTS.md. *)
-let summary_data ?trajectories () =
-  let fig9 = fig9_data ?trajectories () in
+(* Headline summary: the paper's reported numbers next to ours, read off
+   the run's figure grids — the quantitative core of EXPERIMENTS.md. *)
+let summary_rows (r : run) =
   let geo_fig9 machine =
-    geomean_improvement ~invert:true (List.assoc machine fig9) ~better:"TriQ-1QOpt"
-      ~baseline:"TriQ-N" Fun.id
+    geomean_improvement ~invert:true (List.assoc machine (Lazy.force r.fig9))
+      ~better:"TriQ-1QOpt" ~baseline:"TriQ-N" Fun.id
   in
-  let fig10 = fig10_counts () in
   let geo_fig10 machine =
-    geomean_improvement (List.assoc machine fig10) ~better:"TriQ-1QOptC"
+    geomean_improvement (List.assoc machine (Lazy.force r.fig10_counts)) ~better:"TriQ-1QOptC"
       ~baseline:"TriQ-1QOpt" float_of_int
   in
-  let fig11b = fig11_ibm_success ?trajectories () in
-  let quil = fig11_rigetti_success ?trajectories () in
   let geo_quil machine =
-    geomean_improvement ~invert:true (List.assoc machine quil) ~better:"TriQ-1QOptCN"
-      ~baseline:"Quil" Fun.id
+    geomean_improvement ~invert:true (List.assoc machine (Lazy.force r.fig11_rigetti))
+      ~better:"TriQ-1QOptCN" ~baseline:"Quil" Fun.id
   in
-  let related = related_data () in
-  [
-    ("1Q-opt success gain, IBMQ14 (Fig 9)", "1.09x", Printf.sprintf "%.2fx" (geo_fig9 "IBMQ14"));
-    ("1Q-opt success gain, UMDTI (Fig 9)", "1.03x", Printf.sprintf "%.2fx" (geo_fig9 "UMDTI"));
-    ("comm-opt 2Q reduction, IBMQ14 (Fig 10)", "2.1x", Printf.sprintf "%.2fx" (geo_fig10 "IBMQ14"));
-    ("comm-opt 2Q reduction, Agave (Fig 10)", "1.3x", Printf.sprintf "%.2fx" (geo_fig10 "Agave"));
-    ( "TriQ-1QOptCN vs Qiskit, IBMQ14 (Fig 11)",
-      "3.0x",
-      Printf.sprintf "%.2fx"
-        (geomean_improvement ~invert:true fig11b ~better:"TriQ-1QOptCN"
-           ~baseline:"Qiskit" Fun.id) );
-    ("TriQ-1QOptCN vs Quil, Agave (Fig 11)", "1.45x (both Rigetti)",
-     Printf.sprintf "%.2fx" (geo_quil "Agave"));
-    ("TriQ-1QOptCN vs Quil, Aspen1 (Fig 11)", "1.45x (both Rigetti)",
-     Printf.sprintf "%.2fx" (geo_quil "Aspen1"));
-    ( "2Q reduction vs hop-minimizing mapper (Sec 8)",
-      "1.2x",
-      Printf.sprintf "%.2fx"
-        (geomean_improvement related ~better:"TriQ-1QOptC" ~baseline:"Zulehner"
-           float_of_int) );
-  ]
+  List.map
+    (fun (metric, paper, measured) -> [ metric; paper; Printf.sprintf "%.2fx" measured ])
+    [
+      ("1Q-opt success gain, IBMQ14 (Fig 9)", "1.09x", geo_fig9 "IBMQ14");
+      ("1Q-opt success gain, UMDTI (Fig 9)", "1.03x", geo_fig9 "UMDTI");
+      ("comm-opt 2Q reduction, IBMQ14 (Fig 10)", "2.1x", geo_fig10 "IBMQ14");
+      ("comm-opt 2Q reduction, Agave (Fig 10)", "1.3x", geo_fig10 "Agave");
+      ( "TriQ-1QOptCN vs Qiskit, IBMQ14 (Fig 11)", "3.0x",
+        geomean_improvement ~invert:true (Lazy.force r.fig11_ibm) ~better:"TriQ-1QOptCN"
+          ~baseline:"Qiskit" snd );
+      ("TriQ-1QOptCN vs Quil, Agave (Fig 11)", "1.45x (both Rigetti)", geo_quil "Agave");
+      ("TriQ-1QOptCN vs Quil, Aspen1 (Fig 11)", "1.45x (both Rigetti)", geo_quil "Aspen1");
+      ( "2Q reduction vs hop-minimizing mapper (Sec 8)", "1.2x",
+        geomean_improvement (Lazy.force r.related) ~better:"TriQ-1QOptC" ~baseline:"Zulehner"
+          float_of_int );
+    ]
 
-let print_summary ?trajectories () =
-  let rows =
-    List.map (fun (metric, paper, ours) -> [ metric; paper; ours ])
-      (summary_data ?trajectories ())
-  in
+let print_summary (r : run) =
   Table.print ~title:"Summary: paper-reported geomeans vs this reproduction"
-    ~header:[ "Metric"; "Paper"; "Measured" ] rows
+    ~header:[ "Metric"; "Paper"; "Measured" ] (Lazy.force r.summary)
 
-(* Per-benchmark compiled-executable properties on one machine: the
-   quantities Figures 8-11 are built from, in one table. *)
-let properties_rows machine =
-  run_named
-    (fun r _ ->
-      let dag = Ir.Dag.of_circuit r.Triq.Compiled.hardware in
-      [
-        string_of_int r.Triq.Compiled.two_q_count;
-        string_of_int r.Triq.Compiled.pulse_count;
-        string_of_int r.Triq.Compiled.swap_count;
-        string_of_int (Ir.Dag.depth dag);
-        Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Triq.Compiled.hardware));
-        Table.f3 r.Triq.Compiled.esp;
-      ])
-    (List.map
-       (fun (p : Programs.t) -> (p.Programs.name, triq machine Pipeline.OneQOptCN p))
-       (benches ()))
-  |> List.map (fun (bench, cols) -> bench :: cols)
+(* Per-benchmark compiled-executable properties on IBMQ14 and UMDTI: the
+   quantities Figures 8-11 are built from, in one table per machine. *)
+let properties_data () =
+  let table machine =
+    run_named
+      (fun r _ ->
+        let dag = Ir.Dag.of_circuit r.Triq.Compiled.hardware in
+        [
+          string_of_int r.Triq.Compiled.two_q_count;
+          string_of_int r.Triq.Compiled.pulse_count;
+          string_of_int r.Triq.Compiled.swap_count;
+          string_of_int (Ir.Dag.depth dag);
+          Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Triq.Compiled.hardware));
+          Table.f3 r.Triq.Compiled.esp;
+        ])
+      (List.map
+         (fun (p : Programs.t) -> (p.Programs.name, triq machine Pipeline.OneQOptCN p))
+         (benches ()))
+    |> List.map (fun (bench, cols) -> bench :: cols)
+  in
+  List.map (fun m -> (m.Machine.name, table m)) [ Machines.ibmq14; Machines.umdti ]
 
-let print_properties machine =
-  Table.print
-    ~title:
-      (Printf.sprintf "Compiled-executable properties on %s (TriQ-1QOptCN)"
-         machine.Machine.name)
-    ~header:[ "Benchmark"; "2Q"; "Pulses"; "Swaps"; "Depth"; "Duration us"; "ESP" ]
-    (properties_rows machine)
+let print_properties (r : run) =
+  List.iter
+    (fun (name, rows) ->
+      Table.print
+        ~title:(Printf.sprintf "Compiled-executable properties on %s (TriQ-1QOptCN)" name)
+        ~header:[ "Benchmark"; "2Q"; "Pulses"; "Swaps"; "Depth"; "Duration us"; "ESP" ]
+        rows)
+    (Lazy.force r.properties)
 
 (* Topology projection: the same error profile on IBM's post-2019
    heavy-hex-style layout vs the Melbourne lattice — topology, isolated. *)
@@ -848,12 +808,10 @@ let heavyhex_data ?trajectories () =
        ])
   |> List.filter (fun r -> pair r <> None)
 
-let print_heavyhex ?trajectories () =
-  let rows = heavyhex_data ?trajectories () in
-  let header, body = row_table Table.opt_f2 rows in
-  Table.print
-    ~title:"Extension: Melbourne lattice vs heavy-hex-style topology (same error profile)"
-    ~header body;
+let print_heavyhex (r : run) =
+  let rows = Lazy.force r.heavyhex in
+  print_rows ~title:"Extension: Melbourne lattice vs heavy-hex-style topology (same error profile)"
+    Table.opt_f2 rows;
   Printf.printf "geomean lattice/heavy-hex success ratio: %.2fx\n"
     (geomean_improvement ~invert:true rows ~better:"lattice" ~baseline:"heavy-hex" Fun.id)
 
@@ -875,8 +833,8 @@ let variability_data ?trajectories ?(days = 10) () =
              (fun r -> List.map (fun (_, v) -> Option.value ~default:0.0 v) r.values)
              rows ))
 
-let print_variability ?trajectories () =
-  let data = variability_data ?trajectories () in
+let print_variability (r : run) =
+  let data = Lazy.force r.variability in
   let days = match data with (_, l) :: _ -> List.length l | [] -> 0 in
   let header = "Day" :: List.map fst data in
   let rows =
@@ -906,8 +864,8 @@ let parametric_data ?trajectories () =
   |> pairs
   |> List.map (fun (bench, (c2, cs), (p2, ps)) -> (plain.Machine.name, bench, c2, cs, p2, ps))
 
-let print_parametric ?trajectories () =
-  let data = parametric_data ?trajectories () in
+let print_parametric (r : run) =
+  let data = Lazy.force r.parametric in
   let rows =
     List.map
       (fun (_, bench, c2, cs, p2, ps) ->
@@ -937,8 +895,8 @@ let noise_model_data ?trajectories () =
        ])
   |> pairs
 
-let print_noise_model ?trajectories () =
-  let data = noise_model_data ?trajectories () in
+let print_noise_model (r : run) =
+  let data = Lazy.force r.noise_model in
   let rows =
     List.map
       (fun (bench, folded, explicit) -> [ bench; Table.f2 folded; Table.f2 explicit ])
@@ -1003,9 +961,65 @@ let ghz_data ?trajectories ?(n = 3) () =
          | z_dist :: parity_dists -> Some (name, fidelity z_dist parity_dists)
          | [] -> None)
 
-let print_ghz ?trajectories () =
-  let data = ghz_data ?trajectories () in
+let print_ghz (r : run) =
+  let data = Lazy.force r.ghz in
   Table.print ~title:"Extension: GHZ3 fidelity via parity oscillations"
     ~header:[ "Machine"; "Fidelity" ]
     (List.map (fun (name, f) -> [ name; Table.f3 f ]) data);
   print_endline "F > 0.5 certifies genuine 3-qubit entanglement."
+
+(* ---------- One run, rendered by every section ---------- *)
+
+(* A grid is computed when a section first forces it; the summary forces
+   the figure grids it reads. *)
+let run ?trajectories () =
+  let rec r =
+    {
+      Report.fig1 = lazy (fig1_rows ());
+      fig3 = lazy (fig3_series ());
+      fig8 = lazy (fig8_data ());
+      fig9 = lazy (fig9_data ?trajectories ());
+      fig10_counts = lazy (fig10_counts ());
+      fig10_success = lazy (fig10_success ?trajectories ());
+      fig11_ibm = lazy (fig11_ibm ?trajectories ());
+      fig11_rigetti = lazy (fig11_rigetti_success ?trajectories ());
+      fig11_sequences = lazy (fig11_sequences ?trajectories ());
+      fig12 = lazy (fig12_grid ?trajectories ());
+      scaling = lazy (scaling_rows ());
+      related = lazy (related_data ());
+      mapper = lazy (ablation_mapper_data ());
+      peephole = lazy (ablation_peephole_data ());
+      iontrap = lazy (iontrap_data ?trajectories ());
+      tannu = lazy (tannu_data ?trajectories ());
+      coherence = lazy (coherence_data ());
+      characterize = lazy (characterize_rows ());
+      routing = lazy (ablation_routing_data ?trajectories ());
+      staleness = lazy (staleness_data ?trajectories ());
+      lookahead = lazy (ablation_lookahead_data ?trajectories ());
+      summary = lazy (summary_rows r);
+      properties = lazy (properties_data ());
+      heavyhex = lazy (heavyhex_data ?trajectories ());
+      variability = lazy (variability_data ?trajectories ());
+      parametric = lazy (parametric_data ?trajectories ());
+      noise_model = lazy (noise_model_data ?trajectories ());
+      ghz = lazy (ghz_data ?trajectories ());
+    }
+  in
+  r
+
+let sections =
+  [
+    ("fig1", print_fig1); ("fig2", print_fig2); ("fig3", print_fig3); ("tab1", print_tab1);
+    ("fig5", print_fig5); ("fig6", print_fig6); ("fig7", print_fig7); ("fig8", print_fig8);
+    ("fig9", print_fig9); ("fig10", print_fig10); ("fig11", print_fig11);
+    ("fig12", print_fig12); ("scaling", print_scaling); ("related", print_related);
+    ("ablation", fun r -> print_ablation_mapper r; print_ablation_peephole r);
+    ("iontrap", print_iontrap); ("tannu", print_tannu); ("coherence", print_coherence);
+    ("characterize", print_characterize); ("routing", print_ablation_routing);
+    ("staleness", print_staleness); ("esp", print_esp_correlation);
+    ("lookahead", print_ablation_lookahead); ("heavyhex", print_heavyhex);
+    ("properties", print_properties); ("summary", print_summary);
+    ("report", fun r -> print_string (Report.generate r));
+    ("variability", print_variability); ("parametric", print_parametric);
+    ("noisemodel", print_noise_model); ("ghz", print_ghz);
+  ]

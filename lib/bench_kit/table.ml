@@ -36,6 +36,13 @@ let f3 x = Printf.sprintf "%.3f" x
 let opt_f2 = function Some x -> f2 x | None -> "X"
 let opt_int = function Some n -> string_of_int n | None -> "X"
 
+let row_table to_string (rows : _ Cell.row list) =
+  match rows with
+  | [] -> ([], [])
+  | first :: _ ->
+    let line (r : _ Cell.row) = r.Cell.bench :: List.map (fun (_, v) -> to_string v) r.Cell.values in
+    ("Benchmark" :: List.map fst first.Cell.values, List.map line rows)
+
 let markdown ~header rows =
   let arity = List.length header in
   List.iteri

@@ -21,5 +21,11 @@ val opt_f2 : float option -> string
 (** [opt_int v] formats [Some n] as decimal and [None] as ["X"]. *)
 val opt_int : int option -> string
 
+(** [row_table to_string rows] is the header and body of a per-benchmark
+    table: a ["Benchmark"] column, then one column per series of the
+    first row, each cell formatted with [to_string]. Text tables
+    ({!render}) and markdown ones ({!markdown}) both lay it out. *)
+val row_table : ('a option -> string) -> 'a Cell.row list -> string list * string list list
+
 (** [markdown ~header rows] renders a GitHub-flavoured markdown table. *)
 val markdown : header:string list -> string list list -> string

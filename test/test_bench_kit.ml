@@ -298,9 +298,8 @@ let test_geomean_improvement_helper () =
   Alcotest.(check (float 1e-9)) "rates" 2.0
     (Experiments.geomean_improvement ~invert:true rows ~better:"y" ~baseline:"x" Fun.id)
 
-(* Every cell of a figure runs inside one [bench_kit.cell] span naming
-   its coordinates, whether or not the program fits the machine. *)
-let cell_spans f =
+(* The spans [f ()] records. *)
+let spans_of f =
   let module Span = Obs.Span in
   Span.enable ();
   Span.reset ();
@@ -308,7 +307,13 @@ let cell_spans f =
     ~finally:(fun () -> Span.disable (); Span.reset ())
     (fun () ->
       ignore (f ());
-      List.filter (fun (s : Span.t) -> s.Span.name = "bench_kit.cell") (Span.collected ()))
+      Span.collected ())
+
+let named name spans = List.filter (fun (s : Obs.Span.t) -> s.Obs.Span.name = name) spans
+
+(* Every cell of a figure runs inside one [bench_kit.cell] span naming
+   its coordinates, whether or not the program fits the machine. *)
+let cell_spans f = named "bench_kit.cell" (spans_of f)
 
 let str_attr (s : Obs.Span.t) key =
   match List.assoc_opt key s.Obs.Span.attrs with
@@ -349,7 +354,7 @@ let test_cell_spans () =
 (* ---------- Report generator ---------- *)
 
 let test_report_sections () =
-  let report = Bench_kit.Report.generate ~trajectories:60 () in
+  let report = Bench_kit.Report.generate (Experiments.run ~trajectories:60 ()) in
   let contains needle =
     let h = String.length report and n = String.length needle in
     let rec scan i = i + n <= h && (String.sub report i n = needle || scan (i + 1)) in
@@ -364,6 +369,28 @@ let test_report_sections () =
       "## Section 6.5"; "## Headline summary"; "## Extensions"; "| Benchmark |";
     ];
   Alcotest.(check bool) "substantial" true (String.length report > 4000)
+
+(* A report renders the run's grids: the first one computes them, a
+   second one on the same run compiles and simulates nothing. *)
+let test_report_reads_run () =
+  let run = Experiments.run ~trajectories:5 () in
+  let first = ref "" and second = ref "" in
+  let spans = spans_of (fun () -> first := Bench_kit.Report.generate run) in
+  Alcotest.(check bool) "first report compiles" true (named "compile" spans <> []);
+  Alcotest.(check bool) "first report simulates" true (named "sim.run" spans <> []);
+  let spans = spans_of (fun () -> second := Bench_kit.Report.generate run) in
+  Alcotest.(check int) "second report compiles" 0 (List.length (named "compile" spans));
+  Alcotest.(check int) "second report simulates" 0 (List.length (named "sim.run" spans));
+  Alcotest.(check string) "same report" !first !second
+
+(* Every section of one run, as a full bench run prints them: each grid
+   is computed once, so the summary, the report and the [esp] section add
+   no simulation of their own. *)
+let test_sections_one_pass () =
+  let run = Experiments.run ~trajectories:5 () in
+  let spans = spans_of (fun () -> List.iter (fun (_, section) -> section run) Experiments.sections) in
+  Alcotest.(check int) "sim.run spans" 488 (List.length (named "sim.run" spans));
+  Alcotest.(check int) "compile spans" 672 (List.length (named "compile" spans))
 
 let () =
   Alcotest.run "bench_kit"
@@ -396,7 +423,12 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_supremacy_deterministic;
           Alcotest.test_case "paper scale" `Quick test_supremacy_paper_scale;
         ] );
-      ("report", [ Alcotest.test_case "sections" `Slow test_report_sections ]);
+      ( "report",
+        [
+          Alcotest.test_case "sections" `Slow test_report_sections;
+          Alcotest.test_case "reads the run" `Quick test_report_reads_run;
+          Alcotest.test_case "one pass per run" `Quick test_sections_one_pass;
+        ] );
       ( "experiments",
         [
           Alcotest.test_case "fig1 shape" `Quick test_fig1_shape;
