@@ -399,10 +399,11 @@ let simulate_cmd =
           (if outcome.Sim.Runner.dominant_correct then "correct answer dominates"
            else "FAILED: wrong answer dominates");
         Printf.printf "top outcomes:\n";
-        List.iteri
-          (fun i (bits, n) ->
-            if i < 8 then Printf.printf "  %s  %6d / %d\n" bits n outcome.Sim.Runner.trials)
-          outcome.Sim.Runner.counts;
+        (* Most shots first, ties by bitstring: [counts] comes in
+           largest-remainder order, not by size. *)
+        List.sort (fun (a, n) (b, m) -> compare (m, a) (n, b)) outcome.Sim.Runner.counts
+        |> List.iteri (fun i (bits, n) ->
+               if i < 8 then Printf.printf "  %s  %6d / %d\n" bits n outcome.Sim.Runner.trials);
         0
       end
   in
