@@ -1,17 +1,11 @@
-(* triqc: the TriQ command-line compiler.
+(* triqc: the TriQ command-line compiler; 'triqc --help' lists the
+   subcommands.
 
-   Subcommands:
-     compile   Scaffold source -> vendor executable (OpenQASM/Quil/TI asm)
-     simulate  compile, then run on the noisy device model
-     lint      static checks: Scaffold source lints + compile-time validation
-               (--deep adds dataflow lints and translation validation)
-     check     dataflow analysis: Clifford/liveness/entanglement/phase facts
-               + per-pass translation validation against a machine
-     passes    list the registered compiler passes and level schedules
-     machines  list the supported machines
-     info      describe one machine (topology + calibration snapshot)
-     metrics   compile (and optionally simulate), then dump the Obs registry
-     bench     list the built-in benchmark programs
+   Every subcommand goes through one front door: one resolver per named
+   input (machine, level, router, validation mode, mapper), [target] for
+   file + machine + level + day with the one fit check, and
+   [expected_answer] for the program's spec. Each [run] is a [result]
+   pipeline ending in [exit_code], the one place an error is printed.
 
    Observability: compile/simulate/sweep accept --trace FILE
    [--trace-format chrome|jsonl|text] to record one span per compiler
@@ -21,9 +15,42 @@
 
 open Cmdliner
 
+let ( let* ) = Result.bind
+
+(* [Ok c] exits [c]; [Error msg] prints "triqc: msg" and exits [code]:
+   2 for lint, check, metrics and fuzz, whose findings already exit 1,
+   and 1 for every other command. *)
+let exit_code ?(code = 1) = function
+  | Ok c -> c
+  | Error msg ->
+    Printf.eprintf "triqc: %s\n" msg;
+    code
+
+(* A name looked up in its module's table; the error lists the names. *)
+let resolve ?(valid = "valid:") what of_string names s =
+  match of_string s with
+  | Some v -> Ok v
+  | None ->
+    Error (Printf.sprintf "unknown %s %S (%s %s)" what s valid (String.concat ", " names))
+
+let resolve_level =
+  resolve ~valid:"valid, case-insensitive:" "optimization level" Triq.Pass.level_of_string
+    Triq.Pass.level_strings
+
+let resolve_router =
+  resolve "router" Triq.Pass.Config.router_of_string Triq.Pass.Config.router_names
+
+let resolve_validation =
+  resolve "validation mode" Triq.Pass.Config.validation_of_string
+    Triq.Pass.Config.validation_names
+
+let resolve_mapper =
+  resolve ~valid:"expected" "mapper" Layout.Config.strategy_of_string
+    Layout.Config.strategy_names
+
 (* A machine is named either by a built-in name or by a JSON description
    file (the paper's device-characteristics-as-input design). *)
-let find_machine spec =
+let resolve_machine spec =
   match Device.Machines.find spec with
   | Some m -> Ok m
   | None ->
@@ -44,36 +71,8 @@ let find_machine spec =
            (String.concat ", "
               (List.map (fun m -> m.Device.Machine.name) Device.Machines.all)))
 
-let find_level name =
-  match Triq.Pass.level_of_string name with
-  | Some l -> Ok l
-  | None ->
-    Error
-      (Printf.sprintf "unknown optimization level %S (valid, case-insensitive: %s)"
-         name
-         (String.concat ", " Triq.Pass.level_strings))
-
-let find_router name =
-  match Triq.Pass.Config.router_of_string name with
-  | Some r -> Ok r
-  | None ->
-    Error
-      (Printf.sprintf "unknown router %S (valid: %s)" name
-         (String.concat ", " Triq.Pass.Config.router_names))
-
-let find_validation = function
-  | None -> Ok Triq.Pass.Config.Off
-  | Some name ->
-    (match Triq.Pass.Config.validation_of_string name with
-    | Some v -> Ok v
-    | None ->
-      Error
-        (Printf.sprintf "unknown validation mode %S (valid: %s)" name
-           (String.concat ", " Triq.Pass.Config.validation_names)))
-
 (* The level's named schedule, possibly edited by --passes/--disable-pass. *)
 let build_schedule ~config ~level passes disabled =
-  let ( let* ) = Result.bind in
   let* schedule =
     match passes with
     | None -> Ok (Triq.Pass.Schedule.of_level ~config level)
@@ -89,8 +88,8 @@ let build_schedule ~config ~level passes disabled =
       Triq.Pass.Schedule.disable schedule name)
     (Ok schedule) disabled
 
-let compile_at ?(config = Triq.Pass.Config.default) machine level circuit =
-  Triq.Pipeline.compile_schedule ~config machine circuit
+let compile_at config machine level (program : Scaffold.Lower.program) =
+  Triq.Pipeline.compile_schedule ~config machine program.Scaffold.Lower.circuit
     (Triq.Pass.Schedule.of_level ~config level)
 
 (* Programs come in as Scaffold source or (for re-optimizing existing
@@ -116,6 +115,33 @@ let load_program path =
     Error (Printf.sprintf "%s:%d: QASM error: %s" path line msg)
   | Sys_error msg -> Error msg
 
+let default_level = "1qoptcn"
+
+(* Machine, level and program, resolved in that order, the one fit check,
+   and the compile options for [day]. *)
+let target ?(level = default_level) ?validate file machine_name day =
+  let* machine = resolve_machine machine_name in
+  let* level = resolve_level level in
+  let* program = load_program file in
+  let circuit = program.Scaffold.Lower.circuit in
+  if Device.Machine.fits machine circuit then
+    Ok (machine, level, program, Triq.Pass.Config.make ~day ?validate ())
+  else
+    Error
+      (Printf.sprintf "program needs %d qubits; %s has %d" circuit.Ir.Circuit.n_qubits
+         machine.Device.Machine.name (Device.Machine.n_qubits machine))
+
+(* The program's noiseless output over its measured qubits, as a spec. *)
+let expected_answer (program : Scaffold.Lower.program) =
+  let measured = program.Scaffold.Lower.measured in
+  Ir.Spec.of_distribution measured
+    (Sim.Runner.ideal_distribution (Ir.Circuit.body program.Scaffold.Lower.circuit) ~measured)
+
+let needs_measure ?(purpose = "") (program : Scaffold.Lower.program) =
+  if program.Scaffold.Lower.measured = [] then
+    Error ("program has no measure statements" ^ purpose)
+  else Ok ()
+
 let machine_arg =
   let doc =
     "Target machine: a built-in name (IBMQ5, IBMQ14, IBMQ16, Agave, Aspen1, \
@@ -125,7 +151,7 @@ let machine_arg =
 
 let level_arg =
   let doc = "Optimization level: n, 1qopt, 1qoptc, 1qoptcn (Table 1)." in
-  Arg.(value & opt string "1qoptcn" & info [ "O"; "level" ] ~docv:"LEVEL" ~doc)
+  Arg.(value & opt string default_level & info [ "O"; "level" ] ~docv:"LEVEL" ~doc)
 
 let day_arg =
   let doc = "Calibration day to compile against." in
@@ -144,8 +170,7 @@ let jobs_arg =
     | None -> ()
     | Some j when j >= 1 -> Parallel.Pool.set_default_jobs j
     | Some j ->
-      Printf.eprintf "triqc: --jobs expects a positive count, got %d\n" j;
-      exit 2
+      exit (exit_code ~code:2 (Error (Printf.sprintf "--jobs expects a positive count, got %d" j)))
   in
   Term.(
     const setup
@@ -184,20 +209,19 @@ let with_trace (trace, fmt_name) k =
   | Some path -> (
     match Obs.Export.format_of_string fmt_name with
     | None ->
-      Printf.eprintf "triqc: unknown trace format %S (valid: chrome, jsonl, text)\n"
-        fmt_name;
-      2
+      exit_code ~code:2
+        (Error (Printf.sprintf "unknown trace format %S (valid: chrome, jsonl, text)" fmt_name))
     | Some fmt ->
       Obs.Span.enable ();
       let code = k () in
       Obs.Span.disable ();
       let rendered = Obs.Export.render fmt (Obs.Span.collected ()) in
-      (try
-         Out_channel.with_open_text path (fun oc -> output_string oc rendered);
-         code
-       with Sys_error msg ->
-         Printf.eprintf "triqc: cannot write trace: %s\n" msg;
-         if code = 0 then 1 else code))
+      exit_code
+        ~code:(if code = 0 then 1 else code)
+        (try
+           Out_channel.with_open_text path (fun oc -> output_string oc rendered);
+           Ok code
+         with Sys_error msg -> Error ("cannot write trace: " ^ msg)))
 
 let print_stats (r : Triq.Compiled.t) =
   Printf.eprintf
@@ -207,22 +231,6 @@ let print_stats (r : Triq.Compiled.t) =
     r.Triq.Compiled.two_q_count r.Triq.Compiled.pulse_count
     r.Triq.Compiled.swap_count r.Triq.Compiled.esp
     (r.Triq.Compiled.compile_time_s *. 1e6)
-
-let compile_common file machine_name level_name =
-  let ( let* ) = Result.bind in
-  let* machine = find_machine machine_name in
-  let* level = find_level level_name in
-  let* program = load_program file in
-  let* () =
-    if Device.Machine.fits machine program.Scaffold.Lower.circuit then Ok ()
-    else
-      Error
-        (Printf.sprintf "program needs %d qubits; %s has %d"
-           program.Scaffold.Lower.circuit.Ir.Circuit.n_qubits
-           machine.Device.Machine.name
-           (Device.Machine.n_qubits machine))
-  in
-  Ok (machine, level, program)
 
 let compile_cmd =
   let router_arg =
@@ -266,38 +274,24 @@ let compile_cmd =
     let doc = "Remove an optional pass from the schedule (repeatable)." in
     Arg.(value & opt_all string [] & info [ "disable-pass" ] ~docv:"NAME" ~doc)
   in
-  let run file machine_name level_name day router_name mapper_name
-      peephole validate passes disabled trace =
+  let run file machine_name level day router_name mapper_name peephole validate passes
+      disabled trace =
     with_trace trace @@ fun () ->
-    let ( let* ) = Result.bind in
-    let result =
-      let* machine, level, program = compile_common file machine_name level_name in
-      let* router = find_router router_name in
-      let* mapper =
-        match Layout.Config.strategy_of_string mapper_name with
-        | Some s -> Ok s
-        | None ->
-          Error
-            (Printf.sprintf "unknown mapper %S (expected %s)" mapper_name
-               (String.concat ", " Layout.Config.strategy_names))
-      in
-      let* validate = find_validation validate in
-      let config =
-        Triq.Pass.Config.make ~day ~router ~mapper ~peephole ~validate ()
-      in
-      let* schedule = build_schedule ~config ~level passes disabled in
-      Ok
-        (Triq.Pipeline.compile_schedule ~config machine
-           program.Scaffold.Lower.circuit schedule)
-    in
-    match result with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok compiled ->
-      print_stats compiled;
-      print_string (Backend.Emit.executable compiled);
-      0
+    exit_code
+      (let* machine, level, program, _ = target ~level file machine_name day in
+       let* router = resolve_router router_name in
+       let* mapper = resolve_mapper mapper_name in
+       let* validate =
+         Option.fold ~none:(Ok Triq.Pass.Config.Off) ~some:resolve_validation validate
+       in
+       let config = Triq.Pass.Config.make ~day ~router ~mapper ~peephole ~validate () in
+       let* schedule = build_schedule ~config ~level passes disabled in
+       let compiled =
+         Triq.Pipeline.compile_schedule ~config machine program.Scaffold.Lower.circuit schedule
+       in
+       print_stats compiled;
+       print_string (Backend.Emit.executable compiled);
+       Ok 0)
   in
   let doc = "Compile a Scaffold program to a vendor executable." in
   Cmd.v
@@ -352,60 +346,36 @@ let simulate_cmd =
     in
     Arg.(value & flag & info [ "no-fusion" ] ~doc)
   in
-  let run () file machine_name level_name day trials trajectories backend_name
-      no_fusion trace =
+  let run () file machine_name level day trials trajectories backend_name no_fusion trace =
     with_trace trace @@ fun () ->
-    match
-      ( compile_common file machine_name level_name,
-        Sim.Runner.Config.backend_of_string backend_name )
-    with
-    | Error msg, _ ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok _, None ->
-      Printf.eprintf
-        "triqc: unknown backend %S (expected auto, statevector or stabilizer)\n"
-        backend_name;
-      1
-    | Ok (machine, level, program), Some backend ->
-      if program.Scaffold.Lower.measured = [] then begin
-        Printf.eprintf "triqc: program has no measure statements\n";
-        1
-      end
-      else begin
-        let compiled =
-          compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-            program.Scaffold.Lower.circuit
-        in
-        print_stats compiled;
-        let measured = program.Scaffold.Lower.measured in
-        let spec =
-          match
-            Sim.Runner.ideal_distribution
-              (Ir.Circuit.body program.Scaffold.Lower.circuit)
-              ~measured
-          with
-          | (bits, p) :: _ when p > 0.99 -> Ir.Spec.deterministic measured bits
-          | dist -> Ir.Spec.distribution measured dist
-        in
-        let outcome =
-          Sim.Runner.simulate
-            ~config:
-              (Sim.Runner.Config.make ~trials ~trajectories ~backend
-                 ~fusion:(not no_fusion) ())
-            compiled spec
-        in
-        Printf.printf "success rate: %.4f (%s)\n" outcome.Sim.Runner.success_rate
-          (if outcome.Sim.Runner.dominant_correct then "correct answer dominates"
-           else "FAILED: wrong answer dominates");
-        Printf.printf "top outcomes:\n";
-        (* Most shots first, ties by bitstring: [counts] comes in
-           largest-remainder order, not by size. *)
-        List.sort (fun (a, n) (b, m) -> compare (m, a) (n, b)) outcome.Sim.Runner.counts
-        |> List.iteri (fun i (bits, n) ->
-               if i < 8 then Printf.printf "  %s  %6d / %d\n" bits n outcome.Sim.Runner.trials);
-        0
-      end
+    exit_code
+      (let* machine, level, program, config = target ~level file machine_name day in
+       let* backend =
+         Option.to_result
+           ~none:
+             (Printf.sprintf "unknown backend %S (expected auto, statevector or stabilizer)"
+                backend_name)
+           (Sim.Runner.Config.backend_of_string backend_name)
+       in
+       let* () = needs_measure program in
+       let compiled = compile_at config machine level program in
+       print_stats compiled;
+       let outcome =
+         Sim.Runner.simulate
+           ~config:
+             (Sim.Runner.Config.make ~trials ~trajectories ~backend ~fusion:(not no_fusion) ())
+           compiled (expected_answer program)
+       in
+       Printf.printf "success rate: %.4f (%s)\n" outcome.Sim.Runner.success_rate
+         (if outcome.Sim.Runner.dominant_correct then "correct answer dominates"
+          else "FAILED: wrong answer dominates");
+       Printf.printf "top outcomes:\n";
+       (* Most shots first, ties by bitstring: [counts] comes in
+          largest-remainder order, not by size. *)
+       List.sort (fun (a, n) (b, m) -> compare (m, a) (n, b)) outcome.Sim.Runner.counts
+       |> List.iteri (fun i (bits, n) ->
+              if i < 8 then Printf.printf "  %s  %6d / %d\n" bits n outcome.Sim.Runner.trials);
+       Ok 0)
   in
   let doc = "Compile and execute on the noisy device model." in
   Cmd.v
@@ -418,55 +388,26 @@ let simulate_cmd =
 let sweep_cmd =
   let run () file machine_name day trace =
     with_trace trace @@ fun () ->
-    let ( let* ) = Result.bind in
-    let result =
-      let* machine = find_machine machine_name in
-      let* program = load_program file in
-      Ok (machine, program)
-    in
-    match result with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok (machine, program) ->
-      if not (Device.Machine.fits machine program.Scaffold.Lower.circuit) then begin
-        Printf.eprintf "triqc: program does not fit %s\n" machine.Device.Machine.name;
-        1
-      end
-      else begin
-        Printf.printf "%-14s %6s %8s %6s %8s %10s\n" "Level" "2Q" "pulses" "swaps"
-          "ESP" "success";
-        let spec =
-          match
-            Sim.Runner.ideal_distribution
-              (Ir.Circuit.body program.Scaffold.Lower.circuit)
-              ~measured:program.Scaffold.Lower.measured
-          with
-          | (bits, p) :: _ when p > 0.99 ->
-            Some (Ir.Spec.deterministic program.Scaffold.Lower.measured bits)
-          | _ -> None
-        in
-        List.iter
-          (fun level ->
-            let compiled =
-              compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-                program.Scaffold.Lower.circuit
-            in
-            let success =
-              match spec with
-              | None -> "n/a"
-              | Some spec ->
-                Printf.sprintf "%.3f"
-                  (Sim.Runner.simulate compiled spec)
-                    .Sim.Runner.success_rate
-            in
-            Printf.printf "%-14s %6d %8d %6d %8.4f %10s\n"
-              (Triq.Pass.level_name level)
-              compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.pulse_count
-              compiled.Triq.Compiled.swap_count compiled.Triq.Compiled.esp success)
-          Triq.Pipeline.all_levels;
-        0
-      end
+    exit_code
+      (let* machine, _, program, config = target file machine_name day in
+       Printf.printf "%-14s %6s %8s %6s %8s %10s\n" "Level" "2Q" "pulses" "swaps" "ESP"
+         "success";
+       let spec = expected_answer program in
+       List.iter
+         (fun level ->
+           let compiled = compile_at config machine level program in
+           let success =
+             (* Only a deterministic answer has a success rate. *)
+             match spec.Ir.Spec.expected with
+             | [ (_, 1.0) ] ->
+               Printf.sprintf "%.3f" (Sim.Runner.simulate compiled spec).Sim.Runner.success_rate
+             | _ -> "n/a"
+           in
+           Printf.printf "%-14s %6d %8d %6d %8.4f %10s\n" (Triq.Pass.level_name level)
+             compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.pulse_count
+             compiled.Triq.Compiled.swap_count compiled.Triq.Compiled.esp success)
+         Triq.Pipeline.all_levels;
+       Ok 0)
   in
   let doc = "Compare all four optimization levels on one program (Table 1 sweep)." in
   Cmd.v
@@ -477,30 +418,20 @@ let draw_cmd =
   let compiled_arg =
     Arg.(value & flag & info [ "compiled" ] ~doc:"Draw the compiled hardware circuit instead of the program IR.")
   in
-  let run file machine_name level_name day compiled_view =
-    match compile_common file machine_name level_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok (machine, level, program) ->
-      if compiled_view then begin
-        let compiled =
-          compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-            program.Scaffold.Lower.circuit
-        in
-        print_string (Ir.Draw.render compiled.Triq.Compiled.hardware)
-      end
-      else begin
-        let labels =
-          List.map fst
-            (List.sort
-               (fun (_, a) (_, b) -> compare a b)
-               program.Scaffold.Lower.qubit_names)
-        in
-        print_string
-          (Ir.Draw.render ~wire_labels:labels program.Scaffold.Lower.circuit)
-      end;
-      0
+  let run file machine_name level day compiled_view =
+    exit_code
+      (let* machine, level, program, config = target ~level file machine_name day in
+       if compiled_view then
+         print_string
+           (Ir.Draw.render (compile_at config machine level program).Triq.Compiled.hardware)
+       else begin
+         let labels =
+           List.map fst
+             (List.sort (fun (_, a) (_, b) -> compare a b) program.Scaffold.Lower.qubit_names)
+         in
+         print_string (Ir.Draw.render ~wire_labels:labels program.Scaffold.Lower.circuit)
+       end;
+       Ok 0)
   in
   let doc = "Draw a program (or its compiled form) as an ASCII circuit." in
   Cmd.v
@@ -509,48 +440,27 @@ let draw_cmd =
 
 let verify_cmd =
   let run file machine_name day =
-    let ( let* ) = Result.bind in
-    let result =
-      let* machine = find_machine machine_name in
-      let* program = load_program file in
-      Ok (machine, program)
-    in
-    match result with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok (machine, program) ->
-      if not (Device.Machine.fits machine program.Scaffold.Lower.circuit) then begin
-        Printf.eprintf "triqc: program does not fit %s\n" machine.Device.Machine.name;
-        1
-      end
-      else if program.Scaffold.Lower.measured = [] then begin
-        Printf.eprintf "triqc: program has no measure statements to verify against\n";
-        1
-      end
-      else begin
-        let failures = ref 0 in
-        List.iter
-          (fun level ->
-            let compiled =
-              compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-                program.Scaffold.Lower.circuit
-            in
-            let result =
-              Sim.Verify.check ~program:program.Scaffold.Lower.circuit
-                ~measured:program.Scaffold.Lower.measured compiled
-            in
-            if result.Sim.Verify.equivalent then
-              Printf.printf "%-14s OK   (noiseless outputs identical)\n"
-                (Triq.Pass.level_name level)
-            else begin
-              incr failures;
-              Printf.printf "%-14s FAIL (total variation %.6f)\n"
-                (Triq.Pass.level_name level) result.Sim.Verify.total_variation
-            end)
-          Triq.Pipeline.all_levels;
-        if !failures = 0 then 0 else 1
-      end
+    exit_code
+      (let* machine, _, program, config = target file machine_name day in
+       let* () = needs_measure ~purpose:" to verify against" program in
+       let failures =
+         List.filter
+           (fun level ->
+             let result =
+               Sim.Verify.check ~program:program.Scaffold.Lower.circuit
+                 ~measured:program.Scaffold.Lower.measured
+                 (compile_at config machine level program)
+             in
+             if result.Sim.Verify.equivalent then
+               Printf.printf "%-14s OK   (noiseless outputs identical)\n"
+                 (Triq.Pass.level_name level)
+             else
+               Printf.printf "%-14s FAIL (total variation %.6f)\n" (Triq.Pass.level_name level)
+                 result.Sim.Verify.total_variation;
+             not result.Sim.Verify.equivalent)
+           Triq.Pipeline.all_levels
+       in
+       Ok (if failures = [] then 0 else 1))
   in
   let doc =
     "Verify that compilation preserves the program's semantics: compile at every \
@@ -560,16 +470,13 @@ let verify_cmd =
 
 let convert_cmd =
   let run file =
-    match load_program file with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok program ->
-      print_string
-        (Backend.Qasm_emit.emit_program
-           ~name:(Printf.sprintf "converted from %s" (Filename.basename file))
-           program.Scaffold.Lower.circuit);
-      0
+    exit_code
+      (let* program = load_program file in
+       print_string
+         (Backend.Qasm_emit.emit_program
+            ~name:(Printf.sprintf "converted from %s" (Filename.basename file))
+            program.Scaffold.Lower.circuit);
+       Ok 0)
   in
   let doc = "Convert a program (Scaffold or QASM) to portable OpenQASM 2.0." in
   Cmd.v
@@ -591,25 +498,21 @@ let info_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MACHINE" ~doc:"Machine name.")
   in
   let run machine_name day =
-    match find_machine machine_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok machine ->
-      Format.printf "%a@\n" Device.Machine.pp machine;
-      Format.printf "topology: %a@\n" Device.Topology.pp
-        machine.Device.Machine.topology;
-      let cal = Device.Machine.calibration machine ~day in
-      Format.printf "calibration (day %d):@\n" day;
-      Array.iteri
-        (fun q e ->
-          Format.printf "  q%d: 1Q err %.4f, RO err %.4f@\n" q e
-            (Device.Calibration.readout_err cal q))
-        cal.Device.Calibration.one_q;
-      List.iter
-        (fun ((a, b), e) -> Format.printf "  %d-%d: 2Q err %.4f@\n" a b e)
-        cal.Device.Calibration.two_q;
-      0
+    exit_code
+      (let* machine = resolve_machine machine_name in
+       Format.printf "%a@\n" Device.Machine.pp machine;
+       Format.printf "topology: %a@\n" Device.Topology.pp machine.Device.Machine.topology;
+       let cal = Device.Machine.calibration machine ~day in
+       Format.printf "calibration (day %d):@\n" day;
+       Array.iteri
+         (fun q e ->
+           Format.printf "  q%d: 1Q err %.4f, RO err %.4f@\n" q e
+             (Device.Calibration.readout_err cal q))
+         cal.Device.Calibration.one_q;
+       List.iter
+         (fun ((a, b), e) -> Format.printf "  %d-%d: 2Q err %.4f@\n" a b e)
+         cal.Device.Calibration.two_q;
+       Ok 0)
   in
   let doc = "Describe a machine: topology and calibration data." in
   Cmd.v (Cmd.info "info" ~doc) Term.(const run $ machine_pos $ day_arg)
@@ -618,25 +521,19 @@ let pulse_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit OpenPulse-style JSON instead of the timing listing.")
   in
-  let run file machine_name level_name day json =
-    match compile_common file machine_name level_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok (machine, level, program) ->
-      let compiled =
-        compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-          program.Scaffold.Lower.circuit
-      in
-      print_stats compiled;
-      let schedule = Pulse.Lower.of_compiled compiled in
-      Printf.eprintf "; schedule: %d pulses, %d frame changes, %.1f us\n"
-        (Pulse.Schedule.play_count schedule)
-        (Pulse.Schedule.frame_change_count schedule)
-        (Pulse.Schedule.duration_ns schedule /. 1000.0);
-      print_string
-        (if json then Pulse.Emit.openpulse_json schedule else Pulse.Emit.text schedule);
-      0
+  let run file machine_name level day json =
+    exit_code
+      (let* machine, level, program, config = target ~level file machine_name day in
+       let compiled = compile_at config machine level program in
+       print_stats compiled;
+       let schedule = Pulse.Lower.of_compiled compiled in
+       Printf.eprintf "; schedule: %d pulses, %d frame changes, %.1f us\n"
+         (Pulse.Schedule.play_count schedule)
+         (Pulse.Schedule.frame_change_count schedule)
+         (Pulse.Schedule.duration_ns schedule /. 1000.0);
+       print_string
+         (if json then Pulse.Emit.openpulse_json schedule else Pulse.Emit.text schedule);
+       Ok 0)
   in
   let doc = "Lower a Scaffold program all the way to a pulse schedule." in
   Cmd.v
@@ -648,37 +545,29 @@ let characterize_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MACHINE" ~doc:"Machine name or JSON description.")
   in
   let run machine_name day =
-    match find_machine machine_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok machine ->
-      let calibration = Device.Machine.calibration machine ~day in
-      let noise = Sim.Noise.create machine calibration in
-      Printf.printf "Characterizing %s (day %d) by randomized benchmarking:\n\n"
-        machine.Device.Machine.name day;
-      Printf.printf "%-8s %12s %12s %12s\n" "Qubit" "1Q injected" "1Q recovered"
-        "RO error";
-      for q = 0 to Device.Machine.n_qubits machine - 1 do
-        let injected = Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, q)) in
-        let rb = Characterize.Benchmarking.one_qubit machine ~day ~qubit:q in
-        let ro = Characterize.Benchmarking.readout machine ~day ~qubit:q in
-        Printf.printf "%-8d %12.5f %12.5f %12.5f\n" q injected
-          rb.Characterize.Benchmarking.error_per_gate
-          ro.Characterize.Benchmarking.error
-      done;
-      Printf.printf "\n%-10s %12s %12s\n" "Coupling" "2Q injected" "2Q recovered";
-      List.iter
-        (fun (a, b) ->
-          let injected =
-            Sim.Noise.gate_error_prob noise (Ir.Gate.Two (Ir.Gate.Cnot, a, b))
-          in
-          let rb = Characterize.Benchmarking.two_qubit machine ~day ~a ~b in
-          Printf.printf "%-10s %12.5f %12.5f\n"
-            (Printf.sprintf "%d-%d" a b)
-            injected rb.Characterize.Benchmarking.error_per_gate)
-        (Device.Topology.edges machine.Device.Machine.topology);
-      0
+    exit_code
+      (let* machine = resolve_machine machine_name in
+       let calibration = Device.Machine.calibration machine ~day in
+       let noise = Sim.Noise.create machine calibration in
+       Printf.printf "Characterizing %s (day %d) by randomized benchmarking:\n\n"
+         machine.Device.Machine.name day;
+       Printf.printf "%-8s %12s %12s %12s\n" "Qubit" "1Q injected" "1Q recovered" "RO error";
+       for q = 0 to Device.Machine.n_qubits machine - 1 do
+         let injected = Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, q)) in
+         let rb = Characterize.Benchmarking.one_qubit machine ~day ~qubit:q in
+         let ro = Characterize.Benchmarking.readout machine ~day ~qubit:q in
+         Printf.printf "%-8d %12.5f %12.5f %12.5f\n" q injected
+           rb.Characterize.Benchmarking.error_per_gate ro.Characterize.Benchmarking.error
+       done;
+       Printf.printf "\n%-10s %12s %12s\n" "Coupling" "2Q injected" "2Q recovered";
+       List.iter
+         (fun (a, b) ->
+           let injected = Sim.Noise.gate_error_prob noise (Ir.Gate.Two (Ir.Gate.Cnot, a, b)) in
+           let rb = Characterize.Benchmarking.two_qubit machine ~day ~a ~b in
+           Printf.printf "%-10s %12.5f %12.5f\n" (Printf.sprintf "%d-%d" a b) injected
+             rb.Characterize.Benchmarking.error_per_gate)
+         (Device.Topology.edges machine.Device.Machine.topology);
+       Ok 0)
   in
   let doc = "Estimate a machine's error rates by randomized benchmarking." in
   Cmd.v (Cmd.info "characterize" ~doc) Term.(const run $ machine_pos $ day_arg)
@@ -688,39 +577,60 @@ let export_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MACHINE" ~doc:"Machine name.")
   in
   let run machine_name =
-    match find_machine machine_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok machine ->
-      print_string (Device.Machine_io.to_string machine);
-      0
+    exit_code
+      (let* machine = resolve_machine machine_name in
+       print_string (Device.Machine_io.to_string machine);
+       Ok 0)
   in
   let doc = "Export a machine description as JSON (edit it, then pass the file as -m)." in
   Cmd.v (Cmd.info "export" ~doc) Term.(const run $ machine_pos)
 
-let lint_cmd =
-  let machine_opt =
-    let doc =
-      "Also compile for MACHINE (built-in name or JSON description) with the \
-       pass-invariant validator enabled, and audit the finished executable."
-    in
-    Arg.(value & opt (some string) None & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
+(* lint and check: the optional target machine, its level and day,
+   --all-levels and --json. *)
+type target_opts = {
+  machine : string option;
+  level : string;
+  day : int;
+  all_levels : bool;
+  json : bool;
+}
+
+let target_opts ~machine_doc ~json_doc =
+  let machine =
+    Arg.(value & opt (some string) None & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:machine_doc)
   in
-  let all_levels_arg =
+  let all_levels =
     Arg.(
       value & flag
       & info [ "all-levels" ]
           ~doc:"With -m, validate every optimization level instead of just -O.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit one JSON envelope {ok, command, data} with all diagnostics \
-             instead of text.")
-  in
+  let json = Arg.(value & flag & info [ "json" ] ~doc:json_doc) in
+  Term.(
+    const (fun machine level day all_levels json -> { machine; level; day; all_levels; json })
+    $ machine $ level_arg $ day_arg $ all_levels $ json)
+
+(* With -m, compile [file] at each selected level under [validate] and
+   give [k] the program, the level and the executable or the pass that
+   broke an invariant with its diagnostics. *)
+let compile_levels ~validate k file opts =
+  match opts.machine with
+  | None -> Ok []
+  | Some spec ->
+    let* machine, level, program, config =
+      target ~level:opts.level ~validate file spec opts.day
+    in
+    let levels = if opts.all_levels then Triq.Pipeline.all_levels else [ level ] in
+    Ok
+      (List.map
+         (fun level ->
+           k program level
+             (match compile_at config machine level program with
+             | compiled -> Ok compiled
+             | exception Analysis.Diag.Violation (pass, diags) -> Error (pass, diags)))
+         levels)
+
+let lint_cmd =
   let deep_arg =
     Arg.(
       value & flag
@@ -731,96 +641,67 @@ let lint_cmd =
              validation (live.mismatch, clifford.mismatch). 'triqc check' is \
              the analysis-first view of the same engine.")
   in
-  let run file machine_spec level_name day all_levels deep json =
-    let ( let* ) = Result.bind in
-    let result =
-      (* Source-level lints: Scaffold gets the full source lints; QASM
-         input must read through Qasm.Frontend, then skips straight to the
-         compile-time checks. *)
-      let* source_diags =
-        try
-          if Filename.check_suffix file ".qasm" then
-            match Qasm.Frontend.parse_file file with
-            | _ -> Ok []
-            | exception Qasm.Frontend.Error (msg, line) ->
-              Ok
-                [
-                  Analysis.Diag.errorf ~rule:"qasm.parse" ~layer:"qasm"
-                    ~loc:(Analysis.Diag.Line line) "%s" msg;
-                ]
-          else Ok (Analysis.Scaffold_lint.lint_file file)
-        with Sys_error msg -> Error msg
-      in
-      (* Dataflow lints over the program itself (--deep, any input kind). *)
-      let* dataflow_diags =
-        if (not deep) || Analysis.Diag.has_errors source_diags then Ok []
-        else
-          let* program = load_program file in
-          Ok (Dataflow.Analyze.lints ~layer:"dataflow" program.Scaffold.Lower.circuit)
-      in
-      (* Compile-time validation, only when a target is named and the source
-         itself is not already broken. *)
-      let* compile_diags =
-        match machine_spec with
-        | None -> Ok []
-        | Some _ when Analysis.Diag.has_errors source_diags -> Ok []
-        | Some spec ->
-          let* machine = find_machine spec in
-          let* level = find_level level_name in
-          let* program = load_program file in
-          let* () =
-            if Device.Machine.fits machine program.Scaffold.Lower.circuit then Ok ()
-            else
-              Error
-                (Printf.sprintf "program needs %d qubits; %s has %d"
-                   program.Scaffold.Lower.circuit.Ir.Circuit.n_qubits
-                   machine.Device.Machine.name
-                   (Device.Machine.n_qubits machine))
-          in
-          let levels = if all_levels then Triq.Pipeline.all_levels else [ level ] in
-          let validate =
-            if deep then Triq.Pass.Config.Deep else Triq.Pass.Config.Shape
-          in
-          Ok
-            (List.concat_map
-               (fun level ->
-                 match
-                   compile_at ~config:(Triq.Pass.Config.make ~day ~validate ())
-                     machine level program.Scaffold.Lower.circuit
-                 with
-                 | compiled ->
-                   Triq.Validate.check_compiled
-                     ~measured:program.Scaffold.Lower.measured compiled
-                 | exception Analysis.Diag.Violation (_, diags) -> diags)
-               levels)
-      in
-      Ok
-        (List.sort_uniq Analysis.Diag.compare
-           (source_diags @ dataflow_diags @ compile_diags))
-    in
-    match result with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      2
-    | Ok diags ->
-      let errors = Analysis.Diag.error_count diags in
-      let warnings = List.length diags - errors in
-      if json then
-        (* [ok] is the domain outcome (no error-severity findings); the
-           exit code stays the authoritative pass/fail signal. *)
-        Obs.Output.print ~ok:(errors = 0) ~command:"lint"
-          (Obs.Json.Obj
-             [
-               ( "diagnostics",
-                 Obs.Json.List (List.map Analysis.Diag.to_json diags) );
-               ("errors", Obs.Json.Int errors);
-               ("warnings", Obs.Json.Int warnings);
-             ])
-      else begin
-        List.iter (fun d -> print_endline (Analysis.Diag.render d)) diags;
-        Printf.eprintf "triqc lint: %d error(s), %d warning(s)\n" errors warnings
-      end;
-      if errors > 0 then 1 else 0
+  let run file opts deep =
+    exit_code ~code:2
+      ((* Source-level lints: Scaffold gets the full source lints; QASM
+          input must read through Qasm.Frontend, then skips straight to the
+          compile-time checks. *)
+       let* source_diags =
+         try
+           if Filename.check_suffix file ".qasm" then
+             match Qasm.Frontend.parse_file file with
+             | _ -> Ok []
+             | exception Qasm.Frontend.Error (msg, line) ->
+               Ok
+                 [
+                   Analysis.Diag.errorf ~rule:"qasm.parse" ~layer:"qasm"
+                     ~loc:(Analysis.Diag.Line line) "%s" msg;
+                 ]
+           else Ok (Analysis.Scaffold_lint.lint_file file)
+         with Sys_error msg -> Error msg
+       in
+       (* Dataflow lints over the program itself (--deep, any input kind). *)
+       let* dataflow_diags =
+         if (not deep) || Analysis.Diag.has_errors source_diags then Ok []
+         else
+           let* program = load_program file in
+           Ok (Dataflow.Analyze.lints ~layer:"dataflow" program.Scaffold.Lower.circuit)
+       in
+       (* Compile-time validation, only when the source itself is not
+          already broken. *)
+       let* compile_diags =
+         if Analysis.Diag.has_errors source_diags then Ok []
+         else
+           compile_levels
+             ~validate:(if deep then Triq.Pass.Config.Deep else Triq.Pass.Config.Shape)
+             (fun program _ -> function
+               | Ok compiled ->
+                 Triq.Validate.check_compiled ~measured:program.Scaffold.Lower.measured
+                   compiled
+               | Error (_, diags) -> diags)
+             file opts
+       in
+       let diags =
+         List.sort_uniq Analysis.Diag.compare
+           (source_diags @ dataflow_diags @ List.concat compile_diags)
+       in
+       let errors = Analysis.Diag.error_count diags in
+       let warnings = List.length diags - errors in
+       if opts.json then
+         (* [ok] is the domain outcome (no error-severity findings); the
+            exit code stays the authoritative pass/fail signal. *)
+         Obs.Output.print ~ok:(errors = 0) ~command:"lint"
+           (Obs.Json.Obj
+              [
+                ("diagnostics", Obs.Json.List (List.map Analysis.Diag.to_json diags));
+                ("errors", Obs.Json.Int errors);
+                ("warnings", Obs.Json.Int warnings);
+              ])
+       else begin
+         List.iter (fun d -> print_endline (Analysis.Diag.render d)) diags;
+         Printf.eprintf "triqc lint: %d error(s), %d warning(s)\n" errors warnings
+       end;
+       Ok (if errors > 0 then 1 else 0))
   in
   let doc =
     "Run the static checks: Scaffold source lints, plus (with -m) a full \
@@ -829,11 +710,16 @@ let lint_cmd =
      translation validation (see also 'triqc check'). Exits 1 if any \
      error-severity diagnostic fires."
   in
-  Cmd.v
-    (Cmd.info "lint" ~doc)
-    Term.(
-      const run $ file_arg $ machine_opt $ level_arg $ day_arg $ all_levels_arg
-      $ deep_arg $ json_arg)
+  let opts =
+    target_opts
+      ~machine_doc:
+        "Also compile for MACHINE (built-in name or JSON description) with the \
+         pass-invariant validator enabled, and audit the finished executable."
+      ~json_doc:
+        "Emit one JSON envelope {ok, command, data} with all diagnostics \
+         instead of text."
+  in
+  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ file_arg $ opts $ deep_arg)
 
 (* triqc check: the analysis-first face of lib/dataflow. Always reports
    the four abstract-domain summaries over the program; with -m it also
@@ -841,114 +727,67 @@ let lint_cmd =
    every pass preserved readout liveness and (for Clifford programs)
    the stabilizer state. *)
 let check_cmd =
-  let machine_opt =
-    let doc =
-      "Compile for MACHINE (built-in name or JSON description) with deep \
-       translation validation armed, reporting per-level results."
-    in
-    Arg.(value & opt (some string) None & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
-  in
-  let all_levels_arg =
-    Arg.(
-      value & flag
-      & info [ "all-levels" ]
-          ~doc:"With -m, validate every optimization level instead of just -O.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit one JSON envelope {ok, command, data} with the analysis \
-             summary, validation results and diagnostics instead of text.")
-  in
-  let run file machine_spec level_name day all_levels json =
-    let ( let* ) = Result.bind in
-    let result =
-      let* program = load_program file in
-      let circuit = program.Scaffold.Lower.circuit in
-      let summary = Dataflow.Analyze.summarize circuit in
-      let lints = Dataflow.Analyze.lints ~layer:"dataflow" circuit in
-      let* validation =
-        match machine_spec with
-        | None -> Ok []
-        | Some spec ->
-          let* machine = find_machine spec in
-          let* level = find_level level_name in
-          let* () =
-            if Device.Machine.fits machine circuit then Ok ()
-            else
-              Error
-                (Printf.sprintf "program needs %d qubits; %s has %d"
-                   circuit.Ir.Circuit.n_qubits machine.Device.Machine.name
-                   (Device.Machine.n_qubits machine))
-          in
-          let levels = if all_levels then Triq.Pipeline.all_levels else [ level ] in
-          let config = Triq.Pass.Config.make ~day ~validate:Triq.Pass.Config.Deep () in
-          Ok
-            (List.map
-               (fun level ->
-                 match compile_at ~config machine level circuit with
-                 | compiled ->
-                   ( Triq.Pass.level_name level,
-                     List.length compiled.Triq.Compiled.pass_times_s,
-                     [] )
-                 | exception Analysis.Diag.Violation (pass, diags) ->
-                   (Triq.Pass.level_name level, 0, List.map (fun d -> (pass, d)) diags))
-               levels)
-      in
-      Ok (summary, lints, validation)
-    in
-    match result with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      2
-    | Ok (summary, lints, validation) ->
-      let validation_diags = List.concat_map (fun (_, _, ds) -> List.map snd ds) validation in
-      let diags = List.sort_uniq Analysis.Diag.compare (lints @ validation_diags) in
-      let errors = Analysis.Diag.error_count diags in
-      let findings = List.length diags - errors in
-      if json then
-        Obs.Output.print ~ok:(errors = 0) ~command:"check"
-          (Obs.Json.Obj
-             [
-               ("file", Obs.Json.Str file);
-               ("analysis", Dataflow.Analyze.summary_json summary);
-               ( "validation",
-                 Obs.Json.List
-                   (List.map
-                      (fun (level, passes, ds) ->
-                        Obs.Json.Obj
-                          [
-                            ("level", Obs.Json.Str level);
-                            ("ok", Obs.Json.Bool (ds = []));
-                            ("passes", Obs.Json.Int passes);
-                            ("violations", Obs.Json.Int (List.length ds));
-                          ])
-                      validation) );
-               ( "diagnostics",
-                 Obs.Json.List (List.map Analysis.Diag.to_json diags) );
-               ("errors", Obs.Json.Int errors);
-               ("findings", Obs.Json.Int findings);
-             ])
-      else begin
-        Printf.printf "dataflow analysis: %s\n" file;
-        List.iter (fun l -> Printf.printf "  %s\n" l) (Dataflow.Analyze.summary_text summary);
-        if validation <> [] then begin
-          Printf.printf "translation validation (day %d):\n" day;
-          List.iter
-            (fun (level, passes, ds) ->
-              match ds with
-              | [] -> Printf.printf "  %-13s ok (%d passes)\n" level passes
-              | (pass, _) :: _ ->
-                Printf.printf "  %-13s FAIL at pass %s (%d violation(s))\n" level
-                  pass (List.length ds))
-            validation
-        end;
-        List.iter (fun d -> print_endline (Analysis.Diag.render d)) diags;
-        Printf.eprintf "triqc check: %d error(s), %d finding(s)\n" errors findings
-      end;
-      if errors > 0 then 1 else 0
+  let run file opts =
+    exit_code ~code:2
+      (let* program = load_program file in
+       let circuit = program.Scaffold.Lower.circuit in
+       let summary = Dataflow.Analyze.summarize circuit in
+       let lints = Dataflow.Analyze.lints ~layer:"dataflow" circuit in
+       let* validation =
+         compile_levels ~validate:Triq.Pass.Config.Deep
+           (fun _ level result ->
+             let name = Triq.Pass.level_name level in
+             match result with
+             | Ok compiled -> (name, List.length compiled.Triq.Compiled.pass_times_s, [])
+             | Error (pass, diags) -> (name, 0, List.map (fun d -> (pass, d)) diags))
+           file opts
+       in
+       let validation_diags =
+         List.concat_map (fun (_, _, ds) -> List.map snd ds) validation
+       in
+       let diags = List.sort_uniq Analysis.Diag.compare (lints @ validation_diags) in
+       let errors = Analysis.Diag.error_count diags in
+       let findings = List.length diags - errors in
+       if opts.json then
+         Obs.Output.print ~ok:(errors = 0) ~command:"check"
+           (Obs.Json.Obj
+              [
+                ("file", Obs.Json.Str file);
+                ("analysis", Dataflow.Analyze.summary_json summary);
+                ( "validation",
+                  Obs.Json.List
+                    (List.map
+                       (fun (level, passes, ds) ->
+                         Obs.Json.Obj
+                           [
+                             ("level", Obs.Json.Str level);
+                             ("ok", Obs.Json.Bool (ds = []));
+                             ("passes", Obs.Json.Int passes);
+                             ("violations", Obs.Json.Int (List.length ds));
+                           ])
+                       validation) );
+                ("diagnostics", Obs.Json.List (List.map Analysis.Diag.to_json diags));
+                ("errors", Obs.Json.Int errors);
+                ("findings", Obs.Json.Int findings);
+              ])
+       else begin
+         Printf.printf "dataflow analysis: %s\n" file;
+         List.iter (fun l -> Printf.printf "  %s\n" l) (Dataflow.Analyze.summary_text summary);
+         if validation <> [] then begin
+           Printf.printf "translation validation (day %d):\n" opts.day;
+           List.iter
+             (fun (level, passes, ds) ->
+               match ds with
+               | [] -> Printf.printf "  %-13s ok (%d passes)\n" level passes
+               | (pass, _) :: _ ->
+                 Printf.printf "  %-13s FAIL at pass %s (%d violation(s))\n" level pass
+                   (List.length ds))
+             validation
+         end;
+         List.iter (fun d -> print_endline (Analysis.Diag.render d)) diags;
+         Printf.eprintf "triqc check: %d error(s), %d finding(s)\n" errors findings
+       end;
+       Ok (if errors > 0 then 1 else 0))
   in
   let doc =
     "Run the semantic dataflow engine over a program: Clifford tableau, \
@@ -956,11 +795,16 @@ let check_cmd =
      (with -m) per-pass translation validation of the compiled result. \
      Exits 1 if any error-severity diagnostic fires."
   in
-  Cmd.v
-    (Cmd.info "check" ~doc)
-    Term.(
-      const run $ file_arg $ machine_opt $ level_arg $ day_arg $ all_levels_arg
-      $ json_arg)
+  let opts =
+    target_opts
+      ~machine_doc:
+        "Compile for MACHINE (built-in name or JSON description) with deep \
+         translation validation armed, reporting per-level results."
+      ~json_doc:
+        "Emit one JSON envelope {ok, command, data} with the analysis \
+         summary, validation results and diagnostics instead of text."
+  in
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ file_arg $ opts)
 
 let metrics_cmd =
   let simulate_arg =
@@ -983,51 +827,25 @@ let metrics_cmd =
       & info [ "json" ]
           ~doc:"Emit the registry as a single JSON envelope instead of text.")
   in
-  let run () file machine_name level_name day do_simulate trajectories json =
+  let run () file machine_name level day do_simulate trajectories json =
     Obs.Metrics.enable ();
-    match compile_common file machine_name level_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      2
-    | Ok (machine, level, program) ->
-      let compiled =
-        compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-          program.Scaffold.Lower.circuit
-      in
-      let simulated =
-        if not do_simulate then Ok ()
-        else if program.Scaffold.Lower.measured = [] then
-          Error "program has no measure statements to simulate"
-        else begin
-          let measured = program.Scaffold.Lower.measured in
-          let spec =
-            match
-              Sim.Runner.ideal_distribution
-                (Ir.Circuit.body program.Scaffold.Lower.circuit)
-                ~measured
-            with
-            | (bits, p) :: _ when p > 0.99 -> Ir.Spec.deterministic measured bits
-            | dist -> Ir.Spec.distribution measured dist
-          in
-          ignore
-            (Sim.Runner.simulate
-               ~config:(Sim.Runner.Config.make ~trajectories ())
-               compiled
-               spec);
-          Ok ()
-        end
-      in
-      (match simulated with
-      | Error msg ->
-        Printf.eprintf "triqc: %s\n" msg;
-        2
-      | Ok () ->
-        let dump = Obs.Metrics.dump () in
-        if json then
-          Obs.Output.print ~ok:true ~command:"metrics"
-            (Obs.Export.metrics_json dump)
-        else print_string (Obs.Export.metrics_text dump);
-        0)
+    exit_code ~code:2
+      (let* machine, level, program, config = target ~level file machine_name day in
+       let compiled = compile_at config machine level program in
+       let* () =
+         if not do_simulate then Ok ()
+         else
+           let* () = needs_measure ~purpose:" to simulate" program in
+           ignore
+             (Sim.Runner.simulate
+                ~config:(Sim.Runner.Config.make ~trajectories ())
+                compiled (expected_answer program));
+           Ok ()
+       in
+       let dump = Obs.Metrics.dump () in
+       if json then Obs.Output.print ~ok:true ~command:"metrics" (Obs.Export.metrics_json dump)
+       else print_string (Obs.Export.metrics_text dump);
+       Ok 0)
   in
   let doc =
     "Compile a program (and with --simulate, execute it) with the metrics \
@@ -1062,34 +880,38 @@ let bench_cmd =
             p.Bench_kit.Programs.description)
         (Bench_kit.Programs.all @ Bench_kit.Programs.extras);
       0
-    | Some spec -> (
-      match find_machine spec with
-      | Error msg ->
-        Printf.eprintf "triqc: %s\n" msg;
-        1
-      | Ok machine ->
-        Printf.printf "%-10s %6s %8s %8s %10s\n" "Benchmark" "2Q" "ESP" "success"
-          "dominates";
-        List.iter
-          (fun (p : Bench_kit.Programs.t) ->
-            if Device.Machine.fits machine p.Bench_kit.Programs.circuit then begin
-              let compiled =
-                compile_at ~config:(Triq.Pass.Config.make ~day ()) machine
-                  Triq.Pipeline.OneQOptCN p.Bench_kit.Programs.circuit
-              in
-              let outcome =
-                Sim.Runner.simulate
-                  compiled
-                  p.Bench_kit.Programs.spec
-              in
-              Printf.printf "%-10s %6d %8.3f %8.3f %10s\n" p.Bench_kit.Programs.name
-                compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.esp
-                outcome.Sim.Runner.success_rate
-                (if outcome.Sim.Runner.dominant_correct then "yes" else "NO")
-            end
-            else Printf.printf "%-10s %6s\n" p.Bench_kit.Programs.name "X")
-          Bench_kit.Programs.all;
-        0)
+    | Some spec ->
+      exit_code
+        (let* machine = resolve_machine spec in
+         Printf.printf "%-10s %6s %8s %8s %10s\n" "Benchmark" "2Q" "ESP" "success" "dominates";
+         let config = Triq.Pass.Config.make ~day () in
+         let cell (p : Bench_kit.Programs.t) =
+           ( p.Bench_kit.Programs.name,
+             [
+               ( "",
+                 {
+                   Bench_kit.Cell.machine;
+                   program = p;
+                   compiler = Triq.Pass.Schedule.of_level ~config Triq.Pipeline.OneQOptCN;
+                   config;
+                   sim = Some Sim.Runner.Config.default;
+                 } );
+             ] )
+         in
+         let project (c : Triq.Compiled.t) outcome =
+           let o = Option.get outcome in
+           (c.Triq.Compiled.two_q_count, c.Triq.Compiled.esp, o.Sim.Runner.success_rate,
+            o.Sim.Runner.dominant_correct)
+         in
+         Bench_kit.Cell.run_cells project [ ("", List.map cell Bench_kit.Programs.all) ]
+         |> List.concat_map snd
+         |> List.iter (fun { Bench_kit.Cell.bench; values } ->
+                match values with
+                | [ (_, Some (two_q, esp, success, dominant)) ] ->
+                  Printf.printf "%-10s %6d %8.3f %8.3f %10s\n" bench two_q esp success
+                    (if dominant then "yes" else "NO")
+                | _ -> Printf.printf "%-10s %6s\n" bench "X");
+         Ok 0)
   in
   let doc = "List the built-in benchmarks, or run them all on a machine (--run)." in
   Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ jobs_arg $ run_arg $ day_arg)
@@ -1118,37 +940,23 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run () seed cases oracle json =
-    if cases < 1 then begin
-      Printf.eprintf "triqc: --cases expects a positive count, got %d\n" cases;
-      2
-    end
-    else begin
-      let reports =
-        match oracle with
-        | None -> Ok (Proptest.Oracle.run_all ~seed ~cases)
-        | Some name -> (
-          match Proptest.Oracle.run ~seed ~cases name with
-          | Ok r -> Ok [ r ]
-          | Error msg -> Error msg)
-      in
-      match reports with
-      | Error msg ->
-        Printf.eprintf "triqc: %s\n" msg;
-        2
-      | Ok reports ->
-        let failed =
-          List.exists (fun r -> r.Proptest.Oracle.failure <> None) reports
-        in
-        if json then
-          Obs.Output.print ~ok:(not failed) ~command:"fuzz"
-            (Obs.Json.Obj
-               [
-                 ( "reports",
-                   Obs.Json.List (List.map Proptest.Oracle.report_json reports) );
-               ])
-        else List.iter (fun r -> print_endline (Proptest.Oracle.report_text r)) reports;
-        if failed then 1 else 0
-    end
+    exit_code ~code:2
+      (let* () =
+         if cases < 1 then Error (Printf.sprintf "--cases expects a positive count, got %d" cases)
+         else Ok ()
+       in
+       let* reports =
+         match oracle with
+         | None -> Ok (Proptest.Oracle.run_all ~seed ~cases)
+         | Some name -> Result.map (fun r -> [ r ]) (Proptest.Oracle.run ~seed ~cases name)
+       in
+       let failed = List.exists (fun r -> r.Proptest.Oracle.failure <> None) reports in
+       if json then
+         Obs.Output.print ~ok:(not failed) ~command:"fuzz"
+           (Obs.Json.Obj
+              [ ("reports", Obs.Json.List (List.map Proptest.Oracle.report_json reports)) ])
+       else List.iter (fun r -> print_endline (Proptest.Oracle.report_text r)) reports;
+       Ok (if failed then 1 else 0))
   in
   let doc =
     "Differential-test the full stack on generated circuits: emit/parse \

@@ -12,15 +12,12 @@ type t = {
 let make name description n gates ~measured =
   let body = Ir.Circuit.create n gates in
   let circuit = Ir.Circuit.measure_all body measured in
-  let spec =
-    match Sim.Runner.ideal_distribution body ~measured with
-    | (bits, p) :: _ when p > 0.99 -> Ir.Spec.deterministic measured bits
-    | (bits, p) :: _ ->
-      failwith
-        (Printf.sprintf "Programs.%s: output not deterministic (%s has p=%.3f)"
-           name bits p)
-    | [] -> failwith "Programs.make: empty distribution"
-  in
+  let spec = Ir.Spec.of_distribution measured (Sim.Runner.ideal_distribution body ~measured) in
+  (match spec.Ir.Spec.expected with
+  | (bits, p) :: _ when p < 1.0 ->
+    failwith
+      (Printf.sprintf "Programs.%s: output not deterministic (%s has p=%.3f)" name bits p)
+  | _ -> ());
   { name; description; circuit; spec }
 
 let custom ~name ~description ~n gates ~measured = make name description n gates ~measured

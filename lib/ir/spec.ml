@@ -22,6 +22,11 @@ let distribution measured dist =
   if total > 1.0 +. 1e-6 then invalid_arg "Spec.distribution: probabilities exceed 1";
   { measured; expected = dist }
 
+let of_distribution measured dist =
+  match List.find_opt (fun (_, p) -> p > 0.99) dist with
+  | Some (bits, _) -> deterministic measured bits
+  | None -> distribution measured dist
+
 let total_shots counts = List.fold_left (fun acc (_, n) -> acc + n) 0 counts
 
 let success_rate t counts =

@@ -21,6 +21,11 @@ val deterministic : int list -> string -> t
     probabilities must be positive and sum to at most 1 + 1e-6. *)
 val distribution : int list -> (string * float) list -> t
 
+(** [of_distribution measured dist] is the spec of a program whose
+    noiseless output is [dist]: {!deterministic} on the top outcome when
+    its probability is above 0.99, otherwise {!distribution}. *)
+val of_distribution : int list -> (string * float) list -> t
+
 (** [success_rate t counts] scores an observed histogram (bitstring ->
     number of shots): the fraction of shots landing on the expected
     answer(s), weighted so a perfect device scores 1. For a deterministic

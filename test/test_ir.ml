@@ -295,6 +295,17 @@ let test_spec_distribution () =
   Alcotest.(check (float 1e-9)) "skewed" 0.5
     (Spec.success_rate spec [ ("0", 1000) ])
 
+(* Deterministic only when the top outcome is above 0.99, wherever it is
+   in the list. *)
+let test_spec_of_distribution () =
+  let expected dist = (Spec.of_distribution [ 0 ] dist).Spec.expected in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "p = 0.99 stays a distribution" [ ("0", 0.01); ("1", 0.99) ]
+    (expected [ ("0", 0.01); ("1", 0.99) ]);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "p = 0.991 is deterministic" [ ("1", 1.0) ]
+    (expected [ ("0", 0.009); ("1", 0.991) ])
+
 let test_spec_validation () =
   Alcotest.(check bool) "bad length" true
     (try ignore (Spec.deterministic [ 0; 1 ] "0"); false
@@ -496,6 +507,7 @@ let () =
           Alcotest.test_case "success rate" `Quick test_spec_success_rate;
           Alcotest.test_case "dominates" `Quick test_spec_dominates;
           Alcotest.test_case "distribution" `Quick test_spec_distribution;
+          Alcotest.test_case "of distribution" `Quick test_spec_of_distribution;
           Alcotest.test_case "validation" `Quick test_spec_validation;
         ] );
       ("properties", qcheck_cases);
