@@ -162,44 +162,16 @@ let pp fmt t =
    day, noise_aware), so they are shared through one Parallel.Memo
    instance. *)
 
-(* Machine names are not globally unique (users build machines by hand in
-   tests and examples), so key equality also compares the machines
-   themselves. *)
-(* Field-wise: [two_q_scale] holds a closure, so polymorphic compare on
-   whole profiles would raise; distinct closures count as distinct
-   profiles (the conservative direction — at worst a needless miss). *)
-let same_profile (a : Calibration.profile) (b : Calibration.profile) =
-  a.Calibration.avg_one_q_err = b.Calibration.avg_one_q_err
-  && a.Calibration.avg_two_q_err = b.Calibration.avg_two_q_err
-  && a.Calibration.avg_readout_err = b.Calibration.avg_readout_err
-  && a.Calibration.coherence_us = b.Calibration.coherence_us
-  && a.Calibration.one_q_time_us = b.Calibration.one_q_time_us
-  && a.Calibration.two_q_time_us = b.Calibration.two_q_time_us
-  && a.Calibration.spatial_sigma = b.Calibration.spatial_sigma
-  && a.Calibration.temporal_sigma = b.Calibration.temporal_sigma
-  &&
-  match (a.Calibration.two_q_scale, b.Calibration.two_q_scale) with
-  | None, None -> true
-  | Some f, Some g -> f == g
-  | _ -> false
-
-let same_machine (a : Machine.t) (b : Machine.t) =
-  a == b
-  || (a.Machine.name = b.Machine.name
-     && a.Machine.seed = b.Machine.seed
-     && a.Machine.basis = b.Machine.basis
-     && same_profile a.Machine.profile b.Machine.profile
-     && Topology.directed a.Machine.topology = Topology.directed b.Machine.topology
-     && Topology.edges a.Machine.topology = Topology.edges b.Machine.topology
-     && Topology.n_qubits a.Machine.topology = Topology.n_qubits b.Machine.topology)
-
+(* Keyed on the machine value itself (physical equality): names are not
+   globally unique (users build machines by hand in tests and examples),
+   and a structurally equal copy of a machine costs only a miss. *)
 type cache_key = { machine : Machine.t; day : int; noise_aware : bool }
 
 module Memo = Parallel.Memo.Make (struct
   type t = cache_key
 
   let equal a b =
-    a.day = b.day && a.noise_aware = b.noise_aware && same_machine a.machine b.machine
+    a.machine == b.machine && a.day = b.day && a.noise_aware = b.noise_aware
 
   let hash k =
     Hashtbl.hash (k.machine.Machine.name, k.machine.Machine.seed, k.day, k.noise_aware)
