@@ -18,8 +18,7 @@ let one_q_error_of_decay lambda = 3.0 *. (1.0 -. lambda) /. 4.0
 let two_q_error_of_decay lambda = 15.0 *. (1.0 -. lambda) /. 16.0
 
 let fit points error_of_decay =
-  let decay, _ = Fit.exponential_decay points in
-  let _, amplitude = Fit.exponential_decay points in
+  let decay, amplitude = Fit.exponential_decay points in
   {
     decay;
     error_per_gate = error_of_decay decay;
