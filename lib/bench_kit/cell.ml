@@ -11,18 +11,25 @@ type t = {
 type 'a row = { bench : string; values : (string * 'a option) list }
 
 let attrs c =
+  let flag cond attr = if cond then [ attr ] else [] in
+  let config = c.config in
   let run =
     match c.sim with
     | None -> [ ("trajectories", Span.Str "compile-only") ]
     | Some s -> (
       ("trajectories", Span.Int s.Sim.Runner.Config.trajectories)
-      :: (match s.Sim.Runner.Config.day with Some d -> [ ("run_day", Span.Int d) ] | None -> []))
+      :: (match s.Sim.Runner.Config.day with Some d -> [ ("run_day", Span.Int d) ] | None -> [])
+      @ flag s.Sim.Runner.Config.explicit_t1 ("explicit_t1", Span.Bool true))
   in
   ("machine", Span.Str c.machine.Device.Machine.name)
   :: ("compiler", Span.Str c.compiler.Triq.Pass.Schedule.name)
   :: ("benchmark", Span.Str c.program.Programs.name)
-  :: ("day", Span.Int c.config.Triq.Pass.Config.day)
-  :: run
+  :: ("day", Span.Int config.Triq.Pass.Config.day)
+  :: flag
+       (config.Triq.Pass.Config.router = Triq.Pass.Config.Lookahead)
+       ("router", Span.Str (Triq.Pass.Config.router_name config.Triq.Pass.Config.router))
+  @ flag config.Triq.Pass.Config.peephole ("peephole", Span.Bool true)
+  @ run
 
 let run project c =
   Span.with_span ~attrs:(attrs c) "bench_kit.cell" (fun () ->

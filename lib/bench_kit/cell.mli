@@ -36,9 +36,10 @@ type 'a row = { bench : string; values : (string * 'a option) list }
     row-major order. Each simulation seeds its own RNG, so the result is
     identical for every pool size. Each cell runs inside a
     ["bench_kit.cell"] span with attributes [machine], [compiler],
-    [benchmark], [day] (the compile day), [run_day] when the runner
-    overrides it, and [trajectories] ([Str "compile-only"] for a
-    compile-only cell). *)
+    [benchmark], [day] (the compile day), [router] when it is the
+    lookahead router, [peephole] and [explicit_t1] when set, [run_day]
+    when the runner overrides it, and [trajectories] ([Str
+    "compile-only"] for a compile-only cell). *)
 val run_cells :
   (Triq.Compiled.t -> Sim.Runner.outcome option -> 'a) ->
   (string * (string * (string * t) list) list) list ->

@@ -351,6 +351,32 @@ let test_cell_spans () =
     (fun s -> Alcotest.(check string) "compile-only" "compile-only" (str_attr s "trajectories"))
     spans
 
+(* A cell's attributes name the work it does: the lookahead router and
+   the explicit-T1 noise model show up next to the plain TriQ-1QOptCN
+   cell, which the lookahead and noisemodel sections both run. *)
+let test_cell_attrs_tell_work_apart () =
+  let run = Experiments.run ~trajectories:5 () in
+  let spans =
+    cell_spans (fun () ->
+        ignore (Lazy.force run.Bench_kit.Report.lookahead);
+        ignore (Lazy.force run.Bench_kit.Report.noise_model))
+  in
+  let bv4 =
+    List.filter (fun s -> str_attr s "machine" = "IBMQ14" && str_attr s "benchmark" = "BV4") spans
+  in
+  let extra s =
+    List.find_map
+      (fun (k, _) -> if k = "router" || k = "explicit_t1" then Some k else None)
+      s.Obs.Span.attrs
+  in
+  let plain, other = List.partition (fun s -> extra s = None) bv4 in
+  Alcotest.(check int) "default and folded cells" 2 (List.length plain);
+  Alcotest.(check int) "plain cells alike" 1
+    (List.length (List.sort_uniq compare (List.map (fun s -> s.Obs.Span.attrs) plain)));
+  Alcotest.(check (list (option string)))
+    "lookahead and explicit T1 cells" [ Some "explicit_t1"; Some "router" ]
+    (List.sort compare (List.map extra other))
+
 (* ---------- Report generator ---------- *)
 
 let test_report_sections () =
@@ -441,5 +467,6 @@ let () =
           Alcotest.test_case "related improvement" `Quick test_related_improvement;
           Alcotest.test_case "geomean helper" `Quick test_geomean_improvement_helper;
           Alcotest.test_case "cell spans" `Quick test_cell_spans;
+          Alcotest.test_case "cell attributes" `Quick test_cell_attrs_tell_work_apart;
         ] );
     ]
