@@ -8,8 +8,9 @@
      main.exe [-j N] <id>    one section of Bench_kit.Experiments.sections
                              (an unknown id prints the list)
 
-   Every section of one process renders from one Experiments.run, so no
-   grid is computed twice. -j N sizes the domain pool (default:
+   The sections of one process render from one Experiments.run, which
+   compiles and simulates the cells they read as one batch: each distinct
+   cell once. -j N sizes the domain pool (default:
    Domain.recommended_domain_count); results are bit-for-bit identical for
    every N. *)
 
@@ -32,15 +33,15 @@ let () =
     | [] -> []
   in
   let render ?trajectories sections =
-    let run = E.run ?trajectories () in
-    List.iter (fun (_, section) -> section run) sections
+    let run = E.run ?trajectories sections in
+    List.iter (fun s -> s.E.render run) sections
   in
-  match args with
-  | [] -> render E.sections
-  | [ "quick" ] -> render ~trajectories:50 E.sections
-  | [ id ] when List.mem_assoc id E.sections -> render [ (id, List.assoc id E.sections) ]
+  match (args, List.filter (fun s -> [ s.E.id ] = args) E.sections) with
+  | [], _ -> render E.sections
+  | [ "quick" ], _ -> render ~trajectories:50 E.sections
+  | _, [ section ] -> render [ section ]
   | _ ->
     Printf.eprintf "unknown experiment %S; known: %s quick\n"
       (String.concat " " args)
-      (String.concat " " (List.map fst E.sections));
+      (String.concat " " (List.map (fun s -> s.E.id) E.sections));
     exit 2

@@ -358,14 +358,11 @@ let simulate_cmd =
            (Sim.Runner.Config.backend_of_string backend_name)
        in
        let* () = needs_measure program in
+       let sim = Sim.Runner.Config.make ~trials ~trajectories ~backend ~fusion:(not no_fusion) () in
+       let* () = Sim.Runner.Config.check sim in
        let compiled = compile_at config machine level program in
        print_stats compiled;
-       let outcome =
-         Sim.Runner.simulate
-           ~config:
-             (Sim.Runner.Config.make ~trials ~trajectories ~backend ~fusion:(not no_fusion) ())
-           compiled (expected_answer program)
-       in
+       let outcome = Sim.Runner.simulate ~config:sim compiled (expected_answer program) in
        Printf.printf "success rate: %.4f (%s)\n" outcome.Sim.Runner.success_rate
          (if outcome.Sim.Runner.dominant_correct then "correct answer dominates"
           else "FAILED: wrong answer dominates");
@@ -390,6 +387,7 @@ let sweep_cmd =
     with_trace trace @@ fun () ->
     exit_code
       (let* machine, _, program, config = target file machine_name day in
+       let* () = needs_measure ~purpose:" to score" program in
        Printf.printf "%-14s %6s %8s %6s %8s %10s\n" "Level" "2Q" "pulses" "swaps" "ESP"
          "success";
        let spec = expected_answer program in
@@ -831,17 +829,16 @@ let metrics_cmd =
     Obs.Metrics.enable ();
     exit_code ~code:2
       (let* machine, level, program, config = target ~level file machine_name day in
-       let compiled = compile_at config machine level program in
+       let sim = Sim.Runner.Config.make ~trajectories () in
        let* () =
          if not do_simulate then Ok ()
          else
            let* () = needs_measure ~purpose:" to simulate" program in
-           ignore
-             (Sim.Runner.simulate
-                ~config:(Sim.Runner.Config.make ~trajectories ())
-                compiled (expected_answer program));
-           Ok ()
+           Sim.Runner.Config.check sim
        in
+       let compiled = compile_at config machine level program in
+       if do_simulate then
+         ignore (Sim.Runner.simulate ~config:sim compiled (expected_answer program));
        let dump = Obs.Metrics.dump () in
        if json then Obs.Output.print ~ok:true ~command:"metrics" (Obs.Export.metrics_json dump)
        else print_string (Obs.Export.metrics_text dump);

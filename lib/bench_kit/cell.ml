@@ -10,6 +10,14 @@ type t = {
 
 type 'a row = { bench : string; values : (string * 'a option) list }
 
+(* A grid with its value type hidden: each cell with the function that
+   projects its result into the cell's slot, and the function that hands
+   the filled grid to its receiver. *)
+type request = {
+  cells : (t * (Triq.Compiled.t -> Sim.Runner.outcome option -> unit)) list;
+  return : unit -> unit;
+}
+
 let attrs c =
   let flag cond attr = if cond then [ attr ] else [] in
   let config = c.config in
@@ -31,41 +39,71 @@ let attrs c =
   @ flag config.Triq.Pass.Config.peephole ("peephole", Span.Bool true)
   @ run
 
-let run project c =
-  Span.with_span ~attrs:(attrs c) "bench_kit.cell" (fun () ->
-      let p = c.program in
-      if not (Device.Machine.fits c.machine p.Programs.circuit) then None
-      else
-        let compiled =
-          Triq.Pipeline.compile_schedule ~config:c.config c.machine p.Programs.circuit c.compiler
-        in
-        let outcome =
-          Option.map (fun config -> Sim.Runner.simulate ~config compiled p.Programs.spec) c.sim
-        in
-        Some (project compiled outcome))
+(* The compile key: schedules hold closures, so a schedule is its name
+   and pass list. *)
+let same_compile a b =
+  a.machine == b.machine
+  && a.compiler.Triq.Pass.Schedule.name = b.compiler.Triq.Pass.Schedule.name
+  && a.config = b.config && a.program = b.program
+  && Triq.Pass.Schedule.pass_names a.compiler = Triq.Pass.Schedule.pass_names b.compiler
 
-(* Pair each name in [named] with the next value, returning the values
-   left over. *)
-let take vals named =
-  List.fold_left_map
-    (fun vals (name, _) ->
-      match vals with v :: rest -> (rest, (name, v)) | [] -> assert false)
-    vals named
+(* The runner key: a pool is compared physically. *)
+let same_run a b =
+  Option.equal
+    (fun (x : Sim.Runner.Config.t) y ->
+      Option.equal ( == ) x.pool y.pool && { x with pool = None } = { y with pool = None })
+    a.sim b.sim
+
+(* [cells] grouped by [same], in first-appearance order. *)
+let rec group same = function
+  | [] -> []
+  | (c, _) :: _ as cells ->
+    let mine, rest = List.partition (fun (c', _) -> same c c') cells in
+    mine :: group same rest
+
+(* One compile key: fits-check and compile once, simulate each distinct
+   runner config once, and project for every cell that asked. Only the
+   projected values outlive the task, in their slots. *)
+let run_key cells =
+  let { machine; program = p; compiler; config; _ } = fst (List.hd cells) in
+  let circuit = p.Programs.circuit in
+  let fits = Device.Machine.fits machine circuit in
+  let compiled = lazy (Triq.Pipeline.compile_schedule ~config machine circuit compiler) in
+  List.iter
+    (fun cells ->
+      let c = fst (List.hd cells) in
+      Span.with_span ~attrs:(attrs c) "bench_kit.cell" (fun () ->
+          if fits then
+            let compiled = Lazy.force compiled in
+            let outcome =
+              Option.map (fun config -> Sim.Runner.simulate ~config compiled p.Programs.spec) c.sim
+            in
+            List.iter (fun (_, fill) -> fill compiled outcome) cells))
+    (group same_run cells)
+
+(* [f] applied to every named cell of [groups]. *)
+let map_cells f groups =
+  List.map (fun (name, rows) -> (name, List.map (fun (b, cs) -> (b, List.map f cs)) rows)) groups
+
+let request project groups receive =
+  let slots = map_cells (fun (col, c) -> (col, c, ref None)) groups in
+  let fill slot compiled outcome = slot := Some (project compiled outcome) in
+  let to_row (name, rows) = (name, List.map (fun (bench, values) -> { bench; values }) rows) in
+  {
+    cells =
+      List.concat_map (fun (_, rows) -> List.concat_map snd rows)
+        (map_cells (fun (_, c, s) -> (c, fill s)) slots);
+    return = (fun () -> receive (List.map to_row (map_cells (fun (col, _, s) -> (col, !s)) slots)));
+  }
+
+let run_batch requests =
+  (* A batch without cells leaves the pool unspawned. *)
+  (match group same_compile (List.concat_map (fun r -> r.cells) requests) with
+  | [] -> ()
+  | keys -> ignore (Parallel.Pool.map (Parallel.Pool.default ()) run_key keys));
+  List.iter (fun r -> r.return ()) requests
 
 let run_cells project groups =
-  let cells =
-    List.concat_map (fun (_, rows) -> List.concat_map (fun (_, cs) -> List.map snd cs) rows) groups
-  in
-  let vals = Parallel.Pool.map (Parallel.Pool.default ()) (run project) cells in
-  snd
-    (List.fold_left_map
-       (fun vals (name, rows) ->
-         let vals, rows =
-           List.fold_left_map
-             (fun vals (bench, cs) ->
-               let vals, values = take vals cs in
-               (vals, { bench; values }))
-             vals rows
-         in
-         (vals, (name, rows)))
-       vals groups)
+  let result = ref [] in
+  run_batch [ request project groups (( := ) result) ];
+  !result

@@ -5,7 +5,7 @@
     and, unless it is compile-only, simulates the executable; a figure
     reads one value off each cell (success rate, 2Q count, ESP, ...).
     Every figure of {!Experiments} that compiles goes through
-    {!run_cells}. *)
+    {!run_batch}. *)
 
 type t = {
   machine : Device.Machine.t;
@@ -21,25 +21,45 @@ type t = {
     when the benchmark does not fit the machine (the paper's "X"). *)
 type 'a row = { bench : string; values : (string * 'a option) list }
 
-(** [run_cells project groups] runs every cell of [groups] — named groups
+(** A grid of one batch, its value type hidden. *)
+type request
+
+(** [request project groups receive]: the grid [groups] — named groups
     (a machine, a series) of rows (a benchmark) of named cells (a
-    compiler, a column) — and returns the same shape with each cell
-    replaced by its value.
+    compiler, a column) — whose cells give [project compiled outcome]
+    ([outcome = None] for a compile-only cell). {!run_batch} hands
+    [receive] the same shape with each value, or [None] where the program
+    has more qubits than the machine. *)
+val request :
+  (Triq.Compiled.t -> Sim.Runner.outcome option -> 'a) ->
+  (string * (string * (string * t) list) list) list ->
+  ((string * 'a row list) list -> unit) ->
+  request
 
-    A cell whose program has more qubits than its machine gives [None].
-    Any other cell is compiled once with {!Triq.Pipeline.compile_schedule},
-    simulated once with {!Sim.Runner.simulate} when [sim] is set, and
-    gives [Some (project compiled outcome)], with [outcome = None] for a
-    compile-only cell. Only the projected value outlives the cell.
+(** [run_batch requests] runs every cell of [requests], then calls each
+    receiver in order.
 
-    All cells fan out across {!Parallel.Pool.default} as one batch, in
-    row-major order. Each simulation seeds its own RNG, so the result is
-    identical for every pool size. Each cell runs inside a
-    ["bench_kit.cell"] span with attributes [machine], [compiler],
+    Cells are keyed on their inputs: they share a compile when machines
+    are physically equal and programs, compile configs and schedules
+    equal — a schedule holds closures, so it is compared by name and
+    {!Triq.Pass.Schedule.pass_names}, assuming one name and one pass list
+    run the same passes — and, within a compile, share a simulation when
+    runner configs are equal ([pool] compared physically). Each distinct
+    compile is one task on {!Parallel.Pool.default}: fit check and
+    {!Triq.Pipeline.compile_schedule} once, {!Sim.Runner.simulate} once
+    per distinct runner config, then every asking cell's projection. Only
+    projected values outlive the task, and every simulation seeds its own
+    RNG, so values are identical for every pool size and every batch.
+
+    Each distinct (compile, runner config) runs in one ["bench_kit.cell"]
+    span, the compile in the first: attributes [machine], [compiler],
     [benchmark], [day] (the compile day), [router] when it is the
     lookahead router, [peephole] and [explicit_t1] when set, [run_day]
     when the runner overrides it, and [trajectories] ([Str
-    "compile-only"] for a compile-only cell). *)
+    "compile-only"] without a runner config). *)
+val run_batch : request list -> unit
+
+(** [run_cells project groups] runs one grid as its own batch. *)
 val run_cells :
   (Triq.Compiled.t -> Sim.Runner.outcome option -> 'a) ->
   (string * (string * (string * t) list) list) list ->

@@ -13,9 +13,19 @@ type run = Report.run
 
 let benches () = Programs.all
 
-(* Every figure that compiles is a grid of [Cell.t]s run by
-   [Cell.run_cells]. A column is a function from a row's program to its
-   cell; [cell] and [triq] build the usual ones. *)
+(* Every figure that compiles declares a grid: [Cell.request project
+   groups] short of its receiver, or [rows_grid] for one unnamed group,
+   read through [finish]. [run] batches the grids its sections read;
+   [data] runs one alone. A column is a function from a row's program to
+   its cell; [cell] and [triq] build the usual ones. *)
+let rows_grid project rows k = Cell.request project [ ("", rows) ] (fun g -> k (snd (List.hd g)))
+let finish f grid k = grid (fun v -> k (f v))
+
+let data grid =
+  let value = ref None in
+  Cell.run_batch [ grid (fun v -> value := Some v) ];
+  Option.get !value
+
 let cell ?(config = Config.default) ?sim machine compiler program =
   { Cell.machine; program; compiler; config; sim }
 
@@ -37,13 +47,8 @@ let rows programs cols =
 let per_machine machines cols =
   List.map (fun m -> (m.Machine.name, rows (benches ()) (cols m))) machines
 
-let run_rows project rows = snd (List.hd (Cell.run_cells project [ ("", rows) ]))
-
-(* The fitting cells of one named batch, with their names. *)
-let run_named project cells =
-  List.filter_map
-    (fun (name, v) -> Option.map (fun v -> (name, v)) v)
-    (List.hd (run_rows project [ ("", cells) ])).values
+(* The fitting cells of a row, with their names. *)
+let named r = List.filter_map (fun (name, v) -> Option.map (fun v -> (name, v)) v) r.values
 
 (* The two values of a two-column row when both cells fit. *)
 let pair r = match r.values with [ (_, Some a); (_, Some b) ] -> Some (a, b) | _ -> None
@@ -59,15 +64,22 @@ let success _ outcome = (Option.get outcome).Sim.Runner.success_rate
 let two_q (c : Triq.Compiled.t) _ = c.Triq.Compiled.two_q_count
 let two_q_success c outcome = (two_q c outcome, success c outcome)
 
-let map_row f r = { bench = r.bench; values = List.map (fun (k, v) -> (k, Option.map f v)) r.values }
-
 (* A per-benchmark text table. *)
 let print_rows ~title to_string rows =
   let header, body = Table.row_table to_string rows in
   Table.print ~title ~header body
 
-(* The success rate of a (2Q count, success) or (ESP, success) cell. *)
-let snd_f2 v = Table.opt_f2 (Option.map snd v)
+(* A text table of (key, first, second) triples. *)
+let print_pairs ~title ~header key value data =
+  Table.print ~title ~header (List.map (fun (k, a, b) -> [ key k; value a; value b ]) data)
+
+(* A table of (benchmark, (2Q, success), (2Q, success)) rows, then the
+   geomean success ratio of the second over the first. *)
+let print_two_q_success ~title ~header label data =
+  let cells (two_q, success) = [ string_of_int two_q; Table.f2 success ] in
+  Table.print ~title ~header (List.map (fun (bench, a, b) -> (bench :: cells a) @ cells b) data);
+  Printf.printf "%s: %.3fx\n" label
+    (Stats.geomean_ratio (List.map (fun (_, (_, a), (_, b)) -> (b, a)) data))
 
 (* ---------- Figure 1 ---------- *)
 
@@ -176,8 +188,11 @@ let print_fig6 (_ : run) =
     Triq.Reliability.of_calibration ~noise_aware:true
       Machines.example_8q.Machine.topology Machines.example_8q_calibration
   in
-  Format.printf "\n== Figure 6: 2Q reliability matrix (example 8-qubit device) ==@\n%a"
-    Triq.Reliability.pp reliability
+  (* Not Format.printf: once a domain has spawned, Format's own buffer
+     reaches stdout only at exit. *)
+  print_string
+    (Format.asprintf "\n== Figure 6: 2Q reliability matrix (example 8-qubit device) ==@\n%a"
+       Triq.Reliability.pp reliability)
 
 let print_fig7 (_ : run) =
   Table.print ~title:"Figure 7: benchmarks"
@@ -198,8 +213,8 @@ let print_fig7 (_ : run) =
 
 let fig8_machines () = [ Machines.ibmq14; Machines.agave; Machines.umdti ]
 
-let fig8_data () =
-  Cell.run_cells
+let fig8_grid () =
+  Cell.request
     (fun c _ -> c.Triq.Compiled.pulse_count)
     (per_machine (fig8_machines ()) (fun m -> levels m Pipeline.[ N; OneQOpt ]))
 
@@ -208,7 +223,7 @@ let print_fig8 (r : run) =
     (fun (name, rows) ->
       print_rows ~title:(Printf.sprintf "Figure 8 (%s): native 1Q pulse counts" name)
         Table.opt_int rows)
-    (Lazy.force r.fig8)
+    (r.fig8 ())
 
 (* ---------- geomean helper ---------- *)
 
@@ -232,113 +247,114 @@ let geomean_improvement ?(invert = false) rows ~better ~baseline to_float =
   | Some g -> g
   | None -> Float.nan
 
+(* A success-rate table and the geomean gain of [better] over [baseline]. *)
+let print_gain ~title label ~better ~baseline rows =
+  print_rows ~title Table.opt_f2 rows;
+  Printf.printf "%s: %.2fx\n" label (geomean_improvement ~invert:true rows ~better ~baseline Fun.id)
+
+(* A 2Q-count table and the geomean reduction of [better] over [baseline]. *)
+let print_reduction ~title label ~better ~baseline rows =
+  print_rows ~title Table.opt_int rows;
+  Printf.printf "%s: %.2fx\n" label (geomean_improvement rows ~better ~baseline float_of_int)
+
 (* ---------- Figure 9 ---------- *)
 
-let fig9_data ?trajectories () =
+let fig9_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
-  Cell.run_cells success
+  Cell.request success
     (per_machine [ Machines.ibmq14; Machines.umdti ] (fun m ->
          levels ~sim m Pipeline.[ N; OneQOpt ]))
 
 let print_fig9 (r : run) =
   List.iter
     (fun (name, rows) ->
-      print_rows
-        ~title:(Printf.sprintf "Figure 9 (%s): success rate, TriQ-N vs TriQ-1QOpt" name)
-        Table.opt_f2 rows;
-      Printf.printf "geomean improvement (1QOpt over N): %.2fx\n"
-        (geomean_improvement ~invert:true rows ~better:"TriQ-1QOpt" ~baseline:"TriQ-N"
-           Fun.id))
-    (Lazy.force r.fig9)
+      print_gain ~title:(Printf.sprintf "Figure 9 (%s): success rate, TriQ-N vs TriQ-1QOpt" name)
+        "geomean improvement (1QOpt over N)" ~better:"TriQ-1QOpt" ~baseline:"TriQ-N" rows)
+    (r.fig9 ())
 
 (* ---------- Figure 10 ---------- *)
 
-let fig10_counts () =
-  Cell.run_cells two_q
+let fig10_counts_grid () =
+  Cell.request two_q
     (per_machine [ Machines.ibmq14; Machines.agave ] (fun m ->
          levels m Pipeline.[ OneQOpt; OneQOptC ]))
 
-let fig10_success ?trajectories () =
+let fig10_success_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
-  run_rows success (rows (benches ()) (levels ~sim Machines.ibmq14 Pipeline.[ OneQOpt; OneQOptC ]))
+  rows_grid success (rows (benches ()) (levels ~sim Machines.ibmq14 Pipeline.[ OneQOpt; OneQOptC ]))
 
 let print_fig10 (r : run) =
   List.iter
     (fun (name, rows) ->
-      print_rows ~title:(Printf.sprintf "Figure 10 (%s): 2Q gate count, +-comm. opt" name)
-        Table.opt_int rows;
-      Printf.printf "geomean 2Q reduction: %.2fx\n"
-        (geomean_improvement rows ~better:"TriQ-1QOptC" ~baseline:"TriQ-1QOpt"
-           float_of_int))
-    (Lazy.force r.fig10_counts);
+      print_reduction ~title:(Printf.sprintf "Figure 10 (%s): 2Q gate count, +-comm. opt" name)
+        "geomean 2Q reduction" ~better:"TriQ-1QOptC" ~baseline:"TriQ-1QOpt" rows)
+    (r.fig10_counts ());
   print_rows ~title:"Figure 10c (IBMQ14): success rate, +-comm. opt" Table.opt_f2
-    (Lazy.force r.fig10_success)
+    (r.fig10_success ())
 
 (* ---------- Figure 11 ---------- *)
 
-(* Figure 11a's 2Q counts and 11b's success rates come off one grid. *)
-let fig11_ibm ?trajectories () =
-  let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
-  run_rows two_q_success
-    (rows (benches ())
-       (("Qiskit", cell ~sim m (Baselines.Qiskit_like.schedule ()))
-       :: levels ~sim m Pipeline.[ OneQOptC; OneQOptCN ]))
+(* Figure 11a's 2Q counts (compile-only) and 11b's success rates: one
+   set of compiles. *)
+let fig11_ibm_rows ?sim () =
+  let m = Machines.ibmq14 in
+  rows (benches ())
+    (("Qiskit", cell ?sim m (Baselines.Qiskit_like.schedule ()))
+    :: levels ?sim m Pipeline.[ OneQOptC; OneQOptCN ])
 
-let fig11_ibm_success ?trajectories () = List.map (map_row snd) (fig11_ibm ?trajectories ())
+let fig11_counts_grid () = rows_grid two_q (fig11_ibm_rows ())
 
-let fig11_rigetti_success ?trajectories () =
+let fig11_ibm_grid ?trajectories () =
+  rows_grid success (fig11_ibm_rows ~sim:(Sim.Runner.Config.make ?trajectories ()) ())
+
+let fig11_rigetti_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
-  Cell.run_cells success
+  Cell.request success
     (per_machine [ Machines.agave; Machines.aspen1 ] (fun m ->
          ("Quil", cell ~sim m Baselines.Quil_like.schedule)
          :: levels ~sim m Pipeline.[ OneQOptCN ]))
 
-let fig11_sequences ?trajectories () =
+let fig11_sequences_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
   let cols = levels ~sim Machines.umdti Pipeline.[ OneQOptC; OneQOptCN ] in
-  Cell.run_cells success
+  Cell.request success
     [
       ("Toffoli sequence", rows (List.init 8 (fun i -> Sequences.toffoli (i + 1))) cols);
       ("Fredkin sequence", rows (List.init 7 (fun i -> Sequences.fredkin (i + 1))) cols);
     ]
 
 let print_fig11 (r : run) =
-  let ibm = Lazy.force r.fig11_ibm in
-  print_rows ~title:"Figure 11a (IBMQ14): 2Q gate count vs Qiskit"
-    (fun v -> Table.opt_int (Option.map fst v))
-    ibm;
-  print_rows ~title:"Figure 11b (IBMQ14): success rate vs Qiskit" snd_f2 ibm;
-  Printf.printf "geomean improvement over Qiskit: %.2fx\n"
-    (geomean_improvement ~invert:true ibm ~better:"TriQ-1QOptCN" ~baseline:"Qiskit" snd);
+  print_rows ~title:"Figure 11a (IBMQ14): 2Q gate count vs Qiskit" Table.opt_int
+    (r.fig11_counts ());
+  print_gain ~title:"Figure 11b (IBMQ14): success rate vs Qiskit" "geomean improvement over Qiskit"
+    ~better:"TriQ-1QOptCN" ~baseline:"Qiskit" (r.fig11_ibm ());
   List.iter
     (fun (name, rows) ->
-      print_rows ~title:(Printf.sprintf "Figure 11c/d (%s): success rate vs Quil" name)
-        Table.opt_f2 rows;
-      Printf.printf "geomean improvement over Quil: %.2fx\n"
-        (geomean_improvement ~invert:true rows ~better:"TriQ-1QOptCN" ~baseline:"Quil"
-           Fun.id))
-    (Lazy.force r.fig11_rigetti);
+      print_gain ~title:(Printf.sprintf "Figure 11c/d (%s): success rate vs Quil" name)
+        "geomean improvement over Quil" ~better:"TriQ-1QOptCN" ~baseline:"Quil" rows)
+    (r.fig11_rigetti ());
   List.iter
     (fun (name, rows) ->
       print_rows ~title:(Printf.sprintf "Figure 11e/f (UMDTI): %s, +-noise adaptivity" name)
         Table.opt_f2 rows)
-    (Lazy.force r.fig11_sequences)
+    (r.fig11_sequences ())
 
 (* ---------- Figure 12 ---------- *)
 
-(* (ESP, success) per cell: the [esp] section reads the same grid. *)
-let fig12_grid ?trajectories () =
+let fig12_rows ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
-  run_rows
-    (fun c o -> (c.Triq.Compiled.esp, success c o))
-    (rows (benches ())
-       (List.map (fun m -> (m.Machine.name, triq ~sim m Pipeline.OneQOptCN)) Machines.all))
+  rows (benches ())
+    (List.map (fun m -> (m.Machine.name, triq ~sim m Pipeline.OneQOptCN)) Machines.all)
 
-let fig12_data ?trajectories () = List.map (map_row snd) (fig12_grid ?trajectories ())
+let fig12_grid ?trajectories () = rows_grid success (fig12_rows ?trajectories ())
+
+(* (ESP, success) of Figure 12's cells, for the [esp] section. *)
+let esp_grid ?trajectories () =
+  rows_grid (fun c o -> (c.Triq.Compiled.esp, success c o)) (fig12_rows ?trajectories ())
 
 let print_fig12 (r : run) =
-  print_rows ~title:"Figure 12: success rate, 12 benchmarks x 7 systems (TriQ-1QOptCN)" snd_f2
-    (Lazy.force r.fig12)
+  print_rows ~title:"Figure 12: success rate, 12 benchmarks x 7 systems (TriQ-1QOptCN)"
+    Table.opt_f2 (r.fig12 ())
 
 (* ---------- Scaling (Section 6.5) ---------- *)
 
@@ -380,18 +396,16 @@ let print_scaling (r : run) =
 
 (* ---------- Related work (Section 8) ---------- *)
 
-let related_data () =
+let related_grid () =
   let m = Machines.ibmq16 in
-  run_rows two_q
+  rows_grid two_q
     (rows (benches ())
        (("Zulehner", cell m Baselines.Zulehner_like.schedule) :: levels m Pipeline.[ OneQOptC ]))
 
 let print_related (r : run) =
-  let rows = Lazy.force r.related in
-  print_rows ~title:"Section 8: 2Q count, hop-minimizing mapper vs TriQ (IBMQ16)" Table.opt_int
-    rows;
-  Printf.printf "geomean 2Q reduction over Zulehner-style mapper: %.2fx\n"
-    (geomean_improvement rows ~better:"TriQ-1QOptC" ~baseline:"Zulehner" float_of_int)
+  print_reduction ~title:"Section 8: 2Q count, hop-minimizing mapper vs TriQ (IBMQ16)"
+    "geomean 2Q reduction over Zulehner-style mapper" ~better:"TriQ-1QOptC" ~baseline:"Zulehner"
+    (r.related ())
 
 (* ---------- Extensions beyond the paper's figures ---------- *)
 
@@ -439,27 +453,20 @@ let print_ablation_mapper (r : run) =
     rows
 
 (* Peephole ablation: adjacent self-inverse 2Q pairs produced by routing. *)
-let ablation_peephole_data () =
+let peephole_grid () =
   let m = Machines.ibmq14 and peephole = { Config.default with Config.peephole = true } in
-  run_rows two_q
+  rows_grid two_q
     (rows (benches ())
        [
          ("without", triq m Pipeline.OneQOptCN);
          ("with", triq ~config:peephole m Pipeline.OneQOptCN);
        ])
-  |> pairs
+  |> finish pairs
 
 let print_ablation_peephole (r : run) =
-  let data = Lazy.force r.peephole in
-  let rows =
-    List.map
-      (fun (bench, without, with_) ->
-        [ bench; string_of_int without; string_of_int with_ ])
-      data
-  in
-  Table.print ~title:"Ablation: 2Q peephole cancellation (IBMQ14, TriQ-1QOptCN)"
-    ~header:[ "Benchmark"; "2Q without"; "2Q with peephole" ]
-    rows;
+  let data = r.peephole () in
+  print_pairs ~title:"Ablation: 2Q peephole cancellation (IBMQ14, TriQ-1QOptCN)"
+    ~header:[ "Benchmark"; "2Q without"; "2Q with peephole" ] Fun.id string_of_int data;
   let pairs = List.map (fun (_, w, p) -> (float_of_int w, float_of_int p)) data in
   Printf.printf "geomean 2Q reduction from peephole: %.3fx\n"
     (Stats.geomean_ratio pairs)
@@ -473,27 +480,24 @@ let iontrap_programs () =
     Sequences.toffoli 4; Sequences.fredkin 4;
   ]
 
-let iontrap_data ?trajectories () =
+let iontrap_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () in
-  run_rows success
+  rows_grid success
     (rows (iontrap_programs ())
        (levels ~sim (Machines.ion_trap_chain 13) Pipeline.[ OneQOptC; OneQOptCN ]))
 
 let print_iontrap (r : run) =
-  let rows = Lazy.force r.iontrap in
-  print_rows ~title:"Extension: 13-ion trap with distance-dependent 2Q error (Sec 6.3)"
-    Table.opt_f2 rows;
-  Printf.printf "geomean noise-adaptivity gain on the large trap: %.2fx\n"
-    (geomean_improvement ~invert:true rows ~better:"TriQ-1QOptCN"
-       ~baseline:"TriQ-1QOptC" Fun.id)
+  print_gain ~title:"Extension: 13-ion trap with distance-dependent 2Q error (Sec 6.3)"
+    "geomean noise-adaptivity gain on the large trap" ~better:"TriQ-1QOptCN"
+    ~baseline:"TriQ-1QOptC" (r.iontrap ())
 
 (* Section 8's comparison with Tannu & Qureshi: BV4 on the 5-qubit IBM
    system across six days of differing error conditions. The paper reports
    [65]'s 0.23 vs TriQ's 0.43-0.51 (average 0.47). *)
-let tannu_data ?trajectories () =
+let tannu_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq5 in
   let p = Programs.bv 4 and days = List.init 6 Fun.id in
-  run_rows success
+  rows_grid success
     (List.map
        (fun day ->
          let config = on_day day in
@@ -503,20 +507,12 @@ let tannu_data ?trajectories () =
              ("Qiskit", cell ~config ~sim m (Baselines.Qiskit_like.schedule ()) p);
            ] ))
        days)
-  |> List.combine days
-  |> keyed_pairs
+  |> finish (fun rows -> keyed_pairs (List.combine days rows))
 
 let print_tannu (r : run) =
-  let data = Lazy.force r.tannu in
-  let rows =
-    List.map
-      (fun (day, triq, qiskit) ->
-        [ string_of_int day; Table.f2 triq; Table.f2 qiskit ])
-      data
-  in
-  Table.print ~title:"Section 8: BV4 on IBMQ5 across six days (vs noise-unaware)"
-    ~header:[ "Day"; "TriQ-1QOptCN"; "Qiskit-like" ]
-    rows;
+  let data = r.tannu () in
+  print_pairs ~title:"Section 8: BV4 on IBMQ5 across six days (vs noise-unaware)"
+    ~header:[ "Day"; "TriQ-1QOptCN"; "Qiskit-like" ] string_of_int Table.f2 data;
   let triq = List.map (fun (_, t, _) -> t) data in
   Printf.printf "TriQ range %.2f-%.2f, average %.2f (paper: 0.43-0.51, avg 0.47)\n"
     (Stats.minimum triq) (Stats.maximum triq) (Stats.mean triq)
@@ -524,8 +520,8 @@ let print_tannu (r : run) =
 (* Pulse-level timing vs coherence (Sections 3.3 and 7): programs consume
    only a small fraction of the coherence window, supporting the paper's
    observation that gate errors, not coherence, limit NISQ programs. *)
-let coherence_data () =
-  run_named
+let coherence_grid () =
+  rows_grid
     (fun compiled _ ->
       let schedule = Pulse.Lower.of_compiled compiled in
       let duration_us = Pulse.Schedule.duration_ns schedule /. 1000.0 in
@@ -537,9 +533,9 @@ let coherence_data () =
         duration_us,
         duration_us /. coherence_us,
         1.0 -. compiled.Triq.Compiled.esp ))
-    (List.map
-       (fun m -> (m.Machine.name, triq m Pipeline.OneQOptCN Programs.toffoli))
-       Machines.all)
+    (let column m = (m.Machine.name, triq m Pipeline.OneQOptCN Programs.toffoli) in
+     [ ("", List.map column Machines.all) ])
+  |> finish (fun rows -> named (List.hd rows))
 
 let print_coherence (r : run) =
   let rows =
@@ -550,7 +546,7 @@ let print_coherence (r : run) =
           Printf.sprintf "%.1f" duration; Printf.sprintf "%.4f" fraction;
           Table.f2 gate_err;
         ])
-      (Lazy.force r.coherence)
+      (r.coherence ())
   in
   Table.print
     ~title:"Extension: pulse-level duration vs coherence (Toffoli, TriQ-1QOptCN)"
@@ -610,31 +606,29 @@ let hybrid_routing =
         routing Config.Default;
       ]
 
-let ablation_routing_data ?trajectories () =
+let routing_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
-  run_rows success
+  rows_grid success
     (rows (benches ())
        [
          ("hop routing", cell ~sim m hybrid_routing);
          ("reliability routing", triq ~sim m Pipeline.OneQOptCN);
        ])
-  |> List.filter (fun r -> pair r <> None)
+  |> finish (List.filter (fun r -> pair r <> None))
 
 let print_ablation_routing (r : run) =
-  let rows = Lazy.force r.routing in
-  print_rows ~title:"Ablation: hop-count vs reliability-path routing (IBMQ14, noise-aware mapping)"
-    Table.opt_f2 rows;
-  Printf.printf "geomean gain from reliability-path routing: %.2fx\n"
-    (geomean_improvement ~invert:true rows ~better:"reliability routing"
-       ~baseline:"hop routing" Fun.id)
+  print_gain
+    ~title:"Ablation: hop-count vs reliability-path routing (IBMQ14, noise-aware mapping)"
+    "geomean gain from reliability-path routing" ~better:"reliability routing"
+    ~baseline:"hop routing" (r.routing ())
 
 (* Staleness study (Section 7, "the value of recompiling applications to
    account for up-to-date noise data"): an executable compiled against day
    0's calibration, run on later days, vs recompiling each day. *)
-let staleness_data ?trajectories ?(days = 8) () =
+let staleness_grid ?trajectories ?(days = 8) () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
   let p = Programs.bv 6 and days = List.init days Fun.id in
-  run_rows success
+  rows_grid success
     (List.map
        (fun day ->
          let stale = { sim with Sim.Runner.Config.day = Some day } in
@@ -644,21 +638,12 @@ let staleness_data ?trajectories ?(days = 8) () =
              ("fresh", triq ~config:(on_day day) ~sim m Pipeline.OneQOptCN p);
            ] ))
        days)
-  |> List.combine days
-  |> keyed_pairs
+  |> finish (fun rows -> keyed_pairs (List.combine days rows))
 
 let print_staleness (r : run) =
-  let data = Lazy.force r.staleness in
-  let rows =
-    List.map
-      (fun (day, stale, fresh) ->
-        [ string_of_int day; Table.f2 stale; Table.f2 fresh ])
-      data
-  in
-  Table.print
-    ~title:"Extension: stale executable vs daily recompilation (BV6, IBMQ14)"
-    ~header:[ "Day"; "Day-0 executable"; "Recompiled" ]
-    rows;
+  let data = r.staleness () in
+  print_pairs ~title:"Extension: stale executable vs daily recompilation (BV6, IBMQ14)"
+    ~header:[ "Day"; "Day-0 executable"; "Recompiled" ] string_of_int Table.f2 data;
   let stale = List.map (fun (_, s, _) -> s) data in
   let fresh = List.map (fun (_, _, f) -> f) data in
   Printf.printf "mean: stale %.3f, recompiled %.3f (%.2fx)\n" (Stats.mean stale)
@@ -668,9 +653,9 @@ let print_staleness (r : run) =
 (* ESP validation: the estimated success probability that drives mapping
    decisions must correlate strongly with measured success across the
    whole study grid — otherwise optimizing it would be pointless. Reads
-   Figure 12's grid, machine by machine. *)
+   Figure 12's cells, machine by machine. *)
 let print_esp_correlation (r : run) =
-  let grid = Lazy.force r.fig12 in
+  let grid = r.esp () in
   let data =
     List.concat_map
       (fun m ->
@@ -695,46 +680,35 @@ let print_esp_correlation (r : run) =
 
 (* Lookahead-routing ablation: score swap paths by the next few 2Q gates
    too, not just the current one. *)
-let ablation_lookahead_data ?trajectories () =
+let lookahead_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
   let lookahead = { Config.default with Config.router = Config.Lookahead } in
-  run_rows two_q_success
+  rows_grid two_q_success
     (rows (benches ())
        [
          ("default", triq ~sim m Pipeline.OneQOptCN);
          ("lookahead", triq ~config:lookahead ~sim m Pipeline.OneQOptCN);
        ])
-  |> pairs
+  |> finish pairs
 
 let print_ablation_lookahead (r : run) =
-  let data = Lazy.force r.lookahead in
-  let rows =
-    List.map
-      (fun (bench, (d2, ds), (l2, ls)) ->
-        [ bench; string_of_int d2; Table.f2 ds; string_of_int l2; Table.f2 ls ])
-      data
-  in
-  Table.print
-    ~title:"Ablation: default vs lookahead routing (IBMQ14, TriQ-1QOptCN)"
+  print_two_q_success ~title:"Ablation: default vs lookahead routing (IBMQ14, TriQ-1QOptCN)"
     ~header:[ "Benchmark"; "2Q (default)"; "success"; "2Q (lookahead)"; "success" ]
-    rows;
-  let pairs = List.map (fun (_, (_, ds), (_, ls)) -> (ls, ds)) data in
-  Printf.printf "geomean success ratio (lookahead / default): %.3fx\n"
-    (Stats.geomean_ratio pairs)
+    "geomean success ratio (lookahead / default)" (r.lookahead ())
 
 (* Headline summary: the paper's reported numbers next to ours, read off
    the run's figure grids — the quantitative core of EXPERIMENTS.md. *)
 let summary_rows (r : run) =
   let geo_fig9 machine =
-    geomean_improvement ~invert:true (List.assoc machine (Lazy.force r.fig9))
+    geomean_improvement ~invert:true (List.assoc machine (r.fig9 ()))
       ~better:"TriQ-1QOpt" ~baseline:"TriQ-N" Fun.id
   in
   let geo_fig10 machine =
-    geomean_improvement (List.assoc machine (Lazy.force r.fig10_counts)) ~better:"TriQ-1QOptC"
+    geomean_improvement (List.assoc machine (r.fig10_counts ())) ~better:"TriQ-1QOptC"
       ~baseline:"TriQ-1QOpt" float_of_int
   in
   let geo_quil machine =
-    geomean_improvement ~invert:true (List.assoc machine (Lazy.force r.fig11_rigetti))
+    geomean_improvement ~invert:true (List.assoc machine (r.fig11_rigetti ()))
       ~better:"TriQ-1QOptCN" ~baseline:"Quil" Fun.id
   in
   List.map
@@ -745,12 +719,12 @@ let summary_rows (r : run) =
       ("comm-opt 2Q reduction, IBMQ14 (Fig 10)", "2.1x", geo_fig10 "IBMQ14");
       ("comm-opt 2Q reduction, Agave (Fig 10)", "1.3x", geo_fig10 "Agave");
       ( "TriQ-1QOptCN vs Qiskit, IBMQ14 (Fig 11)", "3.0x",
-        geomean_improvement ~invert:true (Lazy.force r.fig11_ibm) ~better:"TriQ-1QOptCN"
-          ~baseline:"Qiskit" snd );
+        geomean_improvement ~invert:true (r.fig11_ibm ()) ~better:"TriQ-1QOptCN"
+          ~baseline:"Qiskit" Fun.id );
       ("TriQ-1QOptCN vs Quil, Agave (Fig 11)", "1.45x (both Rigetti)", geo_quil "Agave");
       ("TriQ-1QOptCN vs Quil, Aspen1 (Fig 11)", "1.45x (both Rigetti)", geo_quil "Aspen1");
       ( "2Q reduction vs hop-minimizing mapper (Sec 8)", "1.2x",
-        geomean_improvement (Lazy.force r.related) ~better:"TriQ-1QOptC" ~baseline:"Zulehner"
+        geomean_improvement (r.related ()) ~better:"TriQ-1QOptC" ~baseline:"Zulehner"
           float_of_int );
     ]
 
@@ -760,25 +734,21 @@ let print_summary (r : run) =
 
 (* Per-benchmark compiled-executable properties on IBMQ14 and UMDTI: the
    quantities Figures 8-11 are built from, in one table per machine. *)
-let properties_data () =
-  let table machine =
-    run_named
-      (fun r _ ->
-        let dag = Ir.Dag.of_circuit r.Triq.Compiled.hardware in
-        [
-          string_of_int r.Triq.Compiled.two_q_count;
-          string_of_int r.Triq.Compiled.pulse_count;
-          string_of_int r.Triq.Compiled.swap_count;
-          string_of_int (Ir.Dag.depth dag);
-          Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Triq.Compiled.hardware));
-          Table.f3 r.Triq.Compiled.esp;
-        ])
-      (List.map
-         (fun (p : Programs.t) -> (p.Programs.name, triq machine Pipeline.OneQOptCN p))
-         (benches ()))
-    |> List.map (fun (bench, cols) -> bench :: cols)
-  in
-  List.map (fun m -> (m.Machine.name, table m)) [ Machines.ibmq14; Machines.umdti ]
+let properties_grid () =
+  Cell.request
+    (fun (r : Triq.Compiled.t) _ ->
+      [
+        string_of_int r.two_q_count;
+        string_of_int r.pulse_count;
+        string_of_int r.swap_count;
+        string_of_int (Ir.Dag.depth (Ir.Dag.of_circuit r.hardware));
+        Printf.sprintf "%.2f" (Machine.duration_us r.machine (Ir.Circuit.body r.hardware));
+        Table.f3 r.esp;
+      ])
+    (per_machine [ Machines.ibmq14; Machines.umdti ] (fun m -> [ ("", triq m Pipeline.OneQOptCN) ]))
+  |> finish
+       (List.map (fun (name, rows) ->
+            (name, List.concat_map (fun r -> List.map (fun (_, c) -> r.bench :: c) (named r)) rows)))
 
 let print_properties (r : run) =
   List.iter
@@ -787,11 +757,11 @@ let print_properties (r : run) =
         ~title:(Printf.sprintf "Compiled-executable properties on %s (TriQ-1QOptCN)" name)
         ~header:[ "Benchmark"; "2Q"; "Pulses"; "Swaps"; "Depth"; "Duration us"; "ESP" ]
         rows)
-    (Lazy.force r.properties)
+    (r.properties ())
 
 (* Topology projection: the same error profile on IBM's post-2019
    heavy-hex-style layout vs the Melbourne lattice — topology, isolated. *)
-let heavyhex_data ?trajectories () =
+let heavyhex_grid ?trajectories () =
   let profile = Machines.ibmq14.Machine.profile in
   let heavy =
     (* A 14-qubit heavy-hex fragment (3 cells), degree <= 3 like IBM's
@@ -800,26 +770,25 @@ let heavyhex_data ?trajectories () =
       ~topology:(Topology.heavy_hex 3) ~profile ~seed:1401
   in
   let sim = Sim.Runner.Config.make ?trajectories () in
-  run_rows success
+  rows_grid success
     (rows (benches ())
        [
          ("lattice", triq ~sim Machines.ibmq14 Pipeline.OneQOptCN);
          ("heavy-hex", triq ~sim heavy Pipeline.OneQOptCN);
        ])
-  |> List.filter (fun r -> pair r <> None)
+  |> finish (List.filter (fun r -> pair r <> None))
 
 let print_heavyhex (r : run) =
-  let rows = Lazy.force r.heavyhex in
-  print_rows ~title:"Extension: Melbourne lattice vs heavy-hex-style topology (same error profile)"
-    Table.opt_f2 rows;
-  Printf.printf "geomean lattice/heavy-hex success ratio: %.2fx\n"
-    (geomean_improvement ~invert:true rows ~better:"lattice" ~baseline:"heavy-hex" Fun.id)
+  print_gain
+    ~title:"Extension: Melbourne lattice vs heavy-hex-style topology (same error profile)"
+    "geomean lattice/heavy-hex success ratio" ~better:"lattice" ~baseline:"heavy-hex"
+    (r.heavyhex ())
 
 (* Variability panel: BV4 success across ten calibration days on each IBM
    machine — the benchmark-level consequence of Figure 3's error drift. *)
-let variability_data ?trajectories ?(days = 10) () =
+let variability_grid ?trajectories ?(days = 10) () =
   let sim = Sim.Runner.Config.make ?trajectories () and p = Programs.bv 4 in
-  Cell.run_cells success
+  Cell.request success
     (List.map
        (fun m ->
          ( m.Machine.name,
@@ -827,14 +796,15 @@ let variability_data ?trajectories ?(days = 10) () =
                (string_of_int day, [ ("", triq ~config:(on_day day) ~sim m Pipeline.OneQOptCN p) ]))
          ))
        [ Machines.ibmq5; Machines.ibmq14; Machines.ibmq16 ])
-  |> List.map (fun (name, rows) ->
-         ( name,
-           List.concat_map
-             (fun r -> List.map (fun (_, v) -> Option.value ~default:0.0 v) r.values)
-             rows ))
+  |> finish
+       (List.map (fun (name, rows) ->
+            ( name,
+              List.concat_map
+                (fun r -> List.map (fun (_, v) -> Option.value ~default:0.0 v) r.values)
+                rows )))
 
 let print_variability (r : run) =
-  let data = Lazy.force r.variability in
+  let data = r.variability () in
   let days = match data with (_, l) :: _ -> List.length l | [] -> 0 in
   let header = "Day" :: List.map fst data in
   let rows =
@@ -853,59 +823,44 @@ let print_variability (r : run) =
 (* Section 6.4 what-if: exposing Aspen's parametric iSWAP to software.
    SWAPs cost two interactions instead of three, so swap-heavy
    benchmarks gain. *)
-let parametric_data ?trajectories () =
+let parametric_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () and plain = Machines.aspen1 in
-  run_rows two_q_success
+  rows_grid two_q_success
     (rows (benches ())
        [
          ("CZ only", triq ~sim plain Pipeline.OneQOptCN);
          ("+iSWAP", triq ~sim Machines.aspen1_parametric Pipeline.OneQOptCN);
        ])
-  |> pairs
-  |> List.map (fun (bench, (c2, cs), (p2, ps)) -> (plain.Machine.name, bench, c2, cs, p2, ps))
+  |> finish (fun rows ->
+         List.map
+           (fun (bench, (c2, cs), (p2, ps)) -> (plain.Machine.name, bench, c2, cs, p2, ps))
+           (pairs rows))
 
 let print_parametric (r : run) =
-  let data = Lazy.force r.parametric in
-  let rows =
-    List.map
-      (fun (_, bench, c2, cs, p2, ps) ->
-        [ bench; string_of_int c2; Table.f2 cs; string_of_int p2; Table.f2 ps ])
-      data
-  in
-  Table.print
-    ~title:"Extension (Sec 6.4): Aspen1 with the parametric iSWAP exposed"
+  print_two_q_success ~title:"Extension (Sec 6.4): Aspen1 with the parametric iSWAP exposed"
     ~header:[ "Benchmark"; "2Q (CZ only)"; "success"; "2Q (+iSWAP)"; "success" ]
-    rows;
-  let pairs = List.map (fun (_, _, _, cs, _, ps) -> (ps, cs)) data in
-  Printf.printf "geomean success gain from exposing iSWAP: %.3fx\n"
-    (Stats.geomean_ratio pairs)
+    "geomean success gain from exposing iSWAP"
+    (List.map (fun (_, bench, c2, cs, p2, ps) -> (bench, (c2, cs), (p2, ps))) (r.parametric ()))
 
 (* Noise-model ablation: the default folds decoherence into depolarizing
    probability; the explicit model applies amplitude-damping channels. If
    the study's conclusions were sensitive to this choice the substitution
    would be fragile. *)
-let noise_model_data ?trajectories () =
+let noise_model_grid ?trajectories () =
   let sim = Sim.Runner.Config.make ?trajectories () and m = Machines.ibmq14 in
-  run_rows success
+  rows_grid success
     (rows (benches ())
        [
          ("folded", triq ~sim m Pipeline.OneQOptCN);
          ( "explicit T1",
            triq ~sim:{ sim with Sim.Runner.Config.explicit_t1 = true } m Pipeline.OneQOptCN );
        ])
-  |> pairs
+  |> finish pairs
 
 let print_noise_model (r : run) =
-  let data = Lazy.force r.noise_model in
-  let rows =
-    List.map
-      (fun (bench, folded, explicit) -> [ bench; Table.f2 folded; Table.f2 explicit ])
-      data
-  in
-  Table.print
-    ~title:"Ablation: folded-decoherence vs explicit-T1 noise model (IBMQ14)"
-    ~header:[ "Benchmark"; "Folded"; "Explicit T1" ]
-    rows;
+  let data = r.noise_model () in
+  print_pairs ~title:"Ablation: folded-decoherence vs explicit-T1 noise model (IBMQ14)"
+    ~header:[ "Benchmark"; "Folded"; "Explicit T1" ] Fun.id Table.f2 data;
   let diffs = List.map (fun (_, f, e) -> Float.abs (f -. e)) data in
   Printf.printf "max |difference| across benchmarks: %.3f\n" (Stats.maximum diffs)
 
@@ -913,7 +868,7 @@ let print_noise_model (r : run) =
    entanglement witness: F = (P_00..0 + P_11..1)/2 + C/2 where C is the
    amplitude of <parity> under a phase rotation applied to every qubit.
    F > 0.5 certifies genuine n-qubit entanglement. *)
-let ghz_data ?trajectories ?(n = 3) () =
+let ghz_grid ?trajectories ?(n = 3) () =
   let open Ir.Gate in
   let sim = Sim.Runner.Config.make ?trajectories () and measured = List.init n Fun.id in
   let prep = One (H, 0) :: List.init (n - 1) (fun i -> Two (Cnot, i, i + 1)) in
@@ -950,19 +905,20 @@ let ghz_data ?trajectories ?(n = 3) () =
     in
     (populations /. 2.0) +. (coherence /. 2.0)
   in
-  Cell.run_cells
+  Cell.request
     (fun _ o -> (Option.get o).Sim.Runner.distribution)
     (List.map
        (fun m -> (m.Machine.name, rows programs (levels ~sim m Pipeline.[ OneQOptCN ])))
        Machines.all)
-  |> List.filter_map (fun (name, rows) ->
-         (* A machine's cells all fit or none do. *)
-         match List.concat_map (fun r -> List.filter_map snd r.values) rows with
-         | z_dist :: parity_dists -> Some (name, fidelity z_dist parity_dists)
-         | [] -> None)
+  |> finish
+       (List.filter_map (fun (name, rows) ->
+            (* A machine's cells all fit or none do. *)
+            match List.concat_map (fun r -> List.filter_map snd r.values) rows with
+            | z_dist :: parity_dists -> Some (name, fidelity z_dist parity_dists)
+            | [] -> None))
 
 let print_ghz (r : run) =
-  let data = Lazy.force r.ghz in
+  let data = r.ghz () in
   Table.print ~title:"Extension: GHZ3 fidelity via parity oscillations"
     ~header:[ "Machine"; "Fidelity" ]
     (List.map (fun (name, f) -> [ name; Table.f3 f ]) data);
@@ -970,56 +926,102 @@ let print_ghz (r : run) =
 
 (* ---------- One run, rendered by every section ---------- *)
 
-(* A grid is computed when a section first forces it; the summary forces
-   the figure grids it reads. *)
-let run ?trajectories () =
+type section = { id : string; reads : string list; render : run -> unit }
+
+(* The cell grids the sections read run as one batch; the cell-free grids
+   and the summary are computed when a section first forces them. *)
+let run ?trajectories sections =
+  let reads = List.concat_map (fun s -> s.reads) sections in
+  let requests = ref [] in
+  let plan name grid =
+    let value = ref None in
+    if List.mem name reads then requests := grid () (fun v -> value := Some v) :: !requests;
+    fun () ->
+      match !value with
+      | Some v -> v
+      | None -> invalid_arg (Printf.sprintf "Experiments.run: grid %s was not planned" name)
+  in
   let rec r =
     {
       Report.fig1 = lazy (fig1_rows ());
       fig3 = lazy (fig3_series ());
-      fig8 = lazy (fig8_data ());
-      fig9 = lazy (fig9_data ?trajectories ());
-      fig10_counts = lazy (fig10_counts ());
-      fig10_success = lazy (fig10_success ?trajectories ());
-      fig11_ibm = lazy (fig11_ibm ?trajectories ());
-      fig11_rigetti = lazy (fig11_rigetti_success ?trajectories ());
-      fig11_sequences = lazy (fig11_sequences ?trajectories ());
-      fig12 = lazy (fig12_grid ?trajectories ());
+      fig8 = plan "fig8" fig8_grid;
+      fig9 = plan "fig9" (fig9_grid ?trajectories);
+      fig10_counts = plan "fig10_counts" fig10_counts_grid;
+      fig10_success = plan "fig10_success" (fig10_success_grid ?trajectories);
+      fig11_counts = plan "fig11_counts" fig11_counts_grid;
+      fig11_ibm = plan "fig11_ibm" (fig11_ibm_grid ?trajectories);
+      fig11_rigetti = plan "fig11_rigetti" (fig11_rigetti_grid ?trajectories);
+      fig11_sequences = plan "fig11_sequences" (fig11_sequences_grid ?trajectories);
+      fig12 = plan "fig12" (fig12_grid ?trajectories);
+      esp = plan "esp" (esp_grid ?trajectories);
       scaling = lazy (scaling_rows ());
-      related = lazy (related_data ());
+      related = plan "related" related_grid;
       mapper = lazy (ablation_mapper_data ());
-      peephole = lazy (ablation_peephole_data ());
-      iontrap = lazy (iontrap_data ?trajectories ());
-      tannu = lazy (tannu_data ?trajectories ());
-      coherence = lazy (coherence_data ());
+      peephole = plan "peephole" peephole_grid;
+      iontrap = plan "iontrap" (iontrap_grid ?trajectories);
+      tannu = plan "tannu" (tannu_grid ?trajectories);
+      coherence = plan "coherence" coherence_grid;
       characterize = lazy (characterize_rows ());
-      routing = lazy (ablation_routing_data ?trajectories ());
-      staleness = lazy (staleness_data ?trajectories ());
-      lookahead = lazy (ablation_lookahead_data ?trajectories ());
+      routing = plan "routing" (routing_grid ?trajectories);
+      staleness = plan "staleness" (staleness_grid ?trajectories ?days:None);
+      lookahead = plan "lookahead" (lookahead_grid ?trajectories);
       summary = lazy (summary_rows r);
-      properties = lazy (properties_data ());
-      heavyhex = lazy (heavyhex_data ?trajectories ());
-      variability = lazy (variability_data ?trajectories ());
-      parametric = lazy (parametric_data ?trajectories ());
-      noise_model = lazy (noise_model_data ?trajectories ());
-      ghz = lazy (ghz_data ?trajectories ());
+      properties = plan "properties" properties_grid;
+      heavyhex = plan "heavyhex" (heavyhex_grid ?trajectories);
+      variability = plan "variability" (variability_grid ?trajectories ?days:None);
+      parametric = plan "parametric" (parametric_grid ?trajectories);
+      noise_model = plan "noise_model" (noise_model_grid ?trajectories);
+      ghz = plan "ghz" (ghz_grid ?trajectories ?n:None);
     }
   in
+  Cell.run_batch (List.rev !requests);
   r
 
+let summary_reads = [ "fig9"; "fig10_counts"; "fig11_ibm"; "fig11_rigetti"; "related" ]
+
 let sections =
-  [
-    ("fig1", print_fig1); ("fig2", print_fig2); ("fig3", print_fig3); ("tab1", print_tab1);
-    ("fig5", print_fig5); ("fig6", print_fig6); ("fig7", print_fig7); ("fig8", print_fig8);
-    ("fig9", print_fig9); ("fig10", print_fig10); ("fig11", print_fig11);
-    ("fig12", print_fig12); ("scaling", print_scaling); ("related", print_related);
-    ("ablation", fun r -> print_ablation_mapper r; print_ablation_peephole r);
-    ("iontrap", print_iontrap); ("tannu", print_tannu); ("coherence", print_coherence);
-    ("characterize", print_characterize); ("routing", print_ablation_routing);
-    ("staleness", print_staleness); ("esp", print_esp_correlation);
-    ("lookahead", print_ablation_lookahead); ("heavyhex", print_heavyhex);
-    ("properties", print_properties); ("summary", print_summary);
-    ("report", fun r -> print_string (Report.generate r));
-    ("variability", print_variability); ("parametric", print_parametric);
-    ("noisemodel", print_noise_model); ("ghz", print_ghz);
-  ]
+  List.map
+    (fun (id, reads, render) -> { id; reads; render })
+    [
+      ("fig1", [], print_fig1); ("fig2", [], print_fig2); ("fig3", [], print_fig3);
+      ("tab1", [], print_tab1); ("fig5", [], print_fig5); ("fig6", [], print_fig6);
+      ("fig7", [], print_fig7); ("fig8", [ "fig8" ], print_fig8); ("fig9", [ "fig9" ], print_fig9);
+      ("fig10", [ "fig10_counts"; "fig10_success" ], print_fig10);
+      ("fig11", [ "fig11_counts"; "fig11_ibm"; "fig11_rigetti"; "fig11_sequences" ], print_fig11);
+      ("fig12", [ "fig12" ], print_fig12); ("scaling", [], print_scaling);
+      ("related", [ "related" ], print_related);
+      ("ablation", [ "peephole" ], fun r -> print_ablation_mapper r; print_ablation_peephole r);
+      ("iontrap", [ "iontrap" ], print_iontrap); ("tannu", [ "tannu" ], print_tannu);
+      ("coherence", [ "coherence" ], print_coherence); ("characterize", [], print_characterize);
+      ("routing", [ "routing" ], print_ablation_routing);
+      ("staleness", [ "staleness" ], print_staleness); ("esp", [ "esp" ], print_esp_correlation);
+      ("lookahead", [ "lookahead" ], print_ablation_lookahead);
+      ("heavyhex", [ "heavyhex" ], print_heavyhex);
+      ("properties", [ "properties" ], print_properties); ("summary", summary_reads, print_summary);
+      ( "report",
+        [ "fig8"; "fig12"; "iontrap"; "routing" ] @ summary_reads,
+        fun r -> print_string (Report.generate r) );
+      ("variability", [ "variability" ], print_variability);
+      ("parametric", [ "parametric" ], print_parametric);
+      ("noisemodel", [ "noise_model" ], print_noise_model); ("ghz", [ "ghz" ], print_ghz);
+    ]
+
+(* ---------- One grid alone: the data functions ---------- *)
+
+let fig8_data () = data (fig8_grid ())
+let fig9_data ?trajectories () = data (fig9_grid ?trajectories ())
+let fig10_counts () = data (fig10_counts_grid ())
+let fig10_success ?trajectories () = data (fig10_success_grid ?trajectories ())
+let fig11_ibm_success ?trajectories () = data (fig11_ibm_grid ?trajectories ())
+let fig11_sequences ?trajectories () = data (fig11_sequences_grid ?trajectories ())
+let fig12_data ?trajectories () = data (fig12_grid ?trajectories ())
+let related_data () = data (related_grid ())
+let ablation_peephole_data () = data (peephole_grid ())
+let tannu_data ?trajectories () = data (tannu_grid ?trajectories ())
+let staleness_data ?trajectories ?days () = data (staleness_grid ?trajectories ?days ())
+let heavyhex_data ?trajectories () = data (heavyhex_grid ?trajectories ())
+let variability_data ?trajectories ?days () = data (variability_grid ?trajectories ?days ())
+let parametric_data ?trajectories () = data (parametric_grid ?trajectories ())
+let noise_model_data ?trajectories () = data (noise_model_grid ?trajectories ())
+let ghz_data ?trajectories ?n () = data (ghz_grid ?trajectories ?n ())

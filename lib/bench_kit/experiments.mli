@@ -2,50 +2,43 @@
     paper's evaluation and per extension study (see DESIGN.md's experiment
     index), all rendered from one {!run}.
 
-    A run owns every experiment's data for one process, one lazy grid per
-    experiment. {!sections} renders a run as text tables, and
-    {!Report.generate} renders the same grids as markdown, so the summary,
-    the report and the tables show one set of data and no grid is
-    computed twice. Success-rate grids take the run's [?trajectories] to
-    trade precision for speed (tests use small values; the bench harness
-    uses the default).
-
-    Every data function that compiles builds its grid of {!Cell.t}s —
-    machine, program, compiler schedule, compile config, optional
-    simulation — and runs it with {!Cell.run_cells}, which fans the cells
-    out across {!Parallel.Pool.default} (resize it with
-    [Parallel.Pool.set_default_jobs], i.e. the [-j] flags of bench/main
-    and triqc). Every simulation seeds its own RNG, so all data functions
-    return identical values for every pool size — parallelism changes
-    only wall-clock time. Two exceptions keep their own code:
-    {!scaling_data} (its supremacy circuits have no spec, and it reads
-    only the compile) and {!ablation_mapper_data} (it runs the layout
-    engines directly). The data functions below are the ones tests and
-    perfbench call; each builds its grid afresh. *)
+    Every experiment that compiles declares a grid of {!Cell.t}s and the
+    value each cell gives. A run executes the grids its sections read as
+    one {!Cell.run_batch}, so each distinct compile and simulation
+    happens once per run whichever figures show it; {!sections} renders
+    the run as text tables and {!Report.generate} as markdown.
+    Success-rate grids take [?trajectories] to trade precision for speed.
+    Cells fan out across {!Parallel.Pool.default} (the [-j] flags of
+    bench/main and triqc) and every simulation seeds its own RNG, so all
+    values are identical for every pool size. Two exceptions keep their
+    own code: {!scaling_data} (its supremacy circuits have no spec) and
+    {!ablation_mapper_data} (it runs the layout engines directly). The
+    data functions below, which tests and perfbench call, each run their
+    grid as a batch of its own. *)
 
 (** A per-benchmark row: benchmark name and one value per series, [None]
     when the benchmark does not fit the machine (the paper's "X"). *)
 type 'a row = 'a Cell.row = { bench : string; values : (string * 'a option) list }
 
-(** One bench run: every experiment's data for one process, one lazy grid
-    per experiment (the fields are listed at {!Report.run}).
-
-    [run ?trajectories ()] computes nothing; a section forces the grids
-    it shows, and a grid forced once is never recomputed, so one run
-    compiles and simulates each grid at most once whatever set of
-    sections renders it. Force a run's grids only from the domain that
-    created it: a lazy value forced from two domains at once raises. The
-    cells inside a grid still fan out over {!Parallel.Pool.default}. The
-    run is an ordinary value owned by its caller; nothing is cached
-    beyond it. *)
+(** One bench run's data (the fields are listed at {!Report.run}). *)
 type run = Report.run
 
-val run : ?trajectories:int -> unit -> run
+(** A section of bench/main.exe: its id, the cell grids it reads (named
+    after their {!Report.run} fields) and its renderer, which prints its
+    text tables (the ["report"] section the markdown report). *)
+type section = { id : string; reads : string list; render : run -> unit }
 
-(** Every section of bench/main.exe, in the order a full run prints them:
-    (id, renderer). Each renderer prints its text tables (the ["report"]
-    section the markdown report) from the run's grids. *)
-val sections : (string * (run -> unit)) list
+(** [run ?trajectories sections] compiles and simulates the union of the
+    cell grids [sections] read, as one batch, and nothing else; reading a
+    cell grid it did not plan raises [Invalid_argument] naming the grid.
+    The cell-free grids (figures 1 and 3, scaling, the mapper ablation,
+    characterization) and the summary are lazy: computed once, on demand,
+    and forced only from the domain that created the run. Nothing is
+    cached beyond the run. *)
+val run : ?trajectories:int -> section list -> run
+
+(** Every section, in the order a full run prints them. *)
+val sections : section list
 
 (* -- Device and toolflow descriptions -- *)
 

@@ -1,32 +1,34 @@
 type run = {
   fig1 : string list list Lazy.t;
   fig3 : ((int * int) * float list) list Lazy.t;
-  fig8 : (string * int Cell.row list) list Lazy.t;
-  fig9 : (string * float Cell.row list) list Lazy.t;
-  fig10_counts : (string * int Cell.row list) list Lazy.t;
-  fig10_success : float Cell.row list Lazy.t;
-  fig11_ibm : (int * float) Cell.row list Lazy.t;
-  fig11_rigetti : (string * float Cell.row list) list Lazy.t;
-  fig11_sequences : (string * float Cell.row list) list Lazy.t;
-  fig12 : (float * float) Cell.row list Lazy.t;
+  fig8 : unit -> (string * int Cell.row list) list;
+  fig9 : unit -> (string * float Cell.row list) list;
+  fig10_counts : unit -> (string * int Cell.row list) list;
+  fig10_success : unit -> float Cell.row list;
+  fig11_counts : unit -> int Cell.row list;
+  fig11_ibm : unit -> float Cell.row list;
+  fig11_rigetti : unit -> (string * float Cell.row list) list;
+  fig11_sequences : unit -> (string * float Cell.row list) list;
+  fig12 : unit -> float Cell.row list;
+  esp : unit -> (float * float) Cell.row list;
   scaling : string list list Lazy.t;
-  related : int Cell.row list Lazy.t;
+  related : unit -> int Cell.row list;
   mapper : (string * Layout.Report.t * Layout.Report.t * Layout.Report.t) list Lazy.t;
-  peephole : (string * int * int) list Lazy.t;
-  iontrap : float Cell.row list Lazy.t;
-  tannu : (int * float * float) list Lazy.t;
-  coherence : (string * (int * int * float * float * float)) list Lazy.t;
+  peephole : unit -> (string * int * int) list;
+  iontrap : unit -> float Cell.row list;
+  tannu : unit -> (int * float * float) list;
+  coherence : unit -> (string * (int * int * float * float * float)) list;
   characterize : string list list Lazy.t;
-  routing : float Cell.row list Lazy.t;
-  staleness : (int * float * float) list Lazy.t;
-  lookahead : (string * (int * float) * (int * float)) list Lazy.t;
+  routing : unit -> float Cell.row list;
+  staleness : unit -> (int * float * float) list;
+  lookahead : unit -> (string * (int * float) * (int * float)) list;
   summary : string list list Lazy.t;
-  properties : (string * string list list) list Lazy.t;
-  heavyhex : float Cell.row list Lazy.t;
-  variability : (string * float list) list Lazy.t;
-  parametric : (string * string * int * float * int * float) list Lazy.t;
-  noise_model : (string * float * float) list Lazy.t;
-  ghz : (string * float) list Lazy.t;
+  properties : unit -> (string * string list list) list;
+  heavyhex : unit -> float Cell.row list;
+  variability : unit -> (string * float list) list;
+  parametric : unit -> (string * string * int * float * int * float) list;
+  noise_model : unit -> (string * float * float) list;
+  ghz : unit -> (string * float) list;
 }
 
 let generate r =
@@ -45,7 +47,6 @@ let generate r =
         rows_md to_string rows)
       groups
   in
-  let success v = Table.opt_f2 (Option.map snd v) in
   add
     "# TriQ reproduction — live experiment report\n\n\
      Regenerated by `dune exec bench/main.exe report`. Deterministic for a\n\
@@ -65,15 +66,15 @@ let generate r =
            (Mathkit.Stats.minimum values) (Mathkit.Stats.maximum values)))
     (Lazy.force r.fig3);
   section "Figure 8 — native 1Q pulse counts (TriQ-N vs TriQ-1QOpt)";
-  groups_md Table.opt_int (Lazy.force r.fig8);
+  groups_md Table.opt_int (r.fig8 ());
   section "Figure 9 — success rate (TriQ-N vs TriQ-1QOpt)";
-  groups_md Table.opt_f2 (Lazy.force r.fig9);
+  groups_md Table.opt_f2 (r.fig9 ());
   section "Figure 10 — communication optimization (2Q counts)";
-  groups_md Table.opt_int (Lazy.force r.fig10_counts);
+  groups_md Table.opt_int (r.fig10_counts ());
   section "Figure 11 — noise adaptivity (success rates, IBMQ14)";
-  rows_md success (Lazy.force r.fig11_ibm);
+  rows_md Table.opt_f2 (r.fig11_ibm ());
   section "Figure 12 — 12 benchmarks x 7 systems (TriQ-1QOptCN)";
-  rows_md success (Lazy.force r.fig12);
+  rows_md Table.opt_f2 (r.fig12 ());
   section "Section 6.5 — compile-time scaling";
   add
     (Table.markdown ~header:[ "Grid"; "Qubits"; "2Q (mapped)"; "Compile (s)" ]
@@ -82,9 +83,9 @@ let generate r =
   add (Table.markdown ~header:[ "Metric"; "Paper"; "Measured" ] (Lazy.force r.summary));
   section "Extensions";
   add "\n**Large ion trap (Sec 6.3 projection)**\n\n";
-  rows_md Table.opt_f2 (Lazy.force r.iontrap);
+  rows_md Table.opt_f2 (r.iontrap ());
   add "\n**Routing ablation (IBMQ14)**\n\n";
-  rows_md Table.opt_f2 (Lazy.force r.routing);
+  rows_md Table.opt_f2 (r.routing ());
   add "\n**Characterization closure**\n\n";
   add
     (Table.markdown

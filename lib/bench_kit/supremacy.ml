@@ -4,41 +4,17 @@ open Ir.Gate
 (* The four grid CZ patterns, cycled per layer: horizontal pairs starting
    at even/odd columns, vertical pairs starting at even/odd rows. *)
 let pattern ~rows ~cols step =
-  let idx r c = (r * cols) + c in
+  let horizontal = step mod 4 < 2 in
+  let lines, len = if horizontal then (rows, cols) else (cols, rows) in
+  let idx line k = if horizontal then (line * cols) + k else (k * cols) + line in
   let pairs = ref [] in
-  (match step mod 4 with
-  | 0 ->
-    for r = 0 to rows - 1 do
-      let c = ref 0 in
-      while !c + 1 < cols do
-        pairs := (idx r !c, idx r (!c + 1)) :: !pairs;
-        c := !c + 2
-      done
+  for line = 0 to lines - 1 do
+    let k = ref (step mod 2) in
+    while !k + 1 < len do
+      pairs := (idx line !k, idx line (!k + 1)) :: !pairs;
+      k := !k + 2
     done
-  | 1 ->
-    for r = 0 to rows - 1 do
-      let c = ref 1 in
-      while !c + 1 < cols do
-        pairs := (idx r !c, idx r (!c + 1)) :: !pairs;
-        c := !c + 2
-      done
-    done
-  | 2 ->
-    for c = 0 to cols - 1 do
-      let r = ref 0 in
-      while !r + 1 < rows do
-        pairs := (idx !r c, idx (!r + 1) c) :: !pairs;
-        r := !r + 2
-      done
-    done
-  | _ ->
-    for c = 0 to cols - 1 do
-      let r = ref 1 in
-      while !r + 1 < rows do
-        pairs := (idx !r c, idx (!r + 1) c) :: !pairs;
-        r := !r + 2
-      done
-    done);
+  done;
   !pairs
 
 let random_one_q rng =

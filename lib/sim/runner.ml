@@ -72,6 +72,13 @@ module Config = struct
       backend;
       fusion;
     }
+
+  let check t =
+    if t.trials < 1 then Error "trials must be >= 1"
+    else if t.trajectories < 1 then Error "trajectories must be >= 1"
+    else if t.backend = Stabilizer && t.explicit_t1 then
+      Error "stabilizer backend cannot model explicit T1 relaxation"
+    else Ok ()
 end
 
 let m_trajectories = Obs.Metrics.counter "sim.trajectories"
@@ -111,12 +118,11 @@ let hybrid_threshold = 4
 let checkpoint_floats = 1 lsl 16
 
 let prepare config compiled spec =
-  let { Config.trials; trajectories; day; explicit_t1; _ } = config in
+  let { Config.day; explicit_t1; _ } = config in
   Obs.Span.with_span "sim.prepare" @@ fun () ->
   (* Zero trajectories would silently divide the averaged distribution by
      zero and return all-NaN outcomes; zero trials the same for counts. *)
-  if trials < 1 then invalid_arg "Runner.simulate: trials must be >= 1";
-  if trajectories < 1 then invalid_arg "Runner.simulate: trajectories must be >= 1";
+  Result.iter_error (fun msg -> invalid_arg ("Runner.simulate: " ^ msg)) (Config.check config);
   let hardware = compiled.Compiled.hardware in
   let machine = compiled.Compiled.machine in
   (* [day] overrides the calibration the executable runs under — by default
@@ -414,9 +420,6 @@ let plan config p =
   match backend with
   | Config.Statevector -> dense 0
   | Config.Stabilizer ->
-    if explicit_t1 then
-      invalid_arg
-        "Runner.simulate: stabilizer backend cannot model explicit T1 relaxation";
     if n_clifford < n then
       invalid_arg "Runner.simulate: stabilizer backend requires a Clifford-only circuit";
     tableau ()

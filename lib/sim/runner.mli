@@ -99,6 +99,12 @@ module Config : sig
     ?fusion:bool ->
     unit ->
     t
+
+  (** [check t] is [Error msg] when no run can use [t]: [trials] or
+      [trajectories] below 1, or the [Stabilizer] backend with
+      [explicit_t1]. {!simulate} raises [Invalid_argument] on it before
+      any work; a front end calls it before compiling. *)
+  val check : t -> (unit, string) result
 end
 
 (** [simulate ?config compiled spec] executes a compiled program against
@@ -125,12 +131,11 @@ end
     bit-identical with tracing on or off.
 
     Raises [Invalid_argument], before any trajectory runs, if
-    - [trials] or [trajectories] is below 1 (zero trajectories would
-      yield all-NaN outcomes);
+    - [config] fails {!Config.check} ([trials] or [trajectories] below 1
+      would yield all-NaN outcomes);
     - the hardware circuit touches no qubit, or more than 20;
     - a qubit of [spec.measured] is not read out by [compiled];
-    - [backend] is [Stabilizer] and [explicit_t1] is set, or the circuit
-      is not Clifford-only. *)
+    - [backend] is [Stabilizer] and the circuit is not Clifford-only. *)
 val simulate : ?config:Config.t -> Triq.Compiled.t -> Ir.Spec.t -> outcome
 
 (** [ideal_distribution circuit ~measured] is the noiseless output

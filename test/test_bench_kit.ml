@@ -351,15 +351,17 @@ let test_cell_spans () =
     (fun s -> Alcotest.(check string) "compile-only" "compile-only" (str_attr s "trajectories"))
     spans
 
+let section id = List.find (fun s -> s.Experiments.id = id) Experiments.sections
+
 (* A cell's attributes name the work it does: the lookahead router and
    the explicit-T1 noise model show up next to the plain TriQ-1QOptCN
-   cell, which the lookahead and noisemodel sections both run. *)
+   cell, which the lookahead and noisemodel sections both run (here on
+   two runs, so each runs it). *)
 let test_cell_attrs_tell_work_apart () =
-  let run = Experiments.run ~trajectories:5 () in
   let spans =
     cell_spans (fun () ->
-        ignore (Lazy.force run.Bench_kit.Report.lookahead);
-        ignore (Lazy.force run.Bench_kit.Report.noise_model))
+        ignore (Experiments.run ~trajectories:5 [ section "lookahead" ]);
+        ignore (Experiments.run ~trajectories:5 [ section "noisemodel" ]))
   in
   let bv4 =
     List.filter (fun s -> str_attr s "machine" = "IBMQ14" && str_attr s "benchmark" = "BV4") spans
@@ -380,7 +382,7 @@ let test_cell_attrs_tell_work_apart () =
 (* ---------- Report generator ---------- *)
 
 let test_report_sections () =
-  let report = Bench_kit.Report.generate (Experiments.run ~trajectories:60 ()) in
+  let report = Bench_kit.Report.generate (Experiments.run ~trajectories:60 [ section "report" ]) in
   let contains needle =
     let h = String.length report and n = String.length needle in
     let rec scan i = i + n <= h && (String.sub report i n = needle || scan (i + 1)) in
@@ -396,12 +398,18 @@ let test_report_sections () =
     ];
   Alcotest.(check bool) "substantial" true (String.length report > 4000)
 
-(* A report renders the run's grids: the first one computes them, a
-   second one on the same run compiles and simulates nothing. *)
+(* A report renders the run's grids: the run and the first report
+   compute them, a second report on the same run compiles and simulates
+   nothing. *)
 let test_report_reads_run () =
-  let run = Experiments.run ~trajectories:5 () in
-  let first = ref "" and second = ref "" in
-  let spans = spans_of (fun () -> first := Bench_kit.Report.generate run) in
+  let run = ref None and first = ref "" and second = ref "" in
+  let spans =
+    spans_of (fun () ->
+        let r = Experiments.run ~trajectories:5 [ section "report" ] in
+        run := Some r;
+        first := Bench_kit.Report.generate r)
+  in
+  let run = Option.get !run in
   Alcotest.(check bool) "first report compiles" true (named "compile" spans <> []);
   Alcotest.(check bool) "first report simulates" true (named "sim.run" spans <> []);
   let spans = spans_of (fun () -> second := Bench_kit.Report.generate run) in
@@ -409,14 +417,67 @@ let test_report_reads_run () =
   Alcotest.(check int) "second report simulates" 0 (List.length (named "sim.run" spans));
   Alcotest.(check string) "same report" !first !second
 
-(* Every section of one run, as a full bench run prints them: each grid
-   is computed once, so the summary, the report and the [esp] section add
-   no simulation of their own. *)
+(* Every section of one run, as a full bench run prints them: each
+   distinct cell compiles once and each distinct (compile, runner config)
+   simulates once, whichever sections show it; the 410 compiles are 404
+   cells plus the scaling study's 6. *)
 let test_sections_one_pass () =
-  let run = Experiments.run ~trajectories:5 () in
-  let spans = spans_of (fun () -> List.iter (fun (_, section) -> section run) Experiments.sections) in
-  Alcotest.(check int) "sim.run spans" 488 (List.length (named "sim.run" spans));
-  Alcotest.(check int) "compile spans" 672 (List.length (named "compile" spans))
+  let spans =
+    spans_of (fun () ->
+        let run = Experiments.run ~trajectories:5 Experiments.sections in
+        List.iter (fun s -> s.Experiments.render run) Experiments.sections)
+  in
+  Alcotest.(check int) "sim.run spans" 361 (List.length (named "sim.run" spans));
+  Alcotest.(check int) "compile spans" 410 (List.length (named "compile" spans))
+
+(* Every section renders from a run of its own: each names every cell
+   grid it reads. *)
+let test_sections_alone () =
+  List.iter
+    (fun s ->
+      match s.Experiments.render (Experiments.run ~trajectories:5 [ s ]) with
+      | () -> ()
+      | exception e -> Alcotest.failf "section %s: %s" s.Experiments.id (Printexc.to_string e))
+    Experiments.sections
+
+(* Reading a grid the run did not plan names it. *)
+let test_unplanned_grid () =
+  let run = Experiments.run ~trajectories:5 [ section "fig9" ] in
+  Alcotest.check_raises "fig12 not planned"
+    (Invalid_argument "Experiments.run: grid fig12 was not planned")
+    (fun () -> ignore (run.Bench_kit.Report.fig12 ()))
+
+(* A batch keys cells on their inputs: a schedule with one name but a
+   shorter pass list compiles again, and a runner config that differs
+   only in [explicit_t1] simulates again; an identical cell does
+   neither. *)
+let test_cell_keys () =
+  let module Cell = Bench_kit.Cell in
+  let m = Device.Machines.ibmq14 and p = Programs.bv 4 in
+  let full = Triq.Pass.Schedule.of_level Triq.Pipeline.OneQOptCN in
+  let partial = Result.get_ok (Triq.Pass.Schedule.disable full "mapping") in
+  let sim = Sim.Runner.Config.make ~trajectories:5 () in
+  let cell ?(sim = sim) compiler =
+    { Cell.machine = m; program = p; compiler; config = Triq.Pass.Config.default; sim = Some sim }
+  in
+  let row =
+    [
+      ("full", cell full); ("again", cell full); ("no mapping", cell partial);
+      ("explicit T1", cell ~sim:{ sim with Sim.Runner.Config.explicit_t1 = true } full);
+    ]
+  in
+  let success _ o = (Option.get o).Sim.Runner.success_rate in
+  let values = ref [] in
+  let spans =
+    spans_of (fun () ->
+        match Cell.run_cells success [ ("", [ ("BV4", row) ]) ] with
+        | [ (_, [ r ]) ] -> values := r.Cell.values
+        | _ -> Alcotest.fail "one row")
+  in
+  Alcotest.(check int) "compiles" 2 (List.length (named "compile" spans));
+  Alcotest.(check int) "simulations" 3 (List.length (named "sim.run" spans));
+  Alcotest.(check bool) "shared cell, same value" true
+    (List.assoc "full" !values = List.assoc "again" !values)
 
 let () =
   Alcotest.run "bench_kit"
@@ -454,6 +515,8 @@ let () =
           Alcotest.test_case "sections" `Slow test_report_sections;
           Alcotest.test_case "reads the run" `Quick test_report_reads_run;
           Alcotest.test_case "one pass per run" `Quick test_sections_one_pass;
+          Alcotest.test_case "each section alone" `Quick test_sections_alone;
+          Alcotest.test_case "unplanned grid" `Quick test_unplanned_grid;
         ] );
       ( "experiments",
         [
@@ -468,5 +531,6 @@ let () =
           Alcotest.test_case "geomean helper" `Quick test_geomean_improvement_helper;
           Alcotest.test_case "cell spans" `Quick test_cell_spans;
           Alcotest.test_case "cell attributes" `Quick test_cell_attrs_tell_work_apart;
+          Alcotest.test_case "cell keys" `Quick test_cell_keys;
         ] );
     ]

@@ -245,7 +245,18 @@ let test_runner_rejects_degenerate_params () =
   rejected "stabilizer on a non-Clifford circuit"
     (Pipeline.compile_level Machines.ibmq5 toffoli.Bench_kit.Programs.circuit
        ~level:Pipeline.OneQOptCN)
-    toffoli.Bench_kit.Programs.spec (make ~backend:Stabilizer ())
+    toffoli.Bench_kit.Programs.spec (make ~backend:Stabilizer ());
+  (* The rejections that depend on the config alone are [check]'s, so a
+     front end can refuse them before it compiles. *)
+  List.iter
+    (fun (name, config, ok) ->
+      Alcotest.(check bool) (name ^ ": check") ok (Result.is_ok (check config)))
+    [
+      ("default", make (), true);
+      ("trajectories=0", make ~trajectories:0 (), false);
+      ("trials=0", make ~trials:0 (), false);
+      ("stabilizer with explicit T1", make ~backend:Stabilizer ~explicit_t1:true (), false);
+    ]
 
 let test_runner_bell_on_umd () =
   let compiled = Pipeline.compile_level Machines.umdti bell_program ~level:Pipeline.OneQOptCN in
