@@ -93,36 +93,38 @@ let compile_at config machine level (program : Scaffold.Lower.program) =
     (Triq.Pass.Schedule.of_level ~config level)
 
 (* Programs come in as Scaffold source or (for re-optimizing existing
-   vendor output) as OpenQASM 2.0. *)
+   vendor output) as OpenQASM 2.0. The file is read where a command first
+   forces the program, once, whoever else needs it after. *)
 let load_program path =
-  try
-    if Filename.check_suffix path ".qasm" then begin
-      let parsed = Qasm.Frontend.parse_file path in
-      Ok
-        {
-          Scaffold.Lower.circuit = parsed.Qasm.Frontend.circuit;
-          measured = parsed.Qasm.Frontend.measured;
-          qubit_names = parsed.Qasm.Frontend.qubit_names;
-        }
-    end
-    else Ok (Scaffold.Lower.compile_file path)
-  with
-  | Scaffold.Parser.Error (msg, line, col) ->
-    Error (Printf.sprintf "%s:%d:%d: parse error: %s" path line col msg)
-  | Scaffold.Lower.Error (msg, line) ->
-    Error (Printf.sprintf "%s:%d: error: %s" path line msg)
-  | Qasm.Frontend.Error (msg, line) ->
-    Error (Printf.sprintf "%s:%d: QASM error: %s" path line msg)
-  | Sys_error msg -> Error msg
+  lazy
+    (try
+      if Filename.check_suffix path ".qasm" then begin
+        let parsed = Qasm.Frontend.parse_file path in
+        Ok
+          {
+            Scaffold.Lower.circuit = parsed.Qasm.Frontend.circuit;
+            measured = parsed.Qasm.Frontend.measured;
+            qubit_names = parsed.Qasm.Frontend.qubit_names;
+          }
+      end
+      else Ok (Scaffold.Lower.compile_file path)
+    with
+    | Scaffold.Parser.Error (msg, line, col) ->
+      Error (Printf.sprintf "%s:%d:%d: parse error: %s" path line col msg)
+    | Scaffold.Lower.Error (msg, line) ->
+      Error (Printf.sprintf "%s:%d: error: %s" path line msg)
+    | Qasm.Frontend.Error (msg, line) ->
+      Error (Printf.sprintf "%s:%d: QASM error: %s" path line msg)
+    | Sys_error msg -> Error msg)
 
 let default_level = "1qoptcn"
 
 (* Machine, level and program, resolved in that order, the one fit check,
    and the compile options for [day]. *)
-let target ?(level = default_level) ?validate file machine_name day =
+let target ?(level = default_level) ?validate program machine_name day =
   let* machine = resolve_machine machine_name in
   let* level = resolve_level level in
-  let* program = load_program file in
+  let* program = Lazy.force program in
   let circuit = program.Scaffold.Lower.circuit in
   if Device.Machine.fits machine circuit then
     Ok (machine, level, program, Triq.Pass.Config.make ~day ?validate ())
@@ -278,7 +280,7 @@ let compile_cmd =
       disabled trace =
     with_trace trace @@ fun () ->
     exit_code
-      (let* machine, level, program, _ = target ~level file machine_name day in
+      (let* machine, level, program, _ = target ~level (load_program file) machine_name day in
        let* router = resolve_router router_name in
        let* mapper = resolve_mapper mapper_name in
        let* validate =
@@ -349,7 +351,7 @@ let simulate_cmd =
   let run () file machine_name level day trials trajectories backend_name no_fusion trace =
     with_trace trace @@ fun () ->
     exit_code
-      (let* machine, level, program, config = target ~level file machine_name day in
+      (let* machine, level, program, config = target ~level (load_program file) machine_name day in
        let* backend =
          Option.to_result
            ~none:
@@ -386,7 +388,7 @@ let sweep_cmd =
   let run () file machine_name day trace =
     with_trace trace @@ fun () ->
     exit_code
-      (let* machine, _, program, config = target file machine_name day in
+      (let* machine, _, program, config = target (load_program file) machine_name day in
        let* () = needs_measure ~purpose:" to score" program in
        Printf.printf "%-14s %6s %8s %6s %8s %10s\n" "Level" "2Q" "pulses" "swaps" "ESP"
          "success";
@@ -418,7 +420,7 @@ let draw_cmd =
   in
   let run file machine_name level day compiled_view =
     exit_code
-      (let* machine, level, program, config = target ~level file machine_name day in
+      (let* machine, level, program, config = target ~level (load_program file) machine_name day in
        if compiled_view then
          print_string
            (Ir.Draw.render (compile_at config machine level program).Triq.Compiled.hardware)
@@ -439,7 +441,7 @@ let draw_cmd =
 let verify_cmd =
   let run file machine_name day =
     exit_code
-      (let* machine, _, program, config = target file machine_name day in
+      (let* machine, _, program, config = target (load_program file) machine_name day in
        let* () = needs_measure ~purpose:" to verify against" program in
        let failures =
          List.filter
@@ -469,7 +471,7 @@ let verify_cmd =
 let convert_cmd =
   let run file =
     exit_code
-      (let* program = load_program file in
+      (let* program = Lazy.force (load_program file) in
        print_string
          (Backend.Qasm_emit.emit_program
             ~name:(Printf.sprintf "converted from %s" (Filename.basename file))
@@ -521,7 +523,7 @@ let pulse_cmd =
   in
   let run file machine_name level day json =
     exit_code
-      (let* machine, level, program, config = target ~level file machine_name day in
+      (let* machine, level, program, config = target ~level (load_program file) machine_name day in
        let compiled = compile_at config machine level program in
        print_stats compiled;
        let schedule = Pulse.Lower.of_compiled compiled in
@@ -545,8 +547,7 @@ let characterize_cmd =
   let run machine_name day =
     exit_code
       (let* machine = resolve_machine machine_name in
-       let calibration = Device.Machine.calibration machine ~day in
-       let noise = Sim.Noise.create machine calibration in
+       let noise = Sim.Noise.of_day machine ~day in
        Printf.printf "Characterizing %s (day %d) by randomized benchmarking:\n\n"
          machine.Device.Machine.name day;
        Printf.printf "%-8s %12s %12s %12s\n" "Qubit" "1Q injected" "1Q recovered" "RO error";
@@ -608,15 +609,15 @@ let target_opts ~machine_doc ~json_doc =
     const (fun machine level day all_levels json -> { machine; level; day; all_levels; json })
     $ machine $ level_arg $ day_arg $ all_levels $ json)
 
-(* With -m, compile [file] at each selected level under [validate] and
+(* With -m, compile [program] at each selected level under [validate] and
    give [k] the program, the level and the executable or the pass that
    broke an invariant with its diagnostics. *)
-let compile_levels ~validate k file opts =
+let compile_levels ~validate k program opts =
   match opts.machine with
   | None -> Ok []
   | Some spec ->
     let* machine, level, program, config =
-      target ~level:opts.level ~validate file spec opts.day
+      target ~level:opts.level ~validate program spec opts.day
     in
     let levels = if opts.all_levels then Triq.Pipeline.all_levels else [ level ] in
     Ok
@@ -659,10 +660,11 @@ let lint_cmd =
          with Sys_error msg -> Error msg
        in
        (* Dataflow lints over the program itself (--deep, any input kind). *)
+       let program = load_program file in
        let* dataflow_diags =
          if (not deep) || Analysis.Diag.has_errors source_diags then Ok []
          else
-           let* program = load_program file in
+           let* program = Lazy.force program in
            Ok (Dataflow.Analyze.lints ~layer:"dataflow" program.Scaffold.Lower.circuit)
        in
        (* Compile-time validation, only when the source itself is not
@@ -677,7 +679,7 @@ let lint_cmd =
                  Triq.Validate.check_compiled ~measured:program.Scaffold.Lower.measured
                    compiled
                | Error (_, diags) -> diags)
-             file opts
+             program opts
        in
        let diags =
          List.sort_uniq Analysis.Diag.compare
@@ -727,7 +729,8 @@ let lint_cmd =
 let check_cmd =
   let run file opts =
     exit_code ~code:2
-      (let* program = load_program file in
+      (let source = load_program file in
+       let* program = Lazy.force source in
        let circuit = program.Scaffold.Lower.circuit in
        let summary = Dataflow.Analyze.summarize circuit in
        let lints = Dataflow.Analyze.lints ~layer:"dataflow" circuit in
@@ -738,7 +741,7 @@ let check_cmd =
              match result with
              | Ok compiled -> (name, List.length compiled.Triq.Compiled.pass_times_s, [])
              | Error (pass, diags) -> (name, 0, List.map (fun d -> (pass, d)) diags))
-           file opts
+           source opts
        in
        let validation_diags =
          List.concat_map (fun (_, _, ds) -> List.map snd ds) validation
@@ -828,7 +831,7 @@ let metrics_cmd =
   let run () file machine_name level day do_simulate trajectories json =
     Obs.Metrics.enable ();
     exit_code ~code:2
-      (let* machine, level, program, config = target ~level file machine_name day in
+      (let* machine, level, program, config = target ~level (load_program file) machine_name day in
        let sim = Sim.Runner.Config.make ~trajectories () in
        let* () =
          if not do_simulate then Ok ()

@@ -62,18 +62,8 @@ let expectations ?(mitigate = true) machine theta =
     in
     let outcome = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:400 ()) compiled spec in
     if mitigate then begin
-      let calibration =
-        Device.Machine.calibration machine ~day:compiled.Triq.Compiled.day
-      in
-      let noise = Sim.Noise.create machine calibration in
-      let flip =
-        Array.of_list
-          (List.map
-             (fun p ->
-               Sim.Noise.readout_flip_prob noise
-                 (List.assoc p compiled.Triq.Compiled.readout_map))
-             [ 0; 1 ])
-      in
+      let noise = Sim.Noise.of_day machine ~day:compiled.Triq.Compiled.day in
+      let flip = Sim.Binding.flips (Sim.Binding.make compiled ~measured:[ 0; 1 ]) noise in
       Sim.Mitigation.correct ~flip outcome.Sim.Runner.distribution
     end
     else outcome.Sim.Runner.distribution

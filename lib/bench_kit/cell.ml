@@ -47,12 +47,17 @@ let same_compile a b =
   && a.config = b.config && a.program = b.program
   && Triq.Pass.Schedule.pass_names a.compiler = Triq.Pass.Schedule.pass_names b.compiler
 
-(* The runner key: a pool is compared physically. *)
+(* The runner key: the day a run happens under (the cell's compile day
+   unless the runner names one), and a pool compared physically. *)
 let same_run a b =
-  Option.equal
-    (fun (x : Sim.Runner.Config.t) y ->
-      Option.equal ( == ) x.pool y.pool && { x with pool = None } = { y with pool = None })
-    a.sim b.sim
+  let key c =
+    Option.map
+      (fun (s : Sim.Runner.Config.t) ->
+        let day = Option.value ~default:c.config.Triq.Pass.Config.day s.day in
+        (s.pool, { s with pool = None; day = Some day }))
+      c.sim
+  in
+  Option.equal (fun (p, x) (q, y) -> Option.equal ( == ) p q && x = y) (key a) (key b)
 
 (* [cells] grouped by [same], in first-appearance order. *)
 let rec group same = function

@@ -566,8 +566,7 @@ let characterize_rows () =
   let f4 = Printf.sprintf "%.4f" in
   Parallel.Pool.map (Parallel.Pool.default ())
     (fun (machine, a, b) ->
-      let calibration = Machine.calibration machine ~day:0 in
-      let noise = Sim.Noise.create machine calibration in
+      let noise = Sim.Noise.of_day machine ~day:0 in
       let injected_1q = Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, a)) in
       let injected_2q =
         Sim.Noise.gate_error_prob noise (Ir.Gate.Two (Ir.Gate.Cnot, a, b))

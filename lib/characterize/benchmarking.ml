@@ -1,5 +1,4 @@
 module Rng = Mathkit.Rng
-module Machine = Device.Machine
 
 type result = {
   decay : float;
@@ -28,8 +27,7 @@ let fit points error_of_decay =
 
 let one_qubit ?(seed = 11) ?(lengths = default_lengths) ?(samples = 3) machine ~day
     ~qubit =
-  let calibration = Machine.calibration machine ~day in
-  let noise = Sim.Noise.create machine calibration in
+  let noise = Sim.Noise.of_day machine ~day in
   let rng = Rng.create seed in
   let survival m =
     (* m self-inverting pairs: 2m gates, net identity. *)
@@ -59,8 +57,7 @@ let one_qubit ?(seed = 11) ?(lengths = default_lengths) ?(samples = 3) machine ~
 
 let two_qubit ?(seed = 13) ?(lengths = default_lengths) ?(samples = 3) machine ~day ~a
     ~b =
-  let calibration = Machine.calibration machine ~day in
-  let noise = Sim.Noise.create machine calibration in
+  let noise = Sim.Noise.of_day machine ~day in
   let rng = Rng.create seed in
   let gate = Ir.Gate.Two (Ir.Gate.Cnot, a, b) in
   let p = Sim.Noise.gate_error_prob noise gate in
@@ -96,8 +93,7 @@ type interleaved = { reference : result; interleaved : result; gate_error : floa
 
 let interleaved_two_qubit ?(seed = 17) ?(lengths = default_lengths) ?(samples = 3)
     machine ~day ~a ~b =
-  let calibration = Machine.calibration machine ~day in
-  let noise = Sim.Noise.create machine calibration in
+  let noise = Sim.Noise.of_day machine ~day in
   let p_one q =
     Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, q))
   in
@@ -149,8 +145,7 @@ let interleaved_two_qubit ?(seed = 17) ?(lengths = default_lengths) ?(samples = 
 type readout = { p_read1_given0 : float; p_read0_given1 : float; error : float }
 
 let readout machine ~day ~qubit =
-  let calibration = Machine.calibration machine ~day in
-  let noise = Sim.Noise.create machine calibration in
+  let noise = Sim.Noise.of_day machine ~day in
   let flip = Sim.Noise.readout_flip_prob noise qubit in
   (* Prepare |0>: nothing to do; read 1 with the flip probability. *)
   let p_read1_given0 = flip in

@@ -78,6 +78,3 @@ let cancel_two_q (c : Ir.Circuit.t) =
     end
   in
   Ir.Circuit.create c.Ir.Circuit.n_qubits (fixpoint c.Ir.Circuit.gates 32)
-
-let cancelled_count c =
-  Ir.Circuit.two_q_count c - Ir.Circuit.two_q_count (cancel_two_q c)

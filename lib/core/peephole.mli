@@ -14,6 +14,3 @@
 (** [cancel_two_q c] removes cancelling adjacent 2Q pairs. The result is
     exactly unitary-equivalent (checked by tests). *)
 val cancel_two_q : Ir.Circuit.t -> Ir.Circuit.t
-
-(** [cancelled_count c] is [Circuit.two_q_count c - two_q_count (cancel_two_q c)]. *)
-val cancelled_count : Ir.Circuit.t -> int

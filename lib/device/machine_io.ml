@@ -122,9 +122,3 @@ let of_file path =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   of_string source
-
-let to_file path m =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string m))

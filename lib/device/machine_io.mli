@@ -49,5 +49,3 @@ val to_string : Machine.t -> string
 
 (** [of_file path] loads a description from disk. *)
 val of_file : string -> Machine.t
-
-val to_file : string -> Machine.t -> unit

@@ -6,11 +6,6 @@ let format_of_string = function
   | "text" -> Some `Text
   | _ -> None
 
-let format_to_string = function
-  | `Chrome -> "chrome"
-  | `Jsonl -> "jsonl"
-  | `Text -> "text"
-
 let attr_json : Span.attr -> Json.t = function
   | Span.Str s -> Json.Str s
   | Span.Int i -> Json.Int i

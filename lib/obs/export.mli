@@ -15,8 +15,6 @@ type format = [ `Chrome | `Jsonl | `Text ]
 (** Parse a [--trace-format] value: ["chrome"], ["jsonl"], ["text"]. *)
 val format_of_string : string -> format option
 
-val format_to_string : format -> string
-
 (** {1 Span exporters} *)
 
 (** Indented tree (children nested under parents, siblings in start

@@ -1,4 +1,3 @@
-module Machine = Device.Machine
 module Compiled = Triq.Compiled
 
 type outcome = {
@@ -9,77 +8,34 @@ type outcome = {
 
 let run ?(explicit_t1 = false) (compiled : Compiled.t) spec =
   Obs.Span.with_span
-    ~attrs:[ ("machine", Obs.Span.Str compiled.Compiled.machine.Machine.name) ]
+    ~attrs:[ ("machine", Obs.Span.Str compiled.Compiled.machine.Device.Machine.name) ]
     "sim.density"
   @@ fun () ->
-  let hardware = compiled.Compiled.hardware in
-  let machine = compiled.Compiled.machine in
-  let calibration = Machine.calibration machine ~day:compiled.Compiled.day in
-  let noise = Noise.create machine calibration in
-  let used = Ir.Circuit.used_qubits hardware in
-  let k = List.length used in
+  let b = Binding.make compiled ~measured:spec.Ir.Spec.measured in
+  let k = b.Binding.k in
   if k = 0 then invalid_arg "Density_runner.run: empty circuit";
   if k > 8 then invalid_arg "Density_runner.run: too many qubits for exact simulation";
-  let qubit_of =
-    let table = Array.make (1 + List.fold_left max 0 used) (-1) in
-    List.iteri (fun i q -> table.(q) <- i) used;
-    fun h -> table.(h)
-  in
+  let noise = Noise.of_day compiled.Compiled.machine ~day:compiled.Compiled.day in
   let rho = Density.init k in
-  List.iter
-    (fun g ->
-      match (g : Ir.Gate.t) with
-      | Measure _ -> ()
-      | One (kind, q) ->
-        let cq = qubit_of q in
+  Array.iter2
+    (fun g (cg : Ir.Gate.t) ->
+      let p = Noise.error_prob noise ~explicit_t1 g in
+      let gamma = if explicit_t1 then Noise.relaxation_gamma noise g else 0.0 in
+      match cg with
+      | One (kind, cq) ->
         Density.apply_one rho (Ir.Matrices.one_q kind) cq;
-        let p =
-          if explicit_t1 then Noise.gate_error_prob_raw noise g
-          else Noise.gate_error_prob noise g
-        in
         if p > 0.0 then Density.depolarize_one rho p cq;
-        if explicit_t1 then begin
-          let gamma = Noise.relaxation_gamma noise g in
-          if gamma > 0.0 then Density.amplitude_damp rho gamma cq
-        end
-      | Two (kind, a, b) ->
-        let ca = qubit_of a and cb = qubit_of b in
+        if gamma > 0.0 then Density.amplitude_damp rho gamma cq
+      | Two (kind, ca, cb) ->
         Density.apply_two rho (Ir.Matrices.two_q kind) ca cb;
-        let p =
-          if explicit_t1 then Noise.gate_error_prob_raw noise g
-          else Noise.gate_error_prob noise g
-        in
         if p > 0.0 then Density.depolarize_two rho p ca cb;
-        if explicit_t1 then begin
-          let gamma = Noise.relaxation_gamma noise g in
-          if gamma > 0.0 then begin
-            Density.amplitude_damp rho gamma ca;
-            Density.amplitude_damp rho gamma cb
-          end
+        if gamma > 0.0 then begin
+          Density.amplitude_damp rho gamma ca;
+          Density.amplitude_damp rho gamma cb
         end
-      | Ccx _ | Cswap _ -> invalid_arg "Density_runner.run: not hardware-level")
-    hardware.Ir.Circuit.gates;
-  let measured_program = spec.Ir.Spec.measured in
-  let compact_positions =
-    List.map
-      (fun p ->
-        match List.assoc_opt p compiled.Compiled.readout_map with
-        | Some hw -> qubit_of hw
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Density_runner.run: program qubit %d is not measured" p))
-      measured_program
-  in
-  let flip =
-    Array.of_list
-      (List.map
-         (fun p ->
-           Noise.readout_flip_prob noise (List.assoc p compiled.Compiled.readout_map))
-         measured_program)
-  in
-  let projected = Dist.project (Density.populations rho) k compact_positions in
-  let final = Dist.corrupt_readout projected flip in
-  let distribution = Dist.to_strings final in
+      | Measure _ | Ccx _ | Cswap _ -> invalid_arg "Density_runner.run: not hardware-level")
+    b.Binding.gates b.Binding.compact;
+  let distribution = Binding.readout b (Density.populations rho) (Binding.flips b noise) in
   (* Exact probabilities: score the spec against a high-resolution count
      rendering so Spec's histogram API applies unchanged. *)
   let counts = Dist.to_counts distribution 10_000_000 in
@@ -88,7 +44,3 @@ let run ?(explicit_t1 = false) (compiled : Compiled.t) spec =
     success_rate = Ir.Spec.success_rate spec counts;
     purity = Density.purity rho;
   }
-
-let run_batch ?explicit_t1 ?pool pairs =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
-  Parallel.Pool.map pool (fun (compiled, spec) -> run ?explicit_t1 compiled spec) pairs

@@ -18,13 +18,3 @@ type outcome = {
     replaces the decoherence fold with amplitude-damping channels. Raises
     [Invalid_argument] when the circuit touches more than 8 qubits. *)
 val run : ?explicit_t1:bool -> Triq.Compiled.t -> Ir.Spec.t -> outcome
-
-(** [run_batch pairs] evaluates many (executable, spec) pairs across the
-    domain pool (default {!Parallel.Pool.default}), returning outcomes in
-    input order. Each evaluation is exact and independent, so results are
-    identical to mapping {!run} sequentially, for every pool size. *)
-val run_batch :
-  ?explicit_t1:bool ->
-  ?pool:Parallel.Pool.t ->
-  (Triq.Compiled.t * Ir.Spec.t) list ->
-  outcome list

@@ -90,16 +90,6 @@ let total_variation a b =
        (fun acc key -> acc +. Float.abs (prob a key -. prob b key))
        0.0 (outcomes a b)
 
-let hellinger a b =
-  let sum =
-    List.fold_left
-      (fun acc key ->
-        let d = sqrt (prob a key) -. sqrt (prob b key) in
-        acc +. (d *. d))
-      0.0 (outcomes a b)
-  in
-  sqrt (sum /. 2.0)
-
 let parity_expectation dist positions =
   List.fold_left
     (fun acc (bits, p) ->

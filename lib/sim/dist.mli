@@ -25,9 +25,6 @@ val to_counts : (string * float) list -> int -> (string * int) list
     count as 0): 0 = identical, 1 = disjoint support. *)
 val total_variation : (string * float) list -> (string * float) list -> float
 
-(** [hellinger a b] is the Hellinger distance, in [0, 1]. *)
-val hellinger : (string * float) list -> (string * float) list -> float
-
 (** [parity_expectation dist positions] is the expectation of the parity
     observable (product of Z on the given bitstring positions) under a
     distribution over bitstrings: sum of p * (-1)^(popcount of selected

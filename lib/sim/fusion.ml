@@ -20,7 +20,6 @@ type step = { kernel : Kernel.t; members : member array }
 type t = { steps : step array }
 
 let step_members st = st.members
-let n_steps t = Array.length t.steps
 let steps t = t.steps
 
 (* Most diagonal gates the batcher sees come from compiled circuits'

@@ -48,8 +48,6 @@ type t
     [Invalid_argument] on [Measure]/[Ccx]/[Cswap]. *)
 val plan : n:int -> member array -> t
 
-val n_steps : t -> int
-
 val steps : t -> step array
 
 (** The original gates folded into a step, in program order. *)

@@ -55,19 +55,8 @@ let mitigated_success ?seed ?trials ?trajectories (compiled : Triq.Compiled.t) s
       ~config:(Runner.Config.make ?seed ?trials ?trajectories ())
       compiled spec
   in
-  let machine = compiled.Triq.Compiled.machine in
-  let calibration =
-    Device.Machine.calibration machine ~day:compiled.Triq.Compiled.day
-  in
-  let noise = Noise.create machine calibration in
-  let flip =
-    Array.of_list
-      (List.map
-         (fun p ->
-           Noise.readout_flip_prob noise
-             (List.assoc p compiled.Triq.Compiled.readout_map))
-         spec.Ir.Spec.measured)
-  in
+  let noise = Noise.of_day compiled.Triq.Compiled.machine ~day:compiled.Triq.Compiled.day in
+  let flip = Binding.flips (Binding.make compiled ~measured:spec.Ir.Spec.measured) noise in
   let mitigated = correct ~flip outcome.Runner.distribution in
   let counts = Dist.to_counts mitigated outcome.Runner.trials in
   (outcome.Runner.success_rate, Ir.Spec.success_rate spec counts)

@@ -5,39 +5,35 @@ module Rng = Mathkit.Rng
 
 type t = { machine : Machine.t; calibration : Calibration.t }
 
-let create machine calibration = { machine; calibration }
+let of_day machine ~day = { machine; calibration = Machine.calibration machine ~day }
 
 (* Fold gate infidelity with decoherence over the gate's duration:
    p = 1 - (1 - err) * exp(-duration / T). For the trapped-ion machine the
    second factor is negligible (T = 1.5s); for superconducting machines it
-   adds the coherence-limit contribution the paper discusses. *)
-let fold_decoherence profile err duration =
-  1.0 -. ((1.0 -. err) *. exp (-.duration /. profile.Calibration.coherence_us))
+   adds the coherence-limit contribution the paper discusses. With
+   [explicit_t1] the decoherence is a relaxation channel of its own, so
+   the calibrated error stands alone. *)
+let fold ~explicit_t1 profile err duration =
+  if explicit_t1 then err
+  else 1.0 -. ((1.0 -. err) *. exp (-.duration /. profile.Calibration.coherence_us))
 
-let gate_error_prob t (g : Ir.Gate.t) =
+let error_prob t ~explicit_t1 (g : Ir.Gate.t) =
   let profile = t.machine.Machine.profile in
   match g with
   | One (k, q) ->
     if Gateset.is_error_free t.machine.Machine.basis k then 0.0
     else
-      fold_decoherence profile
+      fold ~explicit_t1 profile
         (Calibration.one_q_err t.calibration q)
         profile.Calibration.one_q_time_us
   | Two (_, a, b) ->
-    fold_decoherence profile
+    fold ~explicit_t1 profile
       (Calibration.two_q_err t.calibration a b)
       profile.Calibration.two_q_time_us
   | Measure _ -> 0.0
-  | Ccx _ | Cswap _ -> invalid_arg "Noise.gate_error_prob: not hardware-level"
+  | Ccx _ | Cswap _ -> invalid_arg "Noise.error_prob: not hardware-level"
 
-let gate_error_prob_raw t (g : Ir.Gate.t) =
-  match g with
-  | One (k, q) ->
-    if Gateset.is_error_free t.machine.Machine.basis k then 0.0
-    else Calibration.one_q_err t.calibration q
-  | Two (_, a, b) -> Calibration.two_q_err t.calibration a b
-  | Measure _ -> 0.0
-  | Ccx _ | Cswap _ -> invalid_arg "Noise.gate_error_prob_raw: not hardware-level"
+let gate_error_prob t g = error_prob t ~explicit_t1:false g
 
 let relaxation_gamma t (g : Ir.Gate.t) =
   let profile = t.machine.Machine.profile in

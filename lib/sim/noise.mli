@@ -10,17 +10,20 @@
 
 type t
 
-(** [create machine calibration] builds the model for one calibration
-    snapshot. *)
-val create : Device.Machine.t -> Device.Calibration.t -> t
+(** [of_day machine ~day] builds the model for [machine]'s calibration
+    of [day]. This is the one place the simulator reads a calibration. *)
+val of_day : Device.Machine.t -> day:int -> t
 
 (** [gate_error_prob t g] is the failure probability of a hardware-level,
     software-visible gate ([Measure] returns 0 — readout is separate). *)
 val gate_error_prob : t -> Ir.Gate.t -> float
 
-(** [gate_error_prob_raw t g] is the calibrated error alone, without the
-    decoherence fold — used when relaxation is modelled explicitly. *)
-val gate_error_prob_raw : t -> Ir.Gate.t -> float
+(** [error_prob t ~explicit_t1 g] is the failure probability a
+    simulator draws [g]'s Pauli error with: {!gate_error_prob} by
+    default, and the calibrated error alone, without the decoherence
+    fold, when [explicit_t1] models relaxation as its own channel
+    ({!relaxation_gamma}). *)
+val error_prob : t -> explicit_t1:bool -> Ir.Gate.t -> float
 
 (** [relaxation_gamma t g] is the per-qubit T1 decay probability over the
     gate's duration: 1 - exp(-duration / T). *)

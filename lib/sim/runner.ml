@@ -28,11 +28,6 @@ module Config = struct
     | "stabilizer" -> Some Stabilizer
     | _ -> None
 
-  let backend_to_string = function
-    | Auto -> "auto"
-    | Statevector -> "statevector"
-    | Stabilizer -> "stabilizer"
-
   type t = {
     seed : int;
     trials : int;
@@ -94,17 +89,15 @@ type pgate = {
   action : Tableau.Action.t option;
 }
 
-(* The executable as the simulator sees it: [k] touched qubits, the
-   prepared gates, the ones that can err ([drawn], ascending: error
-   probability above 0) with their probabilities as {!Rng.threshold}s
-   alongside, and each measured bit's compact position and readout-flip
-   probability, in spec order. *)
+(* The executable as the simulator sees it: its binding, the prepared
+   gates, the ones that can err ([drawn], ascending: error probability
+   above 0) with their probabilities as {!Rng.threshold}s alongside, and
+   each measured bit's readout-flip probability, in spec order. *)
 type prepared = {
-  k : int;
+  binding : Binding.t;
   gates : pgate array;
   drawn : int array;
   drawn_thresholds : int array;
-  positions : int list;
   flips : float array;
 }
 
@@ -123,46 +116,18 @@ let prepare config compiled spec =
   (* Zero trajectories would silently divide the averaged distribution by
      zero and return all-NaN outcomes; zero trials the same for counts. *)
   Result.iter_error (fun msg -> invalid_arg ("Runner.simulate: " ^ msg)) (Config.check config);
-  let hardware = compiled.Compiled.hardware in
-  let machine = compiled.Compiled.machine in
+  (* A qubit the executable does not read out fails here, before any
+     trajectory. *)
+  let b = Binding.make compiled ~measured:spec.Ir.Spec.measured in
+  if b.Binding.k = 0 then invalid_arg "Runner.simulate: empty circuit";
+  if b.Binding.k > 20 then
+    invalid_arg "Runner.simulate: circuit touches too many qubits to simulate";
   (* [day] overrides the calibration the executable runs under — by default
      the one it was compiled against; passing a later day models running a
      stale executable after the machine drifted. *)
   let day = Option.value ~default:compiled.Compiled.day day in
-  let noise = Noise.create machine (Machine.calibration machine ~day) in
-  (* Simulate only the qubits the hardware circuit touches. *)
-  let used = Ir.Circuit.used_qubits hardware in
-  let k = List.length used in
-  if k = 0 then invalid_arg "Runner.simulate: empty circuit";
-  if k > 20 then invalid_arg "Runner.simulate: circuit touches too many qubits to simulate";
-  (* Hardware qubit -> compact simulated index, O(1) on the hot path. *)
-  let qubit_of =
-    let table = Array.make (1 + List.fold_left max 0 used) (-1) in
-    List.iteri (fun i q -> table.(q) <- i) used;
-    fun h -> table.(h)
-  in
-  (* Readout: program qubits in spec order -> hardware. A qubit the
-     executable does not read out fails here, before any trajectory. *)
-  let readout_hw =
-    List.map
-      (fun p ->
-        match List.assoc_opt p compiled.Compiled.readout_map with
-        | Some hw -> hw
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Runner.simulate: program qubit %d is not measured" p))
-      spec.Ir.Spec.measured
-  in
-  let hw_gates =
-    Array.of_list (List.filter (fun g -> not (Ir.Gate.is_measure g)) hardware.Ir.Circuit.gates)
-  in
-  let prepare_gate (g : Ir.Gate.t) =
-    let cg : Ir.Gate.t =
-      match g with
-      | One (kind, q) -> One (kind, qubit_of q)
-      | Two (kind, a, b) -> Two (kind, qubit_of a, qubit_of b)
-      | Measure _ | Ccx _ | Cswap _ -> assert false
-    in
+  let noise = Noise.of_day compiled.Compiled.machine ~day in
+  let prepare_gate g cg =
     {
       cg;
       qs = Array.of_list (Ir.Gate.qubits cg);
@@ -170,12 +135,9 @@ let prepare config compiled spec =
       action = Tableau.Action.of_gate cg;
     }
   in
-  (* With explicit T1 the decoherence contribution is modelled as a
-     relaxation channel rather than folded into the Pauli error. *)
-  let error_prob g =
-    if explicit_t1 then Noise.gate_error_prob_raw noise g else Noise.gate_error_prob noise g
+  let thresholds =
+    Array.map (fun g -> Rng.threshold (Noise.error_prob noise ~explicit_t1 g)) b.Binding.gates
   in
-  let thresholds = Array.map (fun g -> Rng.threshold (error_prob g)) hw_gates in
   let drawn = Array.make (Array.fold_left (fun c t -> if t > 0 then c + 1 else c) 0 thresholds) 0 in
   let j = ref 0 in
   Array.iteri
@@ -186,12 +148,11 @@ let prepare config compiled spec =
       end)
     thresholds;
   {
-    k;
-    gates = Array.map prepare_gate hw_gates;
+    binding = b;
+    gates = Array.map2 prepare_gate b.Binding.gates b.Binding.compact;
     drawn;
     drawn_thresholds = Array.map (fun i -> thresholds.(i)) drawn;
-    positions = List.map qubit_of readout_hw;
-    flips = Array.of_list (List.map (Noise.readout_flip_prob noise) readout_hw);
+    flips = Binding.flips b noise;
   }
 
 (* How erred trajectories run. [Clifford]: the tableau carries the
@@ -324,17 +285,16 @@ let clean_tableau k apps =
    Without explicit T1 every [gamma] is 0, so the gate-by-gate clean run
    never draws from its stream. *)
 let dense_plan config p ~prefix apps frame =
-  let gates = p.gates in
+  let gates = p.gates and k = p.binding.Binding.k in
   let start =
-    if prefix > 0 then Statevector.of_tableau (clean_tableau p.k apps)
-    else Statevector.init p.k
+    if prefix > 0 then Statevector.of_tableau (clean_tableau k apps) else Statevector.init k
   in
   let n = Array.length gates in
   let members =
     Array.init (n - prefix) (fun j -> Fusion.member ~idx:(prefix + j) gates.(prefix + j).cg)
   in
   if config.Config.fusion && (not config.Config.explicit_t1) && prefix < n then begin
-    let steps = Fusion.steps (Fusion.plan ~n:p.k members) in
+    let steps = Fusion.steps (Fusion.plan ~n:k members) in
     let n_steps = Array.length steps in
     let step_of = Array.make n (-1) in
     Array.iteri
@@ -343,7 +303,7 @@ let dense_plan config p ~prefix apps frame =
           (fun (m : Fusion.member) -> step_of.(m.idx) <- s)
           (Fusion.step_members st))
       steps;
-    let per = max 1 (checkpoint_floats / (2 * (1 lsl p.k))) in
+    let per = max 1 (checkpoint_floats / (2 * (1 lsl k))) in
     let stride = max 1 ((n_steps + per - 1) / per) in
     let checkpoints = Array.make (max 1 ((n_steps + stride - 1) / stride)) start in
     let state = Statevector.copy start in
@@ -376,7 +336,7 @@ let dense_plan config p ~prefix apps frame =
    pool or the error draws, so cross-pool determinism is preserved. *)
 let plan config p =
   let { Config.backend; explicit_t1; fusion; _ } = config in
-  let gates = p.gates in
+  let gates = p.gates and k = p.binding.Binding.k in
   let n = Array.length gates in
   let clifford =
     let rec prefix i acc =
@@ -403,11 +363,11 @@ let plan config p =
     let apps =
       Array.init span (fun i -> Tableau.compile_action clifford.(i) gates.(i).qs)
     in
-    build apps (frame_table p.k gates apps)
+    build apps (frame_table k gates apps)
   in
   let tableau () =
     planned "stabilizer" n (fun apps frame ->
-        let readout = Tableau.readout (clean_tableau p.k apps) in
+        let readout = Tableau.readout (clean_tableau k apps) in
         {
           path = Clifford { frame; readout };
           ideal = Some (Tableau.readout_probabilities readout ~flips:0);
@@ -524,7 +484,7 @@ let execute config p plan =
     traj_rng.(t) <- Rng.split master
   done;
   let counts_rng = Rng.split master in
-  let dim = 1 lsl p.k in
+  let dim = 1 lsl p.binding.Binding.k in
   (* Each block reuses one error buffer and one erred-trajectory runner
      across its trajectories. *)
   let run_block b =
@@ -592,8 +552,7 @@ let execute config p plan =
   (avg, counts_rng)
 
 let readout p avg =
-  Obs.Span.with_span "sim.readout" @@ fun () ->
-  Dist.to_strings (Dist.corrupt_readout (Dist.project avg p.k p.positions) p.flips)
+  Obs.Span.with_span "sim.readout" @@ fun () -> Binding.readout p.binding avg p.flips
 
 (* Realistic multinomial shot noise instead of deterministic
    largest-remainder rounding. *)

@@ -50,7 +50,6 @@ module Config : sig
   type backend = Auto | Statevector | Stabilizer
 
   val backend_of_string : string -> backend option
-  val backend_to_string : backend -> string
 
   type t = {
     seed : int;  (** master RNG seed (default [0xC0FFEE]) *)
@@ -113,8 +112,8 @@ end
     circuit reads out.
 
     A run is five stages, each a child span of ["sim.run"], in order:
-    ["sim.prepare"] (validation, calibration and noise, used-qubit
-    compaction, per-gate records), ["sim.plan"] (backend choice, tableau
+    ["sim.prepare"] (validation, the executable's {!Binding}, the day's
+    {!Noise.of_day}, per-gate records), ["sim.plan"] (backend choice, tableau
     apps, Pauli-frame table, fusion plan, clean run and checkpoints;
     attributes [backend] — ["stabilizer"], ["hybrid"] or
     ["statevector"] — [fusion], [gates] and [clifford_prefix]),

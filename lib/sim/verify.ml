@@ -11,20 +11,9 @@ let check ~program ~measured (compiled : Compiled.t) =
   let program_distribution =
     Runner.ideal_distribution (Ir.Circuit.body program) ~measured
   in
-  let hw, mapping = Ir.Circuit.compact compiled.Compiled.hardware in
-  let measured_hw =
-    List.map
-      (fun p ->
-        match List.assoc_opt p compiled.Compiled.readout_map with
-        | Some hw_qubit -> List.assoc hw_qubit mapping
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Verify.check: program qubit %d is not measured" p))
-      measured
-  in
-  let compiled_distribution =
-    Runner.ideal_distribution (Ir.Circuit.body hw) ~measured:measured_hw
-  in
+  let b = Binding.make compiled ~measured in
+  let hw = Ir.Circuit.create (max 1 b.Binding.k) (Array.to_list b.Binding.compact) in
+  let compiled_distribution = Runner.ideal_distribution hw ~measured:b.Binding.positions in
   let total_variation = Dist.total_variation program_distribution compiled_distribution in
   {
     equivalent = total_variation < 1e-6;
@@ -32,6 +21,3 @@ let check ~program ~measured (compiled : Compiled.t) =
     program_distribution;
     compiled_distribution;
   }
-
-let check_spec (spec : Ir.Spec.t) ~program compiled =
-  check ~program ~measured:spec.Ir.Spec.measured compiled

@@ -20,7 +20,3 @@ type result = {
     [spec.measured]); they must all appear in the executable's readout
     map. Distributions match when their total variation is below 1e-6. *)
 val check : program:Ir.Circuit.t -> measured:int list -> Triq.Compiled.t -> result
-
-(** [check_spec spec compiled ~program] is [check] with the measured list
-    taken from a spec. *)
-val check_spec : Ir.Spec.t -> program:Ir.Circuit.t -> Triq.Compiled.t -> result

@@ -427,7 +427,7 @@ let test_sections_one_pass () =
         let run = Experiments.run ~trajectories:5 Experiments.sections in
         List.iter (fun s -> s.Experiments.render run) Experiments.sections)
   in
-  Alcotest.(check int) "sim.run spans" 361 (List.length (named "sim.run" spans));
+  Alcotest.(check int) "sim.run spans" 360 (List.length (named "sim.run" spans));
   Alcotest.(check int) "compile spans" 410 (List.length (named "compile" spans))
 
 (* Every section renders from a run of its own: each names every cell
@@ -450,7 +450,7 @@ let test_unplanned_grid () =
 (* A batch keys cells on their inputs: a schedule with one name but a
    shorter pass list compiles again, and a runner config that differs
    only in [explicit_t1] simulates again; an identical cell does
-   neither. *)
+   neither, and nor does one whose runner names the compile day. *)
 let test_cell_keys () =
   let module Cell = Bench_kit.Cell in
   let m = Device.Machines.ibmq14 and p = Programs.bv 4 in
@@ -464,6 +464,7 @@ let test_cell_keys () =
     [
       ("full", cell full); ("again", cell full); ("no mapping", cell partial);
       ("explicit T1", cell ~sim:{ sim with Sim.Runner.Config.explicit_t1 = true } full);
+      ("compile day", cell ~sim:{ sim with Sim.Runner.Config.day = Some 0 } full);
     ]
   in
   let success _ o = (Option.get o).Sim.Runner.success_rate in
@@ -477,7 +478,9 @@ let test_cell_keys () =
   Alcotest.(check int) "compiles" 2 (List.length (named "compile" spans));
   Alcotest.(check int) "simulations" 3 (List.length (named "sim.run" spans));
   Alcotest.(check bool) "shared cell, same value" true
-    (List.assoc "full" !values = List.assoc "again" !values)
+    (List.assoc "full" !values = List.assoc "again" !values);
+  Alcotest.(check bool) "compile-day run, same value" true
+    (List.assoc "full" !values = List.assoc "compile day" !values)
 
 let () =
   Alcotest.run "bench_kit"

@@ -45,8 +45,7 @@ let relative_error recovered injected = Float.abs (recovered -. injected) /. inj
 let test_rb_one_qubit_recovers () =
   List.iter
     (fun machine ->
-      let calibration = Machine.calibration machine ~day:0 in
-      let noise = Sim.Noise.create machine calibration in
+      let noise = Sim.Noise.of_day machine ~day:0 in
       let injected = Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, 0)) in
       let result = Rb.one_qubit machine ~day:0 ~qubit:0 in
       let err = relative_error result.Rb.error_per_gate injected in
@@ -62,8 +61,7 @@ let test_rb_one_qubit_recovers () =
 let test_rb_two_qubit_recovers () =
   List.iter
     (fun (machine, a, b) ->
-      let calibration = Machine.calibration machine ~day:0 in
-      let noise = Sim.Noise.create machine calibration in
+      let noise = Sim.Noise.of_day machine ~day:0 in
       let injected = Sim.Noise.gate_error_prob noise (Ir.Gate.Two (Ir.Gate.Cnot, a, b)) in
       let result = Rb.two_qubit machine ~day:0 ~a ~b in
       let err = relative_error result.Rb.error_per_gate injected in
@@ -76,8 +74,7 @@ let test_rb_distinguishes_good_and_bad_qubits () =
   (* Benchmarking different qubits of IBMQ14 must reproduce their spatial
      ordering from the calibration. *)
   let machine = Machines.ibmq14 in
-  let calibration = Machine.calibration machine ~day:0 in
-  let noise = Sim.Noise.create machine calibration in
+  let noise = Sim.Noise.of_day machine ~day:0 in
   let injected q = Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, q)) in
   let recovered q = (Rb.one_qubit machine ~day:0 ~qubit:q).Rb.error_per_gate in
   let qubits = [ 0; 3; 7; 11 ] in
@@ -89,8 +86,7 @@ let test_rb_distinguishes_good_and_bad_qubits () =
 let test_irb_recovers_gate_error () =
   List.iter
     (fun (machine, a, b) ->
-      let calibration = Machine.calibration machine ~day:0 in
-      let noise = Sim.Noise.create machine calibration in
+      let noise = Sim.Noise.of_day machine ~day:0 in
       let injected =
         Sim.Noise.gate_error_prob noise (Ir.Gate.Two (Ir.Gate.Cnot, a, b))
       in

@@ -163,10 +163,8 @@ let test_stale_day_cross_validation () =
 let test_dist_metrics () =
   let a = [ ("00", 0.5); ("11", 0.5) ] in
   Alcotest.(check (float 1e-12)) "identical tvd" 0.0 (Sim.Dist.total_variation a a);
-  Alcotest.(check (float 1e-12)) "identical hellinger" 0.0 (Sim.Dist.hellinger a a);
   let b = [ ("01", 1.0) ] in
   Alcotest.(check (float 1e-12)) "disjoint tvd" 1.0 (Sim.Dist.total_variation a b);
-  Alcotest.(check (float 1e-9)) "disjoint hellinger" 1.0 (Sim.Dist.hellinger a b);
   let c = [ ("00", 0.75); ("11", 0.25) ] in
   Alcotest.(check (float 1e-12)) "partial tvd" 0.25 (Sim.Dist.total_variation a c)
 

@@ -247,7 +247,7 @@ let test_lookahead_preserves_semantics () =
                 machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN
             in
             let result =
-              Sim.Verify.check_spec p.Bench_kit.Programs.spec
+              Sim.Verify.check ~measured:p.Bench_kit.Programs.spec.Ir.Spec.measured
                 ~program:p.Bench_kit.Programs.circuit compiled
             in
             if not result.Sim.Verify.equivalent then
@@ -294,7 +294,7 @@ let test_parametric_semantics () =
         (Device.Gateset.circuit_visible Device.Gateset.Rigetti_parametric_visible
            compiled.Triq.Compiled.hardware);
       let result =
-        Sim.Verify.check_spec p.Bench_kit.Programs.spec
+        Sim.Verify.check ~measured:p.Bench_kit.Programs.spec.Ir.Spec.measured
           ~program:p.Bench_kit.Programs.circuit compiled
       in
       if not result.Sim.Verify.equivalent then

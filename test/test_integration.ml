@@ -16,7 +16,8 @@ module Circuit = Ir.Circuit
 (* Noiseless oracle, via the library's translation validator. *)
 let check_semantics name (compiled : Triq.Compiled.t) (p : Programs.t) =
   let result =
-    Sim.Verify.check_spec p.Programs.spec ~program:p.Programs.circuit compiled
+    Sim.Verify.check ~measured:p.Programs.spec.Ir.Spec.measured ~program:p.Programs.circuit
+      compiled
   in
   if not result.Sim.Verify.equivalent then
     Alcotest.failf "%s: compiled circuit changed the program's output (tvd %.6f)"

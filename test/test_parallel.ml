@@ -124,28 +124,6 @@ let test_runner_block_boundaries () =
                 (run seq) (run par))
             [ 1; 24; 25; 26; 50; 51 ]))
 
-let test_density_batch_matches_sequential () =
-  let pairs =
-    List.map (fun n -> compiled_bv Machines.ibmq5 n) [ 3; 4 ]
-    @ [ compiled_bv Machines.agave 3 ]
-  in
-  let sequential =
-    List.map (fun (c, s) -> Sim.Density_runner.run c s) pairs
-  in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let batched = Sim.Density_runner.run_batch ~pool pairs in
-      List.iter2
-        (fun (a : Sim.Density_runner.outcome) (b : Sim.Density_runner.outcome) ->
-          Alcotest.(check (list (pair string (float 0.0))))
-            "distribution" a.Sim.Density_runner.distribution
-            b.Sim.Density_runner.distribution;
-          Alcotest.(check (float 0.0))
-            "success" a.Sim.Density_runner.success_rate
-            b.Sim.Density_runner.success_rate;
-          Alcotest.(check (float 0.0))
-            "purity" a.Sim.Density_runner.purity b.Sim.Density_runner.purity)
-        sequential batched)
-
 let test_experiment_grid_deterministic () =
   (* A fig9-style grid through the process-wide default pool: the public
      knob the -j flags turn. *)
@@ -293,8 +271,6 @@ let () =
           Alcotest.test_case "runner across jobs" `Quick
             test_runner_deterministic_across_jobs;
           Alcotest.test_case "block boundaries" `Quick test_runner_block_boundaries;
-          Alcotest.test_case "density batch" `Quick
-            test_density_batch_matches_sequential;
           Alcotest.test_case "experiment grid" `Quick
             test_experiment_grid_deterministic;
           Alcotest.test_case "cold caches study" `Quick

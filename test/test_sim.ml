@@ -144,7 +144,7 @@ let test_sv_sampler_never_impossible () =
 
 (* ---------- Noise ---------- *)
 
-let noise_for machine = Noise.create machine (Device.Machine.calibration machine ~day:0)
+let noise_for machine = Noise.of_day machine ~day:0
 
 let test_noise_virtual_z_free () =
   let n = noise_for Machines.ibmq5 in
@@ -301,6 +301,65 @@ let test_runner_readout_order () =
   let dist_rev = Runner.ideal_distribution (Circuit.body c) ~measured:[ 1; 0 ] in
   Alcotest.(check string) "forward" "10" (fst (List.hd dist_fwd));
   Alcotest.(check string) "reversed" "01" (fst (List.hd dist_rev))
+
+(* ---------- Binding ---------- *)
+
+(* One executable read out of order: program qubits 0, 1 and 2 are read
+   from hardware qubits 3, 1 and 4 (compact indices 1, 0 and 2). Program
+   qubit 0 ends in 1 and qubit 2 in 0, so a spec measuring [2; 0] (compact
+   positions 2 then 1) must see "01" on top from every engine. The
+   program has six qubits so that qubits 3 and 5 exist but are not read
+   out. *)
+let out_of_order_executable () =
+  let program = Circuit.measure_all (circuit 6 [ G.One (G.X, 0); G.One (G.H, 1) ]) [ 0; 1; 2 ] in
+  let compiled = Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN in
+  let hardware = Circuit.measure_all (circuit 5 [ G.One (G.X, 3); G.One (G.H, 1) ]) [ 3; 1; 4 ] in
+  ( program,
+    { compiled with Triq.Compiled.hardware; readout_map = [ (0, 3); (1, 1); (2, 4); (3, 0) ] } )
+
+let test_binding_spec_order () =
+  let program, compiled = out_of_order_executable () in
+  let measured = [ 2; 0 ] in
+  let spec = Ir.Spec.deterministic measured "01" in
+  let run backend =
+    (Runner.simulate ~config:(Runner.Config.make ~trajectories:2000 ~backend ()) compiled spec)
+      .Runner.distribution
+  in
+  let exact = (Sim.Density_runner.run compiled spec).Sim.Density_runner.distribution in
+  let verify = Sim.Verify.check ~program ~measured compiled in
+  Alcotest.(check bool) "verify equivalent" true verify.Sim.Verify.equivalent;
+  Alcotest.(check (list (pair string (float 1e-12))))
+    "verify distribution" [ ("01", 1.0) ] verify.Sim.Verify.compiled_distribution;
+  (* The noisy engines agree with the exact one up to sampling error. *)
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check string) (name ^ " top outcome") "01" (fst (List.hd d));
+      let tv = Sim.Dist.total_variation exact d in
+      if tv > 0.01 then Alcotest.failf "%s vs density: total variation %.4f" name tv)
+    [
+      ("statevector", run Runner.Config.Statevector);
+      ("stabilizer", run Runner.Config.Stabilizer);
+      ("density", exact);
+    ]
+
+(* Program qubit 3 is read from hardware qubit 0, which no gate touches,
+   and program qubit 5 is not read out at all: every engine rejects both
+   through the binding's one check. *)
+let test_binding_rejects_unmeasured () =
+  let program, compiled = out_of_order_executable () in
+  List.iter
+    (fun p ->
+      let measured = [ 2; p ] in
+      let spec = Ir.Spec.deterministic measured "00" in
+      let raises name f =
+        Alcotest.check_raises name
+          (Invalid_argument (Printf.sprintf "Sim.Binding: program qubit %d is not measured" p))
+          (fun () -> ignore (f ()))
+      in
+      raises "runner" (fun () -> Runner.simulate compiled spec);
+      raises "density" (fun () -> Sim.Density_runner.run compiled spec);
+      raises "verify" (fun () -> Sim.Verify.check ~program ~measured compiled))
+    [ 3; 5 ]
 
 let test_runner_better_esp_better_success () =
   (* Same program, same machine: the noise-aware compilation should not do
@@ -1062,5 +1121,10 @@ let () =
       ( "backends",
         [
           Alcotest.test_case "agree end to end" `Quick test_runner_backends_agree;
+        ] );
+      ( "binding",
+        [
+          Alcotest.test_case "spec order" `Quick test_binding_spec_order;
+          Alcotest.test_case "rejects unmeasured" `Quick test_binding_rejects_unmeasured;
         ] );
     ]
