@@ -412,7 +412,7 @@ let print_related (r : run) =
 (* Mapper-objective ablation (Section 4.3's scalability argument): the
    max-min objective prunes far earlier than the whole-graph product
    objective, at equal or better mapped quality. Runs the layout engines
-   directly, bypassing the placement cache. *)
+   directly, outside the mapping pass. *)
 let ablation_mapper_data ?(node_budget = 200_000) () =
   let machine = Machines.ibmq16 in
   let calibration = Machine.calibration machine ~day:0 in

@@ -186,8 +186,7 @@ let mapping_solver =
         let r =
           Placement.solve ~config:s.config.Config.layout
             ~reliability:(reliability_exn s)
-            ~machine_name:s.machine.Machine.name ~day:s.config.Config.day
-            s.circuit
+            ~machine_name:s.machine.Machine.name s.circuit
         in
         {
           s with
@@ -390,7 +389,6 @@ let catalog =
   ]
 
 let catalog_names = List.map fst catalog
-let optional_names = [ "mapping"; "peephole"; "orientation" ]
 
 let pass_of_name ~config ~level name =
   match String.lowercase_ascii name with
@@ -414,36 +412,21 @@ let pass_of_name ~config ~level name =
       (Printf.sprintf "unknown pass %S (valid: %s)" name
          (String.concat ", " catalog_names))
 
+let optional_names =
+  List.filter
+    (fun name ->
+      List.for_all
+        (fun level ->
+          match pass_of_name ~config:Config.default ~level name with
+          | Ok p -> p.optional
+          | Error _ -> false)
+        all_levels)
+    catalog_names
+
 module Schedule = struct
   type pass = t
 
   type t = { name : string; passes : pass list }
-
-  let of_level ?(config = Config.default) level =
-    {
-      name = level_name level;
-      passes =
-        [
-          flatten;
-          reliability
-            ~noise_aware:(match level with OneQOptCN -> true | _ -> false);
-          (match level with
-          | N | OneQOpt -> mapping_trivial
-          | OneQOptC | OneQOptCN -> mapping_solver);
-          routing config.Config.router;
-          swap_expansion;
-        ]
-        @ (if config.Config.peephole then [ peephole ] else [])
-        @ [
-            orientation;
-            translation;
-            (match level with N -> oneq_naive | _ -> oneq_coalesce);
-            readout;
-          ];
-    }
-
-  let all ?(config = Config.default) () =
-    List.map (fun level -> of_level ~config level) all_levels
 
   let pass_names t = List.map (fun (p : pass) -> p.name) t.passes
 
@@ -470,6 +453,17 @@ module Schedule = struct
     match names with
     | [] -> Error "empty schedule: at least one pass is required"
     | _ -> resolve [] names
+
+  let of_level ?(config = Config.default) level =
+    let names =
+      [ "flatten"; "reliability"; "mapping"; "routing"; "swap-expansion" ]
+      @ (if config.Config.peephole then [ "peephole" ] else [])
+      @ [ "orientation"; "translation"; "oneq"; "readout" ]
+    in
+    match make ~config ~level names with Ok t -> t | Error e -> invalid_arg e
+
+  let all ?(config = Config.default) () =
+    List.map (fun level -> of_level ~config level) all_levels
 end
 
 (* -- driver -- *)

@@ -1,38 +1,6 @@
 (* The bridge between the circuit/reliability world and the
    score-model-agnostic layout engine: lowers circuits to
-   Layout.Problem.t, dispatches on the configured strategy, and fronts
-   the process-wide layout cache.
-
-   The cache token is the Reliability.t itself, compared physically:
-   Reliability.compute_cached returns the identical matrix object for the
-   same (machine, day, noise-awareness, calibration), so repeated compile
-   traffic hits, while any structurally different model — including a
-   same-named machine loaded from a different JSON file — misses. The
-   scope names everything else that changes the answer (strategy,
-   objective, budget, machine, day). The rest of the key is the problem's
-   own program side, compared structurally, so a hit is always the exact
-   problem that was solved and its stored report is already its own. *)
-
-type layout_key = {
-  token : Reliability.t;
-  scope : string;
-  n_program : int;
-  pairs : ((int * int) * int) list;
-  measured : int list;
-}
-
-module Layout_memo = Parallel.Memo.Make (struct
-  type t = layout_key
-
-  let equal a b =
-    a.token == b.token && a.scope = b.scope && a.n_program = b.n_program
-    && a.pairs = b.pairs && a.measured = b.measured
-
-  let hash k = Hashtbl.hash (k.scope, k.n_program, k.pairs, k.measured)
-end)
-
-let cache : Layout.Report.t Layout_memo.t =
-  Layout_memo.create ~name:"layout.cache" ~capacity:512
+   Layout.Problem.t and dispatches on the configured strategy. *)
 
 let interactions (c : Ir.Circuit.t) =
   let table = Hashtbl.create 16 in
@@ -90,19 +58,7 @@ let run_strategy ~(config : Layout.Config.t) pr =
   in
   report
 
-let scope ~(config : Layout.Config.t) ~machine_name ~day objective =
-  String.concat "|"
-    [
-      Layout.Config.strategy_name config.Layout.Config.strategy;
-      Layout.Problem.objective_name objective;
-      (match config.Layout.Config.node_budget with
-      | None -> "default"
-      | Some b -> string_of_int b);
-      machine_name;
-      string_of_int day;
-    ]
-
-let solve ?(config = Layout.Config.default) ~reliability ~machine_name ~day
+let solve ?(config = Layout.Config.default) ~reliability ~machine_name
     (c : Ir.Circuit.t) : Layout.Report.t =
   let pr = problem reliability c in
   let attrs =
@@ -111,38 +67,7 @@ let solve ?(config = Layout.Config.default) ~reliability ~machine_name ~day
       ("machine", Obs.Span.Str machine_name);
     ]
   in
-  let report, _dt =
-    Obs.Span.timed ~attrs "layout.solve" (fun () ->
-        let key =
-          {
-            token = reliability;
-            scope = scope ~config ~machine_name ~day pr.Layout.Problem.objective;
-            n_program = pr.Layout.Problem.n_program;
-            pairs = pr.Layout.Problem.pairs;
-            measured = pr.Layout.Problem.measured;
-          }
-        in
-        let solved = ref None in
-        (* The cache keeps its own copy of the placement and a hit hands
-           out a fresh one, so no caller shares an array with the cache. *)
-        let stored =
-          Layout_memo.find_or_add cache key (fun () ->
-              let r = run_strategy ~config pr in
-              solved := Some r;
-              { r with Layout.Report.placement = Array.copy r.Layout.Report.placement })
-        in
-        match !solved with
-        | Some r -> { r with Layout.Report.cache = Layout.Report.Miss }
-        | None ->
-          {
-            stored with
-            Layout.Report.placement = Array.copy stored.Layout.Report.placement;
-            work = Layout.Report.no_work;
-            cache = Layout.Report.Hit;
-          })
-  in
+  let report, _dt = Obs.Span.timed ~attrs "layout.solve" (fun () -> run_strategy ~config pr) in
   report
 
-let cache_clear () = Layout_memo.clear cache
-
-let cache_stats () = Layout_memo.stats cache
+let cache_clear () = ()

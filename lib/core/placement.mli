@@ -1,14 +1,9 @@
 (** The pipeline's entry to the layout engine: lowers a circuit plus
-    reliability matrix to a {!Layout.Problem.t}, dispatches on the
-    configured strategy (B&B or SMT), and fronts the process-wide layout
-    cache keyed on the exact placement problem: (reliability token,
-    machine, day, objective, strategy, budget, program qubit count,
-    interaction pairs, measured qubits). A hit returns the stored report
-    of that same problem, with a private copy of its placement.
-
-    Every solve runs inside a [layout.solve] span, each engine run inside
-    a [layout.strategy.<name>] span. The layout cache (capacity 512,
-    counters [layout.cache.*]) is a {!Parallel.Memo} instance. *)
+    reliability matrix to a {!Layout.Problem.t} and dispatches on the
+    configured strategy (B&B or SMT). Every solve runs inside a
+    [layout.solve] span, each engine run inside a
+    [layout.strategy.<name>] span. The module keeps no state between
+    solves. *)
 
 (** [interactions c] aggregates the program's 2Q operations as
     [((a, b), count)] pairs over program qubits, with (a, b) in first-seen
@@ -27,19 +22,17 @@ val trivial : n_program:int -> n_hardware:int -> int array
 val problem :
   ?objective:Layout.Problem.objective -> Reliability.t -> Ir.Circuit.t -> Layout.Problem.t
 
-(** [solve ?config ~reliability ~machine_name ~day circuit] consults the
-    layout cache and otherwise runs the configured strategy. *)
+(** [solve ?config ~reliability ~machine_name circuit] lowers the circuit
+    and runs the configured strategy on it. [machine_name] labels the
+    [layout.solve] span. The report's placement is a fresh array. *)
 val solve :
   ?config:Layout.Config.t ->
   reliability:Reliability.t ->
   machine_name:string ->
-  day:int ->
   Ir.Circuit.t ->
   Layout.Report.t
 
-(** [cache_clear ()] empties the layout cache (mirrors
-    [Reliability.cache_clear]); a solve after it is cold. *)
+(** [cache_clear ()] does nothing: placement keeps no cache. It stays
+    for callers that clear every cache before a cold run, next to
+    {!Reliability.cache_clear}. *)
 val cache_clear : unit -> unit
-
-(** The layout cache's stats since the last {!cache_clear}. *)
-val cache_stats : unit -> Parallel.Memo.stats

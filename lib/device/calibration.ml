@@ -106,9 +106,6 @@ let generate ~seed ~day topology profile =
   in
   make ~day ~one_q ~two_q ~readout
 
-let series ~seed ~days topology profile =
-  List.init days (fun day -> generate ~seed ~day topology profile)
-
 let check_error name x =
   if x < 0.0 || x > 1.0 then invalid_arg (Printf.sprintf "Calibration: %s out of [0,1]" name)
 

@@ -44,10 +44,6 @@ type t = private {
     drift around the profile averages. *)
 val generate : seed:int -> day:int -> Topology.t -> profile -> t
 
-(** [series ~seed ~days topology profile] is the calibration history for
-    days [0 .. days-1] (Figure 3's time series). *)
-val series : seed:int -> days:int -> Topology.t -> profile -> t list
-
 (** [explicit ~day ~one_q ~two_q ~readout] builds a snapshot directly —
     used for the paper's worked example (Figure 6) and for tests. Error
     values must be in [0, 1] and each coupling two distinct non-negative

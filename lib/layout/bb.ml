@@ -401,5 +401,4 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
     log_product = !best_log;
     proven_optimal = not !truncated;
     work = { Report.no_work with search_nodes = !nodes };
-    cache = Report.Bypass;
   }

@@ -3,10 +3,6 @@ type work = { search_nodes : int; sat_decisions : int }
 let no_work = { search_nodes = 0; sat_decisions = 0 }
 let work_total w = w.search_nodes + w.sat_decisions
 
-type cache_status = Hit | Miss | Bypass
-
-let cache_status_name = function Hit -> "hit" | Miss -> "miss" | Bypass -> "bypass"
-
 type t = {
   strategy : string;
   placement : int array;
@@ -14,5 +10,4 @@ type t = {
   log_product : float;
   proven_optimal : bool;
   work : work;
-  cache : cache_status;
 }

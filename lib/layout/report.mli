@@ -13,13 +13,6 @@ val no_work : work
 (** Sum of both effort counters (only one is non-zero for any engine). *)
 val work_total : work -> int
 
-(** How the layout cache participated in producing this report:
-    [Hit] (placement served from cache), [Miss] (solved, then stored), or
-    [Bypass] (a solver called directly, not through the cache). *)
-type cache_status = Hit | Miss | Bypass
-
-val cache_status_name : cache_status -> string
-
 type t = {
   strategy : string;  (** ["bb"] or ["smt"] *)
   placement : int array;  (** program qubit -> hardware qubit *)
@@ -27,5 +20,4 @@ type t = {
   log_product : float;  (** log of the reliability product *)
   proven_optimal : bool;  (** search space exhausted (not truncated) *)
   work : work;
-  cache : cache_status;
 }

@@ -141,5 +141,4 @@ let solve ?decision_budget (pr : Problem.t) : Report.t =
     log_product;
     proven_optimal = not !truncated;
     work = { Report.no_work with sat_decisions = !total_decisions };
-    cache = Report.Bypass;
   }

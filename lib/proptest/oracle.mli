@@ -98,9 +98,9 @@ val check_clifford :
     the day's noise-aware reliability model and requires (a) the B&B and
     SMT layout strategies to return valid injective placements
     agreeing on the max-min objective (within 1e-9, whenever B&B proved
-    optimality), and (b) a repeat solve through the process-wide layout
-    cache to hit and score exactly like the cold solve. Vacuous if [c]
-    does not fit [machine]. *)
+    optimality), and (b) a repeat {!Triq.Placement.solve} to return the
+    same report (placement, objective, log-product, optimality, work).
+    Vacuous if [c] does not fit [machine]. *)
 val check_layout :
   machine:Device.Machine.t -> day:int -> Ir.Circuit.t -> (unit, string) result
 

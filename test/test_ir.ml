@@ -349,43 +349,6 @@ let test_decompose_controlled_gates () =
   check_controlled "cy" (Mat.one_q G.Y) (Dec.cy 0 1);
   check_controlled "cu3" (Mat.one_q (G.U3 (0.7, 0.3, 1.1))) (Dec.cu3 0.7 0.3 1.1 0 1)
 
-(* ---------- Stats ---------- *)
-
-module Stats = Ir.Stats
-
-let test_stats_counts () =
-  let st = Stats.of_circuit bv4_like in
-  Alcotest.(check int) "qubits" 4 st.Stats.n_qubits;
-  Alcotest.(check int) "total" 12 st.Stats.total_gates;
-  Alcotest.(check int) "1q" 8 st.Stats.one_q;
-  Alcotest.(check int) "2q" 1 st.Stats.two_q;
-  Alcotest.(check int) "multi" 0 st.Stats.multi_q;
-  Alcotest.(check int) "measures" 3 st.Stats.measures;
-  Alcotest.(check int) "depth matches dag" (Dag.depth (Dag.of_circuit bv4_like))
-    st.Stats.depth
-
-let test_stats_histogram () =
-  let st = Stats.of_circuit bv4_like in
-  Alcotest.(check (option int)) "H count" (Some 7) (List.assoc_opt "H" st.Stats.histogram);
-  Alcotest.(check (option int)) "X count" (Some 1) (List.assoc_opt "X" st.Stats.histogram);
-  Alcotest.(check (option int)) "CNOT count" (Some 1)
-    (List.assoc_opt "CNOT" st.Stats.histogram);
-  Alcotest.(check (option int)) "measures" (Some 3)
-    (List.assoc_opt "MEASURE" st.Stats.histogram);
-  (* Rotations are keyed by family, not angle. *)
-  let c = circuit 1 [ G.One (G.Rz 0.1, 0); G.One (G.Rz 0.2, 0) ] in
-  Alcotest.(check (option int)) "Rz merged" (Some 2)
-    (List.assoc_opt "Rz" (Stats.of_circuit c).Stats.histogram)
-
-let test_stats_interaction_degree () =
-  let c =
-    circuit 4 [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 0, 2); G.Two (G.Cnot, 0, 1) ]
-  in
-  Alcotest.(check (array int)) "degrees" [| 2; 1; 1; 0 |] (Stats.interaction_degree c);
-  let t = circuit 3 [ G.Ccx (0, 1, 2) ] in
-  Alcotest.(check (array int)) "toffoli clique" [| 2; 2; 2 |]
-    (Stats.interaction_degree t)
-
 (* ---------- qcheck ---------- *)
 
 let gate_gen n =
@@ -495,12 +458,6 @@ let () =
           Alcotest.test_case "cnot action" `Quick test_matrices_cnot_action;
           Alcotest.test_case "bell circuit" `Quick test_matrices_circuit_bell;
           Alcotest.test_case "rejects measure" `Quick test_matrices_rejects_measure;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "counts" `Quick test_stats_counts;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
-          Alcotest.test_case "interaction degree" `Quick test_stats_interaction_degree;
         ] );
       ( "spec",
         [

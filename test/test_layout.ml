@@ -1,6 +1,6 @@
 (* Layout-engine tests: golden bit-identity of the compiled artifact
    against the Pipeline.compile_level digests in layout_golden.ml,
-   layout-cache semantics, B&B/SMT objective agreement, B&B against
+   private placements, B&B/SMT objective agreement, B&B against
    enumeration (tied scores, planted twins), B&B search size on BV8, and
    the structured-report contract. *)
 
@@ -41,8 +41,6 @@ let level_of_string_exn s =
   | Some l -> l
   | None -> Alcotest.failf "unknown level %S" s
 
-let status (r : Report.t) = Report.cache_status_name r.Report.cache
-
 (* The golden file's compiler column, as test/gen_golden builds it: a
    TriQ level with the default router, the top level with the lookahead
    router, or a baseline. *)
@@ -61,103 +59,48 @@ let test_golden_bit_identity () =
      the artifact pinned in layout_golden.ml (the TriQ-level digests
      predate the layout engine; the lookahead and baseline digests predate
      the shared routing walker). Each entry compiles twice after clearing
-     the caches: a cold solve, then the cache-hit path, which must
-     reproduce the same artifact bit-for-bit from the stored report. *)
+     the caches: once cold, then again on the cached reliability matrix,
+     and both must give the pinned artifact bit-for-bit. *)
   Alcotest.(check bool) "fixture is non-trivial" true
     (List.length Layout_golden.entries > 100);
   List.iter
     (fun (machine, program, level, expected) ->
       let m = machine_by_name machine in
       let p = program_by_name program in
-      Triq.Placement.cache_clear ();
+      Triq.Reliability.cache_clear ();
       List.iter
-        (fun (round, expected_status) ->
-          let r = compile_row m p.Programs.circuit level in
-          let got = digest r in
+        (fun round ->
+          let got = digest (compile_row m p.Programs.circuit level) in
           if got <> expected then
             Alcotest.failf "%s: %s/%s/%s: digest %s, expected %s" round machine
-              program level got expected;
-          match r.Triq.Compiled.layout with
-          | Some l when l.Report.cache <> expected_status ->
-            Alcotest.failf "%s compile: layout cache %s" round (status l)
-          | _ -> ())
-        [ ("cold", Report.Miss); ("cached", Report.Hit) ])
+              program level got expected)
+        [ "cold"; "cached" ])
     Layout_golden.entries
 
-(* ---------- The cache ---------- *)
+(* ---------- Private placements ---------- *)
 
 let cnot_circuit n pairs measured =
   Circuit.create n
     (List.map (fun (a, b) -> G.Two (G.Cnot, a, b)) pairs
     @ List.map (fun q -> G.Measure q) measured)
 
-let ibmq14_reliability = lazy (reliability_for Machines.ibmq14)
-
-let solve ?(reliability = Lazy.force ibmq14_reliability) ?(machine_name = "IBMQ14")
-    ?(day = 0) c =
-  Triq.Placement.solve ~reliability ~machine_name ~day c
-
-let test_cache_repeat_hit () =
-  (* The same circuit solved twice hits the stored report; the same
-     problem under a different scope (day, machine) or a different
-     physical token must miss: structural equality of tokens is not
-     enough. *)
-  Triq.Placement.cache_clear ();
-  let c = cnot_circuit 4 [ (0, 1); (0, 1); (1, 2); (2, 3); (2, 3); (2, 3) ] [ 3 ] in
-  let r = solve c in
-  let r' = solve c in
-  Alcotest.(check (pair string string)) "miss, then hit" ("miss", "hit")
-    (status r, status r');
-  Alcotest.(check bool) "stored strategy and optimality" true
-    (r'.Report.strategy = r.Report.strategy
-    && r'.Report.proven_optimal = r.Report.proven_optimal);
-  Alcotest.(check (float 0.)) "stored objective" r.Report.objective r'.Report.objective;
-  Alcotest.(check (float 0.)) "stored log-product" r.Report.log_product
-    r'.Report.log_product;
-  List.iter
-    (fun (what, solve') -> Alcotest.(check string) what "miss" (status (solve' c)))
-    [
-      ("other day", fun c -> solve ~day:1 c);
-      ("other machine", fun c -> solve ~machine_name:"IBMQ14-twin" c);
-      ( "equal but distinct token",
-        fun c -> solve ~reliability:(reliability_for Machines.ibmq14) c );
-    ];
-  let st = Triq.Placement.cache_stats () in
-  Alcotest.(check (list int)) "hits, misses, resident" [ 1; 4; 4 ]
-    [ st.Parallel.Memo.hits; st.Parallel.Memo.misses; st.Parallel.Memo.size ]
-
-let test_cache_measured_set () =
-  (* Same pairs, different measured qubits: a different problem. *)
-  Triq.Placement.cache_clear ();
-  let pairs = [ (0, 1); (1, 2) ] in
-  Alcotest.(check string) "first measured set misses" "miss"
-    (status (solve (cnot_circuit 3 pairs [ 0 ])));
-  Alcotest.(check string) "other measured set must not hit" "miss"
-    (status (solve (cnot_circuit 3 pairs [ 2 ])))
-
 let test_cache_private_placements () =
   (* A caller that overwrites its report's placement must not change
-     what later solves of the same problem get. *)
-  Triq.Placement.cache_clear ();
+     what later solves of the same problem, on the same cached
+     reliability matrix, get. *)
+  Triq.Reliability.cache_clear ();
+  let reliability = Triq.Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:0 in
   let c = cnot_circuit 4 [ (0, 1); (1, 2); (2, 3); (2, 3) ] [ 0; 3 ] in
-  let r = solve c in
+  let solve () = Triq.Placement.solve ~reliability ~machine_name:"IBMQ14" c in
+  let r = solve () in
   let original = Array.copy r.Report.placement in
   Array.fill r.Report.placement 0 (Array.length r.Report.placement) (-1);
   List.iter
     (fun round ->
-      let r' = solve c in
-      Alcotest.(check string) (round ^ " status") "hit" (status r');
+      let r' = solve () in
       Alcotest.(check (array int)) (round ^ " placement") original r'.Report.placement;
       Array.fill r'.Report.placement 0 (Array.length r'.Report.placement) (-1))
     [ "second solve"; "third solve" ]
-
-let test_cache_near_miss_graphs () =
-  (* Same degree sequence, different graphs: must not collide. *)
-  Triq.Placement.cache_clear ();
-  let tri = cnot_circuit 6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ] [] in
-  let cyc = cnot_circuit 6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ] [] in
-  Alcotest.(check string) "triangles miss" "miss" (status (solve tri));
-  Alcotest.(check string) "cycle must not hit" "miss" (status (solve cyc))
 
 (* ---------- Strategies ---------- *)
 
@@ -366,7 +309,6 @@ let test_bv8_search_size () =
 (* ---------- Reports ---------- *)
 
 let test_pipeline_layout_report () =
-  Triq.Placement.cache_clear ();
   let machine = Machines.ibmq5 in
   let c = (Programs.bv 4).Programs.circuit in
   let r = Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.OneQOptCN in
@@ -386,7 +328,6 @@ let test_pipeline_strategy_dispatch () =
   let machine = Machines.ibmq5 in
   let c = (Programs.bv 4).Programs.circuit in
   let strategy_of mapper =
-    Triq.Placement.cache_clear ();
     let config = Triq.Pass.Config.make ~mapper () in
     let r =
       Triq.Pipeline.compile_level ~config machine c ~level:Triq.Pipeline.OneQOptCN
@@ -404,12 +345,7 @@ let () =
       ( "golden",
         [ Alcotest.test_case "bit identity (cold + cached)" `Quick test_golden_bit_identity ] );
       ( "cache",
-        [
-          Alcotest.test_case "repeat hit" `Quick test_cache_repeat_hit;
-          Alcotest.test_case "near-miss graphs" `Quick test_cache_near_miss_graphs;
-          Alcotest.test_case "measured set" `Quick test_cache_measured_set;
-          Alcotest.test_case "returns private placements" `Quick test_cache_private_placements;
-        ] );
+        [ Alcotest.test_case "returns private placements" `Quick test_cache_private_placements ] );
       ( "strategies",
         [
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;

@@ -164,7 +164,6 @@ let test_cold_caches_study_deterministic () =
   in
   let run jobs =
     Reliability.cache_clear ();
-    Triq.Placement.cache_clear ();
     Pool.with_pool ~jobs (fun pool -> Pool.map pool (cell pool) cells)
   in
   Alcotest.(check int) "fitting cells" 33 (List.length cells);
