@@ -307,7 +307,9 @@ let passes_cmd =
   let run () =
     print_endline "Registered passes (canonical names; timing keys and validator tags):";
     List.iter
-      (fun (name, about) -> Printf.printf "  %-15s %s\n" name about)
+      (fun (name, about) ->
+        let optional = if List.mem name Triq.Pass.optional_names then " [optional]" else "" in
+        Printf.printf "  %-15s %s%s\n" name about optional)
       Triq.Pass.catalog;
     print_newline ();
     print_endline "Level schedules (Table 1; edit with --passes / --disable-pass):";

@@ -416,7 +416,9 @@ let print_related (r : run) =
 let ablation_mapper_data ?(node_budget = 200_000) () =
   let machine = Machines.ibmq16 in
   let calibration = Machine.calibration machine ~day:0 in
-  let reliability = Triq.Reliability.compute ~noise_aware:true machine calibration in
+  let reliability =
+    Triq.Reliability.of_calibration ~noise_aware:true machine.Machine.topology calibration
+  in
   List.filter_map Fun.id
   @@ Parallel.Pool.map (Parallel.Pool.default ())
     (fun (p : Programs.t) ->

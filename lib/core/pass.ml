@@ -147,8 +147,8 @@ let reliability ~noise_aware =
           s with
           reliability =
             Some
-              (Reliability.compute_cached ~noise_aware ~calibration:s.calibration
-                 s.machine ~day:s.config.Config.day);
+              (Reliability.of_calibration ~noise_aware s.machine.Machine.topology
+                 s.calibration);
         });
     checks = (fun _ -> []);
   }
@@ -378,11 +378,11 @@ let catalog =
   [
     ("flatten", "decompose Toffoli/Fredkin into the 1Q + CNOT IR");
     ("reliability", "build the reliability matrix (calibration or device-average)");
-    ("mapping", "place program qubits on hardware (identity or layout engine) [optional]");
+    ("mapping", "place program qubits on hardware (identity or layout engine)");
     ("routing", "insert SWAPs along most-reliable paths");
     ("swap-expansion", "expand SWAPs into native 2Q sequences");
-    ("peephole", "cancel adjacent self-inverse 2Q pairs [optional]");
-    ("orientation", "repair CNOT direction on directed couplings [optional]");
+    ("peephole", "cancel adjacent self-inverse 2Q pairs");
+    ("orientation", "repair CNOT direction on directed couplings");
     ("translation", "rewrite 2Q gates into the software-visible set");
     ("oneq", "translate/coalesce 1Q gates (naive or quaternion)");
     ("readout", "build the measured-qubit readout map");

@@ -207,7 +207,7 @@ val oneq_coalesce : t
 val readout : t
 
 (** Canonical (name, description) rows in toolflow order — the
-    [triqc passes] listing. *)
+    [triqc passes] listing, which marks the {!optional_names}. *)
 val catalog : (string * string) list
 
 (** Names of built-in passes a schedule may run without. *)

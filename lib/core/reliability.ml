@@ -1,10 +1,8 @@
 module Topology = Device.Topology
 module Calibration = Device.Calibration
-module Machine = Device.Machine
 
 type t = {
   n : int;
-  topology : Topology.t;
   edge_rel : float array array;
       (** dense coupling reliability; negative when uncoupled *)
   swap_rel : float array array;  (** max-product swap reliability, hops^3 *)
@@ -81,10 +79,7 @@ let of_calibration ~noise_aware topology calibration =
   let readout =
     Array.init n (fun q -> 1.0 -. Calibration.readout_err calibration q)
   in
-  { n; topology; edge_rel; swap_rel; next_hop; score; best_neighbor; readout }
-
-let compute ~noise_aware machine calibration =
-  of_calibration ~noise_aware machine.Device.Machine.topology calibration
+  { n; edge_rel; swap_rel; next_hop; score; best_neighbor; readout }
 
 let n_qubits t = t.n
 
@@ -132,13 +127,6 @@ let readout_reliability t q =
   check t q;
   t.readout.(q)
 
-let equal a b =
-  a.n = b.n
-  && Topology.edges a.topology = Topology.edges b.topology
-  && a.edge_rel = b.edge_rel && a.swap_rel = b.swap_rel
-  && a.next_hop = b.next_hop && a.score = b.score
-  && a.best_neighbor = b.best_neighbor && a.readout = b.readout
-
 let pp fmt t =
   Format.fprintf fmt "    ";
   for j = 0 to t.n - 1 do
@@ -154,41 +142,4 @@ let pp fmt t =
     Format.fprintf fmt "@\n"
   done
 
-(* ---- calibration-keyed cache ----
-
-   A sweep recompiles the same (machine, day) pair dozens of times (12
-   benchmarks x 4 levels per machine in the paper's grid); the O(n^3)
-   Floyd-Warshall pass and the score matrices depend only on (machine,
-   day, noise_aware), so they are shared through one Parallel.Memo
-   instance. *)
-
-(* Keyed on the machine value itself (physical equality): names are not
-   globally unique (users build machines by hand in tests and examples),
-   and a structurally equal copy of a machine costs only a miss. *)
-type cache_key = { machine : Machine.t; day : int; noise_aware : bool }
-
-module Memo = Parallel.Memo.Make (struct
-  type t = cache_key
-
-  let equal a b =
-    a.machine == b.machine && a.day = b.day && a.noise_aware = b.noise_aware
-
-  let hash k =
-    Hashtbl.hash (k.machine.Machine.name, k.machine.Machine.seed, k.day, k.noise_aware)
-end)
-
-(* Capacity: bundled sweeps span at most seven machines, ten days and both
-   noise modes, so at most 140 keys. *)
-let cache : t Memo.t = Memo.create ~name:"triq.reliability.cache" ~capacity:256
-
-let compute_cached ~noise_aware ?calibration machine ~day =
-  Memo.find_or_add cache { machine; day; noise_aware } (fun () ->
-      let calibration =
-        match calibration with
-        | Some c -> c
-        | None -> Machine.calibration machine ~day
-      in
-      compute ~noise_aware machine calibration)
-
-let cache_clear () = Memo.clear cache
-let cache_stats () = Memo.stats cache
+let cache_clear () = ()

@@ -15,41 +15,17 @@
 
 type t
 
-(** [compute ~noise_aware machine calibration] builds the matrix. *)
-val compute : noise_aware:bool -> Device.Machine.t -> Device.Calibration.t -> t
-
-(** [compute_cached ~noise_aware machine ~day] is {!compute} behind a
-    process-wide cache keyed by (machine, day, noise_aware): repeated
-    compiles against the same calibration (a sweep's common case) reuse
-    the Floyd-Warshall and score matrices instead of redoing the O(n^3)
-    work. Pass [?calibration] when the caller already generated the
-    day's snapshot, to avoid regenerating it on a miss. The cache is a
-    {!Parallel.Memo} instance (capacity 256, counters
-    [triq.reliability.cache.*]), safe to use from {!Parallel.Pool}
-    workers, and returns one physical matrix per resident key. *)
-val compute_cached :
-  noise_aware:bool ->
-  ?calibration:Device.Calibration.t ->
-  Device.Machine.t ->
-  day:int ->
-  t
-
-(** [cache_clear ()] empties the cache and starts a new stats generation —
-    the explicit invalidation hook for callers that mutate calibration
-    sources out from under the keys (none of the built-in machines do). *)
-val cache_clear : unit -> unit
-
-(** Hits, misses, evictions and size since the last {!cache_clear}. *)
-val cache_stats : unit -> Parallel.Memo.stats
-
-(** Structural equality on every derived field (matrices, paths, readout)
-    — the cache-correctness oracle used by the tests. *)
-val equal : t -> t -> bool
-
-(** [of_calibration ~noise_aware topology calibration] is the underlying
-    computation when no [Machine.t] wrapper is at hand (tests, examples). *)
+(** [of_calibration ~noise_aware topology calibration] builds the matrix
+    for one day's calibration. The reliability pass calls it on every
+    compile: a compile is a function of (machine, program, schedule,
+    config) and keeps no state between calls. *)
 val of_calibration :
   noise_aware:bool -> Device.Topology.t -> Device.Calibration.t -> t
+
+(** [cache_clear ()] does nothing: the matrix is not cached. It stays for
+    callers that clear every cache before a cold run, next to
+    [Placement.cache_clear]. *)
+val cache_clear : unit -> unit
 
 val n_qubits : t -> int
 

@@ -471,7 +471,8 @@ let check_layout ~machine ~day c =
   else begin
     let flat = Ir.Decompose.flatten c in
     let reliability =
-      Triq.Reliability.compute_cached ~noise_aware:true machine ~day
+      Triq.Reliability.of_calibration ~noise_aware:true machine.Device.Machine.topology
+        (Device.Machine.calibration machine ~day)
     in
     let pr = Triq.Placement.problem reliability flat in
     let bb = Layout.Bb.solve pr in

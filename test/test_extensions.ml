@@ -176,7 +176,7 @@ let test_max_min_prunes_better () =
      explores no more nodes than product for the same exact search. *)
   let machine = Machines.ibmq16 in
   let reliability =
-    Triq.Reliability.compute ~noise_aware:true machine
+    Triq.Reliability.of_calibration ~noise_aware:true machine.Machine.topology
       (Machine.calibration machine ~day:0)
   in
   let flat = Ir.Decompose.flatten (Bench_kit.Programs.bv 6).Bench_kit.Programs.circuit in

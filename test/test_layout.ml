@@ -1,8 +1,9 @@
 (* Layout-engine tests: golden bit-identity of the compiled artifact
-   against the Pipeline.compile_level digests in layout_golden.ml,
-   private placements, B&B/SMT objective agreement, B&B against
-   enumeration (tied scores, planted twins), B&B search size on BV8, and
-   the structured-report contract. *)
+   against the Pipeline.compile_level digests in layout_golden.ml (also
+   for a structurally equal copy of each machine), private placements,
+   B&B/SMT objective agreement, B&B against enumeration (tied scores,
+   planted twins), B&B search size on BV8, and the structured-report
+   contract. *)
 
 module Machine = Device.Machine
 module Machines = Device.Machines
@@ -12,7 +13,8 @@ module G = Ir.Gate
 module Report = Layout.Report
 
 let reliability_for machine =
-  Triq.Reliability.compute ~noise_aware:true machine (Machine.calibration machine ~day:0)
+  Triq.Reliability.of_calibration ~noise_aware:true machine.Machine.topology
+    (Machine.calibration machine ~day:0)
 
 (* ---------- Golden bit-identity ---------- *)
 
@@ -58,24 +60,51 @@ let test_golden_bit_identity () =
   (* Every bundled benchmark x machine x compiler must compile to exactly
      the artifact pinned in layout_golden.ml (the TriQ-level digests
      predate the layout engine; the lookahead and baseline digests predate
-     the shared routing walker). Each entry compiles twice after clearing
-     the caches: once cold, then again on the cached reliability matrix,
-     and both must give the pinned artifact bit-for-bit. *)
+     the shared routing walker). Each entry compiles twice, and both
+     compiles must give the pinned artifact bit-for-bit: a compile keeps
+     no state from one call to the next. *)
   Alcotest.(check bool) "fixture is non-trivial" true
     (List.length Layout_golden.entries > 100);
   List.iter
     (fun (machine, program, level, expected) ->
       let m = machine_by_name machine in
       let p = program_by_name program in
-      Triq.Reliability.cache_clear ();
       List.iter
         (fun round ->
           let got = digest (compile_row m p.Programs.circuit level) in
           if got <> expected then
             Alcotest.failf "%s: %s/%s/%s: digest %s, expected %s" round machine
               program level got expected)
-        [ "cold"; "cached" ])
+        [ "first"; "repeat" ])
     Layout_golden.entries
+
+let test_golden_machine_copy () =
+  (* A compile reads the machine's fields, not its identity: a machine
+     rebuilt with Machine.create from a built-in one's fields compiles
+     every noise-aware golden entry to the pinned artifact. *)
+  let copies =
+    List.map
+      (fun (m : Machine.t) ->
+        ( m.Machine.name,
+          Machine.create ~name:m.Machine.name ~basis:m.Machine.basis
+            ~topology:m.Machine.topology ~profile:m.Machine.profile ~seed:m.Machine.seed ))
+      Machines.all
+  in
+  let entries =
+    List.filter (fun (_, _, level, _) -> level = "TriQ-1QOptCN") Layout_golden.entries
+  in
+  Alcotest.(check bool) "every machine covered" true
+    (List.for_all
+       (fun (name, _) -> List.exists (fun (m, _, _, _) -> m = name) entries)
+       copies);
+  List.iter
+    (fun (machine, program, level, expected) ->
+      let copy = List.assoc machine copies in
+      let got = digest (compile_row copy (program_by_name program).Programs.circuit level) in
+      if got <> expected then
+        Alcotest.failf "copy of %s: %s/%s: digest %s, expected %s" machine program level
+          got expected)
+    entries
 
 (* ---------- Private placements ---------- *)
 
@@ -84,12 +113,11 @@ let cnot_circuit n pairs measured =
     (List.map (fun (a, b) -> G.Two (G.Cnot, a, b)) pairs
     @ List.map (fun q -> G.Measure q) measured)
 
-let test_cache_private_placements () =
+let test_private_placements () =
   (* A caller that overwrites its report's placement must not change
-     what later solves of the same problem, on the same cached
-     reliability matrix, get. *)
-  Triq.Reliability.cache_clear ();
-  let reliability = Triq.Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:0 in
+     what later solves of the same problem, on the same reliability
+     matrix, get. *)
+  let reliability = reliability_for Machines.ibmq14 in
   let c = cnot_circuit 4 [ (0, 1); (1, 2); (2, 3); (2, 3) ] [ 0; 3 ] in
   let solve () = Triq.Placement.solve ~reliability ~machine_name:"IBMQ14" c in
   let r = solve () in
@@ -290,7 +318,7 @@ let test_bv8_search_size () =
       List.iter
         (fun noise_aware ->
           let reliability =
-            Triq.Reliability.compute ~noise_aware machine
+            Triq.Reliability.of_calibration ~noise_aware machine.Machine.topology
               (Machine.calibration machine ~day:0)
           in
           List.iter
@@ -343,9 +371,12 @@ let () =
   Alcotest.run "layout"
     [
       ( "golden",
-        [ Alcotest.test_case "bit identity (cold + cached)" `Quick test_golden_bit_identity ] );
-      ( "cache",
-        [ Alcotest.test_case "returns private placements" `Quick test_cache_private_placements ] );
+        [
+          Alcotest.test_case "bit identity (first + repeat)" `Quick test_golden_bit_identity;
+          Alcotest.test_case "structural machine copy" `Quick test_golden_machine_copy;
+        ] );
+      ( "placement",
+        [ Alcotest.test_case "returns private placements" `Quick test_private_placements ] );
       ( "strategies",
         [
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;

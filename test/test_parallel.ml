@@ -1,8 +1,7 @@
 (* Parallel-execution tests: the domain pool itself (ordering, exception
    propagation, nesting), the bit-for-bit determinism contract of the
-   trajectory runner and experiment grids across pool sizes (also from
-   cold caches), and the reliability-matrix cache (cached results
-   structurally equal to fresh computation). *)
+   trajectory runner, experiment grids and a compile-and-simulate study
+   across pool sizes, and the reliability matrix's uncoupled lookup. *)
 
 module Pool = Parallel.Pool
 module Machines = Device.Machines
@@ -141,9 +140,9 @@ let test_experiment_grid_deterministic () =
 
 let test_cold_caches_study_deterministic () =
   (* Every bundled benchmark on IBMQ14, Aspen3 and UMDTI, compiled at
-     TriQ-1QOptCN from cold caches and simulated with 50 trajectories:
-     -j 8 (concurrent cache misses, racing stores) must reproduce -j 1
-     byte for byte. *)
+     TriQ-1QOptCN (each compile builds its own reliability matrix) and
+     simulated with 50 trajectories: -j 8 (concurrent compiles, racing
+     Clifford-action memo stores) must reproduce -j 1 byte for byte. *)
   let cells =
     List.concat_map
       (fun m ->
@@ -162,83 +161,18 @@ let test_cold_caches_study_deterministic () =
     Marshal.to_string
       (executable, o.Runner.distribution, o.Runner.counts, o.Runner.success_rate) []
   in
-  let run jobs =
-    Reliability.cache_clear ();
-    Pool.with_pool ~jobs (fun pool -> Pool.map pool (cell pool) cells)
-  in
+  let run jobs = Pool.with_pool ~jobs (fun pool -> Pool.map pool (cell pool) cells) in
   Alcotest.(check int) "fitting cells" 33 (List.length cells);
   Alcotest.(check (list string)) "-j 8 = -j 1" (run 1) (run 8)
 
-(* ---------- Reliability cache ---------- *)
-
-let test_cache_equals_fresh () =
-  Reliability.cache_clear ();
-  List.iter
-    (fun machine ->
-      List.iter
-        (fun day ->
-          List.iter
-            (fun noise_aware ->
-              let calibration = Device.Machine.calibration machine ~day in
-              let fresh = Reliability.compute ~noise_aware machine calibration in
-              let cached = Reliability.compute_cached ~noise_aware machine ~day in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s day %d aware %b"
-                   machine.Device.Machine.name day noise_aware)
-                true
-                (Reliability.equal cached fresh))
-            [ true; false ])
-        [ 0; 3 ])
-    [ Machines.ibmq5; Machines.ibmq14; Machines.agave; Machines.umdti ]
-
-let test_cache_hits_and_clear () =
-  let hits_misses () =
-    let st = Reliability.cache_stats () in
-    (st.Parallel.Memo.hits, st.Parallel.Memo.misses)
-  in
-  Reliability.cache_clear ();
-  Alcotest.(check (pair int int)) "clear resets stats" (0, 0) (hits_misses ());
-  let a = Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1 in
-  ignore (Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1);
-  let b = Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:1 in
-  Alcotest.(check bool) "one physical matrix per key" true (a == b);
-  Alcotest.(check (pair int int)) "two hits, one miss" (2, 1) (hits_misses ());
-  (* Different key dimensions each miss once. *)
-  ignore (Reliability.compute_cached ~noise_aware:false Machines.ibmq14 ~day:1);
-  ignore (Reliability.compute_cached ~noise_aware:true Machines.ibmq14 ~day:2);
-  Alcotest.(check int) "distinct keys miss" 3 (snd (hits_misses ()));
-  Reliability.cache_clear ();
-  Alcotest.(check (pair int int)) "cleared" (0, 0) (hits_misses ())
-
-let test_cache_distinguishes_same_name () =
-  (* Two structurally different machines can share a name and seed; the
-     cache must verify the stored machine, not trust the key alone. *)
-  Reliability.cache_clear ();
-  let template = Machines.ibmq5 in
-  let mk n edges =
-    Device.Machine.create ~name:"CacheTwin"
-      ~basis:template.Device.Machine.basis
-      ~topology:(Device.Topology.create n edges ~directed:false)
-      ~profile:template.Device.Machine.profile
-      ~seed:template.Device.Machine.seed
-  in
-  let a = mk 3 [ (0, 1); (1, 2) ] in
-  let b = mk 4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  Alcotest.(check string)
-    "same name" a.Device.Machine.name b.Device.Machine.name;
-  let ra = Reliability.compute_cached ~noise_aware:true a ~day:0 in
-  let rb = Reliability.compute_cached ~noise_aware:true b ~day:0 in
-  let fresh_b =
-    Reliability.compute ~noise_aware:true b
-      (Device.Machine.calibration b ~day:0)
-  in
-  Alcotest.(check bool) "b not served a's entry" true (Reliability.equal rb fresh_b);
-  Alcotest.(check bool) "a and b differ" false (Reliability.equal ra rb)
+(* ---------- Reliability matrix ---------- *)
 
 let test_edge_reliability_uncoupled () =
   let machine = Machines.ibmq14 in
   let calibration = Device.Machine.calibration machine ~day:0 in
-  let r = Reliability.compute ~noise_aware:true machine calibration in
+  let r =
+    Reliability.of_calibration ~noise_aware:true machine.Device.Machine.topology calibration
+  in
   let coupled =
     match Device.Topology.edges machine.Device.Machine.topology with
     | (a, b) :: _ -> (a, b)
@@ -275,13 +209,6 @@ let () =
           Alcotest.test_case "cold caches study" `Quick
             test_cold_caches_study_deterministic;
         ] );
-      ( "reliability cache",
-        [
-          Alcotest.test_case "cached equals fresh" `Quick test_cache_equals_fresh;
-          Alcotest.test_case "hits and clear" `Quick test_cache_hits_and_clear;
-          Alcotest.test_case "same-name machines" `Quick
-            test_cache_distinguishes_same_name;
-          Alcotest.test_case "uncoupled raises" `Quick
-            test_edge_reliability_uncoupled;
-        ] );
+      ( "reliability",
+        [ Alcotest.test_case "uncoupled raises" `Quick test_edge_reliability_uncoupled ] );
     ]

@@ -169,7 +169,8 @@ let test_solver_nested_scopes () =
 (* ---------- SMT mapper vs branch-and-bound mapper ---------- *)
 
 let reliability_for machine =
-  Triq.Reliability.compute ~noise_aware:true machine (Machine.calibration machine ~day:0)
+  Triq.Reliability.of_calibration ~noise_aware:true machine.Machine.topology
+    (Machine.calibration machine ~day:0)
 
 let smt_solve reliability flat =
   Layout.Smt_search.solve (Triq.Placement.problem reliability flat)
@@ -187,7 +188,7 @@ let test_mapper_smt_matches_bnb () =
         List.concat_map
           (fun machine ->
             let reliability =
-              Triq.Reliability.compute ~noise_aware machine
+              Triq.Reliability.of_calibration ~noise_aware machine.Machine.topology
                 (Machine.calibration machine ~day:0)
             in
             List.filter_map
