@@ -852,8 +852,8 @@ let metrics_cmd =
   let doc =
     "Compile a program (and with --simulate, execute it) with the metrics \
      registry enabled, then dump every counter, gauge, and histogram: pass \
-     runs, reliability-cache hits/misses, pool queue-wait and busy times, \
-     simulated trajectory volume."
+     runs, layout search effort, Clifford-action cache hits/misses, pool \
+     queue-wait and busy times, simulated trajectory volume."
   in
   Cmd.v
     (Cmd.info "metrics" ~doc)

@@ -46,34 +46,52 @@ let of_calibration ~noise_aware topology calibration =
       next_hop.(a).(b) <- b;
       next_hop.(b).(a) <- a)
     (Topology.edges topology);
+  (* Pass k reads row k, row i and row i's entry through k once per row:
+     none of them moves while row i is updated, because every
+     reliability lies in [0, 1], so swap_rel.(k).(k) stays 1.0 and the
+     j = k step never improves swap_rel.(i).(k). A row whose entry
+     through k is 0 is skipped: 0 times an entry never beats a
+     non-negative one. The products and their order are unchanged. *)
   for k = 0 to n - 1 do
+    let rel_k = swap_rel.(k) in
     for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let via = swap_rel.(i).(k) *. swap_rel.(k).(j) in
-        if via > swap_rel.(i).(j) then begin
-          swap_rel.(i).(j) <- via;
-          next_hop.(i).(j) <- next_hop.(i).(k)
-        end
-      done
+      let rel_i = swap_rel.(i) in
+      let r_ik = rel_i.(k) in
+      if r_ik <> 0.0 then begin
+        let hop_i = next_hop.(i) in
+        let hop_ik = hop_i.(k) in
+        for j = 0 to n - 1 do
+          let via = r_ik *. rel_k.(j) in
+          if via > rel_i.(j) then begin
+            rel_i.(j) <- via;
+            hop_i.(j) <- hop_ik
+          end
+        done
+      end
     done
   done;
   (* Score (c, t): best neighbour t' of t maximizing swap_rel(c, t') times
-     the direct t'-t coupling reliability. *)
+     the direct t'-t coupling reliability; the first such t' in ascending
+     order wins ties. *)
+  let neighbors = Array.init n (fun q -> Array.of_list (Topology.neighbors topology q)) in
   let score = Array.make_matrix n n 0.0 in
   let best_neighbor = Array.make_matrix n n (-1) in
   for c = 0 to n - 1 do
+    let rel_c = swap_rel.(c) and score_c = score.(c) and best_c = best_neighbor.(c) in
     for tgt = 0 to n - 1 do
-      if c <> tgt then
-        List.iter
-          (fun t' ->
-            if t' <> tgt then begin
-              let candidate = swap_rel.(c).(t') *. edge_rel.(t').(tgt) in
-              if candidate > score.(c).(tgt) then begin
-                score.(c).(tgt) <- candidate;
-                best_neighbor.(c).(tgt) <- t'
-              end
-            end)
-          (Topology.neighbors topology tgt)
+      if c <> tgt then begin
+        let nbrs = neighbors.(tgt) in
+        for x = 0 to Array.length nbrs - 1 do
+          let t' = nbrs.(x) in
+          if t' <> tgt then begin
+            let candidate = rel_c.(t') *. edge_rel.(t').(tgt) in
+            if candidate > score_c.(tgt) then begin
+              score_c.(tgt) <- candidate;
+              best_c.(tgt) <- t'
+            end
+          end
+        done
+      end
     done
   done;
   let readout =

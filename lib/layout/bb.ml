@@ -52,12 +52,27 @@
    logs, interaction partners as arrays), candidate costs go into
    per-depth buffers, and the candidates are ordered by an in-place
    heapsort on a monomorphic comparison, so a node costs O(k log k) over
-   its k candidates on top of the O(n_hardware) scan. *)
+   its k candidates on top of the O(n_hardware) scan. Under Max_min the
+   scan also applies an incumbent floor: it computes a candidate's
+   minimum term first and drops the candidate when that term, the
+   partial placement's minimum or the suffix bound already falls below
+   the incumbent's minimum. That is [viable]'s first clause, so only
+   candidates that could be viable pay for their log-product term (on
+   noise-unaware BV8 about one in three). Minima are taken with [fmin],
+   an inlined comparison that equals [Float.min] on these values. *)
 
 let log_floor = Problem.log_floor
 let default_node_budget = 200_000
 let m_nodes = Obs.Metrics.counter "layout.bb.nodes"
 let m_truncated = Obs.Metrics.counter "layout.bb.truncated"
+let m_costed = Obs.Metrics.counter "layout.bb.costed"
+
+(* [Float.min a b] for the values a search compares: reliabilities, their
+   bounds and the 1.0/infinity seeds are never NaN and never -0.0, the
+   only inputs on which [Float.min] differs from one comparison. Closed
+   and inlined, so its result stays unboxed (a float returned from a call
+   is boxed, and a node must not allocate). *)
+let[@inline] fmin (a : float) b = if a < b then a else b
 
 (* The problem tabulated once per solve. Hardware pairs are row-major:
    [score.(h * n_hardware + h')] is [pr.score h h'] (the diagonal is never
@@ -268,7 +283,7 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   let placement = Array.make n_program (-1) in
   let used = Array.make n_hardware false in
   let class_seen = Array.make n_hardware false in
-  let nodes = ref 0 in
+  let nodes = ref 0 and costed = ref 0 in
   let truncated = ref false in
   (* The incumbent, seeded with the trivial placement. *)
   let best_placement = ref (Problem.trivial pr) in
@@ -285,25 +300,20 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   let cost_min = Array.make_matrix n_program n_hardware 0.0 in
   let cost_log = Array.make_matrix n_program n_hardware 0.0 in
   let candidates = Array.make_matrix n_program n_hardware 0 in
-  (* The terms placing p on h adds against the already-placed partners. *)
-  let placement_cost depth p h =
-    let min_rel = ref 1.0 and log_prod = ref 0.0 in
+  (* The log-product term placing p on h adds against the
+     already-placed partners, into cost_log.(depth).(h). The scan below
+     computes the minimum term. *)
+  let log_cost depth p h =
+    let log_prod = ref 0.0 in
     let partner = t.partner.(p) and oriented = t.oriented.(p) and count = t.count.(p) in
     for j = 0 to Array.length partner - 1 do
       let oh = placement.(partner.(j)) in
       if oh >= 0 then begin
         let i = if oriented.(j) then (h * n_hardware) + oh else (oh * n_hardware) + h in
-        let r = t.score.(i) in
-        if r < !min_rel then min_rel := r;
         log_prod := !log_prod +. (count.(j) *. t.log_score.(i))
       end
     done;
-    if t.measured.(p) then begin
-      let r = t.readout.(h) in
-      if r < !min_rel then min_rel := r;
-      log_prod := !log_prod +. t.log_readout.(h)
-    end;
-    cost_min.(depth).(h) <- !min_rel;
+    if t.measured.(p) then log_prod := !log_prod +. t.log_readout.(h);
     cost_log.(depth).(h) <- !log_prod
   in
   (* Could some completion of placing order.(depth) on h still be
@@ -311,12 +321,13 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
      bound: a completion that cannot strictly beat the incumbent's minimum
      is recorded only if it beats its log-product. *)
   let viable depth h =
-    let next_min = Float.min path_min.(depth) cost_min.(depth).(h) in
     let next_log = path_log.(depth) +. cost_log.(depth).(h) in
     let opt_log = next_log +. suffix_log.(depth + 1) in
     match objective with
     | Problem.Max_min ->
-      let opt_min = Float.min next_min suffix_min.(depth + 1) in
+      let opt_min =
+        fmin (fmin path_min.(depth) cost_min.(depth).(h)) suffix_min.(depth + 1)
+      in
       opt_min >= !best_min -. 1e-12
       && (opt_min > !best_min +. 1e-12 || opt_log > !best_log)
     | Problem.Product -> next_log > !best_log && opt_log >= !best_log
@@ -358,17 +369,50 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
         clog.(prev) <- cost_log.(depth - 1).(prev)
       end;
       Array.fill class_seen 0 n_hardware false;
+      let partner = t.partner.(p) and oriented = t.oriented.(p) and measured = t.measured.(p) in
+      (* The incumbent floor. Under Max_min a candidate whose optimistic
+         minimum (the partial placement's, its own term's, the suffix
+         bound's) is below the incumbent's fails [viable]'s first clause
+         whatever its log-product, so that term is never computed (nor
+         read: only [buf] members and [prev] are). Its class is still
+         marked seen: its class-mates have its costs. The minimum of three
+         values does not depend on the order it is taken in, and the
+         incumbent does not move during the scan. *)
+      let floor_min =
+        match objective with
+        | Problem.Max_min -> !best_min -. 1e-12
+        | Problem.Product -> neg_infinity
+      in
+      let base = fmin path_min.(depth) suffix_min.(depth + 1) in
       let k = ref 0 in
       for h = 0 to n_hardware - 1 do
         if (not used.(h)) && not class_seen.(rep.(h)) then begin
           class_seen.(rep.(h)) <- true;
-          placement_cost depth p h;
-          if
-            ((not is_twin) || rep.(h) = rep.(prev) || before objective cmin clog prev h)
-            && viable depth h
-          then begin
-            buf.(!k) <- h;
-            incr k
+          let min_rel = ref 1.0 in
+          for j = 0 to Array.length partner - 1 do
+            let oh = placement.(partner.(j)) in
+            if oh >= 0 then begin
+              let r =
+                t.score.(if oriented.(j) then (h * n_hardware) + oh else (oh * n_hardware) + h)
+              in
+              if r < !min_rel then min_rel := r
+            end
+          done;
+          if measured then begin
+            let r = t.readout.(h) in
+            if r < !min_rel then min_rel := r
+          end;
+          cmin.(h) <- !min_rel;
+          if fmin base !min_rel >= floor_min then begin
+            incr costed;
+            log_cost depth p h;
+            if
+              ((not is_twin) || rep.(h) = rep.(prev) || before objective cmin clog prev h)
+              && viable depth h
+            then begin
+              buf.(!k) <- h;
+              incr k
+            end
           end
         end
       done;
@@ -381,7 +425,7 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
         else if viable depth h then begin
           placement.(p) <- h;
           used.(h) <- true;
-          path_min.(depth + 1) <- Float.min path_min.(depth) cmin.(h);
+          path_min.(depth + 1) <- fmin path_min.(depth) cmin.(h);
           path_log.(depth + 1) <- path_log.(depth) +. clog.(h);
           search (depth + 1);
           used.(h) <- false;
@@ -393,6 +437,7 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   in
   search 0;
   Obs.Metrics.incr m_nodes ~by:!nodes;
+  Obs.Metrics.incr m_costed ~by:!costed;
   if !truncated then Obs.Metrics.incr m_truncated;
   {
     Report.strategy = "bb";

@@ -3,8 +3,8 @@
     domains.
 
     Counters are [Atomic] integer adds and gauges [Atomic] float stores,
-    cheap enough to stay unconditionally live (the reliability cache
-    counts hits/misses whether or not anyone reads them). The {!enabled}
+    cheap enough to stay unconditionally live (the B&B search counts its
+    nodes whether or not anyone reads them). The {!enabled}
     gate exists for instrumentation whose {e measurement} has a cost —
     the pool's queue-wait and busy histograms each need clock reads, so
     they only record when metrics are switched on (e.g. by

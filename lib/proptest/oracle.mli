@@ -95,12 +95,13 @@ val check_clifford :
   (unit, string) result
 
 (** [check_layout ~machine ~day c] lowers [c]'s interaction graph against
-    the day's noise-aware reliability model and requires (a) the B&B and
-    SMT layout strategies to return valid injective placements
-    agreeing on the max-min objective (within 1e-9, whenever B&B proved
-    optimality), and (b) a repeat {!Triq.Placement.solve} to return the
-    same report (placement, objective, log-product, optimality, work).
-    Vacuous if [c] does not fit [machine]. *)
+    the day's reliability model, noise-aware and then noise-unaware, and
+    requires in each mode (a) the B&B and SMT layout strategies to return
+    valid injective placements agreeing on the max-min objective (within
+    1e-9, whenever B&B proved optimality), and (b) a repeat
+    {!Triq.Placement.solve} to return the same report (placement,
+    objective, log-product, optimality, work). Vacuous if [c] does not fit
+    [machine]. *)
 val check_layout :
   machine:Device.Machine.t -> day:int -> Ir.Circuit.t -> (unit, string) result
 

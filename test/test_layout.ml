@@ -2,8 +2,8 @@
    against the Pipeline.compile_level digests in layout_golden.ml (also
    for a structurally equal copy of each machine), private placements,
    B&B/SMT objective agreement, B&B against enumeration (tied scores,
-   planted twins), B&B search size on BV8, and the structured-report
-   contract. *)
+   planted twins), the exact search of every benchmark problem, and the
+   structured-report contract. *)
 
 module Machine = Device.Machine
 module Machines = Device.Machines
@@ -307,32 +307,44 @@ let prop_twins_exact =
           && Float.abs (eval_log -. r.Report.log_product) <= 1e-9)
         [ Layout.Problem.Max_min; Layout.Problem.Product ])
 
-let test_bv8_search_size () =
-  (* BV8's seven data qubits are twins: each hardware set is searched in
-     one order. Walking all 7! orders of each set takes up to 90,147
-     Max_min nodes here, and six of the eight Product solves then stop at
-     the 200,000-node budget. *)
+let test_search_pins () =
+  (* Every Layout.Bb.solve problem of a bundled benchmark on a fitting
+     machine, in both noise modes and under both objectives, reaches
+     exactly the pinned search: node count, proven optimality, objective
+     and log-product bit for bit, and placement (mapper_pins.ml, made by
+     test/gen_golden/gen_pins). Speeding up the search must not change
+     what it visits. BV8's seven data qubits are twins: without twin
+     pruning its Max_min solves take up to 90,147 nodes, and six of its
+     eight Product solves stop at the 200,000-node budget. *)
+  let objective_of = function
+    | "max-min" -> Layout.Problem.Max_min
+    | "product" -> Layout.Problem.Product
+    | s -> Alcotest.failf "unknown objective %S" s
+  in
+  Alcotest.(check int) "every problem pinned" 300 (List.length Mapper_pins.search);
   List.iter
-    (fun (machine : Machine.t) ->
-      let flat = Ir.Decompose.flatten (Programs.bv 8).Programs.circuit in
-      List.iter
-        (fun noise_aware ->
-          let reliability =
-            Triq.Reliability.of_calibration ~noise_aware machine.Machine.topology
-              (Machine.calibration machine ~day:0)
-          in
-          List.iter
-            (fun (objective, budget) ->
-              let r = Layout.Bb.solve (Triq.Placement.problem ~objective reliability flat) in
-              let nodes = r.Report.work.Report.search_nodes in
-              if nodes > budget || not r.Report.proven_optimal then
-                Alcotest.failf "%s noise_aware=%b %s: %d nodes, proven %b"
-                  machine.Machine.name noise_aware
-                  (Layout.Problem.objective_name objective)
-                  nodes r.Report.proven_optimal)
-            [ (Layout.Problem.Max_min, 2_000); (Layout.Problem.Product, 10_000) ])
-        [ true; false ])
-    [ Machines.ibmq14; Machines.ibmq16; Machines.aspen1; Machines.aspen3 ]
+    (fun (machine, program, noise_aware, objective, nodes, proven, obj, log_product, placement) ->
+      let m = machine_by_name machine in
+      let reliability =
+        Triq.Reliability.of_calibration ~noise_aware m.Machine.topology
+          (Machine.calibration m ~day:0)
+      in
+      let flat = Ir.Decompose.flatten (program_by_name program).Programs.circuit in
+      let r =
+        Layout.Bb.solve
+          (Triq.Placement.problem ~objective:(objective_of objective) reliability flat)
+      in
+      let ((got_nodes, got_proven, got_obj, got_log, _) as got) =
+        ( r.Report.work.Report.search_nodes,
+          r.Report.proven_optimal,
+          Printf.sprintf "%h" r.Report.objective,
+          Printf.sprintf "%h" r.Report.log_product,
+          r.Report.placement )
+      in
+      if got <> (nodes, proven, obj, log_product, placement) then
+        Alcotest.failf "%s %s noise_aware=%b %s: %d nodes, proven %b, %s, %s" machine
+          program noise_aware objective got_nodes got_proven got_obj got_log)
+    Mapper_pins.search
 
 (* ---------- Reports ---------- *)
 
@@ -382,7 +394,7 @@ let () =
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;
           QCheck_alcotest.to_alcotest prop_tie_bound_exact;
           QCheck_alcotest.to_alcotest prop_twins_exact;
-          Alcotest.test_case "bv8 search size" `Quick test_bv8_search_size;
+          Alcotest.test_case "search pins" `Quick test_search_pins;
         ] );
       ( "reports",
         [

@@ -100,6 +100,48 @@ let test_reliability_fully_connected () =
   Alcotest.(check (float 1e-9)) "direct" 0.99 (Reliability.score r 0 4);
   Alcotest.(check (list int)) "no swaps" [ 0 ] (Reliability.swap_path r 0 4)
 
+(* The digest test/gen_golden/gen_pins takes of a reliability closure:
+   swap reliabilities and scores as %h, swap paths and max-product paths
+   ("-" when unreachable), over all ordered pairs. *)
+let closure_digest r =
+  let b = Buffer.create 4096 in
+  let path f = try List.iter (Printf.bprintf b "%d,") (f ()) with Not_found -> Buffer.add_char b '-' in
+  let n = Reliability.n_qubits r in
+  for a = 0 to n - 1 do
+    for c = 0 to n - 1 do
+      Printf.bprintf b "%h;" (Reliability.swap_reliability r a c);
+      path (fun () -> Reliability.path_between r a c);
+      if a <> c then begin
+        Printf.bprintf b ";%h;" (Reliability.score r a c);
+        path (fun () -> Reliability.swap_path r a c)
+      end;
+      Buffer.add_char b '\n'
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_reliability_closure_pins () =
+  (* Every built-in machine, a 13-ion chain and the 72-qubit grid, days
+     0-2, both noise modes: the closure is bitwise the one pinned in
+     mapper_pins.ml. The grid has the most unreachable intermediate
+     (row, hop) products, where Floyd-Warshall may skip work. *)
+  let machines =
+    Machines.all @ Machines.extended @ [ Machines.ion_trap_chain 13; Machines.bristlecone 6 12 ]
+  in
+  Alcotest.(check int) "every closure pinned" (List.length machines * 6)
+    (List.length Mapper_pins.reliability);
+  List.iter
+    (fun (name, day, noise_aware, expected) ->
+      let m = List.find (fun m -> m.Device.Machine.name = name) machines in
+      let r =
+        Reliability.of_calibration ~noise_aware m.Device.Machine.topology
+          (Device.Machine.calibration m ~day)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s day %d noise_aware=%b" name day noise_aware)
+        expected (closure_digest r))
+    Mapper_pins.reliability
+
 (* ---------- Mapper ---------- *)
 
 let solve_bb ?node_budget r c = Layout.Bb.solve ?node_budget (Placement.problem r c)
@@ -733,6 +775,7 @@ let () =
             test_reliability_noise_unaware_is_hops;
           Alcotest.test_case "readout" `Quick test_reliability_readout;
           Alcotest.test_case "fully connected" `Quick test_reliability_fully_connected;
+          Alcotest.test_case "closure pins" `Quick test_reliability_closure_pins;
         ] );
       ( "mapper",
         [
