@@ -1,5 +1,4 @@
 module Matrix = Mathkit.Matrix
-module Cplx = Mathkit.Cplx
 module Rng = Mathkit.Rng
 
 type generator = int * bool array * bool array
@@ -45,93 +44,111 @@ let mul_into a b =
   done;
   a.e <- (a.e + b.e + (2 * !extra)) land 3
 
+(* Odd number of set bits. *)
+let parity x =
+  let x = ref x and p = ref false in
+  while !x <> 0 do
+    p := not !p;
+    x := !x land (!x - 1)
+  done;
+  !p
+
 (* ------------------------------------------------------------------ *)
 (* Numeric derivation of a gate's Clifford action.                    *)
 (* ------------------------------------------------------------------ *)
 
-let sigma_i = Matrix.identity 2
-
-let sigma_x =
-  Matrix.of_rows [ [ Cplx.zero; Cplx.one ]; [ Cplx.one; Cplx.zero ] ]
-
-let sigma_y =
-  Matrix.of_rows [ [ Cplx.zero; Cplx.make 0. (-1.) ]; [ Cplx.i; Cplx.zero ] ]
-
-let sigma_z =
-  Matrix.of_rows [ [ Cplx.one; Cplx.zero ]; [ Cplx.zero; Cplx.make (-1.) 0. ] ]
-
-let sigma = [| sigma_i; sigma_x; sigma_y; sigma_z |]
-
-(* Pauli label s in 0..3 as an X-before-Z local factor: Y = i * X Z. *)
-let label_local s =
-  match s with
-  | 0 -> (0, false, false)
-  | 1 -> (0, true, false)
-  | 2 -> (1, true, true)
-  | 3 -> (0, false, true)
-  | _ -> assert false
-
 let eps = 1e-6
 
-(* Match [c] against +/- (sigma_{s_0} (x) ... (x) sigma_{s_{k-1}}) and
-   return it as a k-wide row. A unitary conjugate of a Hermitian Pauli
-   is Hermitian with eigenvalues +/-1, so the scalar can only be +/-1. *)
-let match_signed_pauli k c =
-  let rec labels_of i acc m =
-    if i = k then if Matrix.equal ~eps c m || Matrix.equal ~eps c (Matrix.scale (Cplx.re (-1.)) m) then Some (List.rev acc, m) else None
-    else
-      let rec try_s s =
-        if s > 3 then None
-        else
-          match labels_of (i + 1) (s :: acc) (Matrix.kron m sigma.(s)) with
-          | Some _ as r -> r
-          | None -> try_s (s + 1)
-      in
-      try_s 0
-  in
-  match labels_of 0 [] (Matrix.identity 1) with
-  | None -> None
-  | Some (labels, m) ->
-      let negated = Matrix.equal ~eps c (Matrix.scale (Cplx.re (-1.)) m) in
-      let x = Array.make k false and z = Array.make k false in
-      let e = ref (if negated then 2 else 0) in
-      List.iteri
-        (fun j s ->
-          let se, sx, sz = label_local s in
-          e := !e + se;
-          x.(j) <- sx;
-          z.(j) <- sz)
-        labels;
-      Some { e = !e land 3; x; z }
-
-(* Basis Pauli X_slot / Z_slot as a 2^k x 2^k matrix (slot 0 = high bit,
-   matching {!Ir.Matrices}). *)
-let basis_pauli k slot s =
-  let m = ref (Matrix.identity 1) in
-  for j = 0 to k - 1 do
-    m := Matrix.kron !m (if j = slot then sigma.(s) else sigma_i)
-  done;
-  !m
-
-(* The derived action as a dense conjugation table over the 4^k local
+(* A gate's action as a dense conjugation table over the 4^k local
    Pauli patterns: index and result pack slot j's X bit at 2j and Z bit
    at 2j+1, the result carrying the phase increment above bit 2k. Each
    entry is the product, in X-before-Z slot order, of the images of the
-   basis factors X_slot and Z_slot; None when some image is not a signed
-   Pauli (the gate is not Clifford). *)
+   basis factors X_slot and Z_slot. *)
 type action = int array
 
+(* [derive_action k u] reads a 2^k x 2^k unitary (slot 0 = high bit, as
+   in {!Ir.Matrices}); None when some basis image is not a signed Pauli
+   (the gate is not Clifford). *)
 let derive_action k u =
-  let udag = Matrix.adjoint u in
-  let conj p = Matrix.mul u (Matrix.mul p udag) in
+  let d = 1 lsl k in
+  let ure = Array.make (d * d) 0. and uim = Array.make (d * d) 0. in
+  for a = 0 to d - 1 do
+    for c = 0 to d - 1 do
+      let v = Matrix.get u a c in
+      ure.((a * d) + c) <- v.Complex.re;
+      uim.((a * d) + c) <- v.Complex.im
+    done
+  done;
+  let cre = Array.make (d * d) 0. and cim = Array.make (d * d) 0. in
+  let signs = Array.init d (fun m -> if parity m then -1. else 1.) in
   let exception Not_clifford in
-  try
-    let image s slot =
-      match match_signed_pauli k (conj (basis_pauli k slot s)) with
-      | Some r -> r
-      | None -> raise Not_clifford
+  (* The image C = U P U^dagger of the basis Pauli P = X^xp Z^zp (index
+     masks) as a k-wide row, when C = i^e X^x Z^z entry by entry within
+     [eps]; else raises [Not_clifford]. P is monomial,
+     P|c> = (-1)^(zp.c) |c xor xp>, so
+     C[a][b] = sum_c (-1)^(zp.c) U[a][c xor xp] conj(U[b][c]). C's
+     coefficient on X^x Z^z is its trace against that monomial,
+     sum_r (-1)^(z.r) C[r xor x][r] / 2^k; the largest (compared
+     unscaled) names the only candidate. *)
+  let image ~xp ~zp =
+    for a = 0 to d - 1 do
+      for b = 0 to d - 1 do
+        let sr = ref 0. and si = ref 0. in
+        for c = 0 to d - 1 do
+          let s = signs.(zp land c) in
+          let ar = ure.((a * d) + (c lxor xp)) and ai = uim.((a * d) + (c lxor xp)) in
+          let br = ure.((b * d) + c) and bi = uim.((b * d) + c) in
+          sr := !sr +. (s *. ((ar *. br) +. (ai *. bi)));
+          si := !si +. (s *. ((ai *. br) -. (ar *. bi)))
+        done;
+        cre.((a * d) + b) <- !sr;
+        cim.((a * d) + b) <- !si
+      done
+    done;
+    let best = ref (-1) and best_w = ref 0. and best_re = ref 0. and best_im = ref 0. in
+    for x = 0 to d - 1 do
+      for z = 0 to d - 1 do
+        let tr = ref 0. and ti = ref 0. in
+        for r = 0 to d - 1 do
+          let s = signs.(z land r) in
+          tr := !tr +. (s *. cre.(((r lxor x) * d) + r));
+          ti := !ti +. (s *. cim.(((r lxor x) * d) + r))
+        done;
+        let w = (!tr *. !tr) +. (!ti *. !ti) in
+        if w > !best_w then begin
+          best := (x * d) + z;
+          best_w := w;
+          best_re := !tr;
+          best_im := !ti
+        end
+      done
+    done;
+    if !best < 0 then raise Not_clifford;
+    let x = !best / d and z = !best mod d in
+    (* i^e nearest the coefficient; a conjugated Hermitian Pauli is
+       Hermitian, so e has the parity of x.z (its Y count). *)
+    let e =
+      if Float.abs !best_re >= Float.abs !best_im then if !best_re > 0. then 0 else 2
+      else if !best_im > 0. then 1
+      else 3
     in
-    let img_x = Array.init k (image 1) and img_z = Array.init k (image 3) in
+    if parity (x land z) <> (e land 1 = 1) then raise Not_clifford;
+    let pr = match e with 0 -> 1. | 2 -> -1. | _ -> 0. in
+    let pi = match e with 1 -> 1. | 3 -> -1. | _ -> 0. in
+    for a = 0 to d - 1 do
+      for b = 0 to d - 1 do
+        let s = if a = b lxor x then signs.(z land b) else 0. in
+        let i = (a * d) + b in
+        if Float.hypot (cre.(i) -. (s *. pr)) (cim.(i) -. (s *. pi)) > eps then
+          raise Not_clifford
+      done
+    done;
+    let bit j m = (m lsr (k - 1 - j)) land 1 = 1 in
+    { e; x = Array.init k (fun j -> bit j x); z = Array.init k (fun j -> bit j z) }
+  in
+  try
+    let img_x = Array.init k (fun j -> image ~xp:(1 lsl (k - 1 - j)) ~zp:0) in
+    let img_z = Array.init k (fun j -> image ~xp:0 ~zp:(1 lsl (k - 1 - j))) in
     let bits = 2 * k in
     let table =
       Array.init (1 lsl bits) (fun code ->
@@ -150,29 +167,12 @@ let derive_action k u =
     Some table
   with Not_clifford -> None
 
-(* Memoized per gate shape (operands normalized to slots 0..k-1). Rotation
-   angles are part of the shape, so the memo is bounded: a parameter sweep
-   keeps only its most recent angles resident. *)
-module Action_memo = Parallel.Memo.Make (struct
-  type t = Ir.Gate.t
-
-  let equal a b = compare a b = 0
-  let hash = Hashtbl.hash
-end)
-
-let action_memo : action option Action_memo.t =
-  Action_memo.create ~name:"dataflow.action" ~capacity:4096
-
 let gate_action g =
   match g with
   | Ir.Gate.Measure _ -> invalid_arg "Tableau: Measure has no unitary action"
   | Ir.Gate.Ccx _ | Ir.Gate.Cswap _ -> None
-  | Ir.Gate.One (og, _) ->
-      Action_memo.find_or_add action_memo (Ir.Gate.One (og, 0)) (fun () ->
-          derive_action 1 (Ir.Matrices.one_q og))
-  | Ir.Gate.Two (tg, _, _) ->
-      Action_memo.find_or_add action_memo (Ir.Gate.Two (tg, 0, 1)) (fun () ->
-          derive_action 2 (Ir.Matrices.two_q tg))
+  | Ir.Gate.One (og, _) -> derive_action 1 (Ir.Matrices.one_q og)
+  | Ir.Gate.Two (tg, _, _) -> derive_action 2 (Ir.Matrices.two_q tg)
 
 let is_clifford_gate g =
   match g with
@@ -183,7 +183,31 @@ module Action = struct
   type t = action
 
   let of_gate = gate_action
-  let memo_stats () = Action_memo.stats action_memo
+
+  (* Each distinct gate shape (operands normalized to slots 0..k-1) is
+     derived once per call. *)
+  let prefix gates =
+    let derived = Hashtbl.create 16 in
+    let derive s =
+      match Hashtbl.find_opt derived s with
+      | Some a -> a
+      | None ->
+          let a = gate_action s in
+          Hashtbl.add derived s a;
+          a
+    in
+    let action = function
+      | Ir.Gate.One (og, _) -> derive (Ir.Gate.One (og, 0))
+      | Ir.Gate.Two (tg, _, _) -> derive (Ir.Gate.Two (tg, 0, 1))
+      | Ir.Gate.Measure _ | Ir.Gate.Ccx _ | Ir.Gate.Cswap _ -> None
+    in
+    let n = Array.length gates in
+    let acts = Array.make n [||] in
+    let rec go i =
+      if i = n then i
+      else match action gates.(i) with Some a -> acts.(i) <- a; go (i + 1) | None -> i
+    in
+    Array.sub acts 0 (go 0)
 end
 
 (* Compiled gate application: the action's table bound to its operand
@@ -264,23 +288,24 @@ let apply t g =
       apply_app t (compile_action act qs);
       true
 
+(* The measure-free gates of [c] and the actions of their Clifford
+   prefix. *)
+let body_prefix c =
+  let gates = Array.of_list (List.filter (fun g -> not (Ir.Gate.is_measure g)) c.Ir.Circuit.gates) in
+  (gates, Action.prefix gates)
+
 let of_circuit c =
   let t = init c.Ir.Circuit.n_qubits in
-  let ok =
-    List.for_all
-      (fun g -> match g with Ir.Gate.Measure _ -> true | _ -> apply t g)
-      c.Ir.Circuit.gates
-  in
-  if ok then Some t else None
+  let gates, acts = body_prefix c in
+  if Array.length acts < Array.length gates then None
+  else begin
+    Array.iteri
+      (fun i act -> apply_app t (compile_action act (Array.of_list (Ir.Gate.qubits gates.(i)))))
+      acts;
+    Some t
+  end
 
-let clifford_prefix c =
-  let t = init c.Ir.Circuit.n_qubits in
-  let rec go count = function
-    | [] -> count
-    | Ir.Gate.Measure _ :: rest -> go count rest
-    | g :: rest -> if apply t g then go (count + 1) rest else count
-  in
-  go 0 c.Ir.Circuit.gates
+let clifford_prefix c = Array.length (snd (body_prefix c))
 
 (* Index of the first row at or after [from] satisfying [pred], or -1. *)
 let find_row rows ~from pred =
@@ -489,14 +514,6 @@ let basis_mask bits =
   !m
 
 let rec ctz x = if x land 1 = 1 then 0 else 1 + ctz (x lsr 1)
-
-let parity x =
-  let x = ref x and p = ref false in
-  while !x <> 0 do
-    p := not !p;
-    x := !x land (!x - 1)
-  done;
-  !p
 
 (* Conjugating a stabilizer state by a Pauli only flips row signs, so
    every noisy-Clifford-trajectory output shares one support

@@ -44,24 +44,30 @@ val copy : t -> t
 (** Raw generators, in internal order (no canonicalization). *)
 val generators : t -> generator list
 
-(** [is_clifford_gate g] tests whether [g] has a Clifford action.
-    [Measure] is not Clifford (it is not unitary). Results are memoized
-    per gate shape in a {!Parallel.Memo} instance (capacity 4096,
-    counters [dataflow.action.*]). *)
+(** [is_clifford_gate g] tests whether [g] has a Clifford action, derived
+    afresh on every call. [Measure] is not Clifford (it is not
+    unitary). *)
 val is_clifford_gate : Ir.Gate.t -> bool
 
 (** A gate's derived Clifford action: its conjugation table over the
-    4^k local Pauli patterns of its k operand slots, stored with the
-    derivation in the memo above. *)
+    4^k local Pauli patterns of its k operand slots. Entry [code] packs
+    slot j's X bit at 2j and Z bit at 2j+1 of a pattern, X before Z on
+    each slot; the entry is the pattern's image in the same packing with
+    the phase exponent (the e of i^e) above bit 2k. *)
 module Action : sig
-  type t
+  type t = private int array
 
-  (** Same memoized derivation as {!is_clifford_gate}: [None] when the
-      gate is not Clifford. Raises [Invalid_argument] on [Measure]. *)
+  (** The derivation behind {!is_clifford_gate}: [None] when the gate is
+      not Clifford, including non-finite angles. Raises
+      [Invalid_argument] on [Measure]. *)
   val of_gate : Ir.Gate.t -> t option
 
-  (** The derivation memo's stats (see {!is_clifford_gate}). *)
-  val memo_stats : unit -> Parallel.Memo.stats
+  (** [prefix gates] is the actions of the longest prefix of [gates]
+      that is all Clifford; a [Measure] ends it like a non-Clifford
+      gate. Nothing past the first non-Clifford gate is derived, and
+      each distinct gate shape (the gate with its operands dropped) is
+      derived once per call. *)
+  val prefix : Ir.Gate.t array -> t array
 end
 
 (** A compiled gate application: an action's table bound to its operand

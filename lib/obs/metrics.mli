@@ -18,7 +18,7 @@
     per-metric configuration.
 
     Naming convention (see docs/OBSERVABILITY.md): dot-separated
-    [layer.component.metric], e.g. ["dataflow.action.hits"],
+    [layer.component.metric], e.g. ["sim.trajectories.erred"],
     ["parallel.pool.queue_wait_ns"]; unit suffix ([_ns], [_bytes]) when
     the value has one. Registering the same name twice returns the same
     metric; reusing a name at a different type raises [Invalid_argument]. *)

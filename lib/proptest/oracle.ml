@@ -413,15 +413,15 @@ let check_clifford ~machine ~run_seed c =
      support. *)
   let body = Circuit.body c in
   let n = body.Circuit.n_qubits in
-  let prefix =
-    let rec take acc = function
-      | g :: rest when Dataflow.Tableau.is_clifford_gate g -> take (g :: acc) rest
-      | _ -> List.rev acc
-    in
-    take [] body.Circuit.gates
-  in
+  let gates = Array.of_list body.Circuit.gates in
+  let actions = Dataflow.Tableau.Action.prefix gates in
+  let prefix = Array.to_list (Array.sub gates 0 (Array.length actions)) in
   let tab = Dataflow.Tableau.init n in
-  List.iter (fun g -> ignore (Dataflow.Tableau.apply tab g)) prefix;
+  Array.iteri
+    (fun i act ->
+      let qs = Array.of_list (G.qubits gates.(i)) in
+      Dataflow.Tableau.apply_app tab (Dataflow.Tableau.compile_action act qs))
+    actions;
   let p_sv =
     Sim.Statevector.probabilities (Sim.Statevector.run (Circuit.create n prefix))
   in

@@ -81,12 +81,11 @@ let m_blocks = Obs.Metrics.counter "sim.blocks"
 let m_erred = Obs.Metrics.counter "sim.trajectories.erred"
 
 (* One prepared (compacted) gate: operands are compact simulator
-   indices, the Clifford action precomputed. *)
+   indices. *)
 type pgate = {
   cg : Ir.Gate.t;
   qs : int array;  (* [cg]'s operands, in order *)
   gamma : float;
-  action : Tableau.Action.t option;
 }
 
 (* The executable as the simulator sees it: its binding, the prepared
@@ -132,7 +131,6 @@ let prepare config compiled spec =
       cg;
       qs = Array.of_list (Ir.Gate.qubits cg);
       gamma = (if explicit_t1 then Noise.relaxation_gamma noise g else 0.0);
-      action = Tableau.Action.of_gate cg;
     }
   in
   let thresholds =
@@ -329,23 +327,17 @@ let dense_plan config p ~prefix apps frame =
     { path = Dense { prefix; frame; start; body = Gates members }; ideal }
   end
 
-(* Backend dispatch: derived Clifford actions (memoized per gate shape)
-   decide how much of the circuit the polynomial-time tableau can carry.
-   Explicit T1 relaxation is not a Clifford channel, so it pins the
-   dense backend. Fusion plans depend only on the circuit, never on the
-   pool or the error draws, so cross-pool determinism is preserved. *)
+(* Backend dispatch: the Clifford actions of the circuit's prefix,
+   derived here up to the first non-Clifford gate, decide how much of it
+   the polynomial-time tableau can carry. Explicit T1 relaxation is not a
+   Clifford channel, so it pins the dense backend. Fusion plans depend
+   only on the circuit, never on the pool or the error draws, so
+   cross-pool determinism is preserved. *)
 let plan config p =
   let { Config.backend; explicit_t1; fusion; _ } = config in
   let gates = p.gates and k = p.binding.Binding.k in
   let n = Array.length gates in
-  let clifford =
-    let rec prefix i acc =
-      match if i < n then gates.(i).action else None with
-      | Some a -> prefix (i + 1) (a :: acc)
-      | None -> Array.of_list (List.rev acc)
-    in
-    prefix 0 []
-  in
+  let clifford = Tableau.Action.prefix p.binding.Binding.compact in
   let n_clifford = Array.length clifford in
   (* Compiles the first [span] gates to tableau apps and their frame
      inside the [sim.plan] span, then builds the plan from them. *)

@@ -55,6 +55,49 @@ let test_tableau_sign () =
   Alcotest.(check (list string)) "|1> = <-Z>" [ "-Z" ] (gen_strings one);
   Alcotest.(check bool) "|0> <> |1>" false (Tableau.equal zero one)
 
+(* The definition a derived action must meet: entry [code] of a k-slot
+   gate's table is U P U^dagger for the pattern P that [code] packs
+   (slot j's X bit at 2j, Z bit at 2j+1, X before Z), written as
+   i^e X^x Z^z with e above bit 2k, to within 1e-6 entry by entry. *)
+let pattern k r =
+  let x = Mathkit.Matrix.of_rows Mathkit.Cplx.[ [ zero; one ]; [ one; zero ] ] in
+  let z = Mathkit.Matrix.of_rows Mathkit.Cplx.[ [ one; zero ]; [ zero; re (-1.) ] ] in
+  let local j =
+    let m = if (r lsr (2 * j)) land 1 = 1 then x else Mathkit.Matrix.identity 2 in
+    if (r lsr ((2 * j) + 1)) land 1 = 1 then Mathkit.Matrix.mul m z else m
+  in
+  let p = ref (Mathkit.Matrix.identity 1) in
+  for j = 0 to k - 1 do
+    p := Mathkit.Matrix.kron !p (local j)
+  done;
+  let phase = Mathkit.Cplx.[| one; i; re (-1.); make 0. (-1.) |].(r lsr (2 * k)) in
+  Mathkit.Matrix.scale phase !p
+
+(* Every signed pattern, indexed by its table entry. *)
+let patterns = Array.map (fun k -> Array.init (4 lsl (2 * k)) (pattern k)) [| 0; 1; 2 |]
+
+let reference_action g =
+  let k, u =
+    match g with
+    | G.One (og, _) -> (1, Ir.Matrices.one_q og)
+    | G.Two (tg, _, _) -> (2, Ir.Matrices.two_q tg)
+    | _ -> invalid_arg "reference_action"
+  in
+  let image code =
+    let c = Mathkit.Matrix.(mul u (mul patterns.(k).(code) (adjoint u))) in
+    let rec find r =
+      if r = Array.length patterns.(k) then None
+      else if Mathkit.Matrix.equal ~eps:1e-6 c patterns.(k).(r) then Some r
+      else find (r + 1)
+    in
+    find 0
+  in
+  let images = List.init (1 lsl (2 * k)) image in
+  if List.mem None images then None else Some (List.map Option.get images)
+
+let entries (a : Tableau.Action.t) = Array.to_list (a :> int array)
+let derived g = Option.map entries (Tableau.Action.of_gate g)
+
 let test_clifford_recognition () =
   List.iter
     (fun (g, want) ->
@@ -73,11 +116,69 @@ let test_clifford_recognition () =
       (G.Two (G.Xx (Float.pi /. 8.0), 0, 1), false);
       (G.Ccx (0, 1, 2), false);
       (G.Measure 0, false);
+    ];
+  (* Every 1Q and 2Q constructor against the definition: fixed gates,
+     angle grids at Clifford multiples, those shifted by 1e-7 (still
+     Clifford) and by 1e-4 (not), random angles, and non-finite ones. *)
+  let matches ?want g =
+    let name = Format.asprintf "%a" G.pp g in
+    let got = derived g in
+    Alcotest.(check (option (list int))) ("table of " ^ name) (reference_action g) got;
+    Option.iter (fun w -> Alcotest.(check bool) ("clifford? " ^ name) w (got <> None)) want
+  in
+  List.iter (fun og -> matches ~want:true (G.One (og, 0))) G.[ X; Y; Z; H; S; Sdg ];
+  List.iter (fun og -> matches ~want:false (G.One (og, 0))) G.[ T; Tdg ];
+  List.iter (fun tg -> matches ~want:true (G.Two (tg, 0, 1))) G.[ Cnot; Cz; Swap; Iswap ];
+  let half = Float.pi /. 2. in
+  let parametric =
+    [
+      (1, half, fun a -> G.One (G.Rx a.(0), 0));
+      (1, half, fun a -> G.One (G.Ry a.(0), 0));
+      (1, half, fun a -> G.One (G.Rz a.(0), 0));
+      (1, half, fun a -> G.One (G.U1 a.(0), 0));
+      (2, half, fun a -> G.One (G.Rxy (a.(0), a.(1)), 0));
+      (2, half, fun a -> G.One (G.U2 (a.(0), a.(1)), 0));
+      (3, half, fun a -> G.One (G.U3 (a.(0), a.(1), a.(2)), 0));
+      (1, Float.pi /. 4., fun a -> G.Two (G.Xx a.(0), 0, 1));
     ]
+  in
+  let rec grid arity =
+    if arity = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun rest -> List.init 6 (fun m -> float_of_int (m - 1) :: rest))
+        (grid (arity - 1))
+  in
+  let rng = Random.State.make [| 37 |] in
+  List.iter
+    (fun (arity, step, make) ->
+      List.iter
+        (fun multiples ->
+          let at shift = make (Array.of_list (List.map (fun m -> (m *. step) +. shift) multiples)) in
+          List.iter (fun shift -> matches ~want:true (at shift)) [ 0.; 1e-7; -1e-7 ];
+          List.iter (fun shift -> matches ~want:false (at shift)) [ 1e-4; -1e-4 ])
+        (grid arity);
+      for _ = 1 to 50 do
+        matches (make (Array.init arity (fun _ -> Random.State.float rng (4. *. Float.pi) -. (2. *. Float.pi))))
+      done;
+      List.iter
+        (fun bad ->
+          for slot = 0 to arity - 1 do
+            let g = make (Array.init arity (fun i -> if i = slot then bad else 0.)) in
+            Alcotest.(check bool) (Format.asprintf "non-finite %a" G.pp g) true (derived g = None)
+          done)
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    parametric
 
 let test_clifford_prefix () =
   let c = circ 1 [ G.One (G.H, 0); G.One (G.T, 0); G.One (G.H, 0) ] in
   Alcotest.(check int) "prefix stops at T" 1 (Tableau.clifford_prefix c);
+  (* Action.prefix: a shape seen on other operands shares its table, and
+     a Measure ends the prefix like a non-Clifford gate. *)
+  let gates = [| G.Two (G.Cnot, 0, 1); G.One (G.H, 1); G.Two (G.Cnot, 1, 0); G.Measure 0; G.One (G.H, 0) |] in
+  Alcotest.(check (list (list int))) "prefix actions"
+    (List.map (fun g -> Option.get (derived g)) (Array.to_list (Array.sub gates 0 3)))
+    (List.map entries (Array.to_list (Tableau.Action.prefix gates)));
   Alcotest.(check bool) "T circuit not Clifford" true
     (Tableau.of_circuit c = None)
 
